@@ -17,15 +17,16 @@ exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
+from . import matroids
 from .errors import AmbientMismatch, SeedDisagreement
-from .field import MERSENNE61, EchelonBasis, subset_rank_table
-from .graphs import EdgeSet, edge_at, edge_count
+from .field import MERSENNE61, EchelonBasis, is_prime, subset_rank_table
+from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
 DEFAULT_SEEDS = (101, 202, 303)
+MIN_MODULUS = (1 << 31) - 1
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,9 @@ class CofactorOracle:
     the reported rank is the maximum.  If a strict majority of seeds falls
     below that maximum the oracle aborts with a diagnostic instead of
     guessing.  Results are memoized per edge bitmask.
+
+    The modulus must be a prime of at least 2^31 - 1, which keeps the chance
+    that one seed drops below the generic rank under about 1e-7 for n <= 60.
     """
 
     def __init__(self, n: int, s: int = 2, seeds=DEFAULT_SEEDS,
@@ -119,6 +123,8 @@ class CofactorOracle:
         seeds = tuple(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
+        if modulus < MIN_MODULUS or not is_prime(modulus):
+            raise ValueError(f"modulus {modulus} is not a prime >= 2^31 - 1")
         self.n = n
         self.s = s
         self.seeds = seeds
@@ -141,28 +147,27 @@ class CofactorOracle:
                 f"edge set lives in K_{F.n}, oracle in K_{self.n}"
             )
 
+    def _entries(self, edge, config: GenericConfiguration) -> list[int]:
+        return cofactor_row(edge, config, self.s)
+
     def _row(self, edge_bit: int, seed_idx: int) -> tuple[int, ...]:
         cache = self._row_cache[seed_idx]
         row = cache.get(edge_bit)
         if row is None:
             edge = edge_at(self.n, edge_bit)
-            row = tuple(cofactor_row(edge, self.configs[seed_idx], self.s))
-            cache[edge_bit] = row
+            row = cache[edge_bit] = tuple(
+                self._entries(edge, self.configs[seed_idx]))
         return row
-
-    def _edge_bits(self, mask: int) -> list[int]:
-        bits = []
-        while mask:
-            low = mask & -mask
-            bits.append(low.bit_length() - 1)
-            mask ^= low
-        return bits
 
     def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
         basis = EchelonBasis(self.modulus)
-        for b in self._edge_bits(mask):
+        for b in bits(mask):
             basis.insert(self._row(b, seed_idx))
         return basis
+
+    def _mask_rank(self, mask: int) -> int:
+        # through the public rank, so the memo and any tracing see each query
+        return self.rank(EdgeSet(self.n, mask))
 
     def _majority_check(self, mask: int, per_seed: list[int]) -> int:
         top = max(per_seed)
@@ -210,6 +215,9 @@ class CofactorOracle:
 
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged."""
+        # Not matroids.closure: one echelon basis per seed answers every
+        # membership test by a single reduction, where a rank from scratch
+        # per edge would cost about |E(K_n)| times as much.
         self._check(F)
         bases = [self._seed_basis(F.mask, idx) for idx in range(len(self.seeds))]
         per_seed = [b.rank for b in bases]
@@ -221,7 +229,7 @@ class CofactorOracle:
                 continue
             grown = [per_seed[i] + (bases[i].reduce(self._row(bit, i)) is not None)
                      for i in range(len(self.seeds))]
-            r_e = max(grown)
+            r_e = self._majority_check(F.mask | 1 << bit, grown)
             self._memo.setdefault(F.mask | 1 << bit, r_e)
             if r_e == r:
                 out |= 1 << bit
@@ -233,12 +241,7 @@ class CofactorOracle:
     def cyc(self, F: EdgeSet) -> EdgeSet:
         """F minus its restriction coloops, i.e. the union of circuits in F."""
         self._check(F)
-        r = self.rank(F)
-        keep = 0
-        for bit in self._edge_bits(F.mask):
-            if self.rank(EdgeSet(self.n, F.mask & ~(1 << bit))) == r:
-                keep |= 1 << bit
-        return EdgeSet(self.n, keep)
+        return EdgeSet(self.n, matroids.cyc(self._mask_rank, F.mask))
 
     def is_cyclic(self, F: EdgeSet) -> bool:
         return self.cyc(F).mask == F.mask
@@ -253,35 +256,19 @@ class CofactorOracle:
         self._check(F)
         if not independent.issubset(F):
             raise ValueError("starting set is not contained in F")
-        cur = independent.mask
-        r = self.rank(independent)
-        if r != independent.mask.bit_count():
+        if not self.independent(independent):
             raise ValueError("starting set is dependent")
-        target = self.rank(F)
-        for bit in self._edge_bits(F.mask & ~cur):
-            if r == target:
-                break
-            cand = cur | 1 << bit
-            rc = self.rank(EdgeSet(self.n, cand))
-            if rc > r:
-                cur, r = cand, rc
-        return EdgeSet(self.n, cur)
+        return EdgeSet(self.n, matroids.extend_basis(
+            self._mask_rank, independent.mask, F.mask))
 
     def fundamental_circuit(self, B: EdgeSet, e) -> EdgeSet:
         """The unique circuit inside B + e, for B independent with e in cl(B)."""
         self._check(B)
-        u, v = e
-        Be = B.add(u, v)
+        bit = edge_index(self.n, *e)
         if not self.independent(B):
             raise ValueError("B is not independent")
-        if self.rank(Be) != self.rank(B):
-            raise ValueError(f"edge {e} is not in the closure of B")
-        cur = Be
-        for edge in B.edges():
-            smaller = cur.remove(*edge)
-            if self.rank(smaller) < len(smaller):
-                cur = smaller
-        return cur
+        return EdgeSet(self.n, matroids.fundamental_circuit(
+            self._mask_rank, B.mask, bit))
 
     # -- whole-powerset table ---------------------------------------------
 
@@ -296,24 +283,15 @@ class CofactorOracle:
         for idx in range(len(self.seeds)):
             rows = [self._row(b, idx) for b in range(m)]
             per_seed.append(subset_rank_table(rows, self.modulus))
-        table = []
-        for mask, ranks in enumerate(zip(*per_seed)):
-            top = max(ranks)
-            below = sum(1 for r in ranks if r < top)
-            if 2 * below > len(ranks):
-                raise SeedDisagreement(
-                    "strict majority of seeds fell below the maximum rank",
-                    detail={"mask": mask, "n": self.n, "s": self.s,
-                            "seeds": self.seeds, "ranks": list(ranks)})
-            table.append(top)
+        table = [self._majority_check(mask, list(ranks))
+                 for mask, ranks in enumerate(zip(*per_seed))]
         self._table = table
         self._memo.update(enumerate(table))
         return table
 
     def explicit_matroid(self):
-        from .matroids import ExplicitMatroid
         labels = [edge_at(self.n, i) for i in range(edge_count(self.n))]
-        return ExplicitMatroid.from_table(self.rank_table(), labels=labels)
+        return matroids.ExplicitMatroid.from_table(self.rank_table(), labels=labels)
 
 
 class RigidityOracle(CofactorOracle):
@@ -327,11 +305,5 @@ class RigidityOracle(CofactorOracle):
         super().__init__(n, s=d - 1, seeds=seeds, modulus=modulus)
         self.d = d
 
-    def _row(self, edge_bit: int, seed_idx: int) -> tuple[int, ...]:
-        cache = self._row_cache[seed_idx]
-        row = cache.get(edge_bit)
-        if row is None:
-            edge = edge_at(self.n, edge_bit)
-            row = tuple(rigidity_row(edge, self.configs[seed_idx], self.d))
-            cache[edge_bit] = row
-        return row
+    def _entries(self, edge, config: GenericConfiguration) -> list[int]:
+        return rigidity_row(edge, config, self.d)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
-from .graphs import EdgeSet, complete_edges
+from .graphs import EdgeSet, complete_edges, order_search
 
 __all__ = [
     "CliqueCover",
@@ -159,33 +159,18 @@ def find_shellable_order(
     Greedy (smallest overlap first) with full backtracking behind it, so a
     None answer is a certificate of absence.
     """
-    count = len(cover.members)
-    if count > cap:
-        raise CapExceeded(f"cover has {count} > {cap} members")
     sets = [set(m) for m in cover.members]
-    full = (1 << count) - 1
-    failed: set[int] = set()
-    order: list[int] = []
 
-    def walk(used: int, union: set[int]) -> bool:
-        if used == full:
-            return True
-        if used in failed:
-            return False
+    def moves(used: int, union: set[int]):
         ranked = sorted(
-            (len(sets[i] & union), i) for i in range(count) if not used >> i & 1
+            (len(s & union), i) for i, s in enumerate(sets) if not used >> i & 1
         )
         for overlap, i in ranked:
             if used and overlap > k:
-                break
-            order.append(i)
-            if walk(used | 1 << i, union | sets[i]):
-                return True
-            order.pop()
-        failed.add(used)
-        return False
+                return
+            yield i, union | sets[i]
 
-    return tuple(order) if walk(0, set()) else None
+    return _capped_search(cover, cap, moves, set())
 
 
 def _step_hinge_edges(cover: CliqueCover, prefix_mask: int, last: int) -> EdgeSet:
@@ -207,29 +192,23 @@ def _step_hinge_edges(cover: CliqueCover, prefix_mask: int, last: int) -> EdgeSe
     return EdgeSet(cover.n, mask)
 
 
-def _degenerate_order(cover: CliqueCover, step_ok, cap: int):
+def _capped_search(cover: CliqueCover, cap: int, moves, start):
+    """order_search over the members, refusing covers of more than cap."""
     count = len(cover.members)
     if count > cap:
         raise CapExceeded(f"cover has {count} > {cap} members")
-    full = (1 << count) - 1
-    failed: set[int] = set()
-    order: list[int] = []
+    return order_search(count, moves, start)
 
-    def walk(used: int) -> bool:
-        if used == full:
-            return True
-        if used in failed:
-            return False
-        for i in range(count):
+
+def _degenerate_order(cover: CliqueCover, step_ok, cap: int):
+    """First-fit order search where each placed member must pass step_ok."""
+
+    def moves(used: int, _):
+        for i in range(len(cover.members)):
             if not used >> i & 1 and step_ok(used | 1 << i, i):
-                order.append(i)
-                if walk(used | 1 << i):
-                    return True
-                order.pop()
-        failed.add(used)
-        return False
+                yield i, None
 
-    return tuple(order) if walk(0) else None
+    return _capped_search(cover, cap, moves, None)
 
 
 def is_k_degenerate(
@@ -296,6 +275,8 @@ def dress_rank(F: EdgeSet, oracle):
 
     Returns ``(value, cover, F0, shelling_order)``.
     """
+    if oracle.s != 2:
+        raise ValueError(f"the clique-cover formula needs s = 2, got s = {oracle.s}")
     if not oracle.is_flat(F):
         raise ValueError("dress_rank requires a flat (closure(F) == F)")
     cover, f0 = maximal_cliques(F, 5)

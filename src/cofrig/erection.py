@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .matroids import ExplicitMatroid, _bits, verify_rank_axioms
+from .matroids import ExplicitMatroid, verify_rank_axioms
 
 
 def _down_close(new_members, cyclic_list, down: set[int]) -> list[int]:

@@ -4,49 +4,48 @@ Everything here works on plain Python ints reduced mod p, so there is no
 overflow and no floating point.  The default modulus is the Mersenne prime
 2^61 - 1, large enough that a random evaluation of a generic matrix keeps
 full rank except with vanishing probability.
+
+An echelon basis is a pivot-sorted sequence of (pivot, row) pairs: each row
+is normalized to 1 at its pivot and is zero to the left of it.  One kernel,
+``_eliminate``, reduces a row against such a sequence; ``EchelonBasis`` keeps
+a growing list of pairs, and ``subset_rank_table`` keeps one immutable tuple
+of pairs per subset, sharing the row tuples between subsets.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from bisect import bisect, insort
 
 MERSENNE61 = (1 << 61) - 1
 
-
-def random_assignment(n: int, seed: int, p: int = MERSENNE61) -> list[tuple[int, int]]:
-    """Deterministic stream of n coordinate pairs, uniform in [0, p).
-
-    The same (n, seed, p) always yields the same list.
-    """
-    rng = random.Random(seed)
-    return [(rng.randrange(p), rng.randrange(p)) for _ in range(n)]
+# Miller-Rabin with these bases is exact below 3.3e24, so for every p < 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class FieldMatrix:
-    """A dense matrix over GF(p), rows as tuples of ints in [0, p)."""
-
-    p: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows, p: int = MERSENNE61) -> "FieldMatrix":
-        norm = tuple(tuple(x % p for x in row) for row in rows)
-        if norm and any(len(r) != len(norm[0]) for r in norm):
-            raise ValueError("ragged rows")
-        return cls(p, norm)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def rank(self) -> int:
-        return matrix_rank(self.entries, self.p)
+def is_prime(p: int) -> bool:
+    """Deterministic primality test for p < 2^64."""
+    if p >= 1 << 64:
+        raise ValueError("primality is only decided below 2^64")
+    if p < 2:
+        return False
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def matrix_rank(rows, p: int = MERSENNE61) -> int:
@@ -61,67 +60,67 @@ def matrix_rank(rows, p: int = MERSENNE61) -> int:
 
 
 class EchelonBasis:
-    """Incremental row echelon form over GF(p).
+    """Incremental row echelon form over GF(p), as one sequence of pairs.
 
-    Rows are kept pivot-normalized (leading entry 1) and sorted by pivot
-    column, so reducing a new row is one pass and never touches stored rows.
-    That makes snapshots cheap: copies share row objects.
+    Rows are never modified after insertion, so copies share them.
     """
 
-    __slots__ = ("p", "pivots", "rows")
+    __slots__ = ("p", "pairs")
 
     def __init__(self, p: int = MERSENNE61):
         self.p = p
-        self.pivots: list[int] = []
-        self.rows: list[tuple[int, ...]] = []
+        self.pairs: list[tuple[int, tuple[int, ...]]] = []
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pairs)
 
     def copy(self) -> "EchelonBasis":
         out = EchelonBasis(self.p)
-        out.pivots = list(self.pivots)
-        out.rows = list(self.rows)
+        out.pairs = list(self.pairs)
         return out
 
-    def reduce(self, row) -> tuple[int, ...] | None:
-        """Reduce a row against the basis; None if it reduces to zero.
-
-        The returned row is pivot-normalized and does not alias the input.
+    def reduce(self, row) -> tuple[int, tuple[int, ...]] | None:
+        """Reduce a row against the basis: its new (pivot, normalized row)
+        pair, or None if it reduces to zero.  The row does not alias the input.
         """
         p = self.p
-        cur = [x % p for x in row]
-        for piv, brow in zip(self.pivots, self.rows):
-            c = cur[piv]
-            if c:
-                cur = [(a - c * b) % p for a, b in zip(cur, brow)]
-        for j, x in enumerate(cur):
-            if x:
-                inv = pow(x, p - 2, p)
-                return tuple(a * inv % p for a in cur)
-        return None
+        return _eliminate([x % p for x in row], self.pairs, p)
 
     def insert(self, row) -> bool:
         """Add a row to the span; True if the rank grew."""
-        red = self.reduce(row)
-        if red is None:
+        pair = self.reduce(row)
+        if pair is None:
             return False
-        piv = next(j for j, x in enumerate(red) if x)
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.pivots.insert(at, piv)
-        self.rows.insert(at, red)
+        insort(self.pairs, pair)
         return True
+
+
+def _eliminate(row, pairs, p: int):
+    """Reduce a row with entries in [0, p) against pivot-sorted pairs.
+
+    Returns the new (pivot, normalized row) pair, or None if the row lies
+    in their span.  Each pair's row vanishes left of its pivot, so one pass
+    in pivot order clears every pivot column and the new pivot is unique.
+    """
+    cur = row
+    for piv, brow in pairs:
+        c = cur[piv]
+        if c:
+            cur = [(a - c * b) % p for a, b in zip(cur, brow)]
+    for j, x in enumerate(cur):
+        if x:
+            inv = pow(x, -1, p)
+            return j, tuple(a * inv % p for a in cur)
+    return None
 
 
 def subset_rank_table(rows, p: int = MERSENNE61) -> list[int]:
     """Rank of every subset of the given rows, indexed by bitmask.
 
     Subsets are processed in increasing numeric order, so each mask X reuses
-    the echelon basis of X minus its lowest bit; bases share row tuples, which
-    keeps the table affordable up to 16 rows.
+    the pairs of X minus its lowest bit; masks keep immutable tuples of pairs
+    that share row tuples, which keeps the table affordable up to 16 rows.
     """
     m = len(rows)
     if m > 16:
@@ -129,31 +128,17 @@ def subset_rank_table(rows, p: int = MERSENNE61) -> list[int]:
     rows = [tuple(x % p for x in r) for r in rows]
     size = 1 << m
     rank = [0] * size
-    # per mask: sorted tuple of (pivot, normalized row)
     basis: list[tuple] = [()] * size
     for x in range(1, size):
         low = (x & -x).bit_length() - 1
         y = x & (x - 1)
         b = basis[y]
-        cur = list(rows[low])
-        for piv, brow in b:
-            c = cur[piv]
-            if c:
-                cur = [(a - c * bb) % p for a, bb in zip(cur, brow)]
-        piv = -1
-        for j, val in enumerate(cur):
-            if val:
-                piv = j
-                break
-        if piv < 0:
+        pair = _eliminate(rows[low], b, p)
+        if pair is None:
             basis[x] = b
             rank[x] = rank[y]
         else:
-            inv = pow(cur[piv], p - 2, p)
-            norm = tuple(a * inv % p for a in cur)
-            at = 0
-            while at < len(b) and b[at][0] < piv:
-                at += 1
-            basis[x] = b[:at] + ((piv, norm),) + b[at:]
+            at = bisect(b, pair)
+            basis[x] = b[:at] + (pair,) + b[at:]
             rank[x] = rank[y] + 1
     return rank

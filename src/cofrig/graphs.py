@@ -49,6 +49,43 @@ def edge_at(n: int, i: int) -> Edge:
     return _edge_table(n)[0][i]
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def order_search(count: int, moves, start) -> tuple[int, ...] | None:
+    """An order of 0..count-1 built one step at a time, or None if none exists.
+
+    ``moves(used, state)`` yields ``(i, next_state)`` for the unused indices
+    allowed next, in the caller's preferred order; ``state`` must be a
+    function of the bitmask ``used`` alone (``start`` for the empty prefix).
+    Depth-first with full backtracking and a memo of failed ``used`` sets,
+    so None is a certificate that no order exists.
+    """
+    full = (1 << count) - 1
+    failed: set[int] = set()
+    order: list[int] = []
+
+    def walk(used: int, state) -> bool:
+        if used == full:
+            return True
+        if used in failed:
+            return False
+        for i, nxt in moves(used, state):
+            order.append(i)
+            if walk(used | 1 << i, nxt):
+                return True
+            order.pop()
+        failed.add(used)
+        return False
+
+    return tuple(order) if walk(0, start) else None
+
+
 @dataclass(frozen=True)
 class EdgeSet:
     """A subset of E(K_n): ambient size plus a bitmask in lexicographic edge order."""
@@ -119,12 +156,7 @@ class EdgeSet:
         return self.edges()
 
     def edges(self) -> Iterator[Edge]:
-        table = _edge_table(self.n)[0]
-        m = self.mask
-        while m:
-            low = m & -m
-            yield table[low.bit_length() - 1]
-            m ^= low
+        return map(_edge_table(self.n)[0].__getitem__, bits(self.mask))
 
     def issubset(self, other: "EdgeSet") -> bool:
         self._check_ambient(other)
@@ -187,12 +219,6 @@ def complete_edges(n: int, vertices: Iterable[int]) -> EdgeSet:
     Fewer than two vertices give the empty edge set.
     """
     return EdgeSet.complete(n, vertices)
-
-
-def neighbor_edges(F: EdgeSet, v: int) -> tuple[frozenset[int], int]:
-    """Neighbours of v in the graph (V(F), F), together with its degree."""
-    ns = F.neighbors(v)
-    return ns, len(ns)
 
 
 # -- vertex extensions ----------------------------------------------------

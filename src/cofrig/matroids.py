@@ -12,17 +12,60 @@ import itertools
 from typing import Callable, Iterable
 
 from .errors import CapExceeded
+from .graphs import EdgeSet, bits, edge_at, edge_count
 
 ENUM_CAP = 16
 
+RankFn = Callable[[int], int]
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+
+# -- operations derived from a rank function on masks ---------------------------
+
+def closure(rank: RankFn, mask: int, ground: int) -> int:
+    """Elements of the ground mask whose addition keeps rank(mask)."""
+    r = rank(mask)
+    out = mask
+    for b in bits(ground & ~mask):
+        if rank(mask | 1 << b) == r:
+            out |= 1 << b
     return out
+
+
+def cyc(rank: RankFn, mask: int) -> int:
+    """mask minus its restriction coloops: the union of circuits inside."""
+    r = rank(mask)
+    keep = 0
+    for b in bits(mask):
+        if rank(mask & ~(1 << b)) == r:
+            keep |= 1 << b
+    return keep
+
+
+def extend_basis(rank: RankFn, start: int, mask: int) -> int:
+    """Greedily extend an independent start inside mask to a base of mask,
+    trying the remaining elements in increasing order."""
+    cur, r = start, start.bit_count()
+    target = rank(mask)
+    for b in bits(mask & ~start):
+        if r == target:
+            break
+        if rank(cur | 1 << b) > r:
+            cur |= 1 << b
+            r += 1
+    return cur
+
+
+def fundamental_circuit(rank: RankFn, base: int, element: int) -> int:
+    """The circuit inside base + element, for an independent base spanning
+    the element, via greedy removal."""
+    cur = base | 1 << element
+    if rank(cur) != rank(base):
+        raise ValueError("element is not in the closure of the base")
+    for b in bits(base):
+        smaller = cur & ~(1 << b)
+        if rank(smaller) < smaller.bit_count():
+            cur = smaller
+    return cur
 
 
 class ExplicitMatroid:
@@ -73,7 +116,7 @@ class ExplicitMatroid:
             if independent(x):
                 table[x] = x.bit_count()
             else:
-                table[x] = max(table[x & ~(1 << b)] for b in _bits(x))
+                table[x] = max(table[x & ~(1 << b)] for b in bits(x))
         return cls(m, table=table, labels=labels)
 
     @classmethod
@@ -125,25 +168,14 @@ class ExplicitMatroid:
         return self.rank(mask) == self.rank_total
 
     def closure(self, mask: int) -> int:
-        r = self.rank(mask)
-        out = mask
-        rest = self.full_mask & ~mask
-        for b in _bits(rest):
-            if self.rank(mask | 1 << b) == r:
-                out |= 1 << b
-        return out
+        return closure(self.rank, mask, self.full_mask)
 
     def is_flat(self, mask: int) -> bool:
         return self.closure(mask) == mask
 
     def cyc(self, mask: int) -> int:
         """mask minus its restriction coloops: the union of circuits inside."""
-        r = self.rank(mask)
-        keep = 0
-        for b in _bits(mask):
-            if self.rank(mask & ~(1 << b)) == r:
-                keep |= 1 << b
-        return keep
+        return cyc(self.rank, mask)
 
     def is_cyclic(self, mask: int) -> bool:
         return self.cyc(mask) == mask
@@ -210,7 +242,7 @@ class ExplicitMatroid:
         out = []
         for x in range(1 << self.m):
             r = table[x]
-            if all(table[x & ~(1 << b)] == r for b in _bits(x)):
+            if all(table[x & ~(1 << b)] == r for b in bits(x)):
                 out.append(x)
         return out
 
@@ -223,7 +255,7 @@ class ExplicitMatroid:
             r = table[x]
             if not include_spanning and r == top:
                 continue
-            if any(table[x & ~(1 << b)] < r for b in _bits(x)):
+            if any(table[x & ~(1 << b)] < r for b in bits(x)):
                 continue
             if any(table[x | 1 << b] == r
                    for b in range(self.m) if not x >> b & 1):
@@ -241,7 +273,7 @@ class ExplicitMatroid:
             if sub:
                 k = sub.bit_count()
                 if table[sub] == k - 1 and all(
-                        table[sub & ~(1 << b)] == k - 1 for b in _bits(sub)):
+                        table[sub & ~(1 << b)] == k - 1 for b in bits(sub)):
                     out.append(sub)
             if sub == 0:
                 break
@@ -252,26 +284,10 @@ class ExplicitMatroid:
 
     def fundamental_circuit(self, base: int, element: int) -> int:
         """Circuit inside base + element, via greedy removal."""
-        cur = base | 1 << element
-        if self.rank(cur) != self.rank(base):
-            raise ValueError("element is not in the closure of the base")
-        for b in _bits(base):
-            smaller = cur & ~(1 << b)
-            if self.rank(smaller) < smaller.bit_count():
-                cur = smaller
-        return cur
+        return fundamental_circuit(self.rank, base, element)
 
     def basis_of(self, mask: int) -> int:
-        cur = 0
-        r = 0
-        target = self.rank(mask)
-        for b in _bits(mask):
-            if r == target:
-                break
-            if self.rank(cur | 1 << b) > r:
-                cur |= 1 << b
-                r += 1
-        return cur
+        return extend_basis(self.rank, 0, mask)
 
     def connected_components(self, mask: int) -> list[int]:
         """Connected components of the restriction to mask.
@@ -282,7 +298,7 @@ class ExplicitMatroid:
         to rank(mask), which is asserted.
         """
         base = self.basis_of(mask)
-        parent = {b: b for b in _bits(mask)}
+        parent = {b: b for b in bits(mask)}
 
         def find(a):
             while parent[a] != a:
@@ -295,13 +311,12 @@ class ExplicitMatroid:
             if ra != rb:
                 parent[ra] = rb
 
-        for b in _bits(mask & ~base):
-            circ = self.fundamental_circuit(base, b)
-            bits = _bits(circ)
-            for other in bits[1:]:
-                union(bits[0], other)
+        for b in bits(mask & ~base):
+            first, *rest = bits(self.fundamental_circuit(base, b))
+            for other in rest:
+                union(first, other)
         groups: dict[int, int] = {}
-        for b in _bits(mask):
+        for b in bits(mask):
             root = find(b)
             groups[root] = groups.get(root, 0) | 1 << b
         comps = sorted(groups.values())
@@ -437,23 +452,6 @@ def verify_rank_axioms(M: ExplicitMatroid) -> None:
                 sub = (sub - 1) & rest
 
 
-def is_modular_cut(M: ExplicitMatroid, family: Iterable[int]) -> bool:
-    """Whether a family of flats is up-closed and meets modular-pair closure."""
-    fam = set(family)
-    flats = M.flats()
-    flat_set = set(flats)
-    if not fam <= flat_set:
-        return False
-    for f in fam:
-        for g in flats:
-            if g & f == f and g not in fam:
-                return False
-    for x, y in itertools.combinations(fam, 2):
-        if M.is_modular_pair(x, y) and (x & y) not in fam:
-            return False
-    return True
-
-
 def uniform_matroid(m: int, r: int) -> ExplicitMatroid:
     return ExplicitMatroid.from_table([min(x.bit_count(), r)
                                        for x in range(1 << m)])
@@ -466,8 +464,6 @@ def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
     For t = 5 this is the common rank-10 truncation of every abstract
     3-rigidity matroid; its free elevation is the object under study here.
     """
-    from .graphs import EdgeSet, edge_at, edge_count
-
     t = clique_order
     m = edge_count(n)
     if m > ENUM_CAP:

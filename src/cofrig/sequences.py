@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
-from .graphs import EdgeSet, complete_edges
+from .graphs import EdgeSet, complete_edges, order_search
 
 __all__ = [
     "CircuitSequence",
@@ -135,28 +135,13 @@ def _proper_order_masks(masks: list[int]) -> tuple[int, ...] | None:
     orderable family is orderable, so callers may prune supersets of a
     failure.
     """
-    t = len(masks)
-    if t == 0:
-        return ()
-    full = (1 << t) - 1
-    failed: set[int] = set()
-    order: list[int] = []
 
-    def walk(used: int, union: int) -> bool:
-        if used == full:
-            return True
-        if used in failed:
-            return False
-        for i in range(t):
-            if not used >> i & 1 and masks[i] & ~union:
-                order.append(i)
-                if walk(used | 1 << i, union | masks[i]):
-                    return True
-                order.pop()
-        failed.add(used)
-        return False
+    def moves(used: int, union: int):
+        for i, mask in enumerate(masks):
+            if not used >> i & 1 and mask & ~union:
+                yield i, union | mask
 
-    return tuple(order) if walk(0, 0) else None
+    return order_search(len(masks), moves, 0)
 
 
 def proper_order(n: int, cliques, d: int = 3) -> tuple[int, ...] | None:
@@ -382,6 +367,8 @@ def find_simplicial_base_vertex(X: EdgeSet, oracle) -> tuple[int, EdgeSet]:
     flat of the 3-dimensional matroid admits such a vertex; failing to find
     one is reported as an implementation failure.
     """
+    if oracle.s != 2:
+        raise ValueError(f"simplicial base vertices need s = 2, got s = {oracle.s}")
     if not oracle.is_flat(X):
         raise ValueError("X must be a flat (closure(X) == X)")
     if not oracle.is_cyclic(X):

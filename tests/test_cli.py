@@ -174,6 +174,20 @@ def test_input_errors(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("modulus", ["1", "4", "9"])
+def test_bad_modulus_is_an_input_error(capsys, k5_file, modulus):
+    code, out, err = _run(capsys, ["rank", "--modulus", modulus, k5_file])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+def test_modulus_2_31_minus_1_is_accepted(capsys, k5_file):
+    code, out, _ = _run(capsys, ["rank", "--modulus", str(2**31 - 1), k5_file])
+    assert code == 0
+    assert json.loads(out)["rank"] == 9
+
+
 def test_dimension_flag_conflict(capsys, k5_file):
     code, _, err = _run(capsys, ["rank", "--s", "1", "--dim", "3", k5_file])
     assert code == 2

@@ -4,13 +4,14 @@ from itertools import combinations
 import pytest
 
 from cofrig.cofactor import CofactorOracle, RigidityOracle
-from cofrig.errors import AmbientMismatch
+from cofrig.errors import AmbientMismatch, SeedDisagreement
 from cofrig.graphs import (
     EdgeSet,
     complete_edges,
     complete_graph,
     cycle_graph,
     double_banana,
+    edge_index,
     path_graph,
 )
 
@@ -147,6 +148,40 @@ def test_fundamental_circuit(oracle6):
 def test_ambient_checks(oracle6):
     with pytest.raises(AmbientMismatch):
         oracle6.rank(EdgeSet(7, 1))
+
+
+@pytest.mark.parametrize("modulus", [1, 4, 9, 2**31 - 19, 2**61 + 1])
+def test_modulus_must_be_a_large_prime(modulus):
+    with pytest.raises(ValueError, match="modulus"):
+        CofactorOracle(5, modulus=modulus)
+
+
+def test_closure_checks_the_seeds_it_memoizes(monkeypatch):
+    # Double banana plus a vertex 8 on 2 and 3: adding 48 raises the generic
+    # rank from 19 to 20, below the cap of 21, so no seed is trusted alone.
+    F = double_banana().reindexed(9).add(2, 8).add(3, 8)
+    e = (4, 8)
+    bit = edge_index(9, *e)
+
+    def rigged():
+        oracle = CofactorOracle(9)
+        real = oracle._row
+
+        def row(b, idx):
+            # two of the three seeds lose the row of e
+            got = real(b, idx)
+            return (0,) * len(got) if b == bit and idx < 2 else got
+
+        monkeypatch.setattr(oracle, "_row", row)
+        return oracle
+
+    with pytest.raises(SeedDisagreement):
+        rigged().rank(F.add(*e))
+    oracle = rigged()
+    with pytest.raises(SeedDisagreement):
+        oracle.closure(F)
+    with pytest.raises(SeedDisagreement):
+        oracle.rank(F.add(*e))
 
 
 def test_degree_zero_matches_graphic_rank():

@@ -132,6 +132,12 @@ def test_dress_rank_requires_a_flat():
         dress_rank(double_banana(), oracle)
 
 
+def test_dress_rank_requires_s2():
+    oracle = CofactorOracle(6, s=1)
+    with pytest.raises(ValueError, match="s = 2"):
+        dress_rank(complete_graph(6), oracle)
+
+
 def test_dress_rank_random_closures(oracle7):
     rng = random.Random(41)
     seen = 0

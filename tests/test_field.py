@@ -3,9 +3,8 @@ import random
 from cofrig.field import (
     MERSENNE61,
     EchelonBasis,
-    FieldMatrix,
+    is_prime,
     matrix_rank,
-    random_assignment,
     subset_rank_table,
 )
 
@@ -15,12 +14,12 @@ def test_modulus_is_the_mersenne_prime():
     assert pow(2, MERSENNE61 - 1, MERSENNE61) == 1  # Fermat sanity check
 
 
-def test_random_assignment_is_deterministic():
-    a = random_assignment(6, 42)
-    b = random_assignment(6, 42)
-    c = random_assignment(6, 43)
-    assert a == b and a != c
-    assert all(0 <= x < MERSENNE61 and 0 <= y < MERSENNE61 for x, y in a)
+def test_is_prime_matches_trial_division():
+    small = [n for n in range(2, 3000) if all(n % k for k in range(2, int(n**0.5) + 1))]
+    assert [n for n in range(3000) if is_prime(n)] == small
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime((2**32 + 15) * (2**31 - 1))
 
 
 def test_matrix_rank_small_cases():
@@ -30,12 +29,6 @@ def test_matrix_rank_small_cases():
     assert matrix_rank([[1, 0], [0, 1], [1, 1]]) == 2
     p = 7
     assert matrix_rank([[3, 4], [10, 11]], p=p) == 1  # second row = first mod 7
-
-
-def test_field_matrix_wraps_rows():
-    M = FieldMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]], p=11)
-    assert M.nrows == 3 and M.ncols == 3
-    assert M.rank() == 2  # classic singular integer matrix stays singular mod 11
 
 
 def test_echelon_basis_incremental_matches_batch():

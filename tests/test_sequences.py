@@ -159,3 +159,9 @@ def test_simplicial_base_vertex_rejects_bad_inputs():
         find_simplicial_base_vertex(pendant, oracle)
     with pytest.raises(ValueError, match="nonempty"):
         find_simplicial_base_vertex(EdgeSet.empty(6), oracle)
+
+
+def test_simplicial_base_vertex_requires_s2():
+    oracle = CofactorOracle(6, s=1)
+    with pytest.raises(ValueError, match="s = 2"):
+        find_simplicial_base_vertex(complete_graph(6), oracle)
