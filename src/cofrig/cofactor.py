@@ -18,7 +18,9 @@ exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
+from functools import cache
 
 from . import matroids
 from .errors import AmbientMismatch, SeedDisagreement
@@ -165,10 +167,6 @@ class CofactorOracle:
             basis.insert(self._row(b, seed_idx))
         return basis
 
-    def _mask_rank(self, mask: int) -> int:
-        # through the public rank, so the memo and any tracing see each query
-        return self.rank(EdgeSet(self.n, mask))
-
     def _majority_check(self, mask: int, per_seed: list[int]) -> int:
         top = max(per_seed)
         below = sum(1 for r in per_seed if r < top)
@@ -180,27 +178,58 @@ class CofactorOracle:
                         "modulus": self.modulus})
         return top
 
+    def _decide(self, mask: int, seed_rank) -> int:
+        """The rank of a mask from its per-seed ranks, asked for lazily in
+        seed order: a memo hit asks for none, a seed meeting the proven cap
+        ends the asking, and otherwise the majority check decides."""
+        got = self._memo.get(mask)
+        if got is not None:
+            return got
+        bound = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
+        per_seed = []
+        for idx in range(len(self.seeds)):
+            r = seed_rank(idx)
+            if r == bound:
+                # meets the proven cap, so it is the generic rank
+                break
+            per_seed.append(r)
+        else:
+            r = self._majority_check(mask, per_seed)
+        self._memo[mask] = r
+        return r
+
+    def _tagged_pass(self, elems: list[int], seed_idx: int):
+        """One elimination of the rows of elems, in the given order.
+
+        Each row carries one tag column per element, holding its unit vector,
+        so a row that reduces to zero on the real columns is left with the
+        combination of earlier basis rows it equals: the support of its tag
+        part is its fundamental circuit.  Returns the basis mask and the
+        circuits of the rejected elements, in order.
+        """
+        zeros = (0,) * len(elems)
+        basis = EchelonBasis(self.modulus)
+        base, circuits = 0, []
+        for t, b in enumerate(elems):
+            row = self._row(b, seed_idx)
+            width = len(row)
+            pair = basis.reduce(row + zeros[:t] + (1,) + zeros[t + 1:])
+            if pair[0] < width:
+                insort(basis.pairs, pair)
+                base |= 1 << b
+            else:
+                circuit = 0
+                for j, x in enumerate(pair[1][width:]):
+                    if x:
+                        circuit |= 1 << elems[j]
+                circuits.append(circuit)
+        return base, circuits
+
     # -- core queries ------------------------------------------------------
 
     def rank(self, F: EdgeSet) -> int:
         self._check(F)
-        got = self._memo.get(F.mask)
-        if got is not None:
-            return got
-        bound = generic_rank_upper_bound(F, self.s)
-        per_seed = []
-        result = None
-        for idx in range(len(self.seeds)):
-            r = self._seed_basis(F.mask, idx).rank
-            per_seed.append(r)
-            if r == bound:
-                # meets the proven cap, so it is the generic rank
-                result = r
-                break
-        if result is None:
-            result = self._majority_check(F.mask, per_seed)
-        self._memo[F.mask] = result
-        return result
+        return self._decide(F.mask, lambda idx: self._seed_basis(F.mask, idx).rank)
 
     def independent(self, F: EdgeSet) -> bool:
         return self.rank(F) == len(F)
@@ -239,9 +268,32 @@ class CofactorOracle:
         return self.closure(F).mask == F.mask
 
     def cyc(self, F: EdgeSet) -> EdgeSet:
-        """F minus its restriction coloops, i.e. the union of circuits in F."""
+        """F minus its restriction coloops, i.e. the union of circuits in F.
+
+        One tagged pass per seed gives that seed's rank of F and its coloops:
+        the basis elements in no recorded circuit.  Dropping e lowers a seed's
+        rank exactly when e is one of its coloops, which gives every rank of
+        F - e without a further elimination.
+        """
         self._check(F)
-        return EdgeSet(self.n, matroids.cyc(self._mask_rank, F.mask))
+        elems = list(bits(F.mask))
+
+        @cache
+        def seed_pass(idx):
+            base, circuits = self._tagged_pass(elems, idx)
+            for circuit in circuits:
+                base &= ~circuit
+            return len(elems) - len(circuits), base
+
+        r = self._decide(F.mask, lambda idx: seed_pass(idx)[0])
+        keep = 0
+        for b in elems:
+            def without(idx):
+                r_i, coloops = seed_pass(idx)
+                return r_i - (coloops >> b & 1)
+            if self._decide(F.mask & ~(1 << b), without) == r:
+                keep |= 1 << b
+        return EdgeSet(self.n, keep)
 
     def is_cyclic(self, F: EdgeSet) -> bool:
         return self.cyc(F).mask == F.mask
@@ -252,23 +304,70 @@ class CofactorOracle:
         return self.extend_basis(EdgeSet.empty(self.n), F)
 
     def extend_basis(self, independent: EdgeSet, F: EdgeSet) -> EdgeSet:
-        """Greedily extend an independent subset of F to a base of F."""
+        """Greedily extend an independent subset of F to a base of F.
+
+        The seeds run in lockstep over the remaining elements in increasing
+        order.  Each keeps an echelon basis of the current set, caught up only
+        when a decision first needs that seed; its rank of cur + b is its
+        rank plus whether the row of b grew it.
+        """
         self._check(F)
         if not independent.issubset(F):
             raise ValueError("starting set is not contained in F")
         if not self.independent(independent):
             raise ValueError("starting set is dependent")
-        return EdgeSet(self.n, matroids.extend_basis(
-            self._mask_rank, independent.mask, F.mask))
+        target = self.rank(F)
+        cur, r = independent.mask, len(independent)
+        bases = [EchelonBasis(self.modulus) for _ in self.seeds]
+        covered = [0] * len(self.seeds)
+        for b in bits(F.mask & ~cur):
+            if r == target:
+                break
+            grown = {}
+
+            def with_b(idx):
+                basis = bases[idx]
+                for x in bits(cur & ~covered[idx]):
+                    basis.insert(self._row(x, idx))
+                covered[idx] = cur
+                grown[idx] = basis.reduce(self._row(b, idx))
+                return basis.rank + (grown[idx] is not None)
+
+            if self._decide(cur | 1 << b, with_b) > r:
+                cur |= 1 << b
+                r += 1
+                for idx, pair in grown.items():
+                    if pair is not None:
+                        insort(bases[idx].pairs, pair)
+                    covered[idx] = cur
+        return EdgeSet(self.n, cur)
 
     def fundamental_circuit(self, B: EdgeSet, e) -> EdgeSet:
-        """The unique circuit inside B + e, for B independent with e in cl(B)."""
+        """The unique circuit inside B + e, for B independent with e in cl(B).
+
+        Every seed on which B stays independent writes the row of e, in one
+        tagged pass, as a combination of the rows of B.  Its support lies
+        inside the generic circuit, and is all of it unless a coefficient
+        vanishes at that seed's point, so the union over those seeds is
+        returned: the greedy rank-derived answer whenever the seeds agree.
+        """
         self._check(B)
         bit = edge_index(self.n, *e)
+        if B.mask >> bit & 1:
+            raise ValueError("element is already in the base")
         if not self.independent(B):
             raise ValueError("B is not independent")
-        return EdgeSet(self.n, matroids.fundamental_circuit(
-            self._mask_rank, B.mask, bit))
+        elems = [*bits(B.mask), bit]
+        seed_pass = cache(lambda idx: self._tagged_pass(elems, idx))
+        if self._decide(B.mask | 1 << bit,
+                        lambda idx: seed_pass(idx)[0].bit_count()) != len(B):
+            raise ValueError("element is not in the closure of the base")
+        circuit = 0
+        for idx in range(len(self.seeds)):
+            base, circuits = seed_pass(idx)
+            if base == B.mask:
+                circuit |= circuits[0]
+        return EdgeSet(self.n, circuit)
 
     # -- whole-powerset table ---------------------------------------------
 

@@ -10,6 +10,13 @@ is normalized to 1 at its pivot and is zero to the left of it.  One kernel,
 ``_eliminate``, reduces a row against such a sequence; ``EchelonBasis`` keeps
 a growing list of pairs, and ``subset_rank_table`` keeps one immutable tuple
 of pairs per subset, sharing the row tuples between subsets.
+
+A caller may append tag columns to its rows, one unit vector per element,
+and insert only the rows whose pivot falls left of the tags.  A row whose
+pivot falls inside the tags is zero on the real columns, and its tag part
+is the combination of inserted rows it equals: its support is the row's
+fundamental circuit.  The cofactor oracle answers cyc and fundamental
+circuits this way, through the same ``reduce``.
 """
 
 from __future__ import annotations

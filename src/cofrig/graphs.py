@@ -25,6 +25,16 @@ def _edge_table(n: int) -> tuple[tuple[Edge, ...], dict[Edge, int]]:
     return edges, {e: i for i, e in enumerate(edges)}
 
 
+@lru_cache(maxsize=None)
+def _stars(n: int) -> tuple[int, ...]:
+    """Per vertex of K_n, the mask of the edges at it."""
+    stars = [0] * n
+    for i, (u, v) in enumerate(_edge_table(n)[0]):
+        stars[u] |= 1 << i
+        stars[v] |= 1 << i
+    return tuple(stars)
+
+
 def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -172,11 +182,8 @@ class EdgeSet:
 
     def vertex_support(self) -> frozenset[int]:
         """Vertices incident to at least one edge."""
-        seen = set()
-        for u, v in self.edges():
-            seen.add(u)
-            seen.add(v)
-        return frozenset(seen)
+        mask = self.mask
+        return frozenset(v for v, star in enumerate(_stars(self.n)) if mask & star)
 
     def neighbors(self, v: int) -> frozenset[int]:
         out = set()
@@ -192,11 +199,8 @@ class EdgeSet:
 
     def star(self, v: int) -> "EdgeSet":
         """Edges of this set incident to v."""
-        mask = 0
-        for u, w in self.edges():
-            if v in (u, w):
-                mask |= 1 << edge_index(self.n, u, w)
-        return EdgeSet(self.n, mask)
+        star = _stars(self.n)[v] if 0 <= v < self.n else 0
+        return EdgeSet(self.n, self.mask & star)
 
     def induced(self, vertices: Iterable[int]) -> "EdgeSet":
         vs = set(vertices)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable
 
-from .errors import CapExceeded
+from .errors import CapExceeded, WitnessMismatch
 from .graphs import EdgeSet, bits, edge_at, edge_count
 
 ENUM_CAP = 16
@@ -58,6 +58,8 @@ def extend_basis(rank: RankFn, start: int, mask: int) -> int:
 def fundamental_circuit(rank: RankFn, base: int, element: int) -> int:
     """The circuit inside base + element, for an independent base spanning
     the element, via greedy removal."""
+    if base >> element & 1:
+        raise ValueError("element is already in the base")
     cur = base | 1 << element
     if rank(cur) != rank(base):
         raise ValueError("element is not in the closure of the base")
@@ -295,7 +297,8 @@ class ExplicitMatroid:
         Elements sharing a circuit are merged via fundamental circuits with
         respect to one base (that reaches the full transitive closure);
         restriction coloops stay as singletons.  The component ranks must sum
-        to rank(mask), which is asserted.
+        to rank(mask); WitnessMismatch is raised if they do not, which means
+        the rank function is not a matroid's.
         """
         base = self.basis_of(mask)
         parent = {b: b for b in bits(mask)}
@@ -320,8 +323,12 @@ class ExplicitMatroid:
             root = find(b)
             groups[root] = groups.get(root, 0) | 1 << b
         comps = sorted(groups.values())
-        assert sum(self.rank(c) for c in comps) == self.rank(mask), \
-            "component ranks do not sum to the rank"
+        ranks = [self.rank(c) for c in comps]
+        if sum(ranks) != self.rank(mask):
+            raise WitnessMismatch(
+                "component ranks do not sum to the rank",
+                detail={"mask": mask, "rank": self.rank(mask),
+                        "components": comps, "component_ranks": ranks})
         return comps
 
     def ear_decomposition(self, mask: int) -> list[int]:

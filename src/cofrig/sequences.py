@@ -342,8 +342,12 @@ def rank_certificate(F: EdgeSet, oracle, *, candidates=None) -> RankCertificate:
             "tight sequence leaves the closure",
             stray_edges=[list(e) for e in stray.sorted_edges()],
         )
-    for u, v in (F - union).edges():
-        if oracle.rank(F.remove(u, v)) != rank - 1:
+    outside = F - union
+    if outside:
+        # every edge outside the union must be a coloop: one cyc answers all
+        in_circuits = outside & oracle.cyc(F)
+        if in_circuits:
+            u, v = next(in_circuits.edges())
             bail(
                 "edge outside the sequence union is not a coloop",
                 edge=[u, v],

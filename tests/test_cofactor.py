@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from cofrig import matroids
 from cofrig.cofactor import CofactorOracle, RigidityOracle
 from cofrig.errors import AmbientMismatch, SeedDisagreement
+from cofrig.field import EchelonBasis
 from cofrig.graphs import (
     EdgeSet,
     complete_edges,
@@ -232,3 +234,88 @@ def test_seeds_change_nothing_on_generic_instances():
     for _ in range(40):
         F = EdgeSet(6, rng.getrandbits(15))
         assert a.rank(F) == b.rank(F)
+
+
+def test_fundamental_circuit_rejects_an_element_of_the_base():
+    oracle = CofactorOracle(6)
+    B = oracle.basis_of(complete_edges(6, range(5)))
+    e = next(B.edges())
+    with pytest.raises(ValueError, match="already in the base"):
+        oracle.fundamental_circuit(B, e)
+
+
+def _random_graph(rng, n, m):
+    edges = list(combinations(range(n), 2))
+    return EdgeSet.from_edges(n, rng.sample(edges, min(m, len(edges))))
+
+
+def test_one_pass_queries_match_the_rank_derived_ones():
+    rng = random.Random(23)
+    for n in range(6, 15):
+        F = _random_graph(rng, n, rng.randint(2 * n, 4 * n))
+        fast, slow = CofactorOracle(n), CofactorOracle(n)
+
+        def rank(mask):
+            return slow.rank(EdgeSet(n, mask))
+
+        assert fast.cyc(F).mask == matroids.cyc(rank, F.mask)
+        B = fast.basis_of(F)
+        assert B.mask == matroids.extend_basis(rank, 0, F.mask)
+        start = EdgeSet.from_edges(n, rng.sample(B.sorted_edges(), len(B) // 2))
+        assert (fast.extend_basis(start, F).mask
+                == matroids.extend_basis(rank, start.mask, F.mask))
+        outside = (F - B).sorted_edges()
+        for e in rng.sample(outside, min(3, len(outside))):
+            bit = edge_index(n, *e)
+            assert (fast.fundamental_circuit(B, e).mask
+                    == matroids.fundamental_circuit(rank, B.mask, bit))
+
+
+def test_one_pass_queries_check_the_seeds(monkeypatch):
+    # The rigged seeds of test_closure_checks_the_seeds_it_memoizes.
+    F = double_banana().reindexed(9).add(2, 8).add(3, 8).add(4, 8)
+    bit = edge_index(9, 4, 8)
+
+    def rigged():
+        oracle = CofactorOracle(9)
+        real = oracle._row
+
+        def row(b, idx):
+            got = real(b, idx)
+            return (0,) * len(got) if b == bit and idx < 2 else got
+
+        monkeypatch.setattr(oracle, "_row", row)
+        return oracle
+
+    with pytest.raises(SeedDisagreement):
+        rigged().cyc(F)
+    with pytest.raises(SeedDisagreement):
+        rigged().basis_of(F)
+
+
+def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
+    # A Henneberg base (0-extensions from K4) plus random edges up to 4n:
+    # one tagged pass per seed, not one rank from scratch per edge.
+    rng = random.Random(24)
+    n = 20
+    F = complete_edges(n, range(4))
+    for v in range(4, n):
+        for u in rng.sample(range(v), 3):
+            F = F.add(u, v)
+    F |= _random_graph(rng, n, 4 * n - len(F))
+    calls = 0
+    real = EchelonBasis.reduce
+
+    def counting(self, row):
+        nonlocal calls
+        calls += 1
+        return real(self, row)
+
+    monkeypatch.setattr(EchelonBasis, "reduce", counting)
+    oracle = CofactorOracle(n)
+    oracle.cyc(F)
+    assert calls <= len(oracle.seeds) * len(F)
+    calls = 0
+    oracle = CofactorOracle(n)
+    oracle.basis_of(F)
+    assert calls <= 2 * len(oracle.seeds) * len(F)

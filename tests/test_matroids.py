@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from cofrig.cofactor import CofactorOracle
-from cofrig.errors import CapExceeded
+from cofrig.errors import CapExceeded, WitnessMismatch
 from cofrig.graphs import EdgeSet
 from cofrig.matroids import (
     ExplicitMatroid,
@@ -155,3 +155,17 @@ def test_rank_axioms_catch_violations():
     bad = ExplicitMatroid.from_function(3, lambda x: 2 * x.bit_count())
     with pytest.raises(AssertionError):
         verify_rank_axioms(bad)
+
+
+def test_fundamental_circuit_rejects_an_element_of_the_base():
+    M = uniform_matroid(4, 2)
+    with pytest.raises(ValueError, match="already in the base"):
+        M.fundamental_circuit(0b0011, 0)
+
+
+def test_connected_components_checks_the_rank_sum():
+    # not a matroid: element 1 is a loop, yet the pair has rank 2
+    bad = ExplicitMatroid.from_table([0, 1, 0, 2])
+    with pytest.raises(WitnessMismatch) as info:
+        bad.connected_components(0b11)
+    assert info.value.detail["component_ranks"] == [1, 0]
