@@ -29,6 +29,7 @@ from itertools import combinations
 
 from .cofactor import DEFAULT_SEEDS, CofactorOracle
 from .covers import (
+    SEARCH_CAP,
     dress_rank,
     find_shellable_order,
     hinge_table,
@@ -90,7 +91,7 @@ def _load_graph(path: str) -> EdgeSet:
 def _emit(args, payload) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
 
@@ -220,12 +221,9 @@ def cmd_covers(args) -> int:
         raise ValueError("cover analysis is specific to s = 2 (clique size 5)")
     cover, f0 = maximal_cliques(F, 5)
     hinges, violations = hinge_table(cover)
-    cap = len(cover.members) if args.force else None
-    shelling = (find_shellable_order(cover, 4, cap=cap)
-                if cap is not None else find_shellable_order(cover, 4))
-    degenerate, degenerate_order = (
-        is_M_degenerate(cover, oracle, cap=cap) if cap is not None
-        else is_M_degenerate(cover, oracle))
+    cap = len(cover.members) if args.force else SEARCH_CAP
+    shelling = find_shellable_order(cover, 4, cap=cap)
+    degenerate, degenerate_order = is_M_degenerate(cover, oracle, cap=cap)
     covers_input = cover.covers(F)
     upper = val_D(cover) if degenerate and covers_input and not violations else None
     payload = {
@@ -272,19 +270,24 @@ def cmd_verify(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", type=int, default=None,
-                   help="cofactor smoothness degree (default 2)")
-    p.add_argument("--dim", type=int, default=None,
-                   help="rigidity dimension d; shorthand for --s d-1")
-    p.add_argument("--modulus", type=int, default=MERSENNE61,
-                   help="prime modulus for the evaluation field")
-    p.add_argument("--seeds", type=_seed_list, default=None,
-                   help="comma-separated evaluation seeds (default 101,202,303)")
+def _add_flags(p: argparse.ArgumentParser, *, oracle: bool = False,
+               force: bool = False) -> None:
+    """--out on every command; the oracle flags and --force only on the
+    commands that read them, so anywhere else they are input errors."""
+    if oracle:
+        p.add_argument("--s", type=int, default=None,
+                       help="cofactor smoothness degree (default 2)")
+        p.add_argument("--dim", type=int, default=None,
+                       help="rigidity dimension d; shorthand for --s d-1")
+        p.add_argument("--modulus", type=int, default=MERSENNE61,
+                       help="prime modulus for the evaluation field")
+        p.add_argument("--seeds", type=_seed_list, default=None,
+                       help="comma-separated evaluation seeds (default 101,202,303)")
     p.add_argument("--out", default=None,
                    help="also write the JSON result to this file")
-    p.add_argument("--force", action="store_true",
-                   help="lift search caps (may be very slow)")
+    if force:
+        p.add_argument("--force", action="store_true",
+                       help="lift search caps (may be very slow)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -301,31 +304,31 @@ def _build_parser() -> argparse.ArgumentParser:
                         "all ambient vertices (all)")
     p.add_argument("--cap-n", type=int, default=DEFAULT_POOL_CAP, dest="cap_n",
                    help="largest ambient vertex count --pool all will search")
-    _add_common_flags(p)
+    _add_flags(p, oracle=True, force=True)
     p.set_defaults(func=cmd_rank)
 
-    for name, func, help_text in (
-        ("independent", cmd_independent, "test independence of an edge list"),
-        ("rigid", cmd_rigid, "test whether an edge list spans its matroid"),
-        ("closure", cmd_closure, "closure of an edge list"),
-        ("dress", cmd_dress, "maximal-clique rank formula on the closure"),
-        ("covers", cmd_covers, "clique-cover analysis of an edge list"),
+    for name, func, help_text, force in (
+        ("independent", cmd_independent, "test independence of an edge list", False),
+        ("rigid", cmd_rigid, "test whether an edge list spans its matroid", False),
+        ("closure", cmd_closure, "closure of an edge list", False),
+        ("dress", cmd_dress, "maximal-clique rank formula on the closure", False),
+        ("covers", cmd_covers, "clique-cover analysis of an edge list", True),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="edge-list file")
-        _add_common_flags(p)
+        _add_flags(p, oracle=True, force=force)
         p.set_defaults(func=func)
 
     p = sub.add_parser("elevate", help="free elevation chain of a matroid file")
     p.add_argument("matroid", help="matroid serialization file")
-    _add_common_flags(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_elevate)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=13,
                    help="seed for all sampled instances (default 13)")
-    _add_common_flags(p)
+    _add_flags(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

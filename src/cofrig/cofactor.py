@@ -107,10 +107,11 @@ def generic_rank_upper_bound(F: EdgeSet, s: int) -> int:
 class CofactorOracle:
     """Rank oracle for the generic C_s^(s-1) cofactor matroid on E(K_n).
 
-    All queries are answered from k random evaluations (default three seeds);
-    the reported rank is the maximum.  If a strict majority of seeds falls
-    below that maximum the oracle aborts with a diagnostic instead of
-    guessing.  Results are memoized per edge bitmask.
+    Every rank is decided by one rule over k random evaluations (default
+    three seeds), asked for in seed order: the first seed to meet the
+    combinatorial cap gives the rank; otherwise the maximum does, unless a
+    strict majority of seeds falls below it, and then the oracle aborts with
+    a diagnostic instead of guessing.  Results are memoized per edge bitmask.
 
     The modulus must be a prime of at least 2^31 - 1, which keeps the chance
     that one seed drops below the generic rank under about 1e-7 for n <= 60.
@@ -167,21 +168,11 @@ class CofactorOracle:
             basis.insert(self._row(b, seed_idx))
         return basis
 
-    def _majority_check(self, mask: int, per_seed: list[int]) -> int:
-        top = max(per_seed)
-        below = sum(1 for r in per_seed if r < top)
-        if 2 * below > len(per_seed):
-            raise SeedDisagreement(
-                "strict majority of seeds fell below the maximum rank",
-                detail={"mask": mask, "n": self.n, "s": self.s,
-                        "seeds": self.seeds, "ranks": per_seed,
-                        "modulus": self.modulus})
-        return top
-
     def _decide(self, mask: int, seed_rank) -> int:
         """The rank of a mask from its per-seed ranks, asked for lazily in
         seed order: a memo hit asks for none, a seed meeting the proven cap
-        ends the asking, and otherwise the majority check decides."""
+        ends the asking, and otherwise the maximum stands unless a strict
+        majority of seeds falls below it."""
         got = self._memo.get(mask)
         if got is not None:
             return got
@@ -194,7 +185,13 @@ class CofactorOracle:
                 break
             per_seed.append(r)
         else:
-            r = self._majority_check(mask, per_seed)
+            r = max(per_seed)
+            if 2 * sum(x < r for x in per_seed) > len(per_seed):
+                raise SeedDisagreement(
+                    "strict majority of seeds fell below the maximum rank",
+                    detail={"mask": mask, "n": self.n, "s": self.s,
+                            "seeds": self.seeds, "ranks": per_seed,
+                            "modulus": self.modulus})
         self._memo[mask] = r
         return r
 
@@ -243,24 +240,22 @@ class CofactorOracle:
         return self.rank(F) == d * self.n - (d + 1) * d // 2
 
     def closure(self, F: EdgeSet) -> EdgeSet:
-        """All edges of K_n whose addition leaves the rank unchanged."""
-        # Not matroids.closure: one echelon basis per seed answers every
-        # membership test by a single reduction, where a rank from scratch
-        # per edge would cost about |E(K_n)| times as much.
+        """All edges of K_n whose addition leaves the rank unchanged.
+
+        Each seed keeps one echelon basis of F, built when a decision first
+        needs it; its rank of F + e is its rank of F plus whether the row of
+        e grew it, so each membership test costs a single reduction, not a
+        rank from scratch.
+        """
         self._check(F)
-        bases = [self._seed_basis(F.mask, idx) for idx in range(len(self.seeds))]
-        per_seed = [b.rank for b in bases]
-        r = self._majority_check(F.mask, per_seed)
-        self._memo.setdefault(F.mask, r)
+        basis = cache(lambda idx: self._seed_basis(F.mask, idx))
+        r = self._decide(F.mask, lambda idx: basis(idx).rank)
         out = F.mask
-        for bit in range(edge_count(self.n)):
-            if F.mask >> bit & 1:
-                continue
-            grown = [per_seed[i] + (bases[i].reduce(self._row(bit, i)) is not None)
-                     for i in range(len(self.seeds))]
-            r_e = self._majority_check(F.mask | 1 << bit, grown)
-            self._memo.setdefault(F.mask | 1 << bit, r_e)
-            if r_e == r:
+        for bit in bits(((1 << edge_count(self.n)) - 1) & ~F.mask):
+            def with_e(idx):
+                return basis(idx).rank + (
+                    basis(idx).reduce(self._row(bit, idx)) is not None)
+            if self._decide(F.mask | 1 << bit, with_e) == r:
                 out |= 1 << bit
         return EdgeSet(self.n, out)
 
@@ -372,21 +367,22 @@ class CofactorOracle:
     # -- whole-powerset table ---------------------------------------------
 
     def rank_table(self) -> list[int]:
-        """Rank of every subset of E(K_n), indexed by bitmask (n small)."""
+        """Rank of every subset of E(K_n), indexed by bitmask (n small).
+
+        Seed 0's ranks come from one subset table; another seed's rank of a
+        mask is computed only where seed 0 falls below the cap.
+        """
         if self._table is not None:
             return self._table
         m = edge_count(self.n)
         if m > 16:
             raise ValueError(f"rank table over {m} edges is not tractable")
-        per_seed = []
-        for idx in range(len(self.seeds)):
-            rows = [self._row(b, idx) for b in range(m)]
-            per_seed.append(subset_rank_table(rows, self.modulus))
-        table = [self._majority_check(mask, list(ranks))
-                 for mask, ranks in enumerate(zip(*per_seed))]
-        self._table = table
-        self._memo.update(enumerate(table))
-        return table
+        first = subset_rank_table([self._row(b, 0) for b in range(m)], self.modulus)
+        self._table = [
+            self._decide(mask, lambda idx: first[mask] if idx == 0
+                         else self._seed_basis(mask, idx).rank)
+            for mask in range(1 << m)]
+        return self._table
 
     def explicit_matroid(self):
         labels = [edge_at(self.n, i) for i in range(edge_count(self.n))]

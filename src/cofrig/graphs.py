@@ -227,28 +227,25 @@ def complete_edges(n: int, vertices: Iterable[int]) -> EdgeSet:
 
 # -- vertex extensions ----------------------------------------------------
 
-# kind -> (edges deleted, vertices attached) for the 3-dimensional case
-_EXTENSION_SHAPE = {"0ext": (0, 3), "1ext": (1, 4), "xrep": (2, 5)}
+# kind -> number of edges deleted
+_EXTENSION_DELETES = {"0ext": 0, "1ext": 1, "xrep": 2}
 
 
 def apply_extension(F: EdgeSet, kind: str, new_vertex: int,
-                    attach: Iterable[int], delete: Iterable[Edge] = (),
-                    dim: int = 3) -> EdgeSet:
+                    attach: Iterable[int], delete: Iterable[Edge] = ()) -> EdgeSet:
     """Apply a 0-extension, 1-extension or X-replacement at a new vertex.
 
-    A k-extension deletes k edges of F and joins new_vertex to dim+k existing
+    A k-extension deletes k edges of F and joins new_vertex to 3+k existing
     vertices, the deleted endpoints among them.  Deleting two adjacent edges
     (a V-replacement) is accepted but flagged with a warning, since only the
     disjoint form is known to preserve independence.
     """
-    if kind not in _EXTENSION_SHAPE:
+    if kind not in _EXTENSION_DELETES:
         raise ValueError(f"unknown extension kind {kind!r}")
-    k, base_attach = _EXTENSION_SHAPE[kind]
+    k = _EXTENSION_DELETES[kind]
     attach = sorted(set(attach))
     delete = [canonical_edge(*e) for e in delete]
-    want_attach = dim + k
-    if base_attach != want_attach and dim == 3:
-        raise AssertionError("extension shape table out of sync")
+    want_attach = 3 + k
     if len(attach) != want_attach:
         raise ValueError(
             f"{kind} must attach to exactly {want_attach} vertices, got {len(attach)}")

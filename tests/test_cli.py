@@ -196,3 +196,16 @@ def test_dimension_flag_conflict(capsys, k5_file):
 def test_bad_seed_list(capsys, k5_file):
     with pytest.raises(SystemExit):
         main(["rank", "--seeds", "a,b", k5_file])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "connectivity", "--modulus", "4", "--seeds", "1", "--s", "7"],
+    ["verify", "connectivity", "--dim", "2"],
+    ["verify", "connectivity", "--force"],
+    ["closure", "--force", "GRAPH"],
+])
+def test_flags_a_command_ignores_are_input_errors(capsys, k5_file, argv):
+    argv = [k5_file if a == "GRAPH" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2

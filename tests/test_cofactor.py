@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from cofrig import matroids
+from cofrig import cofactor, matroids
 from cofrig.cofactor import CofactorOracle, RigidityOracle
 from cofrig.errors import AmbientMismatch, SeedDisagreement
 from cofrig.field import EchelonBasis
@@ -13,6 +13,7 @@ from cofrig.graphs import (
     complete_graph,
     cycle_graph,
     double_banana,
+    edge_count,
     edge_index,
     path_graph,
 )
@@ -319,3 +320,65 @@ def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
     oracle = CofactorOracle(n)
     oracle.basis_of(F)
     assert calls <= 2 * len(oracle.seeds) * len(F)
+
+
+def _rigged_oracle6(monkeypatch):
+    """K6 oracle whose seeds 1 and 2 (not 0) lose the row of edge bit 0."""
+    oracle = CofactorOracle(6)
+    real = oracle._row
+
+    def row(b, idx):
+        got = real(b, idx)
+        return (0,) * len(got) if b == 0 and idx > 0 else got
+
+    monkeypatch.setattr(oracle, "_row", row)
+    return oracle
+
+
+def test_closure_and_rank_table_follow_the_rank_rule(monkeypatch):
+    # Seed 0 meets the cap on {e}, so rank answers 1 without the majority
+    # check; closure and rank_table must decide the same way.
+    oracle = _rigged_oracle6(monkeypatch)
+    assert oracle.rank(EdgeSet(6, 1)) == 1
+    assert oracle.closure(EdgeSet.empty(6)) == EdgeSet.empty(6)
+    with pytest.raises(SeedDisagreement) as info:
+        _rigged_oracle6(monkeypatch).rank_table()
+    mask = info.value.detail["mask"]
+    with pytest.raises(SeedDisagreement):
+        _rigged_oracle6(monkeypatch).rank(EdgeSet(6, mask))
+
+
+def test_closure_and_rank_table_bound_their_eliminations(monkeypatch):
+    # The graph of test_one_pass_queries_bound_their_row_reductions: it is
+    # rigid, so seed 0 meets the cap on F and on every F + e, and closure
+    # reduces each edge of K_n once, against one seed's basis.
+    rng = random.Random(24)
+    n = 20
+    F = complete_edges(n, range(4))
+    for v in range(4, n):
+        for u in rng.sample(range(v), 3):
+            F = F.add(u, v)
+    F |= _random_graph(rng, n, 4 * n - len(F))
+    calls = 0
+    real = EchelonBasis.reduce
+
+    def counting(self, row):
+        nonlocal calls
+        calls += 1
+        return real(self, row)
+
+    monkeypatch.setattr(EchelonBasis, "reduce", counting)
+    CofactorOracle(n).closure(F)
+    assert calls <= edge_count(n)
+
+    tables = 0
+    real_table = cofactor.subset_rank_table
+
+    def counting_table(rows, p):
+        nonlocal tables
+        tables += 1
+        return real_table(rows, p)
+
+    monkeypatch.setattr(cofactor, "subset_rank_table", counting_table)
+    CofactorOracle(5).rank_table()
+    assert tables == 1
