@@ -33,24 +33,18 @@ MIN_MODULUS = (1 << 31) - 1
 
 @dataclass(frozen=True)
 class GenericConfiguration:
-    """Random plane (plus optional third coordinate) positions for n vertices.
-
-    The pair stream is drawn first, so the same (n, seed) gives identical
-    (x, y) whether or not the third coordinate is ever used.
-    """
+    """Random plane positions in GF(p)^2 for n vertices."""
 
     n: int
     seed: int
     p: int
     points: tuple[tuple[int, int], ...]
-    thirds: tuple[int, ...]
 
     @classmethod
     def generate(cls, n: int, seed: int, p: int = MERSENNE61) -> "GenericConfiguration":
         rng = random.Random(seed)
         points = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(n))
-        thirds = tuple(rng.randrange(p) for _ in range(n))
-        return cls(n, seed, p, points, thirds)
+        return cls(n, seed, p, points)
 
 
 def cofactor_row(edge, config: GenericConfiguration, s: int) -> list[int]:
@@ -73,23 +67,16 @@ def cofactor_row(edge, config: GenericConfiguration, s: int) -> list[int]:
     return row
 
 
-def rigidity_row(edge, config: GenericConfiguration, d: int) -> list[int]:
-    """Evaluated classical rigidity row in dimension d (1, 2 or 3)."""
-    if d not in (1, 2, 3):
-        raise ValueError(f"rigidity dimension {d} not supported")
+def rigidity_row(edge, config: GenericConfiguration) -> list[int]:
+    """Evaluated plane rigidity row: p_i - p_j at vertex i, p_j - p_i at j."""
     i, j = edge
     if i > j:
         i, j = j, i
     p = config.p
-
-    def coords(v):
-        x, y = config.points[v]
-        return ((x,), (x, y), (x, y, config.thirds[v]))[d - 1]
-
-    diff = [(a - b) % p for a, b in zip(coords(i), coords(j))]
-    row = [0] * (d * config.n)
-    row[d * i:d * (i + 1)] = diff
-    row[d * j:d * (j + 1)] = [(-x) % p for x in diff]
+    diff = [(a - b) % p for a, b in zip(config.points[i], config.points[j])]
+    row = [0] * (2 * config.n)
+    row[2 * i:2 * i + 2] = diff
+    row[2 * j:2 * j + 2] = [(-x) % p for x in diff]
     return row
 
 
@@ -384,21 +371,22 @@ class CofactorOracle:
             for mask in range(1 << m)]
         return self._table
 
-    def explicit_matroid(self):
-        labels = [edge_at(self.n, i) for i in range(edge_count(self.n))]
-        return matroids.ExplicitMatroid.from_table(self.rank_table(), labels=labels)
+    def explicit_matroid(self) -> matroids.ExplicitMatroid:
+        return matroids.ExplicitMatroid.from_table(self.rank_table())
 
 
 class RigidityOracle(CofactorOracle):
-    """Same oracle machinery over the classical dimension-d rigidity rows.
+    """Same oracle machinery over the rows of plane bar frameworks.
 
-    Used only to cross-check the cofactor construction at s = d - 1.
+    Used only to cross-check the cofactor construction at s = 1; d = 2 is
+    the only dimension it takes.
     """
 
     def __init__(self, n: int, d: int = 2, seeds=DEFAULT_SEEDS,
                  modulus: int = MERSENNE61):
-        super().__init__(n, s=d - 1, seeds=seeds, modulus=modulus)
-        self.d = d
+        if d != 2:
+            raise ValueError(f"rigidity dimension {d} not supported (only d = 2)")
+        super().__init__(n, s=1, seeds=seeds, modulus=modulus)
 
     def _entries(self, edge, config: GenericConfiguration) -> list[int]:
-        return rigidity_row(edge, config, self.d)
+        return rigidity_row(edge, config)

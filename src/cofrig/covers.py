@@ -76,9 +76,6 @@ class CliqueCover:
     def __len__(self) -> int:
         return len(self.members)
 
-    def member_edges(self, i: int) -> EdgeSet:
-        return complete_edges(self.n, self.members[i])
-
     def union_edges(self) -> EdgeSet:
         mask = 0
         for m in self.members:

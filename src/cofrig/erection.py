@@ -32,14 +32,14 @@ def _down_close(new_members, cyclic_list, down: set[int]) -> list[int]:
     return added
 
 
-def modular_cyclic_closure(M: ExplicitMatroid, seed_family,
-                           verify: bool = True) -> frozenset[int]:
+def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
     """Smallest modular cyclic family containing the seeds.
 
     Round by round, unions of modular pairs drawn from the family's lower
     closure are added, then the lower closure is recomputed; the loop stops
     when a round adds nothing.  If the largest cyclic set cyc(E) ever enters,
-    the closure is the family of all cyclic sets and we return it at once.
+    the closure is the family of all cyclic sets and we return it at once;
+    any other result is checked to be modular cyclic before it is returned.
     """
     cyclic_list = M.cyclic_sets()
     cyclic_set = set(cyclic_list)
@@ -82,10 +82,9 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family,
         down_list.extend(sorted(fresh, key=lambda z: -z.bit_count()))
 
     family = frozenset(down)
-    if verify:
-        problem = family_violation(M, family, cyclic_list)
-        if problem:
-            raise AssertionError(f"closure is not modular cyclic: {problem}")
+    problem = family_violation(M, family, cyclic_list)
+    if problem:
+        raise AssertionError(f"closure is not modular cyclic: {problem}")
     return family
 
 
@@ -117,31 +116,30 @@ def is_modular_cyclic_family(M: ExplicitMatroid, family) -> bool:
     return family_violation(M, family) is None
 
 
-def free_erection(M: ExplicitMatroid, verify: bool = True
-                  ) -> tuple[ExplicitMatroid, bool, frozenset[int]]:
+def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[int]]:
     """The free erection of M: (matroid, trivial flag, closure family).
 
     Returns M itself with trivial=True when no nontrivial erection exists,
     i.e. when the closure of the non-spanning cyclic flats already contains
-    every cyclic set.
+    every cyclic set.  A nontrivial erection is checked against the rank
+    axioms before it is returned.
     """
     table = M.full_table()
     seeds = M.cyclic_flats()
-    family = modular_cyclic_closure(M, seeds, verify=verify)
+    family = modular_cyclic_closure(M, seeds)
     top = M.cyc(M.full_mask)
     if top in family:
         return M, True, family
     cyc_cache = [M.cyc(x) for x in range(1 << M.m)]
     new_table = [table[x] + (cyc_cache[x] not in family)
                  for x in range(1 << M.m)]
-    N = ExplicitMatroid.from_table(new_table, labels=M.labels)
-    if verify:
-        verify_rank_axioms(N)
+    N = ExplicitMatroid(new_table)
+    verify_rank_axioms(N)
     return N, False, family
 
 
 def has_nontrivial_erection(M: ExplicitMatroid) -> bool:
-    _, trivial, _ = free_erection(M, verify=False)
+    _, trivial, _ = free_erection(M)
     return not trivial
 
 
@@ -160,12 +158,12 @@ class ErectionChain:
         return len(self.steps)
 
 
-def free_elevation(M: ExplicitMatroid, verify: bool = True) -> ErectionChain:
+def free_elevation(M: ExplicitMatroid) -> ErectionChain:
     """Iterate free erections until they become trivial."""
     chain = ErectionChain(steps=[M])
     cur = M
     while True:
-        nxt, trivial, family = free_erection(cur, verify=verify)
+        nxt, trivial, family = free_erection(cur)
         if trivial:
             break
         chain.steps.append(nxt)

@@ -1,9 +1,9 @@
-"""Finite matroids given by an explicit rank function on a small ground set.
+"""Finite matroids given by the full rank table of a small ground set.
 
 Ground elements are 0..m-1 and subsets are bitmasks, matching the edge
 encoding in graphs.py, so a rank table from the cofactor oracle plugs in
-directly.  Enumerative operations (flats, circuits, erections downstream)
-materialize the full 2^m rank table and are capped at m <= 16.
+directly.  An explicit matroid holds the rank of all 2^m subsets, so it is
+capped at m <= ENUM_CAP = 16.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable
 
-from .errors import CapExceeded, WitnessMismatch
-from .graphs import EdgeSet, bits, edge_at, edge_count
+from .errors import CapExceeded
+from .graphs import EdgeSet, bits, edge_count
 
 ENUM_CAP = 16
 
@@ -71,36 +71,31 @@ def fundamental_circuit(rank: RankFn, base: int, element: int) -> int:
 
 
 class ExplicitMatroid:
-    """A matroid on {0..m-1} driven by a rank function or a full rank table."""
+    """A matroid on {0..m-1} given by its full rank table, m <= ENUM_CAP."""
 
-    def __init__(self, m: int, rank_fn: Callable[[int], int] | None = None,
-                 table: list[int] | None = None, labels=None):
-        if table is None and rank_fn is None:
-            raise ValueError("need a rank function or a table")
+    def __init__(self, table: list[int]):
+        m = (len(table) - 1).bit_length()
+        if len(table) != 1 << m:
+            raise ValueError("table length must be a power of two")
+        if m > ENUM_CAP:
+            raise CapExceeded(f"rank table over {m} elements")
         self.m = m
         self.full_mask = (1 << m) - 1
-        self._fn = rank_fn
-        self._table = table
-        self.labels = list(labels) if labels is not None else None
-        self._memo: dict[int, int] = {}
+        self._table = list(table)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_table(cls, table: list[int], labels=None) -> "ExplicitMatroid":
-        m = (len(table) - 1).bit_length()
-        if len(table) != 1 << m:
-            raise ValueError("table length must be a power of two")
-        return cls(m, table=list(table), labels=labels)
+    def from_table(cls, table: list[int]) -> "ExplicitMatroid":
+        return cls(table)
 
     @classmethod
-    def from_function(cls, m: int, rank_fn: Callable[[int], int],
-                      labels=None) -> "ExplicitMatroid":
-        return cls(m, rank_fn=rank_fn, labels=labels)
+    def from_function(cls, m: int, rank_fn: Callable[[int], int]) -> "ExplicitMatroid":
+        return cls([rank_fn(x) for x in range(1 << m)])
 
     @classmethod
-    def from_independence(cls, m: int, independent: Callable[[int], bool],
-                          labels=None) -> "ExplicitMatroid":
+    def from_independence(cls, m: int,
+                          independent: Callable[[int], bool]) -> "ExplicitMatroid":
         """Build the full table from an independence predicate.
 
         rank(X) = |X| when X is independent, else the max over one-element
@@ -119,10 +114,10 @@ class ExplicitMatroid:
                 table[x] = x.bit_count()
             else:
                 table[x] = max(table[x & ~(1 << b)] for b in bits(x))
-        return cls(m, table=table, labels=labels)
+        return cls(table)
 
     @classmethod
-    def from_bases(cls, m: int, bases: Iterable[int], labels=None) -> "ExplicitMatroid":
+    def from_bases(cls, m: int, bases: Iterable[int]) -> "ExplicitMatroid":
         base_set = set(bases)
         if not base_set:
             raise ValueError("a matroid has at least one base")
@@ -131,6 +126,10 @@ class ExplicitMatroid:
             raise ValueError("bases must all have the same size")
         if m > ENUM_CAP:
             raise CapExceeded(f"bases table over {m} elements")
+        outside = [b for b in base_set if b >> m]
+        if outside:
+            raise ValueError(
+                f"base {min(outside):#x} is not a subset of the {m} ground elements")
         independent = [False] * (1 << m)
         for b in base_set:
             independent[b] = True
@@ -140,34 +139,22 @@ class ExplicitMatroid:
                 for b in range(m):
                     if x >> b & 1:
                         independent[x & ~(1 << b)] = True
-        return cls.from_independence(m, lambda x: independent[x], labels=labels)
+        return cls.from_independence(m, independent.__getitem__)
 
     # -- rank and derived operators ------------------------------------------
 
     def rank(self, mask: int) -> int:
-        if self._table is not None:
-            return self._table[mask]
-        got = self._memo.get(mask)
-        if got is None:
-            got = self._memo[mask] = self._fn(mask)
-        return got
+        return self._table[mask]
 
     def full_table(self) -> list[int]:
-        if self._table is None:
-            if self.m > ENUM_CAP:
-                raise CapExceeded(f"rank table over {self.m} elements")
-            self._table = [self._fn(x) for x in range(1 << self.m)]
         return self._table
 
     @property
     def rank_total(self) -> int:
-        return self.rank(self.full_mask)
+        return self._table[self.full_mask]
 
     def is_independent(self, mask: int) -> bool:
         return self.rank(mask) == mask.bit_count()
-
-    def is_spanning(self, mask: int) -> bool:
-        return self.rank(mask) == self.rank_total
 
     def closure(self, mask: int) -> int:
         return closure(self.rank, mask, self.full_mask)
@@ -186,50 +173,17 @@ class ExplicitMatroid:
         return (self.rank(x) + self.rank(y)
                 == self.rank(x | y) + self.rank(x & y))
 
-    def dual_rank(self, mask: int) -> int:
-        return (mask.bit_count()
-                + self.rank(self.full_mask & ~mask) - self.rank_total)
-
-    def dual(self) -> "ExplicitMatroid":
-        return ExplicitMatroid.from_function(self.m, self.dual_rank,
-                                             labels=self.labels)
-
     def truncate(self, k: int) -> "ExplicitMatroid":
-        table = self.full_table()
-        return ExplicitMatroid.from_table([min(r, k) for r in table],
-                                          labels=self.labels)
+        return ExplicitMatroid([min(r, k) for r in self._table])
 
-    def minor(self, delete: int = 0, contract: int = 0) -> "ExplicitMatroid":
-        """Delete then contract; contraction rank r(X + C) - r(C).
-
-        The minor is re-indexed onto 0..m'-1; labels follow the elements.
-        """
-        if delete & contract:
-            raise ValueError("delete and contract sets overlap")
-        keep = [b for b in range(self.m) if not (delete | contract) >> b & 1]
-        rc = self.rank(contract)
-
-        def fn(mask: int, _keep=tuple(keep), _c=contract, _rc=rc) -> int:
-            full = _c
-            for i, b in enumerate(_keep):
-                if mask >> i & 1:
-                    full |= 1 << b
-            return self.rank(full) - _rc
-
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[b] for b in keep]
-        return ExplicitMatroid.from_function(len(keep), fn, labels=labels)
+    def fundamental_circuit(self, base: int, element: int) -> int:
+        """Circuit inside base + element, via greedy removal."""
+        return fundamental_circuit(self.rank, base, element)
 
     # -- enumeration ---------------------------------------------------------
 
-    def _require_table(self) -> list[int]:
-        if self.m > ENUM_CAP:
-            raise CapExceeded(f"enumeration over {self.m} elements")
-        return self.full_table()
-
     def flats(self) -> list[int]:
-        table = self._require_table()
+        table = self._table
         out = []
         for x in range(1 << self.m):
             r = table[x]
@@ -240,7 +194,7 @@ class ExplicitMatroid:
 
     def cyclic_sets(self) -> list[int]:
         """All unions of circuits, the empty set included."""
-        table = self._require_table()
+        table = self._table
         out = []
         for x in range(1 << self.m):
             r = table[x]
@@ -250,7 +204,7 @@ class ExplicitMatroid:
 
     def cyclic_flats(self, include_spanning: bool = False) -> list[int]:
         """Non-spanning cyclic flats (the erection seed family) by default."""
-        table = self._require_table()
+        table = self._table
         top = self.rank_total
         out = []
         for x in range(1 << self.m):
@@ -267,7 +221,7 @@ class ExplicitMatroid:
 
     def circuits(self, within: int | None = None) -> list[int]:
         """Minimal dependent sets, optionally restricted to subsets of `within`."""
-        table = self._require_table()
+        table = self._table
         w = self.full_mask if within is None else within
         out = []
         sub = w
@@ -282,102 +236,10 @@ class ExplicitMatroid:
             sub = (sub - 1) & w
         return sorted(out)
 
-    # -- connectivity ----------------------------------------------------------
-
-    def fundamental_circuit(self, base: int, element: int) -> int:
-        """Circuit inside base + element, via greedy removal."""
-        return fundamental_circuit(self.rank, base, element)
-
-    def basis_of(self, mask: int) -> int:
-        return extend_basis(self.rank, 0, mask)
-
-    def connected_components(self, mask: int) -> list[int]:
-        """Connected components of the restriction to mask.
-
-        Elements sharing a circuit are merged via fundamental circuits with
-        respect to one base (that reaches the full transitive closure);
-        restriction coloops stay as singletons.  The component ranks must sum
-        to rank(mask); WitnessMismatch is raised if they do not, which means
-        the rank function is not a matroid's.
-        """
-        base = self.basis_of(mask)
-        parent = {b: b for b in bits(mask)}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for b in bits(mask & ~base):
-            first, *rest = bits(self.fundamental_circuit(base, b))
-            for other in rest:
-                union(first, other)
-        groups: dict[int, int] = {}
-        for b in bits(mask):
-            root = find(b)
-            groups[root] = groups.get(root, 0) | 1 << b
-        comps = sorted(groups.values())
-        ranks = [self.rank(c) for c in comps]
-        if sum(ranks) != self.rank(mask):
-            raise WitnessMismatch(
-                "component ranks do not sum to the rank",
-                detail={"mask": mask, "rank": self.rank(mask),
-                        "components": comps, "component_ranks": ranks})
-        return comps
-
-    def ear_decomposition(self, mask: int) -> list[int]:
-        """An ear decomposition of a connected cyclic set.
-
-        Circuits are added greedily, choosing at each step a circuit whose set
-        of new elements is inclusion-minimal (ties: fewest new elements, then
-        smallest masks).  The defining conditions and the rank recurrence
-        r(C_<=i) = r(C_<=i-1) + |C_i \\ C_<=i-1| - 1 are checked before
-        returning.
-        """
-        if not self.is_cyclic(mask) or mask == 0:
-            raise ValueError("ear decompositions need a nonempty cyclic set")
-        if len(self.connected_components(mask)) != 1:
-            raise ValueError("the restriction must be connected")
-        circs = self.circuits(within=mask)
-        ears = [min(circs, key=lambda c: (c.bit_count(), c))]
-        cov = ears[0]
-        while cov != mask:
-            cands = [c for c in circs if c & cov and c & ~cov]
-            if not cands:
-                raise ValueError("no circuit extends the partial decomposition")
-            cands.sort(key=lambda c: ((c & ~cov).bit_count(), c & ~cov, c))
-            ears.append(cands[0])
-            cov |= cands[0]
-        self._check_ears(mask, ears, circs)
-        return ears
-
-    def _check_ears(self, mask: int, ears: list[int], circs: list[int]) -> None:
-        cov = 0
-        for i, c in enumerate(ears):
-            new = c & ~cov
-            if i > 0:
-                if not (c & cov) or not new:
-                    raise AssertionError("ear neither overlaps nor extends")
-                for other in circs:
-                    diff = other & ~cov
-                    if other & cov and diff and diff != new and diff & ~new == 0:
-                        raise AssertionError("ear difference is not set-minimal")
-                if self.rank(cov | c) != self.rank(cov) + new.bit_count() - 1:
-                    raise AssertionError("ear rank recurrence failed")
-            cov |= c
-        if cov != mask:
-            raise AssertionError("ears do not cover the set")
-
     # -- serialization -----------------------------------------------------------
 
     def bases(self) -> list[int]:
-        table = self._require_table()
+        table = self._table
         r = self.rank_total
         return [x for x in range(1 << self.m)
                 if x.bit_count() == r and table[x] == r]
@@ -389,6 +251,8 @@ class ExplicitMatroid:
 
     @classmethod
     def from_text(cls, text: str) -> "ExplicitMatroid":
+        """Parse a basis list or an oracle line; anything that is not the
+        serialization of a matroid raises ValueError."""
         lines = [ln.strip() for ln in text.splitlines()
                  if ln.strip() and not ln.lstrip().startswith("#")]
         header = {}
@@ -404,6 +268,8 @@ class ExplicitMatroid:
         if i < len(lines) and lines[i].startswith("oracle:cofactor"):
             params = dict(part.split("=", 1)
                           for part in lines[i].split()[1:])
+            if "n" not in params:
+                raise ValueError("the oracle line needs n=<vertex count>")
             from .cofactor import DEFAULT_SEEDS, CofactorOracle
             from .field import MERSENNE61
             seeds = (tuple(int(s) for s in params["seeds"].split(","))
@@ -417,6 +283,10 @@ class ExplicitMatroid:
                 raise ValueError("expected a 'bases' section or an oracle line")
             base_masks = [int(b, 16) for b in lines[i + 1:]]
             matroid = cls.from_bases(m, base_masks)
+            try:
+                verify_rank_axioms(matroid)
+            except AssertionError as exc:
+                raise ValueError(f"the bases do not form a matroid: {exc}") from None
         if matroid.m != m:
             raise ValueError("ground size does not match the matroid body")
         if declared_rank is not None and matroid.rank_total != declared_rank:
@@ -431,7 +301,7 @@ def verify_rank_axioms(M: ExplicitMatroid) -> None:
     (r(X+e) = r(X+f) = r(X) implies r(X+e+f) = r(X)), which together
     characterize matroid rank functions.
     """
-    table = M._require_table()
+    table = M.full_table()
     m = M.m
     if table[0] != 0:
         raise AssertionError("rank of the empty set is not 0")
@@ -473,8 +343,6 @@ def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
     """
     t = clique_order
     m = edge_count(n)
-    if m > ENUM_CAP:
-        raise CapExceeded(f"clique truncation over {m} edges")
     cap = t * (t - 1) // 2
     cliques = [EdgeSet.complete(n, vs).mask
                for vs in itertools.combinations(range(n), t)]
@@ -484,5 +352,4 @@ def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
             return False
         return all(x & c != c for c in cliques)
 
-    labels = [edge_at(n, i) for i in range(m)]
-    return ExplicitMatroid.from_independence(m, independent, labels=labels)
+    return ExplicitMatroid.from_independence(m, independent)

@@ -115,6 +115,20 @@ def test_elevate(capsys, tmp_path):
     assert payload["final_rank"] == 12
 
 
+@pytest.mark.parametrize("text", [
+    "ground_size=10\noracle:cofactor s=2\n",
+    "ground_size=3\nrank=8\nbases\nff\n",
+    "ground_size=4\nrank=2\nbases\n3\nc\n",
+], ids=["oracle-line-without-n", "base-outside-the-ground-set", "no-basis-exchange"])
+def test_elevate_rejects_a_bad_matroid_file(capsys, tmp_path, text):
+    path = tmp_path / "bad.matroid"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["elevate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
 def test_dress(capsys, banana_file):
     code, out, err = _run(capsys, ["dress", banana_file])
     assert code == 0

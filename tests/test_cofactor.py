@@ -212,6 +212,12 @@ def test_degree_one_matches_rigidity_rows():
         assert cof.rank(F) == rig.rank(F)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_rigidity_oracle_takes_only_the_plane(d):
+    with pytest.raises(ValueError, match="dimension"):
+        RigidityOracle(6, d=d)
+
+
 def test_rank_table_matches_pointwise(oracle6, table6):
     rng = random.Random(18)
     fresh = CofactorOracle(6)

@@ -3,8 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from cofrig.cofactor import CofactorOracle
-from cofrig.errors import CapExceeded, WitnessMismatch
+from cofrig.errors import CapExceeded
 from cofrig.graphs import EdgeSet
 from cofrig.matroids import (
     ExplicitMatroid,
@@ -24,39 +23,10 @@ def test_uniform_matroid_basics():
     assert sorted(M.circuits()) == [0b0111, 0b1011, 0b1101, 0b1110]
 
 
-def test_u24_is_self_dual():
-    M = uniform_matroid(4, 2)
-    assert M.dual().full_table() == M.full_table()
-
-
-def test_dual_rank_formula():
-    rng = random.Random(21)
-    M = uniform_matroid(6, 3)
-    D = M.dual()
-    for _ in range(40):
-        x = rng.getrandbits(6)
-        assert D.rank(x) == x.bit_count() + M.rank(0b111111 & ~x) - M.rank_total
-    verify_rank_axioms(D)
-
-
 def test_truncation():
     M = uniform_matroid(5, 4).truncate(2)
     assert M.full_table() == uniform_matroid(5, 2).full_table()
     verify_rank_axioms(M)
-
-
-def test_minor_of_graphic_k4(oracle6):
-    # graphic matroid of K4 sitting inside the s=0 oracle on 6 vertices
-    graphic = CofactorOracle(4, s=0).explicit_matroid()
-    verify_rank_axioms(graphic)
-    assert graphic.rank_total == 3
-    contracted = graphic.minor(contract=1)
-    assert contracted.m == 5
-    assert contracted.rank_total == 2
-    deleted = graphic.minor(delete=0b11)
-    assert deleted.m == 4
-    verify_rank_axioms(contracted)
-    verify_rank_axioms(deleted)
 
 
 def test_clique_truncation_r5_is_uniform():
@@ -94,29 +64,6 @@ def test_closure_cyc_roundtrip(oracle6, table6):
         assert M.cyc(x) == oracle6.cyc(EdgeSet(6, x)).mask
 
 
-def test_connected_components_split():
-    # two disjoint triangles in the s=0 oracle on 6 vertices
-    oracle = CofactorOracle(6, s=0)
-    M = oracle.explicit_matroid()
-    tri1 = EdgeSet.from_edges(6, [(0, 1), (1, 2), (0, 2)])
-    tri2 = EdgeSet.from_edges(6, [(3, 4), (4, 5), (3, 5)])
-    comps = M.connected_components((tri1 | tri2).mask)
-    assert sorted(comps) == sorted([tri1.mask, tri2.mask])
-
-
-def test_ear_decomposition_of_k4_cycle_space():
-    M = CofactorOracle(4, s=0).explicit_matroid()
-    full = (1 << 6) - 1
-    ears = M.ear_decomposition(full)
-    assert ears[0].bit_count() == 3
-    union = 0
-    for c in ears:
-        union |= c
-    assert union == full
-    with pytest.raises(ValueError):
-        M.ear_decomposition(M.basis_of(full))  # independent sets have no ears
-
-
 def test_bases_and_text_roundtrip():
     M = uniform_matroid(5, 3)
     text = M.to_text()
@@ -145,6 +92,11 @@ def test_enumeration_cap():
         clique_truncation_matroid(7, 5)
 
 
+def test_rank_table_cap_is_checked_on_construction():
+    with pytest.raises(CapExceeded):
+        ExplicitMatroid.from_table([0] * (1 << 17))
+
+
 def test_modular_pairs_in_uniform():
     M = uniform_matroid(4, 2)
     assert M.is_modular_pair(0b0001, 0b0010)
@@ -161,11 +113,3 @@ def test_fundamental_circuit_rejects_an_element_of_the_base():
     M = uniform_matroid(4, 2)
     with pytest.raises(ValueError, match="already in the base"):
         M.fundamental_circuit(0b0011, 0)
-
-
-def test_connected_components_checks_the_rank_sum():
-    # not a matroid: element 1 is a loop, yet the pair has rank 2
-    bad = ExplicitMatroid.from_table([0, 1, 0, 2])
-    with pytest.raises(WitnessMismatch) as info:
-        bad.connected_components(0b11)
-    assert info.value.detail["component_ranks"] == [1, 0]
