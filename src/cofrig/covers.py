@@ -38,15 +38,10 @@ SEARCH_CAP = 12
 
 @dataclass(frozen=True)
 class CliqueCover:
-    """A family of vertex sets of size ≥ 5 inside K_n, given as sorted tuples.
-
-    ``shelling``, if present, is an ordering of the members under which each
-    one meets the union of its predecessors in at most 4 vertices.
-    """
+    """A family of vertex sets of size ≥ 5 inside K_n, given as sorted tuples."""
 
     n: int
     members: tuple[tuple[int, ...], ...]
-    shelling: tuple[int, ...] | None = None
 
     def __post_init__(self):
         members = tuple(tuple(sorted(m)) for m in self.members)
@@ -58,20 +53,6 @@ class CliqueCover:
                 raise ValueError(f"member {i} does not fit inside K_{self.n}: {m}")
         if len(set(members)) != len(members):
             raise ValueError("duplicate cover members")
-        if self.shelling is not None:
-            order = tuple(self.shelling)
-            object.__setattr__(self, "shelling", order)
-            if sorted(order) != list(range(len(members))):
-                raise ValueError("shelling must be a permutation of the member indices")
-            seen: set[int] = set()
-            for i in order:
-                overlap = len(seen & set(members[i]))
-                if seen and overlap > 4:
-                    raise ValueError(
-                        f"member {i} meets the union of its predecessors "
-                        f"in {overlap} > 4 vertices"
-                    )
-                seen |= set(members[i])
 
     def __len__(self) -> int:
         return len(self.members)

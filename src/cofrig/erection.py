@@ -82,19 +82,17 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
         down_list.extend(sorted(fresh, key=lambda z: -z.bit_count()))
 
     family = frozenset(down)
-    problem = family_violation(M, family, cyclic_list)
+    problem = family_violation(M, family)
     if problem:
         raise AssertionError(f"closure is not modular cyclic: {problem}")
     return family
 
 
-def family_violation(M: ExplicitMatroid, family, cyclic_list=None) -> str | None:
+def family_violation(M: ExplicitMatroid, family) -> str | None:
     """None if the family is modular cyclic, else a short description."""
     fam = set(family)
-    if cyclic_list is None:
-        cyclic_list = M.cyclic_sets()
-    cyc_set = set(cyclic_list)
-    if not fam <= cyc_set:
+    cyclic_list = M.cyclic_sets()
+    if not fam <= set(cyclic_list):
         return "contains a non-cyclic set"
     if 0 not in fam:
         return "missing the empty set"
@@ -124,16 +122,11 @@ def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[
     every cyclic set.  A nontrivial erection is checked against the rank
     axioms before it is returned.
     """
-    table = M.full_table()
-    seeds = M.cyclic_flats()
-    family = modular_cyclic_closure(M, seeds)
-    top = M.cyc(M.full_mask)
-    if top in family:
+    family = modular_cyclic_closure(M, M.cyclic_flats())
+    if M.cyc(M.full_mask) in family:
         return M, True, family
-    cyc_cache = [M.cyc(x) for x in range(1 << M.m)]
-    new_table = [table[x] + (cyc_cache[x] not in family)
-                 for x in range(1 << M.m)]
-    N = ExplicitMatroid(new_table)
+    N = ExplicitMatroid([r + (c not in family)
+                         for r, c in zip(M.full_table(), M.cyc_table)])
     verify_rank_axioms(N)
     return N, False, family
 

@@ -9,6 +9,7 @@ capped at m <= ENUM_CAP = 16.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .errors import CapExceeded
@@ -104,16 +105,11 @@ class ExplicitMatroid:
         """
         if m > ENUM_CAP:
             raise CapExceeded(f"independence table over {m} elements")
-        size = 1 << m
-        table = [0] * size
-        order = sorted(range(size), key=int.bit_count)
-        for x in order:
-            if x == 0:
-                continue
-            if independent(x):
-                table[x] = x.bit_count()
-            else:
-                table[x] = max(table[x & ~(1 << b)] for b in bits(x))
+        table = [0] * (1 << m)
+        # every one-element deletion of x is a smaller number than x
+        for x in range(1, 1 << m):
+            table[x] = (x.bit_count() if independent(x)
+                        else max(table[x & ~(1 << b)] for b in bits(x)))
         return cls(table)
 
     @classmethod
@@ -133,12 +129,12 @@ class ExplicitMatroid:
         independent = [False] * (1 << m)
         for b in base_set:
             independent[b] = True
-        # downward closure: subsets of bases are the independent sets
-        for x in sorted(range(1 << m), key=int.bit_count, reverse=True):
+        # downward closure, largest number first: subsets of bases are the
+        # independent sets
+        for x in range((1 << m) - 1, 0, -1):
             if independent[x]:
-                for b in range(m):
-                    if x >> b & 1:
-                        independent[x & ~(1 << b)] = True
+                for b in bits(x):
+                    independent[x & ~(1 << b)] = True
         return cls.from_independence(m, independent.__getitem__)
 
     # -- rank and derived operators ------------------------------------------
@@ -160,14 +156,22 @@ class ExplicitMatroid:
         return closure(self.rank, mask, self.full_mask)
 
     def is_flat(self, mask: int) -> bool:
-        return self.closure(mask) == mask
+        """Whether every element outside mask raises its rank."""
+        table, r = self._table, self._table[mask]
+        return all(table[mask | 1 << b] > r for b in bits(self.full_mask & ~mask))
+
+    @cached_property
+    def cyc_table(self) -> list[int]:
+        """cyc(x) for every mask x, built on first use."""
+        rank = self._table.__getitem__
+        return [cyc(rank, x) for x in range(1 << self.m)]
 
     def cyc(self, mask: int) -> int:
         """mask minus its restriction coloops: the union of circuits inside."""
-        return cyc(self.rank, mask)
+        return self.cyc_table[mask]
 
     def is_cyclic(self, mask: int) -> bool:
-        return self.cyc(mask) == mask
+        return self.cyc_table[mask] == mask
 
     def is_modular_pair(self, x: int, y: int) -> bool:
         return (self.rank(x) + self.rank(y)
@@ -183,58 +187,22 @@ class ExplicitMatroid:
     # -- enumeration ---------------------------------------------------------
 
     def flats(self) -> list[int]:
-        table = self._table
-        out = []
-        for x in range(1 << self.m):
-            r = table[x]
-            if all(table[x | 1 << b] > r
-                   for b in range(self.m) if not x >> b & 1):
-                out.append(x)
-        return out
+        return [x for x in range(1 << self.m) if self.is_flat(x)]
 
     def cyclic_sets(self) -> list[int]:
         """All unions of circuits, the empty set included."""
-        table = self._table
-        out = []
-        for x in range(1 << self.m):
-            r = table[x]
-            if all(table[x & ~(1 << b)] == r for b in bits(x)):
-                out.append(x)
-        return out
+        return [x for x, c in enumerate(self.cyc_table) if c == x]
 
     def cyclic_flats(self, include_spanning: bool = False) -> list[int]:
         """Non-spanning cyclic flats (the erection seed family) by default."""
-        table = self._table
-        top = self.rank_total
-        out = []
-        for x in range(1 << self.m):
-            r = table[x]
-            if not include_spanning and r == top:
-                continue
-            if any(table[x & ~(1 << b)] < r for b in bits(x)):
-                continue
-            if any(table[x | 1 << b] == r
-                   for b in range(self.m) if not x >> b & 1):
-                continue
-            out.append(x)
-        return out
+        table, top = self._table, self.rank_total
+        return [x for x in self.cyclic_sets()
+                if (include_spanning or table[x] < top) and self.is_flat(x)]
 
-    def circuits(self, within: int | None = None) -> list[int]:
-        """Minimal dependent sets, optionally restricted to subsets of `within`."""
+    def circuits(self) -> list[int]:
+        """Minimal dependent sets: the cyclic sets of nullity one."""
         table = self._table
-        w = self.full_mask if within is None else within
-        out = []
-        sub = w
-        while True:
-            if sub:
-                k = sub.bit_count()
-                if table[sub] == k - 1 and all(
-                        table[sub & ~(1 << b)] == k - 1 for b in bits(sub)):
-                    out.append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & w
-        return sorted(out)
+        return [x for x in self.cyclic_sets() if table[x] == x.bit_count() - 1]
 
     # -- serialization -----------------------------------------------------------
 
@@ -251,45 +219,27 @@ class ExplicitMatroid:
 
     @classmethod
     def from_text(cls, text: str) -> "ExplicitMatroid":
-        """Parse a basis list or an oracle line; anything that is not the
-        serialization of a matroid raises ValueError."""
+        """Parse a basis list; anything that is not the serialization of a
+        matroid raises ValueError."""
         lines = [ln.strip() for ln in text.splitlines()
                  if ln.strip() and not ln.lstrip().startswith("#")]
         header = {}
         i = 0
-        while i < len(lines) and "=" in lines[i] and not lines[i].startswith("oracle:"):
+        while i < len(lines) and "=" in lines[i]:
             key, val = lines[i].split("=", 1)
             header[key.strip()] = val.strip()
             i += 1
         if "ground_size" not in header:
             raise ValueError("missing ground_size")
         m = int(header["ground_size"])
-        declared_rank = int(header["rank"]) if "rank" in header else None
-        if i < len(lines) and lines[i].startswith("oracle:cofactor"):
-            params = dict(part.split("=", 1)
-                          for part in lines[i].split()[1:])
-            if "n" not in params:
-                raise ValueError("the oracle line needs n=<vertex count>")
-            from .cofactor import DEFAULT_SEEDS, CofactorOracle
-            from .field import MERSENNE61
-            seeds = (tuple(int(s) for s in params["seeds"].split(","))
-                     if "seeds" in params else DEFAULT_SEEDS)
-            oracle = CofactorOracle(int(params["n"]), s=int(params.get("s", 2)),
-                                    seeds=seeds,
-                                    modulus=int(params.get("modulus", MERSENNE61)))
-            matroid = oracle.explicit_matroid()
-        else:
-            if i >= len(lines) or lines[i] != "bases":
-                raise ValueError("expected a 'bases' section or an oracle line")
-            base_masks = [int(b, 16) for b in lines[i + 1:]]
-            matroid = cls.from_bases(m, base_masks)
-            try:
-                verify_rank_axioms(matroid)
-            except AssertionError as exc:
-                raise ValueError(f"the bases do not form a matroid: {exc}") from None
-        if matroid.m != m:
-            raise ValueError("ground size does not match the matroid body")
-        if declared_rank is not None and matroid.rank_total != declared_rank:
+        if i >= len(lines) or lines[i] != "bases":
+            raise ValueError("expected a 'bases' section")
+        matroid = cls.from_bases(m, [int(b, 16) for b in lines[i + 1:]])
+        try:
+            verify_rank_axioms(matroid)
+        except AssertionError as exc:
+            raise ValueError(f"the bases do not form a matroid: {exc}") from None
+        if "rank" in header and matroid.rank_total != int(header["rank"]):
             raise ValueError("declared rank does not match the matroid body")
         return matroid
 

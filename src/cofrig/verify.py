@@ -294,8 +294,9 @@ def _suite_elevation(rng: random.Random) -> list[Check]:
 
 # -- dress covers ------------------------------------------------------------
 
-def _suite_dress(rng: random.Random, flats: int = 110) -> list[Check]:
+def _suite_dress(rng: random.Random) -> list[Check]:
     checks: list[Check] = []
+    flats = 110
     oracle = _oracle(7)
 
     # Half the samples at density 1/2 and half at 1/4 (denser masks almost

@@ -119,7 +119,9 @@ def test_elevate(capsys, tmp_path):
     "ground_size=10\noracle:cofactor s=2\n",
     "ground_size=3\nrank=8\nbases\nff\n",
     "ground_size=4\nrank=2\nbases\n3\nc\n",
-], ids=["oracle-line-without-n", "base-outside-the-ground-set", "no-basis-exchange"])
+    "ground_size=10\noracle:cofactor n=5 s=2\n",
+], ids=["oracle-line-without-n", "base-outside-the-ground-set", "no-basis-exchange",
+        "oracle-line"])
 def test_elevate_rejects_a_bad_matroid_file(capsys, tmp_path, text):
     path = tmp_path / "bad.matroid"
     path.write_text(text)

@@ -24,8 +24,6 @@ def test_cover_validation():
         CliqueCover(6, ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0)))
     with pytest.raises(ValueError, match="fit inside"):
         CliqueCover(5, ((0, 1, 2, 3, 5),))
-    with pytest.raises(ValueError, match="permutation"):
-        CliqueCover(7, ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5)), shelling=(0, 0))
 
 
 def test_maximal_cliques_single_block():

@@ -60,7 +60,7 @@ def test_family_checks():
     assert is_modular_cyclic_family(M, cyclic)
     # including the full set but not the three-element cyclic sets below it
     # breaks down-closure
-    violation = family_violation(M, [0, 0b1111], cyclic)
+    violation = family_violation(M, [0, 0b1111])
     assert violation is not None and "down-closed" in violation
 
 

@@ -3,8 +3,9 @@ from itertools import combinations
 
 import pytest
 
+from cofrig import matroids
 from cofrig.errors import CapExceeded
-from cofrig.graphs import EdgeSet
+from cofrig.graphs import EdgeSet, bits
 from cofrig.matroids import (
     ExplicitMatroid,
     clique_truncation_matroid,
@@ -47,12 +48,31 @@ def test_clique_truncation_r6():
     assert not R6.is_independent(k5)
 
 
-def test_flats_and_cyclic_sets():
-    M = uniform_matroid(4, 2)
-    assert M.flats() == [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b1111]
-    assert 0 in M.cyclic_sets()
-    assert M.cyclic_flats(include_spanning=True) == [0, 0b1111]
-    assert M.cyclic_flats() == [0]
+@pytest.mark.parametrize("make, args", [
+    (uniform_matroid, (4, 2)),
+    (clique_truncation_matroid, (6, 4)),
+], ids=["U24", "K6-truncation-4"])
+def test_flats_and_cyclic_sets(make, args):
+    M = make(*args)
+    rank, masks = M.rank, range(1 << M.m)
+    # definitions over every mask, through the rank table alone
+    flats = [x for x in masks if matroids.closure(rank, x, M.full_mask) == x]
+    cyclic = [x for x in masks if matroids.cyc(rank, x) == x]
+    cyclic_flats = sorted(set(cyclic) & set(flats))
+    circuits = [x for x in masks if not M.is_independent(x)
+                and all(M.is_independent(x & ~(1 << b)) for b in bits(x))]
+    assert [M.cyc(x) for x in masks] == [matroids.cyc(rank, x) for x in masks]
+    assert [x for x in masks if M.is_flat(x)] == flats
+    assert M.flats() == flats
+    assert M.cyclic_sets() == cyclic
+    assert M.cyclic_flats(include_spanning=True) == cyclic_flats
+    assert M.cyclic_flats() == [x for x in cyclic_flats if rank(x) < M.rank_total]
+    assert M.circuits() == circuits
+    if make is uniform_matroid:
+        assert M.flats() == [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b1111]
+        assert 0 in M.cyclic_sets()
+        assert M.cyclic_flats(include_spanning=True) == [0, 0b1111]
+        assert M.cyclic_flats() == [0]
 
 
 def test_closure_cyc_roundtrip(oracle6, table6):
@@ -77,12 +97,6 @@ def test_from_text_rejects_rank_mismatch():
     text = M.to_text().replace("rank=2", "rank=3")
     with pytest.raises(ValueError):
         ExplicitMatroid.from_text(text)
-
-
-def test_from_text_oracle_line():
-    M = ExplicitMatroid.from_text("ground_size=10\noracle:cofactor n=5 s=2")
-    assert M.rank_total == 9
-    assert M.m == 10
 
 
 def test_enumeration_cap():
