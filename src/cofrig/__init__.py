@@ -28,7 +28,6 @@ from .covers import (
     dress_rank,
     find_shellable_order,
     hinge_table,
-    is_k_degenerate,
     is_M_degenerate,
     maximal_cliques,
     val_D,
@@ -104,7 +103,6 @@ __all__ = [
     "free_erection",
     "has_nontrivial_erection",
     "hinge_table",
-    "is_k_degenerate",
     "is_M_degenerate",
     "load_edge_file",
     "maximal_cliques",

@@ -107,11 +107,11 @@ def cmd_rank(args) -> int:
     oracle = _oracle_from(args, F.n)
     candidates = None
     if args.pool == "all":
-        if F.n > args.cap_n:
+        if F.n > DEFAULT_POOL_CAP:
             if not args.force:
                 raise CapExceeded(
-                    f"ambient pool has {F.n} > {args.cap_n} vertices; raise "
-                    "--cap-n, keep --pool support, or pass --force")
+                    f"ambient pool has {F.n} > {DEFAULT_POOL_CAP} vertices; "
+                    "keep --pool support, or pass --force")
             _note(f"warning: searching all {F.n} ambient vertices (cap lifted)")
         candidates = list(combinations(range(F.n), oracle.s + 3))
     certificate = rank_certificate(F, oracle, candidates=candidates)
@@ -199,14 +199,13 @@ def cmd_dress(args) -> int:
     if closed != F:
         _note(f"input is not a flat; analyzing its closure ({len(closed)} edges)")
     value, cover, f0, order = dress_rank(closed, oracle)
-    hinges, _ = hinge_table(cover)
     _emit(args, {
         "n": F.n,
         "rank": value,
         "members": [list(m) for m in cover.members],
         "f0_edges": [list(e) for e in f0.sorted_edges()],
         "hinges": [{"pair": list(pair), "degree": deg}
-                   for pair, deg in sorted(hinges.items())],
+                   for pair, deg in sorted(cover.hinges.items())],
         "val_d": val_D(cover),
         "shelling": list(order),
     })
@@ -219,10 +218,10 @@ def cmd_covers(args) -> int:
     oracle = _oracle_from(args, F.n)
     if oracle.s != 2:
         raise ValueError("cover analysis is specific to s = 2 (clique size 5)")
-    cover, f0 = maximal_cliques(F, 5)
+    cover, f0 = maximal_cliques(F)
     hinges, violations = hinge_table(cover)
     cap = len(cover.members) if args.force else SEARCH_CAP
-    shelling = find_shellable_order(cover, 4, cap=cap)
+    shelling = find_shellable_order(cover, cap=cap)
     degenerate, degenerate_order = is_M_degenerate(cover, oracle, cap=cap)
     covers_input = cover.covers(F)
     upper = val_D(cover) if degenerate and covers_input and not violations else None
@@ -302,8 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", choices=("support", "all"), default="support",
                    help="candidate cliques: inside the closure (support) or "
                         "all ambient vertices (all)")
-    p.add_argument("--cap-n", type=int, default=DEFAULT_POOL_CAP, dest="cap_n",
-                   help="largest ambient vertex count --pool all will search")
     _add_flags(p, oracle=True, force=True)
     p.set_defaults(func=cmd_rank)
 

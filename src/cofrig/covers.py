@@ -16,10 +16,11 @@ checks the equality against the field oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
-from .graphs import EdgeSet, complete_edges, order_search
+from .graphs import CliqueFamily, EdgeSet, order_search
 
 __all__ = [
     "CliqueCover",
@@ -27,7 +28,6 @@ __all__ = [
     "hinge_table",
     "val_D",
     "find_shellable_order",
-    "is_k_degenerate",
     "is_M_degenerate",
     "cover_upper_bound",
     "dress_rank",
@@ -37,31 +37,34 @@ SEARCH_CAP = 12
 
 
 @dataclass(frozen=True)
-class CliqueCover:
-    """A family of vertex sets of size ≥ 5 inside K_n, given as sorted tuples."""
-
-    n: int
-    members: tuple[tuple[int, ...], ...]
+class CliqueCover(CliqueFamily):
+    """A family of distinct vertex sets of size ≥ 5 inside K_n, given as
+    sorted tuples."""
 
     def __post_init__(self):
-        members = tuple(tuple(sorted(m)) for m in self.members)
-        object.__setattr__(self, "members", members)
-        for i, m in enumerate(members):
-            if len(set(m)) != len(m) or len(m) < 5:
-                raise ValueError(f"member {i} must have >= 5 distinct vertices, got {m}")
-            if m[0] < 0 or m[-1] >= self.n:
-                raise ValueError(f"member {i} does not fit inside K_{self.n}: {m}")
-        if len(set(members)) != len(members):
+        super().__post_init__()
+        if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate cover members")
 
-    def __len__(self) -> int:
-        return len(self.members)
+    def _check_member(self, i: int, m: tuple[int, ...]) -> None:
+        if len(set(m)) != len(m) or len(m) < 5:
+            raise ValueError(f"member {i} must have >= 5 distinct vertices, got {m}")
 
-    def union_edges(self) -> EdgeSet:
-        mask = 0
-        for m in self.members:
-            mask |= complete_edges(self.n, m).mask
-        return EdgeSet(self.n, mask)
+    @cached_property
+    def meets(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Shared vertices of each member pair (i, j), i < j, meeting in two or
+        more vertices: the pairwise intersections, computed once per cover."""
+        sets = [set(m) for m in self.members]
+        shared = {(i, j): sets[i] & sets[j]
+                  for i, j in combinations(range(len(sets)), 2)}
+        return {pair: tuple(sorted(s)) for pair, s in shared.items() if len(s) >= 2}
+
+    @cached_property
+    def hinges(self) -> dict[tuple[int, int], int]:
+        """Each hinge, in sorted order, mapped to the number of members
+        containing it."""
+        pairs = sorted({shared for shared in self.meets.values() if len(shared) == 2})
+        return {(x, y): sum(x in m and y in m for m in self.members) for x, y in pairs}
 
     def covers(self, F: EdgeSet) -> bool:
         if F.n != self.n:
@@ -69,8 +72,8 @@ class CliqueCover:
         return not F.mask & ~self.union_edges().mask
 
 
-def maximal_cliques(F: EdgeSet, min_size: int = 5) -> tuple[CliqueCover, EdgeSet]:
-    """All maximal cliques of (V(F), F) with ≥ min_size vertices, plus F₀.
+def maximal_cliques(F: EdgeSet) -> tuple[CliqueCover, EdgeSet]:
+    """All maximal cliques of (V(F), F) with ≥ 5 vertices, plus F₀.
 
     F₀ is the set of edges lying in no listed clique.  Enumeration is
     branch-and-bound with pivoting; members come out lexicographically.
@@ -80,7 +83,7 @@ def maximal_cliques(F: EdgeSet, min_size: int = 5) -> tuple[CliqueCover, EdgeSet
 
     def expand(clique: set[int], cands: set[int], done: set[int]):
         if not cands and not done:
-            if len(clique) >= min_size:
+            if len(clique) >= 5:
                 found.append(tuple(sorted(clique)))
             return
         pivot = max(cands | done, key=lambda u: len(adjacency[u] & cands))
@@ -104,34 +107,21 @@ def hinge_table(cover: CliqueCover):
     containing it; ``violations`` lists (i, j, shared vertices) for member
     pairs meeting in 3 or more vertices.
     """
-    sets = [set(m) for m in cover.members]
-    pairs: set[tuple[int, int]] = set()
-    violations: list[tuple[int, int, tuple[int, ...]]] = []
-    for i, j in combinations(range(len(sets)), 2):
-        shared = sets[i] & sets[j]
-        if len(shared) == 2:
-            x, y = sorted(shared)
-            pairs.add((x, y))
-        elif len(shared) >= 3:
-            violations.append((i, j, tuple(sorted(shared))))
-    hinges = {
-        pair: sum(1 for s in sets if pair[0] in s and pair[1] in s)
-        for pair in sorted(pairs)
-    }
-    return hinges, violations
+    violations = [(i, j, shared) for (i, j), shared in cover.meets.items()
+                  if len(shared) >= 3]
+    return dict(cover.hinges), violations
 
 
 def val_D(cover: CliqueCover) -> int:
     """Σ(3|X|−6) over members minus Σ(deg(h)−1) over hinges."""
-    hinges, _ = hinge_table(cover)
     total = sum(3 * len(m) - 6 for m in cover.members)
-    return total - sum(deg - 1 for deg in hinges.values())
+    return total - sum(deg - 1 for deg in cover.hinges.values())
 
 
 def find_shellable_order(
-    cover: CliqueCover, k: int = 4, cap: int = SEARCH_CAP
+    cover: CliqueCover, cap: int = SEARCH_CAP
 ) -> tuple[int, ...] | None:
-    """An order with every member meeting its predecessors' union in ≤ k
+    """An order with every member meeting its predecessors' union in ≤ 4
     vertices, or None once backtracking has exhausted all orders.
 
     Greedy (smallest overlap first) with full backtracking behind it, so a
@@ -144,30 +134,11 @@ def find_shellable_order(
             (len(s & union), i) for i, s in enumerate(sets) if not used >> i & 1
         )
         for overlap, i in ranked:
-            if used and overlap > k:
+            if used and overlap > 4:
                 return
             yield i, union | sets[i]
 
     return _capped_search(cover, cap, moves, set())
-
-
-def _step_hinge_edges(cover: CliqueCover, prefix_mask: int, last: int) -> EdgeSet:
-    """Hinges of the prefix family that lie inside the last-placed member.
-
-    The prefix family is every member indexed by ``prefix_mask`` (which
-    includes ``last``); a hinge between any two of them counts as soon as
-    both its vertices belong to member ``last``.
-    """
-    sets = [set(m) for m in cover.members]
-    idx = [i for i in range(len(sets)) if prefix_mask >> i & 1]
-    inside = sets[last]
-    mask = 0
-    for a, b in combinations(idx, 2):
-        shared = sets[a] & sets[b]
-        if len(shared) == 2 and shared <= inside:
-            x, y = sorted(shared)
-            mask |= complete_edges(cover.n, (x, y)).mask
-    return EdgeSet(cover.n, mask)
 
 
 def _capped_search(cover: CliqueCover, cap: int, moves, start):
@@ -178,41 +149,30 @@ def _capped_search(cover: CliqueCover, cap: int, moves, start):
     return order_search(count, moves, start)
 
 
-def _degenerate_order(cover: CliqueCover, step_ok, cap: int):
-    """First-fit order search where each placed member must pass step_ok."""
-
-    def moves(used: int, _):
-        for i in range(len(cover.members)):
-            if not used >> i & 1 and step_ok(used | 1 << i, i):
-                yield i, None
-
-    return _capped_search(cover, cap, moves, None)
-
-
-def is_k_degenerate(
-    cover: CliqueCover, k: int, cap: int = SEARCH_CAP
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Search for an order keeping every step's applicable hinge count ≤ k."""
-
-    def step_ok(prefix_mask: int, last: int) -> bool:
-        return len(_step_hinge_edges(cover, prefix_mask, last)) <= k
-
-    order = _degenerate_order(cover, step_ok, cap)
-    return order is not None, order
-
-
 def is_M_degenerate(
     cover: CliqueCover, oracle, cap: int = SEARCH_CAP
 ) -> tuple[bool, tuple[int, ...] | None]:
-    """Search for an order keeping every step's applicable hinge edges
-    independent in the oracle's matroid."""
+    """First-fit search for an order keeping every step's applicable hinge
+    edges independent in the oracle's matroid.
+
+    When member i joins the placed members, the applicable hinges are those
+    that are the exact intersection of two members of the grown prefix and
+    lie inside member i.
+    """
     if cover.n != oracle.n:
         raise AmbientMismatch(f"cover in K_{cover.n} vs oracle on K_{oracle.n}")
 
-    def step_ok(prefix_mask: int, last: int) -> bool:
-        return oracle.independent(_step_hinge_edges(cover, prefix_mask, last))
+    def moves(used: int, _):
+        for i in range(len(cover.members)):
+            if used >> i & 1:
+                continue
+            prefix, inside = used | 1 << i, set(cover.members[i])
+            hinges = [h for (a, b), h in cover.meets.items() if len(h) == 2
+                      and prefix >> a & prefix >> b & 1 and inside.issuperset(h)]
+            if oracle.independent(EdgeSet.from_edges(cover.n, hinges)):
+                yield i, None
 
-    order = _degenerate_order(cover, step_ok, cap)
+    order = _capped_search(cover, cap, moves, None)
     return order is not None, order
 
 
@@ -257,7 +217,7 @@ def dress_rank(F: EdgeSet, oracle):
         raise ValueError(f"the clique-cover formula needs s = 2, got s = {oracle.s}")
     if not oracle.is_flat(F):
         raise ValueError("dress_rank requires a flat (closure(F) == F)")
-    cover, f0 = maximal_cliques(F, 5)
+    cover, f0 = maximal_cliques(F)
     hinges, violations = hinge_table(cover)
 
     def bail(message: str, **extra):
@@ -276,7 +236,7 @@ def dress_rank(F: EdgeSet, oracle):
 
     if violations:
         bail("maximal cliques of a flat are not 2-thin", violations=violations)
-    order = find_shellable_order(cover, 4)
+    order = find_shellable_order(cover)
     if order is None:
         bail("maximal cliques of a flat admit no 4-shellable order")
     value = len(f0) + val_D(cover)

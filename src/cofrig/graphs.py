@@ -186,16 +186,10 @@ class EdgeSet:
         return frozenset(v for v, star in enumerate(_stars(self.n)) if mask & star)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        out = set()
-        for a, b in self.edges():
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return frozenset(out)
+        return frozenset(u for e in self.star(v).edges() for u in e if u != v)
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self.star(v))
 
     def star(self, v: int) -> "EdgeSet":
         """Edges of this set incident to v."""
@@ -223,6 +217,45 @@ def complete_edges(n: int, vertices: Iterable[int]) -> EdgeSet:
     Fewer than two vertices give the empty edge set.
     """
     return EdgeSet.complete(n, vertices)
+
+
+@lru_cache(maxsize=None)
+def clique_mask(n: int, verts: tuple[int, ...]) -> int:
+    """Mask of the clique on a sorted vertex tuple inside K_n, cached for the
+    cliques that families and sequence searches price over and over."""
+    return EdgeSet.complete(n, verts).mask
+
+
+@dataclass(frozen=True)
+class CliqueFamily:
+    """Vertex sets inside K_n, stored as sorted tuples and read as cliques.
+
+    Every member must fit inside K_n; ``_check_member(i, m)`` in each subclass
+    raises ValueError for any other member m (at index i) it does not admit.
+    """
+
+    n: int
+    members: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        members = tuple(tuple(sorted(m)) for m in self.members)
+        object.__setattr__(self, "members", members)
+        for i, m in enumerate(members):
+            self._check_member(i, m)
+            if m[0] < 0 or m[-1] >= self.n:
+                raise ValueError(f"member {i} does not fit inside K_{self.n}: {m}")
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def edge_masks(self) -> list[int]:
+        return [clique_mask(self.n, m) for m in self.members]
+
+    def union_edges(self) -> EdgeSet:
+        mask = 0
+        for m in self.edge_masks():
+            mask |= m
+        return EdgeSet(self.n, mask)
 
 
 # -- vertex extensions ----------------------------------------------------

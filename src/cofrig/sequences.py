@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
-from .graphs import EdgeSet, complete_edges, order_search
+from .graphs import CliqueFamily, EdgeSet, clique_mask, complete_edges, order_search
 
 __all__ = [
     "CircuitSequence",
@@ -38,13 +37,8 @@ __all__ = [
 DEFAULT_POOL_CAP = 9
 
 
-@lru_cache(maxsize=None)
-def _clique_mask(n: int, verts: tuple[int, ...]) -> int:
-    return complete_edges(n, verts).mask
-
-
 @dataclass(frozen=True)
-class CircuitSequence:
+class CircuitSequence(CliqueFamily):
     """An ordered list of (d+2)-vertex cliques inside K_n.
 
     Each member is stored as a sorted vertex tuple.  The cliques of order
@@ -52,33 +46,12 @@ class CircuitSequence:
     dimension d, which is why sequences of them can witness ranks.
     """
 
-    n: int
-    members: tuple[tuple[int, ...], ...]
     d: int = 3
 
-    def __post_init__(self):
-        members = tuple(tuple(sorted(m)) for m in self.members)
-        object.__setattr__(self, "members", members)
+    def _check_member(self, i: int, m: tuple[int, ...]) -> None:
         size = self.d + 2
-        for i, m in enumerate(members):
-            if len(m) != size or len(set(m)) != size:
-                raise ValueError(
-                    f"member {i} must have {size} distinct vertices, got {m}"
-                )
-            if m[0] < 0 or m[-1] >= self.n:
-                raise ValueError(f"member {i} does not fit inside K_{self.n}: {m}")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def edge_masks(self) -> list[int]:
-        return [_clique_mask(self.n, m) for m in self.members]
-
-    def union_edges(self) -> EdgeSet:
-        mask = 0
-        for m in self.edge_masks():
-            mask |= m
-        return EdgeSet(self.n, mask)
+        if len(m) != size or len(set(m)) != size:
+            raise ValueError(f"member {i} must have {size} distinct vertices, got {m}")
 
     def improper_index(self) -> int | None:
         """Index of the first clique adding no new edge, or None if proper."""
@@ -144,9 +117,9 @@ def _proper_order_masks(masks: list[int]) -> tuple[int, ...] | None:
     return order_search(len(masks), moves, 0)
 
 
-def proper_order(n: int, cliques, d: int = 3) -> tuple[int, ...] | None:
+def proper_order(n: int, cliques) -> tuple[int, ...] | None:
     """Indices ordering the given cliques into a proper sequence, or None."""
-    masks = [_clique_mask(n, tuple(sorted(c))) for c in cliques]
+    masks = [clique_mask(n, tuple(sorted(c))) for c in cliques]
     return _proper_order_masks(masks)
 
 
@@ -208,8 +181,8 @@ def min_sequence_value(
         cliques = list(combinations(pool, size))
 
     fmask = F.mask
-    cliques.sort(key=lambda c: ((_clique_mask(n, c) & ~fmask).bit_count(), c))
-    masks = [_clique_mask(n, c) for c in cliques]
+    cliques.sort(key=lambda c: ((clique_mask(n, c) & ~fmask).bit_count(), c))
+    masks = [clique_mask(n, c) for c in cliques]
     count = len(cliques)
     suffix_or = [0] * (count + 1)
     for i in range(count - 1, -1, -1):
@@ -311,7 +284,7 @@ def rank_certificate(F: EdgeSet, oracle, *, candidates=None) -> RankCertificate:
         candidates = [
             c
             for c in combinations(verts, d + 2)
-            if not _clique_mask(F.n, c) & ~cmask
+            if not clique_mask(F.n, c) & ~cmask
         ]
     value, seq = min_sequence_value(F, d=d, candidates=candidates, stop_at=rank)
 

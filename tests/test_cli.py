@@ -73,6 +73,12 @@ def test_rank_pool_cap(capsys, tmp_path):
     assert json.loads(out)["rank"] == 24
 
 
+def test_rank_has_no_pool_cap_flag(capsys, k5_file):
+    with pytest.raises(SystemExit) as info:
+        main(["rank", "--cap-n", "12", k5_file])
+    assert info.value.code == 2
+
+
 def test_independent_exit_codes(capsys, k5_file, tmp_path):
     code, out, _ = _run(capsys, ["independent", k5_file])
     assert code == 1

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,7 +10,6 @@ from cofrig.covers import (
     dress_rank,
     find_shellable_order,
     hinge_table,
-    is_k_degenerate,
     is_M_degenerate,
     maximal_cliques,
     val_D,
@@ -67,7 +67,7 @@ def test_val_d_by_hand():
 
 def test_shellable_order_banana():
     cover = CliqueCover(8, ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)))
-    order = find_shellable_order(cover, k=4)
+    order = find_shellable_order(cover)
     assert order is not None and set(order) == {0, 1}
 
 
@@ -76,11 +76,9 @@ def test_six_cliques_of_k6_are_not_4_shellable():
         tuple(v for v in range(6) if v != skip) for skip in range(6)
     )
     cover = CliqueCover(6, members)
-    assert find_shellable_order(cover, k=4) is None
+    assert find_shellable_order(cover) is None
     # every pair shares four vertices, so there are no hinges at all and
-    # both degeneracy notions hold vacuously
-    ok, order = is_k_degenerate(cover, 0)
-    assert ok and order is not None
+    # M-degeneracy holds vacuously
     oracle = CofactorOracle(6)
     ok, order = is_M_degenerate(cover, oracle)
     assert ok and order is not None
@@ -90,8 +88,74 @@ def test_m_degeneracy_on_disjoint_members():
     cover = CliqueCover(10, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9)))
     ok, order = is_M_degenerate(cover, CofactorOracle(10))
     assert ok
-    ok3, _ = is_k_degenerate(cover, 3)
-    assert ok3
+
+
+class _AtMost:
+    """The uniform matroid U(k, E(K_n)) as an oracle: k edges or fewer are
+    independent.  At k = 1 two hinges in one member already refuse a step."""
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+
+    def rank(self, F):
+        return min(len(F), self.k)
+
+    def independent(self, F):
+        return len(F) <= self.k
+
+
+def _steps_independent(members, order, oracle) -> bool:
+    """Each placed member's hinges (two placed members meeting in exactly two
+    of its vertices) are independent, by pairwise intersection and rank."""
+    placed = []
+    for i in order:
+        placed.append(i)
+        hinges = set()
+        for a, b in combinations(placed, 2):
+            shared = set(members[a]) & set(members[b])
+            if len(shared) == 2 and shared <= set(members[i]):
+                hinges.add(tuple(sorted(shared)))
+        E = EdgeSet.from_edges(oracle.n, hinges)
+        if oracle.rank(E) != len(E):
+            return False
+    return True
+
+
+def test_hinged_covers_match_brute_force(oracle8):
+    rng = random.Random(29)
+    cofactor = {8: oracle8, 9: CofactorOracle(9)}
+    hinged = refused = 0
+    for _ in range(60):
+        n = rng.choice((8, 9))
+        want = rng.randint(2, 4)
+        members = set()
+        while len(members) < want:
+            members.add(tuple(sorted(rng.sample(range(n), rng.randint(5, 6)))))
+        cover = CliqueCover(n, sorted(members))
+        members = cover.members
+        shared = {(i, j): set(members[i]) & set(members[j])
+                  for i, j in combinations(range(len(members)), 2)}
+        pairs = sorted({tuple(sorted(s)) for s in shared.values() if len(s) == 2})
+        degrees = {p: sum(1 for m in members if set(p) <= set(m)) for p in pairs}
+        violations = [(i, j, tuple(sorted(s))) for (i, j), s in shared.items()
+                      if len(s) >= 3]
+        hinges, found = hinge_table(cover)
+        assert list(hinges.items()) == list(degrees.items())
+        assert found == violations
+        assert val_D(cover) == (sum(3 * len(m) - 6 for m in members)
+                                - sum(deg - 1 for deg in degrees.values()))
+        hinged += bool(degrees)
+        for oracle in (cofactor[n], _AtMost(n, 1)):
+            ok, order = is_M_degenerate(cover, oracle)
+            if ok:
+                assert sorted(order) == list(range(len(members)))
+                assert _steps_independent(members, order, oracle)
+            else:
+                refused += 1
+                assert order is None
+                assert not any(_steps_independent(members, p, oracle)
+                               for p in permutations(range(len(members))))
+    assert hinged > 10 and refused > 0
 
 
 def test_cover_upper_bound_values():

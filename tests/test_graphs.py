@@ -71,6 +71,15 @@ def test_add_remove_and_queries():
     assert F.vertex_support() == frozenset(range(5))
 
 
+def test_neighbors_match_an_edge_scan():
+    F = double_banana()
+    for v in range(-1, F.n + 2):
+        scan = {u for e in F.edges() if v in e for u in e if u != v}
+        assert F.neighbors(v) == frozenset(scan)
+        assert F.degree(v) == len(scan)
+    assert F.neighbors(F.n) == frozenset()
+
+
 def test_reindexed_preserves_edges():
     F = EdgeSet.from_edges(5, [(0, 4), (1, 2)])
     G = F.reindexed(8)

@@ -1,5 +1,6 @@
-"""The library imports nothing outside the standard library, and its
-modules import one another without a cycle."""
+"""The library imports nothing outside the standard library, its modules
+import one another without a cycle, and every function reads the
+parameters it takes."""
 
 import ast
 import sys
@@ -46,3 +47,35 @@ def test_internal_imports_have_no_cycle():
         assert leaves, f"import cycle among {sorted(remaining)}"
         for name in leaves:
             del remaining[name]
+
+
+def _unread_parameters(path):
+    """(function, parameter) for every parameter its function never reads.
+
+    A read inside a nested function or lambda counts.  A method's receiver
+    and a parameter named ``_`` (the mark of one taken only to fit a
+    callback's signature) are not checked."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for item in cls.body if isinstance(item, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        params = params[1:] if id(node) in methods else params
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        yield from ((name, p) for p in params if p != "_" and p not in read)
+
+
+def test_every_parameter_is_read():
+    # Every suite takes the registry's rng; the elevation suite samples nothing.
+    allowed = {("verify.py", "_suite_elevation", "rng")}
+    unread = {(path.name, fn, p)
+              for path in sorted(SRC.glob("*.py"))
+              for fn, p in _unread_parameters(path)}
+    assert unread <= allowed, sorted(unread - allowed)
