@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
 
 from .cofactor import DEFAULT_SEEDS, CofactorOracle
 from .covers import (
@@ -42,7 +41,7 @@ from .errors import CapExceeded, SeedDisagreement, WitnessMismatch
 from .field import MERSENNE61
 from .graphs import EdgeSet, load_edge_file
 from .matroids import ExplicitMatroid
-from .sequences import DEFAULT_POOL_CAP, rank_certificate
+from .sequences import rank_certificate
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -105,16 +104,8 @@ def _note(message: str) -> None:
 def cmd_rank(args) -> int:
     F = _load_graph(args.graph)
     oracle = _oracle_from(args, F.n)
-    candidates = None
-    if args.pool == "all":
-        if F.n > DEFAULT_POOL_CAP:
-            if not args.force:
-                raise CapExceeded(
-                    f"ambient pool has {F.n} > {DEFAULT_POOL_CAP} vertices; "
-                    "keep --pool support, or pass --force")
-            _note(f"warning: searching all {F.n} ambient vertices (cap lifted)")
-        candidates = list(combinations(range(F.n), oracle.s + 3))
-    certificate = rank_certificate(F, oracle, candidates=candidates)
+    pool = range(F.n) if args.pool == "all" else None
+    certificate = rank_certificate(F, oracle, vertex_pool=pool, force=args.force)
     _emit(args, certificate.to_json())
     _note(f"rank {certificate.rank} certified by {len(certificate.independent_set)} "
           f"independent edges and a {len(certificate.sequence)}-clique sequence")

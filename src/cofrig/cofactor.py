@@ -47,36 +47,37 @@ class GenericConfiguration:
         return cls(n, seed, p, points)
 
 
-def cofactor_row(edge, config: GenericConfiguration, s: int) -> list[int]:
-    """Evaluated cofactor row of an edge: (s+1)-blocks per vertex."""
-    i, j = edge
-    if i > j:
-        i, j = j, i
+def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
+    """Evaluated cofactor row of an edge, as a sparse {column: entry} dict:
+    the (s+1)-block D_ij at vertex i and its negation at vertex j."""
+    i, j = sorted(edge)
     p = config.p
     xi, yi = config.points[i]
     xj, yj = config.points[j]
     dx = (xi - xj) % p
     dy = (yi - yj) % p
-    block = []
-    for t in range(s + 1):
-        block.append(pow(dx, s - t, p) * pow(dy, t, p) % p)
-    width = s + 1
-    row = [0] * (width * config.n)
-    row[width * i:width * (i + 1)] = block
-    row[width * j:width * (j + 1)] = [(-b) % p for b in block]
-    return row
+    block = [pow(dx, s - t, p) * pow(dy, t, p) % p for t in range(s + 1)]
+    return _edge_row(i, j, block, p)
 
 
-def rigidity_row(edge, config: GenericConfiguration) -> list[int]:
-    """Evaluated plane rigidity row: p_i - p_j at vertex i, p_j - p_i at j."""
-    i, j = edge
-    if i > j:
-        i, j = j, i
+def rigidity_row(edge, config: GenericConfiguration) -> dict[int, int]:
+    """Evaluated plane rigidity row, as a sparse {column: entry} dict:
+    p_i - p_j at vertex i, p_j - p_i at j."""
+    i, j = sorted(edge)
     p = config.p
     diff = [(a - b) % p for a, b in zip(config.points[i], config.points[j])]
-    row = [0] * (2 * config.n)
-    row[2 * i:2 * i + 2] = diff
-    row[2 * j:2 * j + 2] = [(-x) % p for x in diff]
+    return _edge_row(i, j, diff, p)
+
+
+def _edge_row(i: int, j: int, block: list[int], p: int) -> dict[int, int]:
+    """The nonzero entries of a row holding block at vertex i and its
+    negation at vertex j."""
+    w = len(block)
+    row = {}
+    for t, b in enumerate(block):
+        if b:
+            row[w * i + t] = b
+            row[w * j + t] = p - b
     return row
 
 
@@ -121,7 +122,7 @@ class CofactorOracle:
         self.modulus = modulus
         self.configs = tuple(
             GenericConfiguration.generate(n, seed, modulus) for seed in seeds)
-        self._row_cache: list[dict[int, tuple[int, ...]]] = [{} for _ in seeds]
+        self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
         self._table: list[int] | None = None
 
@@ -137,21 +138,29 @@ class CofactorOracle:
                 f"edge set lives in K_{F.n}, oracle in K_{self.n}"
             )
 
-    def _entries(self, edge, config: GenericConfiguration) -> list[int]:
+    def _entries(self, edge, config: GenericConfiguration) -> dict[int, int]:
         return cofactor_row(edge, config, self.s)
 
-    def _row(self, edge_bit: int, seed_idx: int) -> tuple[int, ...]:
+    def _row(self, edge_bit: int, seed_idx: int) -> dict[int, int]:
+        """The evaluated row of an edge as a sparse {column: entry} dict."""
         cache = self._row_cache[seed_idx]
         row = cache.get(edge_bit)
         if row is None:
             edge = edge_at(self.n, edge_bit)
-            row = cache[edge_bit] = tuple(
-                self._entries(edge, self.configs[seed_idx]))
+            row = cache[edge_bit] = self._entries(edge, self.configs[seed_idx])
         return row
 
     def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
+        """One seed's echelon basis of the rows of mask, in edge order.
+
+        It stops once it reaches the proven cap: no evaluation rank exceeds
+        the generic rank, so that prefix already spans every row of mask.
+        """
+        cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
         basis = EchelonBasis(self.modulus)
         for b in bits(mask):
+            if basis.rank == cap:
+                break
             basis.insert(self._row(b, seed_idx))
         return basis
 
@@ -185,27 +194,26 @@ class CofactorOracle:
     def _tagged_pass(self, elems: list[int], seed_idx: int):
         """One elimination of the rows of elems, in the given order.
 
-        Each row carries one tag column per element, holding its unit vector,
-        so a row that reduces to zero on the real columns is left with the
-        combination of earlier basis rows it equals: the support of its tag
-        part is its fundamental circuit.  Returns the basis mask and the
-        circuits of the rejected elements, in order.
+        The row of the t-th element carries its tag as the one extra key
+        width + t, a unit vector right of the real columns, so a row that
+        reduces to zero on the real columns is left with the combination of
+        earlier basis rows it equals: its keys from width on are its
+        fundamental circuit.  Returns the basis mask and the circuits of the
+        rejected elements, in order.
         """
-        zeros = (0,) * len(elems)
+        width = self.dim * self.n
         basis = EchelonBasis(self.modulus)
         base, circuits = 0, []
         for t, b in enumerate(elems):
-            row = self._row(b, seed_idx)
-            width = len(row)
-            pair = basis.reduce(row + zeros[:t] + (1,) + zeros[t + 1:])
+            pair = basis.reduce({**self._row(b, seed_idx), width + t: 1})
             if pair[0] < width:
                 insort(basis.pairs, pair)
                 base |= 1 << b
             else:
                 circuit = 0
-                for j, x in enumerate(pair[1][width:]):
-                    if x:
-                        circuit |= 1 << elems[j]
+                for j in pair[1]:
+                    if j >= width:
+                        circuit |= 1 << elems[j - width]
                 circuits.append(circuit)
         return base, circuits
 
@@ -388,5 +396,5 @@ class RigidityOracle(CofactorOracle):
             raise ValueError(f"rigidity dimension {d} not supported (only d = 2)")
         super().__init__(n, s=1, seeds=seeds, modulus=modulus)
 
-    def _entries(self, edge, config: GenericConfiguration) -> list[int]:
+    def _entries(self, edge, config: GenericConfiguration) -> dict[int, int]:
         return rigidity_row(edge, config)

@@ -5,23 +5,30 @@ overflow and no floating point.  The default modulus is the Mersenne prime
 2^61 - 1, large enough that a random evaluation of a generic matrix keeps
 full rank except with vanishing probability.
 
-An echelon basis is a pivot-sorted sequence of (pivot, row) pairs: each row
-is normalized to 1 at its pivot and is zero to the left of it.  One kernel,
-``_eliminate``, reduces a row against such a sequence; ``EchelonBasis`` keeps
-a growing list of pairs, and ``subset_rank_table`` keeps one immutable tuple
-of pairs per subset, sharing the row tuples between subsets.
+Rows are sparse: a dict from column to nonzero entry in [0, p).  A cofactor
+row has 2(s+1) nonzeros among (s+1)n columns, so elimination touches only
+the columns a row and its reducers actually use.  An echelon basis is a
+pivot-sorted sequence of (pivot, row) pairs: each row is 1 at its pivot and
+has no key left of it, and no two pivots are equal, so pairs sort by pivot
+alone.  One kernel, ``_eliminate``, reduces a row against such a sequence.
+``EchelonBasis`` keeps a growing list of pairs and turns its input rows,
+dense sequences or mappings, into the sparse form at the boundary.
+``subset_rank_table`` keeps one immutable tuple of pairs per subset, sharing
+the rows between subsets, and drops a subset's tuple as soon as the last
+subset built from it is done.
 
-A caller may append tag columns to its rows, one unit vector per element,
-and insert only the rows whose pivot falls left of the tags.  A row whose
-pivot falls inside the tags is zero on the real columns, and its tag part
-is the combination of inserted rows it equals: its support is the row's
-fundamental circuit.  The cofactor oracle answers cyc and fundamental
-circuits this way, through the same ``reduce``.
+A caller may give its rows tag columns right of the real ones, one unit
+vector per element, and insert only the rows whose pivot falls left of the
+tags.  A row whose pivot falls inside the tags is zero on the real columns,
+and its tag part is the combination of inserted rows it equals: its support
+is the row's fundamental circuit.  The cofactor oracle answers cyc and
+fundamental circuits this way, through the same ``reduce``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect, insort
+from collections.abc import Mapping
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -62,8 +69,15 @@ def matrix_rank(rows, p: int = MERSENNE61) -> int:
     """
     basis = EchelonBasis(p)
     for row in rows:
-        basis.insert(list(row))
+        basis.insert(row)
     return basis.rank
+
+
+def _sparse_row(row, p: int) -> dict[int, int]:
+    """A fresh {column: entry mod p} dict of a dense sequence or a mapping,
+    without zero entries."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    return {j: y for j, x in items if (y := x % p)}
 
 
 class EchelonBasis:
@@ -76,7 +90,7 @@ class EchelonBasis:
 
     def __init__(self, p: int = MERSENNE61):
         self.p = p
-        self.pairs: list[tuple[int, tuple[int, ...]]] = []
+        self.pairs: list[tuple[int, dict[int, int]]] = []
 
     @property
     def rank(self) -> int:
@@ -87,12 +101,12 @@ class EchelonBasis:
         out.pairs = list(self.pairs)
         return out
 
-    def reduce(self, row) -> tuple[int, tuple[int, ...]] | None:
-        """Reduce a row against the basis: its new (pivot, normalized row)
-        pair, or None if it reduces to zero.  The row does not alias the input.
+    def reduce(self, row) -> tuple[int, dict[int, int]] | None:
+        """Reduce a row, dense or a mapping, against the basis: its new
+        (pivot, sparse normalized row) pair, or None if it reduces to zero.
+        The row does not alias the input.
         """
-        p = self.p
-        return _eliminate([x % p for x in row], self.pairs, p)
+        return _eliminate(_sparse_row(row, self.p), self.pairs, self.p)
 
     def insert(self, row) -> bool:
         """Add a row to the span; True if the rank grew."""
@@ -103,49 +117,62 @@ class EchelonBasis:
         return True
 
 
-def _eliminate(row, pairs, p: int):
-    """Reduce a row with entries in [0, p) against pivot-sorted pairs.
+def _eliminate(cur: dict[int, int], pairs, p: int):
+    """Reduce a sparse row against pivot-sorted pairs.
 
-    Returns the new (pivot, normalized row) pair, or None if the row lies
-    in their span.  Each pair's row vanishes left of its pivot, so one pass
-    in pivot order clears every pivot column and the new pivot is unique.
+    The row dict is consumed.  Returns the new (pivot, normalized row) pair,
+    or None if the row lies in their span.  Each pair's row has no key left
+    of its pivot, so one pass in pivot order clears every pivot column and
+    the new pivot is unique.  Working entries are exact integers, reduced
+    mod p only where one is read as a multiplier and in the returned row;
+    a cleared pivot column is dropped from the row.
     """
-    cur = row
+    get = cur.get
     for piv, brow in pairs:
-        c = cur[piv]
-        if c:
-            cur = [(a - c * b) % p for a, b in zip(cur, brow)]
-    for j, x in enumerate(cur):
-        if x:
-            inv = pow(x, -1, p)
-            return j, tuple(a * inv % p for a in cur)
-    return None
+        c = get(piv)
+        if c is not None:
+            c %= p
+            if c:
+                for j, b in brow.items():
+                    cur[j] = get(j, 0) - c * b
+            del cur[piv]
+    support = [j for j, x in cur.items() if x % p]
+    if not support:
+        return None
+    lead = min(support)
+    inv = pow(cur[lead], -1, p)
+    return lead, {j: y for j, x in cur.items() if (y := x * inv % p)}
 
 
 def subset_rank_table(rows, p: int = MERSENNE61) -> list[int]:
     """Rank of every subset of the given rows, indexed by bitmask.
 
-    Subsets are processed in increasing numeric order, so each mask X reuses
-    the pairs of X minus its lowest bit; masks keep immutable tuples of pairs
-    that share row tuples, which keeps the table affordable up to 16 rows.
+    Subsets are processed in increasing numeric order, so each mask x reuses
+    the pairs of its parent y, x minus its lowest bit.  A mask's pairs are
+    kept only while a child still needs them: an odd mask has no child, and
+    the last child of y is y + 2^(lowbit(y) - 1), after which y's pairs are
+    dropped.  The live tuples share their rows, which keeps the table
+    affordable up to 16 rows.
     """
     m = len(rows)
     if m > 16:
         raise ValueError(f"subset table over {m} rows is too large")
-    rows = [tuple(x % p for x in r) for r in rows]
+    rows = [_sparse_row(r, p) for r in rows]
     size = 1 << m
     rank = [0] * size
-    basis: list[tuple] = [()] * size
+    basis: dict[int, tuple] = {0: ()}
     for x in range(1, size):
         low = (x & -x).bit_length() - 1
         y = x & (x - 1)
-        b = basis[y]
-        pair = _eliminate(rows[low], b, p)
+        # x is y's last child exactly when y's lowest bit sits just above low
+        b = basis.pop(y) if y >> low + 1 & 1 else basis[y]
+        pair = _eliminate(dict(rows[low]), b, p)
         if pair is None:
-            basis[x] = b
             rank[x] = rank[y]
         else:
             at = bisect(b, pair)
-            basis[x] = b[:at] + (pair,) + b[at:]
+            b = b[:at] + (pair,) + b[at:]
             rank[x] = rank[y] + 1
+        if not x & 1:
+            basis[x] = b
     return rank

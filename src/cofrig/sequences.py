@@ -163,12 +163,8 @@ def min_sequence_value(
     size = d + 2
     per_clique = size * (size - 1) // 2
     if candidates is not None:
-        cliques = sorted({tuple(sorted(c)) for c in candidates})
-        for c in cliques:
-            if len(c) != size or len(set(c)) != size:
-                raise ValueError(f"candidate {c} must have {size} distinct vertices")
-            if c[0] < 0 or c[-1] >= n:
-                raise ValueError(f"candidate {c} does not fit inside K_{n}")
+        # the sequence member rule validates and normalizes every candidate
+        cliques = sorted(set(CircuitSequence(n, tuple(candidates), d).members))
     else:
         pool = sorted(vertex_pool) if vertex_pool is not None else sorted(F.vertex_support())
         if pool and (pool[0] < 0 or pool[-1] >= n):
@@ -176,7 +172,8 @@ def min_sequence_value(
         if len(pool) > cap_n and not force:
             raise CapExceeded(
                 f"vertex pool has {len(pool)} > {cap_n} vertices; "
-                "pass force=True, a smaller pool, or explicit candidates"
+                "lift the cap with force (--force on the command line), "
+                "or search a smaller pool or explicit candidates"
             )
         cliques = list(combinations(pool, size))
 
@@ -264,13 +261,16 @@ class RankCertificate:
         return json.dumps(payload, indent=2)
 
 
-def rank_certificate(F: EdgeSet, oracle, *, candidates=None) -> RankCertificate:
+def rank_certificate(F: EdgeSet, oracle, *, vertex_pool=None,
+                     force: bool = False) -> RankCertificate:
     """Certify oracle rank(F) with a maximum independent set and a sequence.
 
     Candidates default to the cliques lying inside closure(F): a minimizing
     sequence always fits there, because at equality the clique union is
-    forced into the closure and everything it misses is a coloop.  The same
-    two tightness conditions are re-checked on the winning sequence; any
+    forced into the closure and everything it misses is a coloop.  Given a
+    ``vertex_pool``, the search runs over all its cliques instead, under the
+    pool cap of ``min_sequence_value`` that ``force`` lifts.  The same two
+    tightness conditions are re-checked on the winning sequence; any
     disagreement raises WitnessMismatch with a diagnostic payload, since it
     would mean a bug rather than new mathematics.
     """
@@ -278,7 +278,8 @@ def rank_certificate(F: EdgeSet, oracle, *, candidates=None) -> RankCertificate:
     rank = oracle.rank(F)
     lower = oracle.basis_of(F)
     closure = oracle.closure(F)
-    if candidates is None:
+    candidates = None
+    if vertex_pool is None:
         verts = sorted(closure.vertex_support())
         cmask = closure.mask
         candidates = [
@@ -286,7 +287,8 @@ def rank_certificate(F: EdgeSet, oracle, *, candidates=None) -> RankCertificate:
             for c in combinations(verts, d + 2)
             if not clique_mask(F.n, c) & ~cmask
         ]
-    value, seq = min_sequence_value(F, d=d, candidates=candidates, stop_at=rank)
+    value, seq = min_sequence_value(F, vertex_pool, d=d, force=force,
+                                    candidates=candidates, stop_at=rank)
 
     def bail(message: str, **extra):
         raise WitnessMismatch(

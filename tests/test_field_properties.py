@@ -1,0 +1,84 @@
+"""Property tests: the sparse echelon kernel against a dense Gaussian
+elimination written here, on small matrices with zero and repeated rows."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cofrig.field import MERSENNE61, EchelonBasis, subset_rank_table  # noqa: E402
+
+# Fixed examples and no example database: the same cases on every run.
+CASES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def dense_rank(rows, p):
+    """Rank by textbook row reduction of a dense copy."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != rank and c:
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def matrices(draw, max_rows):
+    """(p, rows): up to max_rows rows drawn from a few distinct ones and the
+    zero row, so repeats and zero rows are common; a small p makes chance
+    dependences common too."""
+    p = draw(st.sampled_from([2, 13, MERSENNE61]))
+    width = draw(st.integers(1, 7))
+    entry = st.integers(-p, 2 * p)
+    pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    pool.append([0] * width)
+    rows = draw(st.lists(st.sampled_from(pool), max_size=max_rows))
+    return p, rows
+
+
+def check_pairs(basis):
+    """Each stored pair is 1 at its pivot, has no key left of it and no zero
+    entry, and the pivots strictly increase."""
+    pivots = [piv for piv, _ in basis.pairs]
+    assert pivots == sorted(set(pivots))
+    for piv, row in basis.pairs:
+        assert row[piv] == 1
+        assert min(row) == piv
+        assert all(0 < x < basis.p for x in row.values())
+
+
+@CASES
+@given(matrices(max_rows=12), st.booleans())
+def test_echelon_ranks_match_dense_elimination(case, as_mapping):
+    p, rows = case
+    basis = EchelonBasis(p)
+    for i, row in enumerate(rows, 1):
+        grew = basis.insert(dict(enumerate(row)) if as_mapping else row)
+        assert grew == (dense_rank(rows[:i], p) > dense_rank(rows[:i - 1], p))
+        assert basis.rank == dense_rank(rows[:i], p)
+        check_pairs(basis)
+    for row in rows:
+        assert basis.reduce(row) is None
+
+
+@settings(CASES, max_examples=25)
+@given(matrices(max_rows=10))
+def test_subset_rank_table_matches_dense_elimination(case):
+    p, rows = case
+    table = subset_rank_table(rows, p)
+    assert len(table) == 1 << len(rows)
+    for mask, got in enumerate(table):
+        chosen = [r for i, r in enumerate(rows) if mask >> i & 1]
+        assert got == dense_rank(chosen, p)

@@ -73,6 +73,28 @@ def test_double_banana_with_explicit_candidates():
     assert set(seq.members) == set(bananas)
 
 
+def test_candidates_follow_the_member_rule():
+    F = double_banana()
+    with pytest.raises(ValueError, match="must have 5 distinct vertices"):
+        min_sequence_value(F, candidates=[(0, 1, 2, 3, 4), (0, 1, 2, 3)])
+    with pytest.raises(ValueError, match="does not fit inside K_8"):
+        min_sequence_value(F, candidates=[(0, 1, 2, 3, 8)])
+    # repeats and vertex order collapse onto one sorted candidate each
+    value, seq = min_sequence_value(
+        F, candidates=[(4, 3, 2, 1, 0), (0, 1, 2, 3, 4), (7, 6, 5, 1, 0)])
+    assert value == 17
+    assert sorted(seq.members) == [(0, 1, 2, 3, 4), (0, 1, 5, 6, 7)]
+
+
+def test_rank_certificate_vertex_pool():
+    oracle = CofactorOracle(10)
+    with pytest.raises(CapExceeded):
+        rank_certificate(complete_graph(10), oracle, vertex_pool=range(10))
+    F = double_banana().reindexed(10)
+    pooled = rank_certificate(F, oracle, vertex_pool=range(8))
+    assert pooled.rank == rank_certificate(F, oracle).rank == 17
+
+
 def test_pool_cap():
     F = complete_graph(10)
     with pytest.raises(CapExceeded):
