@@ -28,7 +28,6 @@ import sys
 
 from .cofactor import DEFAULT_SEEDS, CofactorOracle
 from .covers import (
-    SEARCH_CAP,
     dress_rank,
     find_shellable_order,
     hinge_table,
@@ -211,9 +210,8 @@ def cmd_covers(args) -> int:
         raise ValueError("cover analysis is specific to s = 2 (clique size 5)")
     cover, f0 = maximal_cliques(F)
     hinges, violations = hinge_table(cover)
-    cap = len(cover.members) if args.force else SEARCH_CAP
-    shelling = find_shellable_order(cover, cap=cap)
-    degenerate, degenerate_order = is_M_degenerate(cover, oracle, cap=cap)
+    shelling = find_shellable_order(cover)
+    degenerate, degenerate_order = is_M_degenerate(cover, oracle)
     covers_input = cover.covers(F)
     upper = val_D(cover) if degenerate and covers_input and not violations else None
     payload = {
@@ -260,10 +258,9 @@ def cmd_verify(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-def _add_flags(p: argparse.ArgumentParser, *, oracle: bool = False,
-               force: bool = False) -> None:
-    """--out on every command; the oracle flags and --force only on the
-    commands that read them, so anywhere else they are input errors."""
+def _add_flags(p: argparse.ArgumentParser, *, oracle: bool = False) -> None:
+    """--out on every command; the oracle flags only on the commands that
+    read them, so anywhere else they are input errors."""
     if oracle:
         p.add_argument("--s", type=int, default=None,
                        help="cofactor smoothness degree (default 2)")
@@ -275,9 +272,6 @@ def _add_flags(p: argparse.ArgumentParser, *, oracle: bool = False,
                        help="comma-separated evaluation seeds (default 101,202,303)")
     p.add_argument("--out", default=None,
                    help="also write the JSON result to this file")
-    if force:
-        p.add_argument("--force", action="store_true",
-                       help="lift search caps (may be very slow)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -292,19 +286,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", choices=("support", "all"), default="support",
                    help="candidate cliques: inside the closure (support) or "
                         "all ambient vertices (all)")
-    _add_flags(p, oracle=True, force=True)
+    p.add_argument("--force", action="store_true",
+                   help="lift the vertex-pool cap of --pool all (may be very slow)")
+    _add_flags(p, oracle=True)
     p.set_defaults(func=cmd_rank)
 
-    for name, func, help_text, force in (
-        ("independent", cmd_independent, "test independence of an edge list", False),
-        ("rigid", cmd_rigid, "test whether an edge list spans its matroid", False),
-        ("closure", cmd_closure, "closure of an edge list", False),
-        ("dress", cmd_dress, "maximal-clique rank formula on the closure", False),
-        ("covers", cmd_covers, "clique-cover analysis of an edge list", True),
+    for name, func, help_text in (
+        ("independent", cmd_independent, "test independence of an edge list"),
+        ("rigid", cmd_rigid, "test whether an edge list spans its matroid"),
+        ("closure", cmd_closure, "closure of an edge list"),
+        ("dress", cmd_dress, "maximal-clique rank formula on the closure"),
+        ("covers", cmd_covers, "clique-cover analysis of an edge list"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="edge-list file")
-        _add_flags(p, oracle=True, force=force)
+        _add_flags(p, oracle=True)
         p.set_defaults(func=func)
 
     p = sub.add_parser("elevate", help="free elevation chain of a matroid file")

@@ -386,14 +386,10 @@ class CofactorOracle:
 class RigidityOracle(CofactorOracle):
     """Same oracle machinery over the rows of plane bar frameworks.
 
-    Used only to cross-check the cofactor construction at s = 1; d = 2 is
-    the only dimension it takes.
+    Used only to cross-check the cofactor construction at s = 1.
     """
 
-    def __init__(self, n: int, d: int = 2, seeds=DEFAULT_SEEDS,
-                 modulus: int = MERSENNE61):
-        if d != 2:
-            raise ValueError(f"rigidity dimension {d} not supported (only d = 2)")
+    def __init__(self, n: int, seeds=DEFAULT_SEEDS, modulus: int = MERSENNE61):
         super().__init__(n, s=1, seeds=seeds, modulus=modulus)
 
     def _entries(self, edge, config: GenericConfiguration) -> dict[int, int]:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
-from .graphs import CliqueFamily, EdgeSet, order_search
+from .errors import AmbientMismatch, WitnessMismatch
+from .graphs import CliqueFamily, EdgeSet, peel_order, union_of
 
 __all__ = [
     "CliqueCover",
@@ -32,8 +32,6 @@ __all__ = [
     "cover_upper_bound",
     "dress_rank",
 ]
-
-SEARCH_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -118,61 +116,37 @@ def val_D(cover: CliqueCover) -> int:
     return total - sum(deg - 1 for deg in cover.hinges.values())
 
 
-def find_shellable_order(
-    cover: CliqueCover, cap: int = SEARCH_CAP
-) -> tuple[int, ...] | None:
+def find_shellable_order(cover: CliqueCover) -> tuple[int, ...] | None:
     """An order with every member meeting its predecessors' union in ≤ 4
-    vertices, or None once backtracking has exhausted all orders.
+    vertices, or None if there is none.
 
-    Greedy (smallest overlap first) with full backtracking behind it, so a
-    None answer is a certificate of absence.
+    The overlap only shrinks with fewer predecessors, so ``peel_order``
+    decides this exactly.
     """
-    sets = [set(m) for m in cover.members]
-
-    def moves(used: int, union: set[int]):
-        ranked = sorted(
-            (len(s & union), i) for i, s in enumerate(sets) if not used >> i & 1
-        )
-        for overlap, i in ranked:
-            if used and overlap > 4:
-                return
-            yield i, union | sets[i]
-
-    return _capped_search(cover, cap, moves, set())
+    sets = [sum(1 << v for v in m) for m in cover.members]
+    return peel_order(len(sets), lambda i, before:
+                      (sets[i] & union_of(sets, before)).bit_count() <= 4)
 
 
-def _capped_search(cover: CliqueCover, cap: int, moves, start):
-    """order_search over the members, refusing covers of more than cap."""
-    count = len(cover.members)
-    if count > cap:
-        raise CapExceeded(f"cover has {count} > {cap} members")
-    return order_search(count, moves, start)
-
-
-def is_M_degenerate(
-    cover: CliqueCover, oracle, cap: int = SEARCH_CAP
-) -> tuple[bool, tuple[int, ...] | None]:
-    """First-fit search for an order keeping every step's applicable hinge
-    edges independent in the oracle's matroid.
+def is_M_degenerate(cover: CliqueCover, oracle) -> tuple[bool, tuple[int, ...] | None]:
+    """An order keeping every step's applicable hinge edges independent in
+    the oracle's matroid.
 
     When member i joins the placed members, the applicable hinges are those
     that are the exact intersection of two members of the grown prefix and
-    lie inside member i.
+    lie inside member i.  Fewer predecessors leave a subset of those hinges,
+    which stays independent, so ``peel_order`` decides this exactly.
     """
     if cover.n != oracle.n:
         raise AmbientMismatch(f"cover in K_{cover.n} vs oracle on K_{oracle.n}")
 
-    def moves(used: int, _):
-        for i in range(len(cover.members)):
-            if used >> i & 1:
-                continue
-            prefix, inside = used | 1 << i, set(cover.members[i])
-            hinges = [h for (a, b), h in cover.meets.items() if len(h) == 2
-                      and prefix >> a & prefix >> b & 1 and inside.issuperset(h)]
-            if oracle.independent(EdgeSet.from_edges(cover.n, hinges)):
-                yield i, None
+    def fits(i: int, before: int) -> bool:
+        prefix, inside = before | 1 << i, set(cover.members[i])
+        hinges = [h for (a, b), h in cover.meets.items() if len(h) == 2
+                  and prefix >> a & prefix >> b & 1 and inside.issuperset(h)]
+        return oracle.independent(EdgeSet.from_edges(cover.n, hinges))
 
-    order = _capped_search(cover, cap, moves, None)
+    order = peel_order(len(cover.members), fits)
     return order is not None, order
 
 

@@ -67,33 +67,42 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def order_search(count: int, moves, start) -> tuple[int, ...] | None:
-    """An order of 0..count-1 built one step at a time, or None if none exists.
+def union_of(masks, chosen: int) -> int:
+    """Bitwise union of ``masks[j]`` over the set bits j of ``chosen``."""
+    union = 0
+    for j in bits(chosen):
+        union |= masks[j]
+    return union
 
-    ``moves(used, state)`` yields ``(i, next_state)`` for the unused indices
-    allowed next, in the caller's preferred order; ``state`` must be a
-    function of the bitmask ``used`` alone (``start`` for the empty prefix).
-    Depth-first with full backtracking and a memo of failed ``used`` sets,
-    so None is a certificate that no order exists.
+
+def peel_order(count: int, fits) -> tuple[int, ...] | None:
+    """An order of 0..count-1 in which every index fits after its
+    predecessors, or None if there is none.
+
+    ``fits(i, before)`` says whether index i may follow the indices in the
+    bitmask ``before``, and must be hereditary: if it holds for ``before``,
+    it holds for every submask of ``before``.  Then restricting an order to
+    a subfamily keeps each index's predecessors a submask, so every
+    subfamily of an orderable family is orderable; and if index i fits
+    after all the others, an order of the others followed by i is an order
+    of the whole.  So peeling off, last to first, any index that fits after
+    the rest never has to backtrack, and an empty choice proves that no
+    order exists (smallest-last, as in degeneracy orderings).
+
+    The highest fitting index is peeled first, so a family already in a
+    valid order keeps its index order.
     """
-    full = (1 << count) - 1
-    failed: set[int] = set()
-    order: list[int] = []
-
-    def walk(used: int, state) -> bool:
-        if used == full:
-            return True
-        if used in failed:
-            return False
-        for i, nxt in moves(used, state):
-            order.append(i)
-            if walk(used | 1 << i, nxt):
-                return True
-            order.pop()
-        failed.add(used)
-        return False
-
-    return tuple(order) if walk(0, start) else None
+    rest = (1 << count) - 1
+    peeled: list[int] = []
+    while rest:
+        for i in range(rest.bit_length() - 1, -1, -1):
+            if rest >> i & 1 and fits(i, rest ^ 1 << i):
+                break
+        else:
+            return None
+        peeled.append(i)
+        rest ^= 1 << i
+    return tuple(reversed(peeled))
 
 
 @dataclass(frozen=True)

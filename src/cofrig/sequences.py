@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
-from .graphs import CliqueFamily, EdgeSet, clique_mask, complete_edges, order_search
+from .graphs import (
+    CliqueFamily, EdgeSet, clique_mask, complete_edges, peel_order, union_of)
 
 __all__ = [
     "CircuitSequence",
@@ -103,24 +104,17 @@ def covering_sequence(n: int, d: int = 3) -> CircuitSequence:
 def _proper_order_masks(masks: list[int]) -> tuple[int, ...] | None:
     """Reorder edge masks so each adds a new edge; None if impossible.
 
-    Greedy first (take the first clique that extends the union), with full
-    backtracking and a failed-state memo behind it.  Any subset of an
-    orderable family is orderable, so callers may prune supersets of a
-    failure.
+    A clique adding a new edge after some cliques adds it after any subset
+    of them, so ``peel_order`` decides this exactly, and any subset of an
+    orderable family is orderable: callers may prune supersets of a failure.
     """
-
-    def moves(used: int, union: int):
-        for i, mask in enumerate(masks):
-            if not used >> i & 1 and mask & ~union:
-                yield i, union | mask
-
-    return order_search(len(masks), moves, 0)
+    return peel_order(len(masks), lambda i, before:
+                      masks[i] & ~union_of(masks, before))
 
 
 def proper_order(n: int, cliques) -> tuple[int, ...] | None:
     """Indices ordering the given cliques into a proper sequence, or None."""
-    masks = [clique_mask(n, tuple(sorted(c))) for c in cliques]
-    return _proper_order_masks(masks)
+    return _proper_order_masks([clique_mask(n, tuple(sorted(c))) for c in cliques])
 
 
 class _SearchDone(Exception):
@@ -132,7 +126,6 @@ def min_sequence_value(
     vertex_pool=None,
     *,
     d: int = 3,
-    cap_n: int = DEFAULT_POOL_CAP,
     force: bool = False,
     candidates=None,
     stop_at: int | None = None,
@@ -144,7 +137,8 @@ def min_sequence_value(
     among minimizers break toward fewer cliques, then the lexicographically
     smallest clique set.  Candidates default to all (d+2)-subsets of the
     vertex pool, which itself defaults to the support of F; pools larger
-    than ``cap_n`` vertices raise CapExceeded unless ``force`` is set.
+    than ``DEFAULT_POOL_CAP`` vertices raise CapExceeded unless ``force`` is
+    set.
 
     ``stop_at`` is for callers who already hold a trusted lower bound on
     every sequence value (every proper sequence values F at or above the
@@ -169,9 +163,9 @@ def min_sequence_value(
         pool = sorted(vertex_pool) if vertex_pool is not None else sorted(F.vertex_support())
         if pool and (pool[0] < 0 or pool[-1] >= n):
             raise ValueError(f"vertex pool {pool} does not fit inside K_{n}")
-        if len(pool) > cap_n and not force:
+        if len(pool) > DEFAULT_POOL_CAP and not force:
             raise CapExceeded(
-                f"vertex pool has {len(pool)} > {cap_n} vertices; "
+                f"vertex pool has {len(pool)} > {DEFAULT_POOL_CAP} vertices; "
                 "lift the cap with force (--force on the command line), "
                 "or search a smaller pool or explicit candidates"
             )
@@ -187,31 +181,26 @@ def min_sequence_value(
 
     # Best = (value, clique count, sorted clique tuple); empty sequence seeds it.
     best = [len(F), 0, ()]
-    best_members: list[tuple[int, ...]] = []
+    best_chosen: list[int] = []
     if stop_at is not None and best[0] <= stop_at:
         return best[0], CircuitSequence(n, (), d)
 
-    def settle(chosen: list[int], start: int, union: int, witness: tuple[int, ...]):
+    def settle(chosen: list[int], start: int, union: int):
         here = (fmask | union).bit_count() - len(chosen)
         if (here, len(chosen)) <= (best[0], best[1]):
             entry = [here, len(chosen), tuple(sorted(cliques[i] for i in chosen))]
             if entry < best:
                 best[:] = entry
-                best_members[:] = [cliques[i] for i in witness]
+                best_chosen[:] = chosen
                 if stop_at is not None and best[0] <= stop_at:
                     raise _SearchDone
         for i in range(start, count):
             child_union = union | masks[i]
-            if masks[i] & ~union:
-                child_witness = witness + (i,)
-            else:
-                # The new clique is swallowed by the current union; only a
-                # full reordering of the whole subset can salvage properness.
-                reordered = _proper_order_masks([masks[j] for j in chosen] + [masks[i]])
-                if reordered is None:
-                    continue
-                picked = chosen + [i]
-                child_witness = tuple(picked[j] for j in reordered)
+            # A clique swallowed by the current union needs the whole subset
+            # reordered; if no order is proper, no superset's is either.
+            if not masks[i] & ~union and _proper_order_masks(
+                    [masks[j] for j in chosen] + [masks[i]]) is None:
+                continue
             k1 = len(chosen) + 1
             child_w = (fmask | child_union).bit_count()
             # Any deeper family must keep adding fresh edges, so its size is
@@ -221,13 +210,14 @@ def min_sequence_value(
             floor = child_w - k1 - qmax
             if floor > best[0] or (floor == best[0] and k1 > best[1]):
                 continue
-            settle(chosen + [i], i + 1, child_union, child_witness)
+            settle(chosen + [i], i + 1, child_union)
 
     try:
-        settle([], 0, 0, ())
+        settle([], 0, 0)
     except _SearchDone:
         pass
-    witness = CircuitSequence(n, tuple(best_members), d)
+    order = _proper_order_masks([masks[i] for i in best_chosen])
+    witness = CircuitSequence(n, tuple(cliques[best_chosen[j]] for j in order), d)
     return best[0], witness
 
 
@@ -272,23 +262,25 @@ def rank_certificate(F: EdgeSet, oracle, *, vertex_pool=None,
     pool cap of ``min_sequence_value`` that ``force`` lifts.  The same two
     tightness conditions are re-checked on the winning sequence; any
     disagreement raises WitnessMismatch with a diagnostic payload, since it
-    would mean a bug rather than new mathematics.
+    would mean a bug rather than new mathematics.  The search runs before
+    any oracle work it does not need, so a pool over the cap fails fast.
     """
     d = oracle.s + 1
     rank = oracle.rank(F)
-    lower = oracle.basis_of(F)
-    closure = oracle.closure(F)
-    candidates = None
+    closure = candidates = None
     if vertex_pool is None:
-        verts = sorted(closure.vertex_support())
+        closure = oracle.closure(F)
         cmask = closure.mask
         candidates = [
             c
-            for c in combinations(verts, d + 2)
+            for c in combinations(sorted(closure.vertex_support()), d + 2)
             if not clique_mask(F.n, c) & ~cmask
         ]
     value, seq = min_sequence_value(F, vertex_pool, d=d, force=force,
                                     candidates=candidates, stop_at=rank)
+    lower = oracle.basis_of(F)
+    if closure is None:
+        closure = oracle.closure(F)
 
     def bail(message: str, **extra):
         raise WitnessMismatch(

@@ -250,7 +250,7 @@ def test_criterion_10_low_degree_oracles_match_classics():
     compared = 0
     for n in (4, 5, 6, 7):
         cof = CofactorOracle(n, s=1)
-        rig = RigidityOracle(n, d=2)
+        rig = RigidityOracle(n)
         for _ in range(50):
             F = EdgeSet(n, rng.getrandbits(n * (n - 1) // 2))
             assert cof.rank(F) == rig.rank(F), F

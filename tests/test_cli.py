@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cofrig.cli import main
-from cofrig.graphs import format_edge_text, complete_graph, double_banana
+from cofrig.graphs import EdgeSet, format_edge_text, complete_graph, double_banana
 from cofrig.matroids import clique_truncation_matroid
 
 
@@ -18,6 +18,17 @@ def k5_file(tmp_path):
 def banana_file(tmp_path):
     path = tmp_path / "banana.txt"
     path.write_text(format_edge_text(double_banana()))
+    return str(path)
+
+
+@pytest.fixture
+def k5_chain_file(tmp_path):
+    # 14 K5s, each sharing one edge with the next: n = 5 + 13 * 3 = 44
+    chain = EdgeSet.empty(44)
+    for k in range(14):
+        chain |= EdgeSet.complete(44, range(3 * k, 3 * k + 5))
+    path = tmp_path / "k5chain.txt"
+    path.write_text(format_edge_text(chain))
     return str(path)
 
 
@@ -161,6 +172,18 @@ def test_covers(capsys, tmp_path):
     assert payload["upper_bound"] == 17
 
 
+@pytest.mark.parametrize("command", ["dress", "covers"])
+def test_covers_of_more_than_twelve_members(capsys, k5_chain_file, command):
+    code, out, _ = _run(capsys, [command, k5_chain_file])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rank"] == 113 == 14 * 9 - 13
+    assert len(payload["members"]) == 14
+    assert payload["val_d"] == 113
+    if command == "covers":
+        assert payload["upper_bound"] == 113
+
+
 def test_covers_without_cliques(capsys, banana_file):
     # the open banana has no 5-cliques, so no cover-based bound applies
     code, out, _ = _run(capsys, ["covers", banana_file])
@@ -225,6 +248,7 @@ def test_bad_seed_list(capsys, k5_file):
     ["verify", "connectivity", "--dim", "2"],
     ["verify", "connectivity", "--force"],
     ["closure", "--force", "GRAPH"],
+    ["covers", "--force", "GRAPH"],
 ])
 def test_flags_a_command_ignores_are_input_errors(capsys, k5_file, argv):
     argv = [k5_file if a == "GRAPH" else a for a in argv]

@@ -206,16 +206,10 @@ def test_degree_one_matches_sparsity_rank():
 def test_degree_one_matches_rigidity_rows():
     rng = random.Random(17)
     cof = CofactorOracle(6, s=1)
-    rig = RigidityOracle(6, d=2)
+    rig = RigidityOracle(6)
     for _ in range(60):
         F = EdgeSet(6, rng.getrandbits(15))
         assert cof.rank(F) == rig.rank(F)
-
-
-@pytest.mark.parametrize("d", [1, 3])
-def test_rigidity_oracle_takes_only_the_plane(d):
-    with pytest.raises(ValueError, match="dimension"):
-        RigidityOracle(6, d=d)
 
 
 def test_rank_table_matches_pointwise(oracle6, table6):

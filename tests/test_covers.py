@@ -71,6 +71,37 @@ def test_shellable_order_banana():
     assert order is not None and set(order) == {0, 1}
 
 
+def _shells(members, order) -> bool:
+    """Each member meets the union of the members before it in ≤ 4 vertices."""
+    seen = set()
+    for i in order:
+        if len(seen & set(members[i])) > 4:
+            return False
+        seen |= set(members[i])
+    return True
+
+
+def test_shellable_orders_match_every_permutation():
+    rng = random.Random(30)
+    found = refused = 0
+    for _ in range(300):
+        want = rng.randint(1, 5)
+        members = set()
+        while len(members) < want:
+            members.add(tuple(sorted(rng.sample(range(8), rng.randint(5, 6)))))
+        cover = CliqueCover(8, sorted(members))
+        shells = [p for p in permutations(range(want)) if _shells(cover.members, p)]
+        order = find_shellable_order(cover)
+        if order is None:
+            refused += 1
+            assert not shells
+        else:
+            found += 1
+            assert sorted(order) == list(range(want))
+            assert _shells(cover.members, order)
+    assert found > 50 and refused > 50
+
+
 def test_six_cliques_of_k6_are_not_4_shellable():
     members = tuple(
         tuple(v for v in range(6) if v != skip) for skip in range(6)

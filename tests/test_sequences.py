@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -95,15 +96,27 @@ def test_rank_certificate_vertex_pool():
     assert pooled.rank == rank_certificate(F, oracle).rank == 17
 
 
+def test_rank_certificate_checks_the_pool_cap_before_the_oracle(monkeypatch):
+    oracle = CofactorOracle(10)
+
+    def refuse(F):
+        raise AssertionError("oracle work before the pool cap was checked")
+
+    monkeypatch.setattr(oracle, "basis_of", refuse)
+    monkeypatch.setattr(oracle, "closure", refuse)
+    with pytest.raises(CapExceeded):
+        rank_certificate(complete_graph(10), oracle, vertex_pool=range(10))
+
+
 def test_pool_cap():
     F = complete_graph(10)
     with pytest.raises(CapExceeded):
         min_sequence_value(F, vertex_pool=range(10))
-    # force lifts the cap; a tiny pool keeps the forced search fast
-    value, _ = min_sequence_value(
-        complete_graph(5), vertex_pool=range(5), cap_n=4, force=True
+    # force lifts the cap; an empty F meets stop_at before any search
+    value, seq = min_sequence_value(
+        EdgeSet.empty(10), vertex_pool=range(10), force=True, stop_at=0
     )
-    assert value == 9
+    assert value == 0 and len(seq) == 0
 
 
 def test_values_dominate_ranks(table6):
@@ -131,6 +144,24 @@ def test_stop_at_matches_blind_search(table6):
 def test_proper_order_reorders_or_reports():
     assert proper_order(6, [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5)]) is not None
     assert proper_order(6, [(0, 1, 2, 3, 4), (0, 1, 2, 3, 4)]) is None
+
+
+def test_proper_order_matches_every_permutation():
+    rng = random.Random(33)
+    found = refused = 0
+    for _ in range(300):
+        cliques = [tuple(sorted(rng.sample(range(6), 5)))
+                   for _ in range(rng.randint(1, 5))]
+        proper = {p for p in permutations(range(len(cliques)))
+                  if CircuitSequence(6, tuple(cliques[i] for i in p)).is_proper}
+        order = proper_order(6, cliques)
+        if order is None:
+            refused += 1
+            assert not proper
+        else:
+            found += 1
+            assert order in proper
+    assert found > 50 and refused > 50
 
 
 def test_rank_certificate_payload():
