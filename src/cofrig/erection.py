@@ -9,27 +9,30 @@ and when the family contains every non-spanning cyclic flat, N is an erection
 of M.  The smallest such family containing the non-spanning cyclic flats
 yields the free erection; iterating until the erection is trivial yields the
 free elevation.
+
+Families are closed downwards as bitsets of subsets (see matroids.py).  The
+lift needs no cyc_M table: a down-closed family holding the non-spanning
+cyclic flats holds every non-spanning cyclic set (each lies in its closure),
+and a set containing a spanning cyclic set is itself cyclic, so cyc_M(X) is
+outside the family exactly when X is a cyclic set outside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
-from .matroids import ExplicitMatroid, verify_rank_axioms
+from .matroids import (
+    ExplicitMatroid,
+    down_closure,
+    members,
+    subset_flags,
+    verify_rank_axioms,
+)
 
 
-def _down_close(new_members, cyclic_list, down: set[int]) -> list[int]:
-    """Cyclic sets below a new member that are not yet in `down` (which is
-    updated in place)."""
-    added = []
-    for u in new_members:
-        if u in down:
-            continue
-        for z in cyclic_list:
-            if z not in down and z & u == z:
-                down.add(z)
-                added.append(z)
-    return added
+def _bitset(masks) -> int:
+    return sum(1 << x for x in set(masks))
 
 
 def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
@@ -41,47 +44,34 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
     the closure is the family of all cyclic sets and we return it at once;
     any other result is checked to be modular cyclic before it is returned.
     """
-    cyclic_list = M.cyclic_sets()
-    cyclic_set = set(cyclic_list)
-    for x in seed_family:
-        if x not in cyclic_set:
+    cyclic, seeds = M.cyclic_bits, set(seed_family)
+    for x in seeds:
+        if not cyclic >> x & 1:
             raise ValueError(f"seed member {x:#x} is not cyclic")
-    everything = frozenset(cyclic_list)
     top = M.cyc(M.full_mask)
 
-    down: set[int] = {0}
-    down_list = [0]
-    fresh = _down_close(sorted(seed_family, key=lambda z: -z.bit_count()),
-                        cyclic_list, down)
-    if top in down:
-        return everything
-    down_list.extend(sorted(fresh, key=lambda z: -z.bit_count()))
-    new_from = 1 if fresh else len(down_list)
-
-    while new_from < len(down_list):
-        unions = set()
-        total = len(down_list)
-        for i in range(new_from, total):
+    down, down_list, unions = 0, [], seeds | {0}
+    while unions:
+        fresh = down_closure(_bitset(unions), M.m) & cyclic & ~down
+        down |= fresh
+        if down >> top & 1:
+            return frozenset(members(cyclic))
+        new_from = len(down_list)
+        down_list.extend(sorted(members(fresh), key=lambda z: -z.bit_count()))
+        known, unions = set(down_list), set()
+        for i in range(new_from, len(down_list)):
             x = down_list[i]
             for j in range(i + 1):
                 y = down_list[j]
                 u = x | y
-                if u == x or u == y or u in down or u in unions:
+                if u == x or u == y or u in known or u in unions:
                     continue
                 if M.is_modular_pair(x, y):
                     if u == top:
-                        return everything
+                        return frozenset(members(cyclic))
                     unions.add(u)
-        if not unions:
-            break
-        fresh = _down_close(sorted(unions, key=lambda z: -z.bit_count()),
-                            cyclic_list, down)
-        if top in down:
-            return everything
-        new_from = len(down_list)
-        down_list.extend(sorted(fresh, key=lambda z: -z.bit_count()))
 
-    family = frozenset(down)
+    family = frozenset(down_list)
     problem = family_violation(M, family)
     if problem:
         raise AssertionError(f"closure is not modular cyclic: {problem}")
@@ -90,22 +80,21 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
 
 def family_violation(M: ExplicitMatroid, family) -> str | None:
     """None if the family is modular cyclic, else a short description."""
-    fam = set(family)
-    cyclic_list = M.cyclic_sets()
-    if not fam <= set(cyclic_list):
+    family = set(family)
+    fam, cyclic = _bitset(family), M.cyclic_bits
+    if fam & ~cyclic:
         return "contains a non-cyclic set"
-    if 0 not in fam:
+    if not fam & 1:
         return "missing the empty set"
-    for z in cyclic_list:
-        if z in fam:
-            continue
-        for x in fam:
-            if z & x == z:
-                return f"not down-closed at {z:#x} <= {x:#x}"
-    members = sorted(fam)
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            if (x | y) not in fam and M.is_modular_pair(x, y):
+    below = down_closure(fam, M.m) & cyclic & ~fam
+    if below:
+        z = members(below)[0]
+        x = min(x for x in family if x & z == z)
+        return f"not down-closed at {z:#x} <= {x:#x}"
+    listed = sorted(family)
+    for i, x in enumerate(listed):
+        for y in listed[i + 1:]:
+            if (x | y) not in family and M.is_modular_pair(x, y):
                 return f"modular pair {x:#x},{y:#x} union missing"
     return None
 
@@ -125,8 +114,8 @@ def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[
     family = modular_cyclic_closure(M, M.cyclic_flats())
     if M.cyc(M.full_mask) in family:
         return M, True, family
-    N = ExplicitMatroid([r + (c not in family)
-                         for r, c in zip(M.full_table(), M.cyc_table)])
+    raised = subset_flags(M.cyclic_bits & ~_bitset(family), M.m)
+    N = ExplicitMatroid(list(map(add, M.full_table(), raised)))
     verify_rank_axioms(N)
     return N, False, family
 

@@ -320,8 +320,8 @@ def apply_extension(F: EdgeSet, kind: str, new_vertex: int,
 # -- text format -----------------------------------------------------------
 
 def parse_edge_text(text: str) -> EdgeSet:
-    """Parse an edge list: one "u v" pair per line, '#' comments, optional
-    "n=<k>" header fixing the ambient vertex count."""
+    """Parse an edge list: one "u v" pair per line, '#' comments, and at
+    most one "n=<k>" header (k >= 0) fixing the ambient vertex count."""
     edges: list[Edge] = []
     ambient = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -329,10 +329,10 @@ def parse_edge_text(text: str) -> EdgeSet:
         if not line:
             continue
         if line.startswith("n="):
-            try:
-                ambient = int(line[2:])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad ambient header {line!r}") from None
+            if ambient is not None or not line[2:].strip().isdecimal():
+                raise ValueError(f"line {lineno}: bad ambient header {line!r} "
+                                 "(one n=<k> with k >= 0 is allowed)")
+            ambient = int(line[2:])
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -4,12 +4,20 @@ Ground elements are 0..m-1 and subsets are bitmasks, matching the edge
 encoding in graphs.py, so a rank table from the cofactor oracle plugs in
 directly.  An explicit matroid holds the rank of all 2^m subsets, so it is
 capped at m <= ENUM_CAP = 16.
+
+Whole-table questions (rank axioms, cyclic sets, flats) run on bitsets of
+subsets: 2^m-bit integers whose bit x stands for the subset x.  levels[k]
+holds the subsets of rank >= k and element_bits(m)[e] those containing e.
+A right shift by 2^e moves the bit of x + e onto x, so one shift compares
+every subset without e with its extension by e, and each question costs
+O(m^2 r) big-integer operations instead of a loop over the 2^m subsets.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+import re
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable
 
 from .errors import CapExceeded
@@ -17,58 +25,34 @@ from .graphs import EdgeSet, bits, edge_count
 
 ENUM_CAP = 16
 
-RankFn = Callable[[int], int]
+_DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
 
 
-# -- operations derived from a rank function on masks ---------------------------
-
-def closure(rank: RankFn, mask: int, ground: int) -> int:
-    """Elements of the ground mask whose addition keeps rank(mask)."""
-    r = rank(mask)
-    out = mask
-    for b in bits(ground & ~mask):
-        if rank(mask | 1 << b) == r:
-            out |= 1 << b
-    return out
+@lru_cache(maxsize=ENUM_CAP + 1)
+def element_bits(m: int) -> tuple[int, ...]:
+    """For each element e of {0..m-1}, the bitset of the subsets containing e:
+    in every run of 2^(e+1) subsets, the upper 2^e."""
+    every = (1 << (1 << m)) - 1  # divided below into one bit per run, then spread
+    return tuple(every // ((1 << (2 << e)) - 1) * ((1 << (1 << e)) - 1) << (1 << e)
+                 for e in range(m))
 
 
-def cyc(rank: RankFn, mask: int) -> int:
-    """mask minus its restriction coloops: the union of circuits inside."""
-    r = rank(mask)
-    keep = 0
-    for b in bits(mask):
-        if rank(mask & ~(1 << b)) == r:
-            keep |= 1 << b
-    return keep
+def down_closure(family: int, m: int) -> int:
+    """The bitset of every subset of a member of the family bitset."""
+    for e, with_e in enumerate(element_bits(m)):
+        family |= (family & with_e) >> (1 << e)
+    return family
 
 
-def extend_basis(rank: RankFn, start: int, mask: int) -> int:
-    """Greedily extend an independent start inside mask to a base of mask,
-    trying the remaining elements in increasing order."""
-    cur, r = start, start.bit_count()
-    target = rank(mask)
-    for b in bits(mask & ~start):
-        if r == target:
-            break
-        if rank(cur | 1 << b) > r:
-            cur |= 1 << b
-            r += 1
-    return cur
+def members(family: int) -> list[int]:
+    """The subsets in a family bitset, in increasing order."""
+    return [hit.start() for hit in re.finditer("1", format(family, "b")[::-1])]
 
 
-def fundamental_circuit(rank: RankFn, base: int, element: int) -> int:
-    """The circuit inside base + element, for an independent base spanning
-    the element, via greedy removal."""
-    if base >> element & 1:
-        raise ValueError("element is already in the base")
-    cur = base | 1 << element
-    if rank(cur) != rank(base):
-        raise ValueError("element is not in the closure of the base")
-    for b in bits(base):
-        smaller = cur & ~(1 << b)
-        if rank(smaller) < smaller.bit_count():
-            cur = smaller
-    return cur
+def subset_flags(family: int, m: int) -> bytes:
+    """One byte per subset of {0..m-1}, lowest first: 1 for the members of
+    the family bitset, else 0."""
+    return format(family, f"0{1 << m}b")[::-1].encode().translate(_DIGIT_VALUE)
 
 
 class ExplicitMatroid:
@@ -126,16 +110,9 @@ class ExplicitMatroid:
         if outside:
             raise ValueError(
                 f"base {min(outside):#x} is not a subset of the {m} ground elements")
-        independent = [False] * (1 << m)
-        for b in base_set:
-            independent[b] = True
-        # downward closure, largest number first: subsets of bases are the
-        # independent sets
-        for x in range((1 << m) - 1, 0, -1):
-            if independent[x]:
-                for b in bits(x):
-                    independent[x & ~(1 << b)] = True
-        return cls.from_independence(m, independent.__getitem__)
+        # subsets of bases are the independent sets
+        independent = down_closure(sum(1 << b for b in base_set), m)
+        return cls.from_independence(m, subset_flags(independent, m).__getitem__)
 
     # -- rank and derived operators ------------------------------------------
 
@@ -152,52 +129,67 @@ class ExplicitMatroid:
     def is_independent(self, mask: int) -> bool:
         return self.rank(mask) == mask.bit_count()
 
-    def closure(self, mask: int) -> int:
-        return closure(self.rank, mask, self.full_mask)
-
     def is_flat(self, mask: int) -> bool:
         """Whether every element outside mask raises its rank."""
         table, r = self._table, self._table[mask]
         return all(table[mask | 1 << b] > r for b in bits(self.full_mask & ~mask))
 
-    @cached_property
-    def cyc_table(self) -> list[int]:
-        """cyc(x) for every mask x, built on first use."""
-        rank = self._table.__getitem__
-        return [cyc(rank, x) for x in range(1 << self.m)]
-
     def cyc(self, mask: int) -> int:
         """mask minus its restriction coloops: the union of circuits inside."""
-        return self.cyc_table[mask]
-
-    def is_cyclic(self, mask: int) -> bool:
-        return self.cyc_table[mask] == mask
+        table, r = self._table, self._table[mask]
+        return sum(1 << b for b in bits(mask) if table[mask & ~(1 << b)] == r)
 
     def is_modular_pair(self, x: int, y: int) -> bool:
-        return (self.rank(x) + self.rank(y)
-                == self.rank(x | y) + self.rank(x & y))
+        table = self._table
+        return table[x] + table[y] == table[x | y] + table[x & y]
 
     def truncate(self, k: int) -> "ExplicitMatroid":
         return ExplicitMatroid([min(r, k) for r in self._table])
 
-    def fundamental_circuit(self, base: int, element: int) -> int:
-        """Circuit inside base + element, via greedy removal."""
-        return fundamental_circuit(self.rank, base, element)
+    # -- whole-table bitsets (see the module docstring) ------------------------
+
+    @cached_property
+    def levels(self) -> list[int]:
+        """levels[k] is the bitset of the subsets of rank >= k, for k from 0
+        to the largest rank; a rank outside 0..255 raises ValueError."""
+        ranks = bytes(self._table)[::-1]  # one byte per subset, highest first
+        # translating byte v to the digit of "v >= k" spells levels[k] in binary
+        return [int(ranks.translate(b"0" * k + b"1" * (256 - k)), 2)
+                for k in range(max(ranks) + 1)]
+
+    @cached_property
+    def _cyclic_and_flat_bits(self) -> tuple[int, int]:
+        """The bitsets of the cyclic sets (no element is a coloop) and of the
+        flats (every element outside raises the rank)."""
+        cyclic = flats = (1 << (1 << self.m)) - 1
+        for e, with_e in enumerate(element_bits(self.m)):
+            step, coloops = 1 << e, 0
+            for level in self.levels:
+                coloops |= level & ~(level << step)
+            coloops &= with_e  # x contains e and rank(x - e) < rank(x)
+            cyclic &= ~coloops
+            flats &= with_e | coloops >> step
+        return cyclic, flats
+
+    @property
+    def cyclic_bits(self) -> int:
+        return self._cyclic_and_flat_bits[0]
 
     # -- enumeration ---------------------------------------------------------
 
     def flats(self) -> list[int]:
-        return [x for x in range(1 << self.m) if self.is_flat(x)]
+        return members(self._cyclic_and_flat_bits[1])
 
     def cyclic_sets(self) -> list[int]:
         """All unions of circuits, the empty set included."""
-        return [x for x, c in enumerate(self.cyc_table) if c == x]
+        return members(self.cyclic_bits)
 
     def cyclic_flats(self, include_spanning: bool = False) -> list[int]:
         """Non-spanning cyclic flats (the erection seed family) by default."""
-        table, top = self._table, self.rank_total
-        return [x for x in self.cyclic_sets()
-                if (include_spanning or table[x] < top) and self.is_flat(x)]
+        cyclic, flats = self._cyclic_and_flat_bits
+        if not include_spanning:
+            flats &= ~self.levels[self.rank_total]
+        return members(cyclic & flats)
 
     def circuits(self) -> list[int]:
         """Minimal dependent sets: the cyclic sets of nullity one."""
@@ -226,12 +218,16 @@ class ExplicitMatroid:
         header = {}
         i = 0
         while i < len(lines) and "=" in lines[i]:
-            key, val = lines[i].split("=", 1)
-            header[key.strip()] = val.strip()
+            key, val = (part.strip() for part in lines[i].split("=", 1))
+            if key in header:
+                raise ValueError(f"repeated header key {key!r}")
+            header[key] = val
             i += 1
         if "ground_size" not in header:
             raise ValueError("missing ground_size")
         m = int(header["ground_size"])
+        if m < 0:
+            raise ValueError(f"negative ground_size {m}")
         if i >= len(lines) or lines[i] != "bases":
             raise ValueError("expected a 'bases' section")
         matroid = cls.from_bases(m, [int(b, 16) for b in lines[i + 1:]])
@@ -245,38 +241,47 @@ class ExplicitMatroid:
 
 
 def verify_rank_axioms(M: ExplicitMatroid) -> None:
-    """Full sweep of the local rank axioms; raises AssertionError on failure.
+    """Check the local rank axioms on the whole table; raises AssertionError
+    naming the lowest failing subset.
 
-    Checked: r(empty) = 0, unit increase, and local submodularity
-    (r(X+e) = r(X+f) = r(X) implies r(X+e+f) = r(X)), which together
-    characterize matroid rank functions.
+    Checked: r(empty) = 0, every rank in 0..m (M.levels holds no other
+    rank), unit increase, and local submodularity (r(X+e) = r(X+f) = r(X)
+    implies r(X+e+f) = r(X)), which together characterize matroid rank
+    functions.
     """
-    table = M.full_table()
-    m = M.m
+    table, m = M.full_table(), M.m
     if table[0] != 0:
         raise AssertionError("rank of the empty set is not 0")
-    for x in range(1 << m):
-        r = table[x]
-        for e in range(m):
-            if x >> e & 1:
-                continue
-            re = table[x | 1 << e]
-            if not r <= re <= r + 1:
-                raise AssertionError(f"unit increase fails at {x:#x}+{e}")
+    if not 0 <= min(table) <= max(table) <= m:
+        x = next(x for x, r in enumerate(table) if not 0 <= r <= m)
+        raise AssertionError(f"rank {table[x]} of {x:#x} is outside 0..{m}")
+    levels, with_e = M.levels, element_bits(m)
+    # up[e][k]: bit x is set when rank(x + e) >= k (read on the x without e)
+    up = [[level >> (1 << e) for level in levels] for e in range(m)]
+    failures = []
     for e in range(m):
-        for f in range(e + 1, m):
-            pair = 1 << e | 1 << f
-            rest = ((1 << m) - 1) & ~pair
-            sub = rest
-            while True:
-                r = table[sub]
-                if table[sub | 1 << e] == r and table[sub | 1 << f] == r:
-                    if table[sub | pair] != r:
-                        raise AssertionError(
-                            f"local submodularity fails at {sub:#x}+{e},{f}")
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
+        bad = 0
+        for k in range(1, len(levels)):
+            # rank(x + e) < k <= rank(x), or rank(x) + 2 <= k <= rank(x + e)
+            bad |= levels[k] & ~up[e][k] | up[e][k] & ~levels[k - 1]
+        bad &= ~with_e[e]
+        if bad:
+            failures.append(((bad & -bad).bit_length() - 1, e))
+    if failures:
+        x, e = min(failures)
+        raise AssertionError(f"unit increase fails at {x:#x}+{e}")
+    # keeps[e][k - 1]: rank(x) = rank(x + e) = k - 1, for x without e
+    keeps = [[levels[k - 1] & ~up[e][k] & ~with_e[e] for k in range(1, len(levels))]
+             for e in range(m)]
+    for e, f in itertools.combinations(range(m), 2):
+        bad = 0
+        for keep_e, keep_f, up_e in zip(keeps[e], keeps[f], up[e][1:]):
+            bad |= keep_e & keep_f & up_e >> (1 << f)
+        if bad:
+            failures.append(((bad & -bad).bit_length() - 1, e, f))
+    if failures:
+        x, e, f = min(failures)
+        raise AssertionError(f"local submodularity fails at {x:#x}+{e},{f}")
 
 
 def uniform_matroid(m: int, r: int) -> ExplicitMatroid:

@@ -1,0 +1,83 @@
+"""Per-mask definitions of the matroid operations, written straight from a
+rank function on bitmasks.  The library answers these questions on whole
+bitsets of subsets; the tests check it against these loops."""
+
+from itertools import combinations
+
+from cofrig.graphs import bits
+
+
+def closure(rank, mask, ground):
+    """Elements of the ground mask whose addition keeps rank(mask)."""
+    r = rank(mask)
+    out = mask
+    for b in bits(ground & ~mask):
+        if rank(mask | 1 << b) == r:
+            out |= 1 << b
+    return out
+
+
+def cyc(rank, mask):
+    """mask minus its restriction coloops: the union of circuits inside."""
+    r = rank(mask)
+    keep = 0
+    for b in bits(mask):
+        if rank(mask & ~(1 << b)) == r:
+            keep |= 1 << b
+    return keep
+
+
+def extend_basis(rank, start, mask):
+    """Greedily extend an independent start inside mask to a base of mask,
+    trying the remaining elements in increasing order."""
+    cur, r = start, start.bit_count()
+    target = rank(mask)
+    for b in bits(mask & ~start):
+        if r == target:
+            break
+        if rank(cur | 1 << b) > r:
+            cur |= 1 << b
+            r += 1
+    return cur
+
+
+def fundamental_circuit(rank, base, element):
+    """The circuit inside base + element, for an independent base spanning
+    the element, via greedy removal."""
+    cur = base | 1 << element
+    assert not base >> element & 1 and rank(cur) == rank(base)
+    for b in bits(base):
+        smaller = cur & ~(1 << b)
+        if rank(smaller) < smaller.bit_count():
+            cur = smaller
+    return cur
+
+
+def rank_axioms_hold(table, touching=None):
+    """Whether a table of 2^m ranks is a matroid rank function: r(empty) = 0,
+    unit increase and local submodularity, checked subset by subset.
+
+    With touching=c only the axiom instances that read the rank of c are
+    checked, which decides a table that differs from a matroid's at c alone.
+    """
+    m = (len(table) - 1).bit_length()
+    if table[0] != 0:
+        return False
+    for e in range(m):
+        for x in _instances(m, 1 << e, touching):
+            if not table[x] <= table[x | 1 << e] <= table[x] + 1:
+                return False
+    for e, f in combinations(range(m), 2):
+        pair = 1 << e | 1 << f
+        for x in _instances(m, pair, touching):
+            r = table[x]
+            if table[x | 1 << e] == r == table[x | 1 << f] and table[x | pair] != r:
+                return False
+    return True
+
+
+def _instances(m, extra, touching):
+    """The subsets x outside extra whose instance (x, x + extra) is checked."""
+    if touching is None:
+        return [x for x in range(1 << m) if not x & extra]
+    return [touching & ~extra]

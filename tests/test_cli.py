@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -137,8 +138,10 @@ def test_elevate(capsys, tmp_path):
     "ground_size=3\nrank=8\nbases\nff\n",
     "ground_size=4\nrank=2\nbases\n3\nc\n",
     "ground_size=10\noracle:cofactor n=5 s=2\n",
+    "ground_size=-1\nbases\n0\n",
+    "ground_size=2\nrank=1\nground_size=3\nbases\n1\n2\n",
 ], ids=["oracle-line-without-n", "base-outside-the-ground-set", "no-basis-exchange",
-        "oracle-line"])
+        "oracle-line", "negative-ground-size", "repeated-header-key"])
 def test_elevate_rejects_a_bad_matroid_file(capsys, tmp_path, text):
     path = tmp_path / "bad.matroid"
     path.write_text(text)
@@ -146,6 +149,32 @@ def test_elevate_rejects_a_bad_matroid_file(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert "input error" in err
+
+
+# sha256 of the elevate stdout (step ranks, family sizes, final basis list)
+# for the clique truncations on E(K_n) with circuits K_t
+@pytest.mark.parametrize("n, t, digest", [
+    (6, 5, "c14c799bf91950aa7afc1ec78096628107e7a2fac6842fea65eaed3bd1c94d58"),
+    (6, 4, "8b743fdad06b00c83925cc206bd7d40b25736cc420bf181f37ab4da8fa2952ee"),
+    (5, 3, "c790555a9087c3be0b9830a53c461e218f78a3eb543e965f14760b0cf852f404"),
+], ids=["K6-5", "K6-4", "K5-3"])
+def test_elevate_output_is_pinned(capsys, tmp_path, n, t, digest):
+    path = tmp_path / "trunc.matroid"
+    path.write_text(clique_truncation_matroid(n, t).to_text())
+    code, out, _ = _run(capsys, ["elevate", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text", ["n=-2\n", "n=3\nn=5\n0 4\n"],
+                         ids=["negative", "repeated"])
+def test_bad_ambient_header_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["rank", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "bad ambient header" in err
 
 
 def test_dress(capsys, banana_file):

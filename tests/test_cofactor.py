@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from cofrig import cofactor, matroids
+from cofrig import cofactor
 from cofrig.cofactor import CofactorOracle, RigidityOracle
 from cofrig.errors import AmbientMismatch, SeedDisagreement
 from cofrig.field import EchelonBasis
@@ -17,6 +17,8 @@ from cofrig.graphs import (
     edge_index,
     path_graph,
 )
+
+import rank_reference as reference
 
 
 def _graphic_rank(F):
@@ -259,17 +261,17 @@ def test_one_pass_queries_match_the_rank_derived_ones():
         def rank(mask):
             return slow.rank(EdgeSet(n, mask))
 
-        assert fast.cyc(F).mask == matroids.cyc(rank, F.mask)
+        assert fast.cyc(F).mask == reference.cyc(rank, F.mask)
         B = fast.basis_of(F)
-        assert B.mask == matroids.extend_basis(rank, 0, F.mask)
+        assert B.mask == reference.extend_basis(rank, 0, F.mask)
         start = EdgeSet.from_edges(n, rng.sample(B.sorted_edges(), len(B) // 2))
         assert (fast.extend_basis(start, F).mask
-                == matroids.extend_basis(rank, start.mask, F.mask))
+                == reference.extend_basis(rank, start.mask, F.mask))
         outside = (F - B).sorted_edges()
         for e in rng.sample(outside, min(3, len(outside))):
             bit = edge_index(n, *e)
             assert (fast.fundamental_circuit(B, e).mask
-                    == matroids.fundamental_circuit(rank, B.mask, bit))
+                    == reference.fundamental_circuit(rank, B.mask, bit))
 
 
 def test_one_pass_queries_check_the_seeds(monkeypatch):

@@ -11,6 +11,8 @@ from cofrig.erection import (
 )
 from cofrig.matroids import clique_truncation_matroid, uniform_matroid
 
+from rank_reference import cyc
+
 
 def test_u24_elevation_reaches_the_free_matroid():
     chain = free_elevation(uniform_matroid(4, 2))
@@ -70,3 +72,13 @@ def test_cyclic_flat_cover_checks_both_ends():
     assert check_cyclic_flat_cover(chain, [full])
     with pytest.raises(ValueError):
         check_cyclic_flat_cover(chain, [0b11])
+
+
+@pytest.mark.parametrize("n, t", [(5, 3), (6, 4)], ids=["K5-3", "K6-4"])
+def test_erections_follow_the_cyc_definition(n, t):
+    # r_N(X) = r_M(X) + [cyc_M(X) not in family], cyc_M from the table alone
+    chain = free_elevation(clique_truncation_matroid(n, t))
+    for M, N, family in zip(chain.steps, chain.steps[1:], chain.families):
+        expected = [r + (cyc(M.rank, x) not in family)
+                    for x, r in enumerate(M.full_table())]
+        assert N.full_table() == expected

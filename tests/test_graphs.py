@@ -132,6 +132,13 @@ def test_edge_text_parsing_errors():
     assert parse_edge_text("# only a comment\n").mask == 0
 
 
+@pytest.mark.parametrize("text", ["n=-2\n", "n=3\nn=5\n0 4\n", "n=x\n0 1\n"],
+                         ids=["negative", "repeated", "not-a-number"])
+def test_bad_ambient_header(text):
+    with pytest.raises(ValueError, match="bad ambient header"):
+        parse_edge_text(text)
+
+
 def test_zero_extension_adds_a_star():
     F = complete_graph(5)
     out = apply_extension(F, "0ext", 5, [0, 2, 4])

@@ -1,9 +1,9 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
 
-from cofrig import matroids
 from cofrig.errors import CapExceeded
 from cofrig.graphs import EdgeSet, bits
 from cofrig.matroids import (
@@ -12,6 +12,8 @@ from cofrig.matroids import (
     uniform_matroid,
     verify_rank_axioms,
 )
+
+from rank_reference import closure, cyc, rank_axioms_hold
 
 
 def test_uniform_matroid_basics():
@@ -48,31 +50,38 @@ def test_clique_truncation_r6():
     assert not R6.is_independent(k5)
 
 
-@pytest.mark.parametrize("make, args", [
-    (uniform_matroid, (4, 2)),
-    (clique_truncation_matroid, (6, 4)),
-], ids=["U24", "K6-truncation-4"])
-def test_flats_and_cyclic_sets(make, args):
-    M = make(*args)
+@pytest.mark.parametrize("build", ["U24", "K6-truncation-4", "K6-oracle-s2"])
+def test_flats_and_cyclic_sets(build, request):
+    M = {"U24": lambda: uniform_matroid(4, 2),
+         "K6-truncation-4": lambda: clique_truncation_matroid(6, 4),
+         "K6-oracle-s2": lambda: ExplicitMatroid(request.getfixturevalue("table6")),
+         }[build]()
     rank, masks = M.rank, range(1 << M.m)
     # definitions over every mask, through the rank table alone
-    flats = [x for x in masks if matroids.closure(rank, x, M.full_mask) == x]
-    cyclic = [x for x in masks if matroids.cyc(rank, x) == x]
+    flats = [x for x in masks if closure(rank, x, M.full_mask) == x]
+    cyclic = [x for x in masks if cyc(rank, x) == x]
     cyclic_flats = sorted(set(cyclic) & set(flats))
     circuits = [x for x in masks if not M.is_independent(x)
                 and all(M.is_independent(x & ~(1 << b)) for b in bits(x))]
-    assert [M.cyc(x) for x in masks] == [matroids.cyc(rank, x) for x in masks]
+    assert [M.cyc(x) for x in masks] == [cyc(rank, x) for x in masks]
     assert [x for x in masks if M.is_flat(x)] == flats
     assert M.flats() == flats
     assert M.cyclic_sets() == cyclic
     assert M.cyclic_flats(include_spanning=True) == cyclic_flats
     assert M.cyclic_flats() == [x for x in cyclic_flats if rank(x) < M.rank_total]
     assert M.circuits() == circuits
-    if make is uniform_matroid:
+    if build == "U24":
         assert M.flats() == [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b1111]
         assert 0 in M.cyclic_sets()
         assert M.cyclic_flats(include_spanning=True) == [0, 0b1111]
         assert M.cyclic_flats() == [0]
+
+
+def test_levels_hold_the_subsets_of_each_rank():
+    M = uniform_matroid(3, 2)
+    # bit x of levels[k] is set when rank(x) >= k
+    assert M.levels == [0b11111111, 0b11111110, 0b11101000]
+    assert ExplicitMatroid([0]).levels == [1]
 
 
 def test_closure_cyc_roundtrip(oracle6, table6):
@@ -80,7 +89,7 @@ def test_closure_cyc_roundtrip(oracle6, table6):
     rng = random.Random(22)
     for _ in range(50):
         x = rng.getrandbits(15)
-        assert M.closure(x) == oracle6.closure(EdgeSet(6, x)).mask
+        assert closure(M.rank, x, M.full_mask) == oracle6.closure(EdgeSet(6, x)).mask
         assert M.cyc(x) == oracle6.cyc(EdgeSet(6, x)).mask
 
 
@@ -96,6 +105,16 @@ def test_from_text_rejects_rank_mismatch():
     M = uniform_matroid(4, 2)
     text = M.to_text().replace("rank=2", "rank=3")
     with pytest.raises(ValueError):
+        ExplicitMatroid.from_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ground_size=-1\nbases\n0\n", "negative ground_size -1"),
+    ("ground_size=2\nground_size=3\nbases\n1\n", "repeated header key 'ground_size'"),
+    ("rank=1\nground_size=3\nrank=2\nbases\n1\n", "repeated header key 'rank'"),
+], ids=["negative-ground-size", "repeated-ground-size", "repeated-rank"])
+def test_from_text_rejects_bad_headers(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExplicitMatroid.from_text(text)
 
 
@@ -123,7 +142,59 @@ def test_rank_axioms_catch_violations():
         verify_rank_axioms(bad)
 
 
-def test_fundamental_circuit_rejects_an_element_of_the_base():
-    M = uniform_matroid(4, 2)
-    with pytest.raises(ValueError, match="already in the base"):
-        M.fundamental_circuit(0b0011, 0)
+def _verdict(table):
+    try:
+        verify_rank_axioms(ExplicitMatroid(table))
+    except AssertionError:
+        return False
+    return True
+
+
+def test_rank_axioms_match_the_reference_on_small_tables():
+    u24 = uniform_matroid(4, 2).full_table()
+    tables = [[0], [0, 0], [0, 1], [0, 2], [1, 1], [0, -1],
+              [0, 1, 1, -1], [0, 1, 1, 1, 1, 1, 1, 3]]
+    for x in range(len(u24)):
+        for delta in (-1, 1):
+            bad = list(u24)
+            bad[x] += delta
+            tables.append(bad)
+    negative = list(u24)
+    negative[0b1100] = -1
+    tables.append(negative)
+    verdicts = [_verdict(t) for t in tables]
+    assert verdicts == [rank_axioms_hold(t) for t in tables]
+    # a pair of U(2,4) made parallel is a matroid again
+    assert verdicts[:5] == [True, True, True, False, False] and 0 < sum(verdicts[5:]) < 40
+
+
+def test_rank_axioms_match_the_reference_on_k6_corruptions():
+    table = clique_truncation_matroid(6, 5).full_table()
+    assert rank_axioms_hold(table) and _verdict(table)
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(200):
+        x, delta = rng.randrange(1, 1 << 15), rng.choice((-1, 1))
+        bad = list(table)
+        bad[x] += delta
+        # table passes every instance, so only those reading x can fail
+        verdicts.append(_verdict(bad))
+        assert verdicts[-1] == rank_axioms_hold(bad, touching=x)
+    assert 0 < sum(verdicts) < 200  # some corruptions are matroids again
+
+
+@pytest.mark.parametrize("table, message", [
+    ([1, 1], "rank of the empty set is not 0"),
+    ([0, 1, 1, -1], "rank -1 of 0x3 is outside 0..2"),
+    ([0, 1, 1, 3], "rank 3 of 0x3 is outside 0..2"),
+    ([0, 2, 1, 1], "unit increase fails at 0x0+0"),
+    ([0, 1, 1, 3, 1, 2, 2, 3], "unit increase fails at 0x1+1"),
+    ([0, 1, 1, 0], "unit increase fails at 0x1+1"),
+    ([0, 0, 0, 1], "local submodularity fails at 0x0+0,1"),
+    # fails at 0x4+0,1 and 0x2+0,2 too
+    ([0, 0, 0, 0, 0, 0, 0, 1], "local submodularity fails at 0x1+1,2"),
+], ids=["empty", "negative", "above-m", "jump", "jump-high", "drop", "square",
+         "lowest-square"])
+def test_rank_axiom_failures_name_the_lowest_subset(table, message):
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        verify_rank_axioms(ExplicitMatroid(table))
