@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .cofactor import DEFAULT_SEEDS, CofactorOracle
 from .covers import (
@@ -274,6 +275,7 @@ def _add_flags(p: argparse.ArgumentParser, *, oracle: bool = False) -> None:
                    help="also write the JSON result to this file")
 
 
+@cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cofrig",

@@ -13,6 +13,10 @@ Ranks are evaluated at random points of GF(p).  An evaluation rank is never
 above the generic rank (a nonzero minor mod p lifts to a nonzero generic
 minor), so the maximum over several seeds is a sound lower bound, and it is
 exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
+
+A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
+infinitesimal motions of a plane framework; Whiteley 1996): ``closure``
+takes an edge exactly when every motion annihilates its row.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
 DEFAULT_SEEDS = (101, 202, 303)
 MIN_MODULUS = (1 << 31) - 1
+# How many recent masks keep their per-seed echelon bases and motions.
+SPAN_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,8 @@ class CofactorOracle:
         seeds = tuple(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
+        if len(set(seeds)) != len(seeds):
+            raise ValueError("seeds must be distinct")
         if modulus < MIN_MODULUS or not is_prime(modulus):
             raise ValueError(f"modulus {modulus} is not a prime >= 2^31 - 1")
         self.n = n
@@ -124,6 +132,7 @@ class CofactorOracle:
             GenericConfiguration.generate(n, seed, modulus) for seed in seeds)
         self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
+        self._spans: dict[int, list[list]] = {}
         self._table: list[int] | None = None
 
     # -- plumbing ----------------------------------------------------------
@@ -150,19 +159,38 @@ class CofactorOracle:
             row = cache[edge_bit] = self._entries(edge, self.configs[seed_idx])
         return row
 
+    def _spans_of(self, mask: int) -> list[list]:
+        """The per-seed [basis, motions] slots of mask, kept for the last
+        SPAN_CACHE masks asked for."""
+        slots = self._spans.pop(mask, None) or [[None, None] for _ in self.seeds]
+        self._spans[mask] = slots
+        if len(self._spans) > SPAN_CACHE:
+            del self._spans[next(iter(self._spans))]
+        return slots
+
     def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
-        """One seed's echelon basis of the rows of mask, in edge order.
+        """One seed's echelon basis of the rows of mask, in edge order, kept
+        in the mask's span slot.
 
         It stops once it reaches the proven cap: no evaluation rank exceeds
         the generic rank, so that prefix already spans every row of mask.
         """
-        cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
-        basis = EchelonBasis(self.modulus)
-        for b in bits(mask):
-            if basis.rank == cap:
-                break
-            basis.insert(self._row(b, seed_idx))
-        return basis
+        slot = self._spans_of(mask)[seed_idx]
+        if slot[0] is None:
+            cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
+            slot[0] = basis = EchelonBasis(self.modulus)
+            for b in bits(mask):
+                if basis.rank == cap:
+                    break
+                basis.insert(self._row(b, seed_idx))
+        return slot[0]
+
+    def _seed_motions(self, mask: int, seed_idx: int) -> list[list[int]]:
+        """One seed's motions of mask: the kernel of its evaluated rows."""
+        slot = self._spans_of(mask)[seed_idx]
+        if slot[1] is None:
+            slot[1] = self._seed_basis(mask, seed_idx).kernel(self.dim * self.n)
+        return slot[1]
 
     def _decide(self, mask: int, seed_rank) -> int:
         """The rank of a mask from its per-seed ranks, asked for lazily in
@@ -237,21 +265,29 @@ class CofactorOracle:
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
 
-        Each seed keeps one echelon basis of F, built when a decision first
-        needs it; its rank of F + e is its rank of F plus whether the row of
-        e grew it, so each membership test costs a single reduction, not a
-        rank from scratch.
+        A seed's rank of F + e is its rank of F plus whether some motion of
+        F fails to annihilate the row of e: 2(s+1) products per motion, no
+        reduction.  The seeds whose rank of F is the decided rank r file
+        their basis and motions under the closure C as well: an edge joins
+        C only if no seed ranks F + e above r, so they span C's rows too.
         """
         self._check(F)
         basis = cache(lambda idx: self._seed_basis(F.mask, idx))
+        motions = cache(lambda idx: self._seed_motions(F.mask, idx))
         r = self._decide(F.mask, lambda idx: basis(idx).rank)
-        out = F.mask
+        p, out = self.modulus, F.mask
         for bit in bits(((1 << edge_count(self.n)) - 1) & ~F.mask):
             def with_e(idx):
-                return basis(idx).rank + (
-                    basis(idx).reduce(self._row(bit, idx)) is not None)
+                row = self._row(bit, idx).items()
+                return basis(idx).rank + any(
+                    sum(c * m[j] for j, c in row) % p for m in motions(idx))
             if self._decide(F.mask | 1 << bit, with_e) == r:
                 out |= 1 << bit
+        if out != F.mask:
+            filed = self._spans_of(out)
+            for idx, slot in enumerate(self._spans_of(F.mask)):
+                if slot[0] is not None and slot[0].rank == r:
+                    filed[idx] = slot
         return EdgeSet(self.n, out)
 
     def is_flat(self, F: EdgeSet) -> bool:

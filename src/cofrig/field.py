@@ -23,6 +23,9 @@ tags.  A row whose pivot falls inside the tags is zero on the real columns,
 and its tag part is the combination of inserted rows it equals: its support
 is the row's fundamental circuit.  The cofactor oracle answers cyc and
 fundamental circuits this way, through the same ``reduce``.
+
+``EchelonBasis.kernel`` back-substitutes one kernel vector per free column;
+a row lies in the span exactly when every kernel vector annihilates it.
 """
 
 from __future__ import annotations
@@ -115,6 +118,21 @@ class EchelonBasis:
             return False
         insort(self.pairs, pair)
         return True
+
+    def kernel(self, width: int) -> list[list[int]]:
+        """A basis of the length-width vectors that every row annihilates, as
+        dense lists, one per free column f: 1 at f, 0 at the other free
+        columns, and the pivot entries back-substituted in decreasing order."""
+        p, pairs = self.p, self.pairs[::-1]
+        out = []
+        for f in sorted(set(range(width)).difference(piv for piv, _ in pairs)):
+            m = [0] * width
+            m[f] = 1
+            for piv, row in pairs:
+                # the keys right of piv are set; m[piv] itself is still 0
+                m[piv] = -sum(c * m[j] for j, c in row.items()) % p
+            out.append(m)
+        return out
 
 
 def _eliminate(cur: dict[int, int], pairs, p: int):

@@ -4,7 +4,8 @@ bitsets of subsets; the tests check it against these loops."""
 
 from itertools import combinations
 
-from cofrig.graphs import bits
+from cofrig.field import EchelonBasis
+from cofrig.graphs import bits, edge_count
 
 
 def closure(rank, mask, ground):
@@ -14,6 +15,31 @@ def closure(rank, mask, ground):
     for b in bits(ground & ~mask):
         if rank(mask | 1 << b) == r:
             out |= 1 << b
+    return out
+
+
+def reduction_closure(oracle, mask):
+    """The cofactor oracle's closure by reduction: each seed keeps one echelon
+    basis of the rows of mask, and its rank of mask + e is that rank plus
+    whether the row of e reduces to nonzero against it.  Every rank goes
+    through the oracle's own seed rule."""
+    bases = {}
+
+    def basis(idx):
+        if idx not in bases:
+            bases[idx] = EchelonBasis(oracle.modulus)
+            for b in bits(mask):
+                bases[idx].insert(oracle._row(b, idx))
+        return bases[idx]
+
+    r = oracle._decide(mask, lambda idx: basis(idx).rank)
+    out = mask
+    for bit in bits(((1 << edge_count(oracle.n)) - 1) & ~mask):
+        def with_e(idx):
+            return basis(idx).rank + (
+                basis(idx).reduce(oracle._row(bit, idx)) is not None)
+        if oracle._decide(mask | 1 << bit, with_e) == r:
+            out |= 1 << bit
     return out
 
 

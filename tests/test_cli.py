@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cofrig import cli
 from cofrig.cli import main
 from cofrig.graphs import EdgeSet, format_edge_text, complete_graph, double_banana
 from cofrig.matroids import clique_truncation_matroid
@@ -166,6 +167,29 @@ def test_elevate_output_is_pinned(capsys, tmp_path, n, t, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the rank and dress stdout, pinned so that a change to closure
+# or to the certificate search cannot alter a certificate unnoticed
+@pytest.mark.parametrize("command, graph, digest", [
+    ("rank", "k5_file",
+     "a560ad3cc52c08e943f98cd33cf57a4c2ecec561ef531572c6e386b0ce95b4ca"),
+    ("rank", "banana_file",
+     "a673fa48dcf440460f223dd40272119f66ed7fad25ac9c3b2befee97d6cca960"),
+    ("rank", "k5_chain_file",
+     "61adf9adeb3a57929d74f26223837edb9a8d51449fda81dfc191e06e2d08a207"),
+    ("dress", "k5_file",
+     "f4ac0823f8185285800e17fee09b992cbc375903d4ae1a31356529d71a41c92c"),
+    ("dress", "banana_file",
+     "a3258315469e686e9617497b9d4caf188bac2c679493057ef9edd1f7e312cdce"),
+    ("dress", "k5_chain_file",
+     "35e31a7113aa7b9957884b0e030e0e9cb81cf55fe221d814824dc55288712fcf"),
+], ids=["rank-K5", "rank-banana", "rank-K5-chain",
+        "dress-K5", "dress-banana", "dress-K5-chain"])
+def test_certificate_output_is_pinned(capsys, request, command, graph, digest):
+    code, out, _ = _run(capsys, [command, request.getfixturevalue(graph)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("text", ["n=-2\n", "n=3\nn=5\n0 4\n"],
                          ids=["negative", "repeated"])
 def test_bad_ambient_header_is_an_input_error(capsys, tmp_path, text):
@@ -270,6 +294,32 @@ def test_dimension_flag_conflict(capsys, k5_file):
 def test_bad_seed_list(capsys, k5_file):
     with pytest.raises(SystemExit):
         main(["rank", "--seeds", "a,b", k5_file])
+
+
+def test_repeated_seeds_are_an_input_error(capsys, k5_file):
+    code, out, err = _run(capsys, ["rank", "--seeds", "1,1,2", k5_file])
+    assert code == 2
+    assert out == ""
+    assert "seeds must be distinct" in err
+
+
+def test_reused_parser_leaks_no_flag_values(capsys, k5_file, banana_file, tmp_path):
+    target = tmp_path / "result.json"
+    calls = [["rank", "--seeds", "5,6,7", "--pool", "all", "--out", str(target),
+              k5_file], ["rank", k5_file], ["dress", banana_file]]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    target.unlink()
+    cli._build_parser.cache_clear()
+    for argv, expected in zip(calls, fresh):
+        assert _run(capsys, argv) == expected
+        if argv is calls[0]:
+            assert json.loads(target.read_text()) == json.loads(expected[1])
+            target.unlink()
+    assert not target.exists()
+    assert cli._build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("argv", [

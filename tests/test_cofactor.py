@@ -13,7 +13,6 @@ from cofrig.graphs import (
     complete_graph,
     cycle_graph,
     double_banana,
-    edge_count,
     edge_index,
     path_graph,
 )
@@ -161,28 +160,28 @@ def test_modulus_must_be_a_large_prime(modulus):
         CofactorOracle(5, modulus=modulus)
 
 
+def _rigged_oracle9(monkeypatch):
+    """K9 oracle whose seeds 0 and 1 (not 2) lose the row of edge 48."""
+    oracle = CofactorOracle(9)
+    real = oracle._row
+    bit = edge_index(9, 4, 8)
+
+    def row(b, idx):
+        got = real(b, idx)
+        return {} if b == bit and idx < 2 else got
+
+    monkeypatch.setattr(oracle, "_row", row)
+    return oracle
+
+
 def test_closure_checks_the_seeds_it_memoizes(monkeypatch):
     # Double banana plus a vertex 8 on 2 and 3: adding 48 raises the generic
     # rank from 19 to 20, below the cap of 21, so no seed is trusted alone.
     F = double_banana().reindexed(9).add(2, 8).add(3, 8)
     e = (4, 8)
-    bit = edge_index(9, *e)
-
-    def rigged():
-        oracle = CofactorOracle(9)
-        real = oracle._row
-
-        def row(b, idx):
-            # two of the three seeds lose the row of e
-            got = real(b, idx)
-            return {} if b == bit and idx < 2 else got
-
-        monkeypatch.setattr(oracle, "_row", row)
-        return oracle
-
     with pytest.raises(SeedDisagreement):
-        rigged().rank(F.add(*e))
-    oracle = rigged()
+        _rigged_oracle9(monkeypatch).rank(F.add(*e))
+    oracle = _rigged_oracle9(monkeypatch)
     with pytest.raises(SeedDisagreement):
         oracle.closure(F)
     with pytest.raises(SeedDisagreement):
@@ -230,6 +229,12 @@ def test_small_graphs_behave():
     assert oracle.independent(cycle_graph(5))
 
 
+def test_repeated_seeds_are_rejected():
+    # two equal evaluations always outvote a third, so the check would be idle
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        CofactorOracle(5, seeds=(1, 1, 2))
+
+
 def test_seeds_change_nothing_on_generic_instances():
     a = CofactorOracle(6, seeds=(5, 6, 7))
     b = CofactorOracle(6, seeds=(1009, 2003, 3001))
@@ -250,6 +255,45 @@ def test_fundamental_circuit_rejects_an_element_of_the_base():
 def _random_graph(rng, n, m):
     edges = list(combinations(range(n), 2))
     return EdgeSet.from_edges(n, rng.sample(edges, min(m, len(edges))))
+
+
+def _henneberg(rng, n):
+    """A rigid independent base: K4, then 0-extensions onto 3 earlier vertices."""
+    F = complete_edges(n, range(4))
+    for v in range(4, n):
+        for u in rng.sample(range(v), 3):
+            F = F.add(u, v)
+    return F
+
+
+def _rigid_dense(n):
+    """A Henneberg base plus random edges up to 4n: rigid and dependent."""
+    rng = random.Random(24)
+    F = _henneberg(rng, n)
+    return F | _random_graph(rng, n, 4 * n - len(F))
+
+
+def _flexible(n):
+    """A Henneberg base minus 6 edges plus K6 on the last six vertices:
+    dependent, below full rank, and not closed."""
+    rng = random.Random(0)
+    F = _henneberg(rng, n)
+    for e in rng.sample(F.sorted_edges(), 6):
+        F = F.remove(*e)
+    return F | complete_edges(n, range(n - 6, n))
+
+
+def _count_reductions(monkeypatch):
+    """Count EchelonBasis.reduce calls from here on, in a one-item list."""
+    calls = [0]
+    real = EchelonBasis.reduce
+
+    def counting(self, row):
+        calls[0] += 1
+        return real(self, row)
+
+    monkeypatch.setattr(EchelonBasis, "reduce", counting)
+    return calls
 
 
 def test_one_pass_queries_match_the_rank_derived_ones():
@@ -277,51 +321,24 @@ def test_one_pass_queries_match_the_rank_derived_ones():
 def test_one_pass_queries_check_the_seeds(monkeypatch):
     # The rigged seeds of test_closure_checks_the_seeds_it_memoizes.
     F = double_banana().reindexed(9).add(2, 8).add(3, 8).add(4, 8)
-    bit = edge_index(9, 4, 8)
-
-    def rigged():
-        oracle = CofactorOracle(9)
-        real = oracle._row
-
-        def row(b, idx):
-            got = real(b, idx)
-            return {} if b == bit and idx < 2 else got
-
-        monkeypatch.setattr(oracle, "_row", row)
-        return oracle
-
     with pytest.raises(SeedDisagreement):
-        rigged().cyc(F)
+        _rigged_oracle9(monkeypatch).cyc(F)
     with pytest.raises(SeedDisagreement):
-        rigged().basis_of(F)
+        _rigged_oracle9(monkeypatch).basis_of(F)
 
 
 def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
-    # A Henneberg base (0-extensions from K4) plus random edges up to 4n:
-    # one tagged pass per seed, not one rank from scratch per edge.
-    rng = random.Random(24)
+    # one tagged pass per seed, not one rank from scratch per edge
     n = 20
-    F = complete_edges(n, range(4))
-    for v in range(4, n):
-        for u in rng.sample(range(v), 3):
-            F = F.add(u, v)
-    F |= _random_graph(rng, n, 4 * n - len(F))
-    calls = 0
-    real = EchelonBasis.reduce
-
-    def counting(self, row):
-        nonlocal calls
-        calls += 1
-        return real(self, row)
-
-    monkeypatch.setattr(EchelonBasis, "reduce", counting)
+    F = _rigid_dense(n)
+    calls = _count_reductions(monkeypatch)
     oracle = CofactorOracle(n)
     oracle.cyc(F)
-    assert calls <= len(oracle.seeds) * len(F)
-    calls = 0
+    assert calls[0] <= len(oracle.seeds) * len(F)
+    calls[0] = 0
     oracle = CofactorOracle(n)
     oracle.basis_of(F)
-    assert calls <= 2 * len(oracle.seeds) * len(F)
+    assert calls[0] <= 2 * len(oracle.seeds) * len(F)
 
 
 def _rigged_oracle6(monkeypatch):
@@ -351,27 +368,13 @@ def test_closure_and_rank_table_follow_the_rank_rule(monkeypatch):
 
 
 def test_closure_and_rank_table_bound_their_eliminations(monkeypatch):
-    # The graph of test_one_pass_queries_bound_their_row_reductions: it is
-    # rigid, so seed 0 meets the cap on F and on every F + e, and closure
-    # reduces each edge of K_n once, against one seed's basis.
-    rng = random.Random(24)
+    # F is rigid, so seed 0 meets the cap on F and on every F + e: closure
+    # reduces the rows of F once, for one seed's basis, and no non-edge.
     n = 20
-    F = complete_edges(n, range(4))
-    for v in range(4, n):
-        for u in rng.sample(range(v), 3):
-            F = F.add(u, v)
-    F |= _random_graph(rng, n, 4 * n - len(F))
-    calls = 0
-    real = EchelonBasis.reduce
-
-    def counting(self, row):
-        nonlocal calls
-        calls += 1
-        return real(self, row)
-
-    monkeypatch.setattr(EchelonBasis, "reduce", counting)
+    F = _rigid_dense(n)
+    calls = _count_reductions(monkeypatch)
     CofactorOracle(n).closure(F)
-    assert calls <= edge_count(n)
+    assert calls[0] <= len(F)
 
     tables = 0
     real_table = cofactor.subset_rank_table
@@ -384,3 +387,79 @@ def test_closure_and_rank_table_bound_their_eliminations(monkeypatch):
     monkeypatch.setattr(cofactor, "subset_rank_table", counting_table)
     CofactorOracle(5).rank_table()
     assert tables == 1
+
+
+def test_flexible_closure_reduces_no_non_edge(monkeypatch):
+    # Below full rank every seed is asked about every F + e; the motions
+    # answer those, so only the seeds' bases of F cost reductions.
+    n = 24
+    F = _flexible(n)
+    calls = _count_reductions(monkeypatch)
+    oracle = CofactorOracle(n)
+    closed = oracle.closure(F)
+    assert oracle.rank(F) < 3 * n - 6 and closed != F
+    assert calls[0] <= len(oracle.seeds) * len(F)
+
+
+def test_rank_closure_and_flat_check_eliminate_once(monkeypatch):
+    n = 24
+    F = _flexible(n)
+    calls = _count_reductions(monkeypatch)
+    CofactorOracle(n).closure(F)
+    alone, calls[0] = calls[0], 0
+    oracle = CofactorOracle(n)
+    oracle.rank(F)
+    closed = oracle.closure(F)
+    assert closed != F and oracle.is_flat(closed)
+    assert 0 < calls[0] <= alone
+
+
+def test_closure_files_its_spans_only_for_seeds_at_the_decided_rank(monkeypatch):
+    # Seed 2 loses the row of the coloop 08, so it ranks F one below the
+    # decided rank; its basis of F does not span the rows of the closure.
+    F = double_banana().reindexed(9).add(0, 8)
+    oracle = CofactorOracle(9)
+    real, bit = oracle._row, edge_index(9, 0, 8)
+    monkeypatch.setattr(oracle, "_row",
+                        lambda b, idx: {} if b == bit and idx == 2 else real(b, idx))
+    closed = oracle.closure(F)
+    assert closed == F.add(0, 1)
+    spans = oracle._spans
+    assert [spans[closed.mask][i] is spans[F.mask][i] for i in range(3)] == [
+        True, True, False]
+
+
+def test_span_cache_stays_bounded():
+    # 2415 voted masks each ask seeds 1 and 2 for a basis of their own
+    oracle = CofactorOracle(6, s=1)
+    oracle.rank_table()
+    assert 0 < len(oracle._spans) <= cofactor.SPAN_CACHE
+
+
+def test_motion_closure_matches_the_reduction_closure():
+    rng = random.Random(25)
+    for _ in range(30):
+        n = rng.randint(6, 20)
+        F = _random_graph(rng, n, rng.randint(n, 4 * n))
+        got = CofactorOracle(n).closure(F).mask
+        assert got == reference.reduction_closure(CofactorOracle(n), F.mask)
+
+
+def test_motion_closure_matches_the_reduction_closure_on_rigged_seeds(monkeypatch):
+    # Losing the row of 48 splits the seeds on the closure of the first two
+    # graphs, but not on K9 - 48, whose seed 0 meets the cap on K9.
+    F = double_banana().reindexed(9).add(2, 8).add(3, 8)
+    graphs = (F, F.remove(2, 8), complete_graph(9).remove(4, 8))
+
+    def outcome(closure, G):
+        try:
+            return "closure", closure(_rigged_oracle9(monkeypatch), G.mask)
+        except SeedDisagreement as exc:
+            return "split at", exc.detail["mask"]
+
+    def motion(oracle, mask):
+        return oracle.closure(EdgeSet(9, mask)).mask
+
+    got = [outcome(motion, G) for G in graphs]
+    assert [kind for kind, _ in got] == ["split at", "split at", "closure"]
+    assert got == [outcome(reference.reduction_closure, G) for G in graphs]

@@ -1,5 +1,6 @@
 """Property tests: the sparse echelon kernel against a dense Gaussian
-elimination written here, on small matrices with zero and repeated rows."""
+elimination written here, on small matrices with zero and repeated rows,
+and the kernel back-substitution against the span that ``reduce`` tests."""
 
 import pytest
 
@@ -82,3 +83,64 @@ def test_subset_rank_table_matches_dense_elimination(case):
     for mask, got in enumerate(table):
         chosen = [r for i, r in enumerate(rows) if mask >> i & 1]
         assert got == dense_rank(chosen, p)
+
+
+@st.composite
+def sparse_rows(draw, max_rows):
+    """(p, width, rows, probes): sparse {column: entry} rows with at most
+    three nonzeros over a small prime or MERSENNE61, and probe rows to test
+    for membership, half of them sums of two drawn rows."""
+    p = draw(st.sampled_from([13, MERSENNE61]))
+    width = draw(st.integers(1, 8))
+    row = st.dictionaries(st.integers(0, width - 1), st.integers(1, p - 1),
+                          max_size=3)
+    rows = draw(st.lists(row, max_size=max_rows))
+    probes = draw(st.lists(row, min_size=1, max_size=4))
+    for a, b in zip(rows, reversed(rows)):
+        probes.append({j: (a.get(j, 0) + b.get(j, 0)) % p for j in {*a, *b}})
+    return p, width, rows, probes
+
+
+def annihilates(m, row, p):
+    return sum(c * m[j] for j, c in row.items()) % p == 0
+
+
+def check_kernel(basis, width, rows, probes):
+    p = basis.p
+    motions = basis.kernel(width)
+    assert len(motions) == width - basis.rank
+    free = sorted(set(range(width)) - {piv for piv, _ in basis.pairs})
+    for f, m in zip(free, motions):
+        assert len(m) == width and all(0 <= x < p for x in m)
+        assert [m[g] for g in free] == [int(g == f) for g in free]
+    for row in rows:
+        assert all(annihilates(m, row, p) for m in motions)
+    for row in probes:
+        assert all(annihilates(m, row, p) for m in motions) == (
+            basis.reduce(row) is None)
+
+
+@CASES
+@given(sparse_rows(max_rows=10))
+def test_kernel_is_the_annihilator_of_the_span(case):
+    p, width, rows, probes = case
+    basis = EchelonBasis(p)
+    for row in rows:
+        basis.insert(row)
+    check_kernel(basis, width, rows, probes)
+
+
+@pytest.mark.parametrize("p", [13, MERSENNE61])
+def test_kernel_of_an_empty_and_of_a_full_rank_basis(p):
+    width = 5
+    probes = [{j: 1} for j in range(width)] + [{0: 3, 4: p - 1}]
+    empty = EchelonBasis(p)
+    assert empty.kernel(width) == [[int(i == j) for i in range(width)]
+                                   for j in range(width)]
+    check_kernel(empty, width, [], probes)
+    full = EchelonBasis(p)
+    rows = [{j: j + 1, (j + 1) % width: 2} for j in range(width)]
+    for row in rows:
+        full.insert(row)
+    assert full.rank == width and full.kernel(width) == []
+    check_kernel(full, width, rows, probes)
