@@ -87,15 +87,14 @@ def _edge_row(i: int, j: int, block: list[int], p: int) -> dict[int, int]:
     return row
 
 
+def _vertex_cap(v: int, d: int) -> int:
+    """Cap on the rank of any edge set on v vertices, d = s + 1."""
+    return v * (v - 1) // 2 if v <= d + 1 else d * v - (d + 1) * d // 2
+
+
 def generic_rank_upper_bound(F: EdgeSet, s: int) -> int:
     """Matroid-theoretic cap on the rank of F in the order-s cofactor matroid."""
-    d = s + 1
-    v = len(F.vertex_support())
-    if v <= d + 1:
-        cap = v * (v - 1) // 2
-    else:
-        cap = d * v - (d + 1) * d // 2
-    return min(len(F), cap)
+    return min(len(F), _vertex_cap(len(F.vertex_support()), s + 1))
 
 
 class CofactorOracle:
@@ -192,19 +191,23 @@ class CofactorOracle:
             slot[1] = self._seed_basis(mask, seed_idx).kernel(self.dim * self.n)
         return slot[1]
 
-    def _decide(self, mask: int, seed_rank) -> int:
+    def _decide(self, mask: int, seed_rank, cap: int | None = None) -> int:
         """The rank of a mask from its per-seed ranks, asked for lazily in
-        seed order: a memo hit asks for none, a seed meeting the proven cap
-        ends the asking, and otherwise the maximum stands unless a strict
-        majority of seeds falls below it."""
+        seed order: a table or memo hit asks for none, a seed meeting the
+        proven cap ends the asking, and otherwise the maximum stands unless a
+        strict majority of seeds falls below it.  A caller that knows the
+        mask's cap passes it, which spares a vertex-support count."""
+        if self._table is not None:
+            return self._table[mask]
         got = self._memo.get(mask)
         if got is not None:
             return got
-        bound = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
+        if cap is None:
+            cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
         per_seed = []
         for idx in range(len(self.seeds)):
             r = seed_rank(idx)
-            if r == bound:
+            if r == cap:
                 # meets the proven cap, so it is the generic rank
                 break
             per_seed.append(r)
@@ -267,21 +270,26 @@ class CofactorOracle:
 
         A seed's rank of F + e is its rank of F plus whether some motion of
         F fails to annihilate the row of e: 2(s+1) products per motion, no
-        reduction.  The seeds whose rank of F is the decided rank r file
+        reduction.  The cap of F + e comes from F's vertex support and e's
+        endpoints.  The seeds whose rank of F is the decided rank r file
         their basis and motions under the closure C as well: an edge joins
         C only if no seed ranks F + e above r, so they span C's rows too.
         """
         self._check(F)
         basis = cache(lambda idx: self._seed_basis(F.mask, idx))
         motions = cache(lambda idx: self._seed_motions(F.mask, idx))
-        r = self._decide(F.mask, lambda idx: basis(idx).rank)
+        support = F.vertex_support()
+        r = self._decide(F.mask, lambda idx: basis(idx).rank,
+                         min(len(F), _vertex_cap(len(support), self.dim)))
         p, out = self.modulus, F.mask
         for bit in bits(((1 << edge_count(self.n)) - 1) & ~F.mask):
             def with_e(idx):
                 row = self._row(bit, idx).items()
                 return basis(idx).rank + any(
                     sum(c * m[j] for j, c in row) % p for m in motions(idx))
-            if self._decide(F.mask | 1 << bit, with_e) == r:
+            v_e = len(support) + sum(u not in support for u in edge_at(self.n, bit))
+            cap = min(len(F) + 1, _vertex_cap(v_e, self.dim))
+            if self._decide(F.mask | 1 << bit, with_e, cap) == r:
                 out |= 1 << bit
         if out != F.mask:
             filed = self._spans_of(out)
@@ -400,20 +408,38 @@ class CofactorOracle:
     def rank_table(self) -> list[int]:
         """Rank of every subset of E(K_n), indexed by bitmask (n small).
 
-        Seed 0's ranks come from one subset table; another seed's rank of a
-        mask is computed only where seed 0 falls below the cap.
+        Seed 0 ranks every mask in one subset table, and a vertex-support DP
+        gives every mask's cap.  Seed k ranks, in one table restricted to
+        them and their parent chains, exactly the masks on which seeds
+        0..k-1 all fell below the cap: the masks _decide would ask it about.
+        Only the masks below the cap on seed 0 go through _decide, and the
+        finished table then serves as the memo.
         """
         if self._table is not None:
             return self._table
         m = edge_count(self.n)
         if m > 16:
             raise ValueError(f"rank table over {m} edges is not tractable")
-        first = subset_rank_table([self._row(b, 0) for b in range(m)], self.modulus)
-        self._table = [
-            self._decide(mask, lambda idx: first[mask] if idx == 0
-                         else self._seed_basis(mask, idx).rank)
-            for mask in range(1 << m)]
-        return self._table
+        ends = [1 << u | 1 << v for u, v in (edge_at(self.n, b) for b in range(m))]
+        vcap = [_vertex_cap(v, self.dim) for v in range(self.n + 1)]
+        support, cap = bytearray(1 << m), bytearray(1 << m)
+        for x in range(1, 1 << m):
+            support[x] = vs = support[x & (x - 1)] | ends[(x & -x).bit_length() - 1]
+            cap[x] = min(x.bit_count(), vcap[vs.bit_count()])
+        table = subset_rank_table([self._row(b, 0) for b in range(m)], self.modulus)
+        asked = [x for x in range(1 << m) if table[x] < cap[x]]
+        ranks, below = [table], asked
+        for idx in range(1, len(self.seeds)):
+            if not below:
+                break
+            ranks.append(subset_rank_table(
+                [self._row(b, idx) for b in range(m)], self.modulus, below))
+            below = [x for x in below if ranks[idx][x] < cap[x]]
+        for x in asked:
+            # reads table[x], seed 0's rank, before overwriting it
+            table[x] = self._decide(x, lambda idx: ranks[idx][x], cap[x])
+        self._table = table
+        return table
 
     def explicit_matroid(self) -> matroids.ExplicitMatroid:
         return matroids.ExplicitMatroid.from_table(self.rank_table())

@@ -10,12 +10,15 @@ row has 2(s+1) nonzeros among (s+1)n columns, so elimination touches only
 the columns a row and its reducers actually use.  An echelon basis is a
 pivot-sorted sequence of (pivot, row) pairs: each row is 1 at its pivot and
 has no key left of it, and no two pivots are equal, so pairs sort by pivot
-alone.  One kernel, ``_eliminate``, reduces a row against such a sequence.
+alone.  One kernel, ``_eliminate``, reduces a row against such a sequence:
+its pivot-clearing loop ``_clear_pivots``, then one inverse to normalize.
 ``EchelonBasis`` keeps a growing list of pairs and turns its input rows,
 dense sequences or mappings, into the sparse form at the boundary.
 ``subset_rank_table`` keeps one immutable tuple of pairs per subset, sharing
 the rows between subsets, and drops a subset's tuple as soon as the last
-subset built from it is done.
+subset built from it is done.  A subset that no other is built from only
+asks whether its row survives the clearing loop, with no inverse, and a
+table asked about a list of masks reduces only them and their parent chains.
 
 A caller may give its rows tag columns right of the real ones, one unit
 vector per element, and insert only the rows whose pivot falls left of the
@@ -135,15 +138,11 @@ class EchelonBasis:
         return out
 
 
-def _eliminate(cur: dict[int, int], pairs, p: int):
-    """Reduce a sparse row against pivot-sorted pairs.
-
-    The row dict is consumed.  Returns the new (pivot, normalized row) pair,
-    or None if the row lies in their span.  Each pair's row has no key left
-    of its pivot, so one pass in pivot order clears every pivot column and
-    the new pivot is unique.  Working entries are exact integers, reduced
-    mod p only where one is read as a multiplier and in the returned row;
-    a cleared pivot column is dropped from the row.
+def _clear_pivots(cur: dict[int, int], pairs, p: int) -> None:
+    """Clear, in place, every pivot column of pivot-sorted pairs from a
+    sparse row: one pass in pivot order, since no pair's row has a key left of
+    its pivot.  Entries stay exact integers, reduced mod p only where read as
+    a multiplier, so a kept entry may be 0 mod p; a cleared column is dropped.
     """
     get = cur.get
     for piv, brow in pairs:
@@ -154,6 +153,13 @@ def _eliminate(cur: dict[int, int], pairs, p: int):
                 for j, b in brow.items():
                     cur[j] = get(j, 0) - c * b
             del cur[piv]
+
+
+def _eliminate(cur: dict[int, int], pairs, p: int):
+    """Reduce a sparse row, consumed, against pivot-sorted pairs: the new
+    (pivot, normalized row) pair, whose pivot no pair has, or None if the row
+    lies in their span."""
+    _clear_pivots(cur, pairs, p)
     support = [j for j, x in cur.items() if x % p]
     if not support:
         return None
@@ -162,14 +168,17 @@ def _eliminate(cur: dict[int, int], pairs, p: int):
     return lead, {j: y for j, x in cur.items() if (y := x * inv % p)}
 
 
-def subset_rank_table(rows, p: int = MERSENNE61) -> list[int]:
-    """Rank of every subset of the given rows, indexed by bitmask.
+def subset_rank_table(rows, p: int = MERSENNE61,
+                      masks=None) -> list[int] | dict[int, int]:
+    """Rank of every subset of the given rows, as a list indexed by bitmask.
 
-    Subsets are processed in increasing numeric order, so each mask x reuses
-    the pairs of its parent y, x minus its lowest bit.  A mask's pairs are
-    kept only while a child still needs them: an odd mask has no child, and
-    the last child of y is y + 2^(lowbit(y) - 1), after which y's pairs are
-    dropped.  The live tuples share their rows, which keeps the table
+    Given masks, only those subsets and their parent chains are reduced, and
+    a {mask: rank} dict of them (and of 0) is returned.  Subsets are processed
+    in increasing numeric order, so each mask x reuses the pairs of its
+    parent, x minus its lowest bit.  A mask's pairs are kept only while a
+    child still needs them, and a childless mask (every odd one, in the full
+    table) only checks whether its new row survives, with no inverse and no
+    normalized row.  The live tuples share their rows, which keeps the table
     affordable up to 16 rows.
     """
     m = len(rows)
@@ -177,20 +186,33 @@ def subset_rank_table(rows, p: int = MERSENNE61) -> list[int]:
         raise ValueError(f"subset table over {m} rows is too large")
     rows = [_sparse_row(r, p) for r in rows]
     size = 1 << m
-    rank = [0] * size
+    if masks is None:
+        order = range(1, size)
+    else:
+        chains = set()
+        for x in masks:
+            while x and x not in chains:
+                chains.add(x)
+                x &= x - 1
+        order = sorted(chains)
+    kids = bytearray(size)
+    for x in order:
+        kids[x & (x - 1)] += 1
+    rank = [0] * size if masks is None else {0: 0}
     basis: dict[int, tuple] = {0: ()}
-    for x in range(1, size):
-        low = (x & -x).bit_length() - 1
+    for x in order:
         y = x & (x - 1)
-        # x is y's last child exactly when y's lowest bit sits just above low
-        b = basis.pop(y) if y >> low + 1 & 1 else basis[y]
-        pair = _eliminate(dict(rows[low]), b, p)
-        if pair is None:
-            rank[x] = rank[y]
-        else:
+        kids[y] -= 1
+        b = basis[y] if kids[y] else basis.pop(y)
+        cur = dict(rows[(x & -x).bit_length() - 1])
+        if not kids[x]:
+            _clear_pivots(cur, b, p)
+            rank[x] = rank[y] + any(v % p for v in cur.values())
+            continue
+        pair = _eliminate(cur, b, p)
+        rank[x] = rank[y] + (pair is not None)
+        if pair is not None:
             at = bisect(b, pair)
             b = b[:at] + (pair,) + b[at:]
-            rank[x] = rank[y] + 1
-        if not x & 1:
-            basis[x] = b
+        basis[x] = b
     return rank

@@ -295,16 +295,18 @@ def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
 
     For t = 5 this is the common rank-10 truncation of every abstract
     3-rigidity matroid; its free elevation is the object under study here.
+    Its rank is min(|X|, C(t,2)) - [X is a K_t copy]: for t >= 3 two K_t
+    copies share at most C(t-1,2) < C(t,2) - 1 edges, so a set of more than
+    C(t,2) edges has a C(t,2)-subset that is no copy.
     """
     t = clique_order
+    if t < 3:
+        raise ValueError(f"clique truncations need t >= 3, not {t}")
     m = edge_count(n)
+    if m > ENUM_CAP:
+        raise CapExceeded(f"clique truncation over {m} elements")
     cap = t * (t - 1) // 2
-    cliques = [EdgeSet.complete(n, vs).mask
-               for vs in itertools.combinations(range(n), t)]
-
-    def independent(x: int) -> bool:
-        if x.bit_count() > cap:
-            return False
-        return all(x & c != c for c in cliques)
-
-    return ExplicitMatroid.from_independence(m, independent)
+    table = [min(x.bit_count(), cap) for x in range(1 << m)]
+    for vs in itertools.combinations(range(n), t):
+        table[EdgeSet.complete(n, vs).mask] -= 1
+    return ExplicitMatroid(table)

@@ -4,8 +4,8 @@ bitsets of subsets; the tests check it against these loops."""
 
 from itertools import combinations
 
-from cofrig.field import EchelonBasis
-from cofrig.graphs import bits, edge_count
+from cofrig.field import EchelonBasis, subset_rank_table
+from cofrig.graphs import EdgeSet, bits, edge_count
 
 
 def closure(rank, mask, ground):
@@ -41,6 +41,35 @@ def reduction_closure(oracle, mask):
         if oracle._decide(mask | 1 << bit, with_e) == r:
             out |= 1 << bit
     return out
+
+
+def per_mask_rank_table(oracle):
+    """The cofactor oracle's rank table decided mask by mask: seed 0's ranks
+    from one subset table, another seed's rank of a mask from its own echelon
+    basis, and every mask through the oracle's own seed rule."""
+    m = edge_count(oracle.n)
+    first = subset_rank_table([oracle._row(b, 0) for b in range(m)], oracle.modulus)
+    return [oracle._decide(mask, lambda idx: first[mask] if idx == 0
+                           else oracle._seed_basis(mask, idx).rank)
+            for mask in range(1 << m)]
+
+
+def parent_chains(masks):
+    """The nonzero masks on the parent chains x -> x & (x - 1) of masks."""
+    chains = set()
+    for x in masks:
+        while x:
+            chains.add(x)
+            x &= x - 1
+    return chains
+
+
+def clique_truncation_independent(n, t):
+    """Independence in the clique truncation on E(K_n): at most C(t,2) edges
+    and no full K_t."""
+    cap = t * (t - 1) // 2
+    cliques = [EdgeSet.complete(n, vs).mask for vs in combinations(range(n), t)]
+    return lambda x: x.bit_count() <= cap and all(x & c != c for c in cliques)
 
 
 def cyc(rank, mask):

@@ -190,6 +190,20 @@ def test_certificate_output_is_pinned(capsys, request, command, graph, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the verify stdout of the suites that read whole rank tables, so
+# that a change to how the tables are built cannot alter a verdict unnoticed
+@pytest.mark.parametrize("suite, digest", [
+    ("elevation",
+     "58afc868f86d9d131767b8b26ea601faabebd65fc65249d4f50b4b1116042824"),
+    ("axioms",
+     "4e883949fd1067554787465a85f0ccbc1e448a8772851bf16683ee67f5e1d108"),
+], ids=["elevation", "axioms"])
+def test_verify_output_is_pinned(capsys, suite, digest):
+    code, out, _ = _run(capsys, ["verify", suite, "--seed", "13"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("text", ["n=-2\n", "n=3\nn=5\n0 4\n"],
                          ids=["negative", "repeated"])
 def test_bad_ambient_header_is_an_input_error(capsys, tmp_path, text):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from cofrig import cofactor
+from cofrig import cofactor, field
 from cofrig.cofactor import CofactorOracle, RigidityOracle
 from cofrig.errors import AmbientMismatch, SeedDisagreement
 from cofrig.field import EchelonBasis
@@ -430,10 +430,63 @@ def test_closure_files_its_spans_only_for_seeds_at_the_decided_rank(monkeypatch)
 
 
 def test_span_cache_stays_bounded():
-    # 2415 voted masks each ask seeds 1 and 2 for a basis of their own
-    oracle = CofactorOracle(6, s=1)
-    oracle.rank_table()
-    assert 0 < len(oracle._spans) <= cofactor.SPAN_CACHE
+    # every flexible rank or closure query files the seed bases of its mask
+    n = 24
+    F = _flexible(n)
+    oracle = CofactorOracle(n)
+    for k, e in enumerate(F.sorted_edges()[:cofactor.SPAN_CACHE + 2]):
+        G = F.remove(*e)
+        assert oracle.rank(G) < 3 * n - 6
+        if k % 2:
+            oracle.closure(G)
+        assert 0 < len(oracle._spans) <= cofactor.SPAN_CACHE
+
+
+@pytest.mark.parametrize("n, s", [(6, 2), (6, 1), (5, 0)])
+def test_rank_table_matches_the_per_mask_reference(table6, n, s):
+    got = table6 if (n, s) == (6, 2) else CofactorOracle(n, s=s).rank_table()
+    assert got == reference.per_mask_rank_table(CofactorOracle(n, s=s))
+
+
+def test_rank_table_splits_where_the_per_mask_reference_does(monkeypatch):
+    def split(build):
+        with pytest.raises(SeedDisagreement) as info:
+            build(_rigged_oracle6(monkeypatch))
+        return info.value.detail
+
+    assert split(CofactorOracle.rank_table) == split(reference.per_mask_rank_table)
+
+
+def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
+    # Seed 0 ranks every mask in one table.  Seeds 1 and 2 rank only the
+    # masks below the cap on every earlier seed, plus their parent chains,
+    # and no seed builds an echelon basis of its own.
+    calls = _count_reductions(monkeypatch)
+    cleared = [0]
+    real_clear = field._clear_pivots
+
+    def counting_clear(cur, pairs, p):
+        cleared[0] += 1
+        real_clear(cur, pairs, p)
+
+    monkeypatch.setattr(field, "_clear_pivots", counting_clear)
+    handed = []
+    real_table = cofactor.subset_rank_table
+
+    def recording_table(rows, p, masks=None):
+        cleared[0] = 0
+        table = real_table(rows, p, masks)
+        handed.append((masks, cleared[0]))
+        return table
+
+    monkeypatch.setattr(cofactor, "subset_rank_table", recording_table)
+    CofactorOracle(6, s=1).rank_table()
+    assert calls[0] == 0
+    (everything, reduced), (first, _), (second, _) = handed
+    assert everything is None and reduced == (1 << 15) - 1
+    assert len(first) == 2415 and set(second) <= set(first)
+    for masks, reduced in handed[1:]:
+        assert reduced == len(reference.parent_chains(masks)) == 5682
 
 
 def test_motion_closure_matches_the_reduction_closure():

@@ -13,7 +13,7 @@ from cofrig.matroids import (
     verify_rank_axioms,
 )
 
-from rank_reference import closure, cyc, rank_axioms_hold
+from rank_reference import clique_truncation_independent, closure, cyc, rank_axioms_hold
 
 
 def test_uniform_matroid_basics():
@@ -48,6 +48,20 @@ def test_clique_truncation_r6():
             k5 |= 1 << i
     assert k5.bit_count() == 10
     assert not R6.is_independent(k5)
+
+
+@pytest.mark.parametrize("n, t", [(6, 5), (6, 4), (5, 3)])
+def test_clique_truncation_closed_form_matches_the_independence_table(n, t):
+    m = n * (n - 1) // 2
+    by_independence = ExplicitMatroid.from_independence(
+        m, clique_truncation_independent(n, t))
+    assert clique_truncation_matroid(n, t).full_table() == by_independence.full_table()
+
+
+def test_clique_truncation_needs_a_triangle_or_larger():
+    # for t = 2 every edge is a circuit, which the closed form does not give
+    with pytest.raises(ValueError, match="t >= 3"):
+        clique_truncation_matroid(5, 2)
 
 
 @pytest.mark.parametrize("build", ["U24", "K6-truncation-4", "K6-oracle-s2"])
