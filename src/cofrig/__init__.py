@@ -3,10 +3,10 @@ matroids.
 
 The package centers on the degree-2 cofactor matroid — the maximal
 abstract 3-rigidity matroid — with the graphic (degree 0) and planar
-rigidity (degree 1) matroids available through the same oracle.  Rank
-queries run a randomized evaluation oracle over a large prime field;
-combinatorial counterparts (proper clique sequences, free elevations,
-clique covers) certify the answers independently.
+rigidity (degree 1) matroids given by the same oracle's cofactor rows at
+lower degree.  Rank queries run a randomized evaluation oracle over a
+large prime field; combinatorial counterparts (proper clique sequences,
+free elevations, clique covers) certify the answers independently.
 
 Entry points:
 
@@ -21,7 +21,7 @@ Entry points:
   exposed as ``cofrig verify`` on the command line).
 """
 
-from .cofactor import DEFAULT_SEEDS, CofactorOracle, RigidityOracle
+from .cofactor import DEFAULT_SEEDS, CofactorOracle
 from .covers import (
     CliqueCover,
     cover_upper_bound,
@@ -83,7 +83,6 @@ __all__ = [
     "ExplicitMatroid",
     "MERSENNE61",
     "RankCertificate",
-    "RigidityOracle",
     "SeedDisagreement",
     "SUITE_NAMES",
     "SuiteResult",

@@ -62,25 +62,10 @@ def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
     xj, yj = config.points[j]
     dx = (xi - xj) % p
     dy = (yi - yj) % p
-    block = [pow(dx, s - t, p) * pow(dy, t, p) % p for t in range(s + 1)]
-    return _edge_row(i, j, block, p)
-
-
-def rigidity_row(edge, config: GenericConfiguration) -> dict[int, int]:
-    """Evaluated plane rigidity row, as a sparse {column: entry} dict:
-    p_i - p_j at vertex i, p_j - p_i at j."""
-    i, j = sorted(edge)
-    p = config.p
-    diff = [(a - b) % p for a, b in zip(config.points[i], config.points[j])]
-    return _edge_row(i, j, diff, p)
-
-
-def _edge_row(i: int, j: int, block: list[int], p: int) -> dict[int, int]:
-    """The nonzero entries of a row holding block at vertex i and its
-    negation at vertex j."""
-    w = len(block)
+    w = s + 1
     row = {}
-    for t, b in enumerate(block):
+    for t in range(w):
+        b = pow(dx, s - t, p) * pow(dy, t, p) % p
         if b:
             row[w * i + t] = b
             row[w * j + t] = p - b
@@ -146,16 +131,13 @@ class CofactorOracle:
                 f"edge set lives in K_{F.n}, oracle in K_{self.n}"
             )
 
-    def _entries(self, edge, config: GenericConfiguration) -> dict[int, int]:
-        return cofactor_row(edge, config, self.s)
-
     def _row(self, edge_bit: int, seed_idx: int) -> dict[int, int]:
         """The evaluated row of an edge as a sparse {column: entry} dict."""
         cache = self._row_cache[seed_idx]
         row = cache.get(edge_bit)
         if row is None:
-            edge = edge_at(self.n, edge_bit)
-            row = cache[edge_bit] = self._entries(edge, self.configs[seed_idx])
+            row = cache[edge_bit] = cofactor_row(
+                edge_at(self.n, edge_bit), self.configs[seed_idx], self.s)
         return row
 
     def _spans_of(self, mask: int) -> list[list]:
@@ -177,12 +159,20 @@ class CofactorOracle:
         slot = self._spans_of(mask)[seed_idx]
         if slot[0] is None:
             cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
-            slot[0] = basis = EchelonBasis(self.modulus)
-            for b in bits(mask):
-                if basis.rank == cap:
-                    break
-                basis.insert(self._row(b, seed_idx))
+            slot[0] = self._greedy(bits(mask), seed_idx, cap)[0]
         return slot[0]
+
+    def _greedy(self, elems, seed_idx: int, stop: int):
+        """One seed's echelon basis of the rows of elems, inserted in the
+        given order until its rank reaches stop, and the mask of the
+        elements whose rows grew it."""
+        basis, base = EchelonBasis(self.modulus), 0
+        for b in elems:
+            if basis.rank == stop:
+                break
+            if basis.insert(self._row(b, seed_idx)):
+                base |= 1 << b
+        return basis, base
 
     def _seed_motions(self, mask: int, seed_idx: int) -> list[list[int]]:
         """One seed's motions of mask: the kernel of its evaluated rows."""
@@ -192,11 +182,9 @@ class CofactorOracle:
         return slot[1]
 
     def _decide(self, mask: int, seed_rank, cap: int | None = None) -> int:
-        """The rank of a mask from its per-seed ranks, asked for lazily in
-        seed order: a table or memo hit asks for none, a seed meeting the
-        proven cap ends the asking, and otherwise the maximum stands unless a
-        strict majority of seeds falls below it.  A caller that knows the
-        mask's cap passes it, which spares a vertex-support count."""
+        """The rank of a mask by the seed rule of _vote, memoized: a table
+        or memo hit asks no seed.  A caller that knows the mask's cap passes
+        it, which spares a vertex-support count."""
         if self._table is not None:
             return self._table[mask]
         got = self._memo.get(mask)
@@ -204,22 +192,28 @@ class CofactorOracle:
             return got
         if cap is None:
             cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
+        self._memo[mask] = r = self._vote(mask, seed_rank, cap)
+        return r
+
+    def _vote(self, mask: int, seed_rank, cap: int) -> int:
+        """The rank of a mask from its per-seed ranks, asked for lazily in
+        seed order: a seed meeting the proven cap ends the asking, and
+        otherwise the maximum stands unless a strict majority of seeds falls
+        below it."""
         per_seed = []
         for idx in range(len(self.seeds)):
             r = seed_rank(idx)
             if r == cap:
                 # meets the proven cap, so it is the generic rank
-                break
+                return r
             per_seed.append(r)
-        else:
-            r = max(per_seed)
-            if 2 * sum(x < r for x in per_seed) > len(per_seed):
-                raise SeedDisagreement(
-                    "strict majority of seeds fell below the maximum rank",
-                    detail={"mask": mask, "n": self.n, "s": self.s,
-                            "seeds": self.seeds, "ranks": per_seed,
-                            "modulus": self.modulus})
-        self._memo[mask] = r
+        r = max(per_seed)
+        if 2 * sum(x < r for x in per_seed) > len(per_seed):
+            raise SeedDisagreement(
+                "strict majority of seeds fell below the maximum rank",
+                detail={"mask": mask, "n": self.n, "s": self.s,
+                        "seeds": self.seeds, "ranks": per_seed,
+                        "modulus": self.modulus})
         return r
 
     def _tagged_pass(self, elems: list[int], seed_idx: int):
@@ -333,48 +327,41 @@ class CofactorOracle:
         return self.cyc(F).mask == F.mask
 
     def basis_of(self, F: EdgeSet) -> EdgeSet:
-        """Lexicographically greedy base of F."""
+        """Lexicographically greedy base of F, as extend_basis qualifies it."""
         self._check(F)
         return self.extend_basis(EdgeSet.empty(self.n), F)
 
     def extend_basis(self, independent: EdgeSet, F: EdgeSet) -> EdgeSet:
         """Greedily extend an independent subset of F to a base of F.
 
-        The seeds run in lockstep over the remaining elements in increasing
-        order.  Each keeps an echelon basis of the current set, caught up only
-        when a decision first needs that seed; its rank of cur + b is its
-        rank plus whether the row of b grew it.
+        Each seed in turn inserts the rows of the starting set and then those
+        of the rest of F, in increasing order, until its rank reaches
+        rank(F).  A set independent at one evaluation is generically
+        independent, so the first seed whose base reaches rank(F) and keeps
+        the starting set gives a base of F.  It is the lexicographically
+        greedy base unless that seed is degenerate on some prefix of F, where
+        it may skip an element the generic greedy takes.  If no seed gets
+        there, the seeds disagree and SeedDisagreement is raised.
         """
         self._check(F)
+        start = independent.mask
         if not independent.issubset(F):
             raise ValueError("starting set is not contained in F")
         if not self.independent(independent):
             raise ValueError("starting set is dependent")
         target = self.rank(F)
-        cur, r = independent.mask, len(independent)
-        bases = [EchelonBasis(self.modulus) for _ in self.seeds]
-        covered = [0] * len(self.seeds)
-        for b in bits(F.mask & ~cur):
-            if r == target:
-                break
-            grown = {}
-
-            def with_b(idx):
-                basis = bases[idx]
-                for x in bits(cur & ~covered[idx]):
-                    basis.insert(self._row(x, idx))
-                covered[idx] = cur
-                grown[idx] = basis.reduce(self._row(b, idx))
-                return basis.rank + (grown[idx] is not None)
-
-            if self._decide(cur | 1 << b, with_b) > r:
-                cur |= 1 << b
-                r += 1
-                for idx, pair in grown.items():
-                    if pair is not None:
-                        insort(bases[idx].pairs, pair)
-                    covered[idx] = cur
-        return EdgeSet(self.n, cur)
+        elems = [*bits(start), *bits(F.mask & ~start)]
+        ranks = []
+        for idx in range(len(self.seeds)):
+            basis, base = self._greedy(elems, idx, target)
+            if basis.rank == target and base & start == start:
+                return EdgeSet(self.n, base)
+            ranks.append(basis.rank)
+        raise SeedDisagreement(
+            "no seed extends the starting set to a base of the decided rank",
+            detail={"mask": F.mask, "start": start, "rank": target,
+                    "n": self.n, "s": self.s, "seeds": self.seeds,
+                    "ranks": ranks, "modulus": self.modulus})
 
     def fundamental_circuit(self, B: EdgeSet, e) -> EdgeSet:
         """The unique circuit inside B + e, for B independent with e in cl(B).
@@ -411,8 +398,8 @@ class CofactorOracle:
         Seed 0 ranks every mask in one subset table, and a vertex-support DP
         gives every mask's cap.  Seed k ranks, in one table restricted to
         them and their parent chains, exactly the masks on which seeds
-        0..k-1 all fell below the cap: the masks _decide would ask it about.
-        Only the masks below the cap on seed 0 go through _decide, and the
+        0..k-1 all fell below the cap: the masks _vote would ask it about.
+        Only the masks below the cap on seed 0 go through _vote, and the
         finished table then serves as the memo.
         """
         if self._table is not None:
@@ -437,22 +424,10 @@ class CofactorOracle:
             below = [x for x in below if ranks[idx][x] < cap[x]]
         for x in asked:
             # reads table[x], seed 0's rank, before overwriting it
-            table[x] = self._decide(x, lambda idx: ranks[idx][x], cap[x])
+            table[x] = self._vote(x, lambda idx: ranks[idx][x], cap[x])
         self._table = table
         return table
 
     def explicit_matroid(self) -> matroids.ExplicitMatroid:
         return matroids.ExplicitMatroid.from_table(self.rank_table())
 
-
-class RigidityOracle(CofactorOracle):
-    """Same oracle machinery over the rows of plane bar frameworks.
-
-    Used only to cross-check the cofactor construction at s = 1.
-    """
-
-    def __init__(self, n: int, seeds=DEFAULT_SEEDS, modulus: int = MERSENNE61):
-        super().__init__(n, s=1, seeds=seeds, modulus=modulus)
-
-    def _entries(self, edge, config: GenericConfiguration) -> dict[int, int]:
-        return rigidity_row(edge, config)

@@ -48,7 +48,7 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
     for x in seeds:
         if not cyclic >> x & 1:
             raise ValueError(f"seed member {x:#x} is not cyclic")
-    top = M.cyc(M.full_mask)
+    top = M.cyclic_bits.bit_length() - 1  # cyc(E) holds every cyclic set
 
     down, down_list, unions = 0, [], seeds | {0}
     while unions:
@@ -112,7 +112,7 @@ def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[
     axioms before it is returned.
     """
     family = modular_cyclic_closure(M, M.cyclic_flats())
-    if M.cyc(M.full_mask) in family:
+    if M.cyclic_bits.bit_length() - 1 in family:  # cyc(E)
         return M, True, family
     raised = subset_flags(M.cyclic_bits & ~_bitset(family), M.m)
     N = ExplicitMatroid(list(map(add, M.full_table(), raised)))

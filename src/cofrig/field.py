@@ -89,7 +89,7 @@ def _sparse_row(row, p: int) -> dict[int, int]:
 class EchelonBasis:
     """Incremental row echelon form over GF(p), as one sequence of pairs.
 
-    Rows are never modified after insertion, so copies share them.
+    Rows are never modified after insertion.
     """
 
     __slots__ = ("p", "pairs")
@@ -101,11 +101,6 @@ class EchelonBasis:
     @property
     def rank(self) -> int:
         return len(self.pairs)
-
-    def copy(self) -> "EchelonBasis":
-        out = EchelonBasis(self.p)
-        out.pairs = list(self.pairs)
-        return out
 
     def reduce(self, row) -> tuple[int, dict[int, int]] | None:
         """Reduce a row, dense or a mapping, against the basis: its new

@@ -129,16 +129,6 @@ class ExplicitMatroid:
     def is_independent(self, mask: int) -> bool:
         return self.rank(mask) == mask.bit_count()
 
-    def is_flat(self, mask: int) -> bool:
-        """Whether every element outside mask raises its rank."""
-        table, r = self._table, self._table[mask]
-        return all(table[mask | 1 << b] > r for b in bits(self.full_mask & ~mask))
-
-    def cyc(self, mask: int) -> int:
-        """mask minus its restriction coloops: the union of circuits inside."""
-        table, r = self._table, self._table[mask]
-        return sum(1 << b for b in bits(mask) if table[mask & ~(1 << b)] == r)
-
     def is_modular_pair(self, x: int, y: int) -> bool:
         table = self._table
         return table[x] + table[y] == table[x | y] + table[x & y]

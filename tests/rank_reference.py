@@ -4,7 +4,8 @@ bitsets of subsets; the tests check it against these loops."""
 
 from itertools import combinations
 
-from cofrig.field import EchelonBasis, subset_rank_table
+from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
+from cofrig.field import EchelonBasis, matrix_rank, subset_rank_table
 from cofrig.graphs import EdgeSet, bits, edge_count
 
 
@@ -52,6 +53,20 @@ def per_mask_rank_table(oracle):
     return [oracle._decide(mask, lambda idx: first[mask] if idx == 0
                            else oracle._seed_basis(mask, idx).rank)
             for mask in range(1 << m)]
+
+
+def plane_rigidity_rank(F):
+    """Rank of F in the generic plane rigidity matroid: the largest rank,
+    over the oracle's default seeds, of the bar-framework rows holding
+    p_i - p_j at vertex i and p_j - p_i at vertex j."""
+    best = 0
+    for seed in DEFAULT_SEEDS:
+        points = GenericConfiguration.generate(F.n, seed).points
+        rows = [{2 * v + t: sign * (points[i][t] - points[j][t])
+                 for v, sign in ((i, 1), (j, -1)) for t in range(2)}
+                for i, j in F.edges()]
+        best = max(best, matrix_rank(rows))
+    return best
 
 
 def parent_chains(masks):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from cofrig import cofactor, field
-from cofrig.cofactor import CofactorOracle, RigidityOracle
+from cofrig.cofactor import CofactorOracle
 from cofrig.errors import AmbientMismatch, SeedDisagreement
 from cofrig.field import EchelonBasis
 from cofrig.graphs import (
@@ -207,10 +207,9 @@ def test_degree_one_matches_sparsity_rank():
 def test_degree_one_matches_rigidity_rows():
     rng = random.Random(17)
     cof = CofactorOracle(6, s=1)
-    rig = RigidityOracle(6)
     for _ in range(60):
         F = EdgeSet(6, rng.getrandbits(15))
-        assert cof.rank(F) == rig.rank(F)
+        assert cof.rank(F) == reference.plane_rigidity_rank(F)
 
 
 def test_rank_table_matches_pointwise(oracle6, table6):
@@ -338,7 +337,37 @@ def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
     calls[0] = 0
     oracle = CofactorOracle(n)
     oracle.basis_of(F)
-    assert calls[0] <= 2 * len(oracle.seeds) * len(F)
+    assert calls[0] <= 2 * len(F)
+
+
+def _losing(monkeypatch, oracle, lost):
+    """Make seed idx of the oracle lose the rows of the edge bits lost[idx]."""
+    real = oracle._row
+    monkeypatch.setattr(oracle, "_row", lambda b, idx: {} if b in lost.get(idx, ())
+                        else real(b, idx))
+    return oracle
+
+
+def test_extend_basis_raises_when_no_seed_reaches_the_rank(monkeypatch):
+    # F has rank 2: seed 0 loses 01 and seed 1 loses 23 and 45, so seed 0's
+    # base of F leaves out 01 and seed 1's stops at rank 1.
+    oracle = _losing(monkeypatch, CofactorOracle(6, seeds=(1, 2)),
+                     {0: {edge_index(6, 0, 1)},
+                      1: {edge_index(6, 2, 3), edge_index(6, 4, 5)}})
+    F = EdgeSet.from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    assert oracle.rank(F) == 2
+    with pytest.raises(SeedDisagreement) as info:
+        oracle.extend_basis(EdgeSet.from_edges(6, [(0, 1)]), F)
+    assert info.value.detail["ranks"] == [2, 1]
+
+
+def test_basis_falls_through_to_a_seed_that_reaches_the_rank(monkeypatch):
+    # seed 0 loses the row of 01, so its base of the path stops at rank 2
+    F = EdgeSet.from_edges(6, [(0, 1), (1, 2), (2, 3)])
+    oracle = _losing(monkeypatch, CofactorOracle(6), {0: {edge_index(6, 0, 1)}})
+    fresh = CofactorOracle(6)
+    assert oracle.basis_of(F).mask == reference.extend_basis(
+        lambda x: fresh.rank(EdgeSet(6, x)), 0, F.mask) == F.mask
 
 
 def _rigged_oracle6(monkeypatch):
@@ -446,6 +475,14 @@ def test_span_cache_stays_bounded():
 def test_rank_table_matches_the_per_mask_reference(table6, n, s):
     got = table6 if (n, s) == (6, 2) else CofactorOracle(n, s=s).rank_table()
     assert got == reference.per_mask_rank_table(CofactorOracle(n, s=s))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_rank_table_writes_no_memo_entries(s):
+    # the finished table answers every mask, so a memo entry is never read
+    oracle = CofactorOracle(6, s=s)
+    oracle.rank_table()
+    assert len(oracle._memo) == 1
 
 
 def test_rank_table_splits_where_the_per_mask_reference_does(monkeypatch):

@@ -41,14 +41,6 @@ def test_echelon_basis_incremental_matches_batch():
         assert basis.rank == matrix_rank(rows[:i], p=p)
 
 
-def test_echelon_basis_copy_is_independent():
-    basis = EchelonBasis(p=13)
-    basis.insert([1, 0, 0])
-    clone = basis.copy()
-    clone.insert([0, 1, 0])
-    assert basis.rank == 1 and clone.rank == 2
-
-
 def test_echelon_reduce_detects_dependence():
     basis = EchelonBasis(p=13)
     basis.insert([1, 2, 3])

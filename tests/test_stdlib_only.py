@@ -1,6 +1,6 @@
 """The library imports nothing outside the standard library, its modules
-import one another without a cycle, and every function reads the
-parameters it takes."""
+import one another without a cycle, every function reads the parameters
+it takes, and every private function, method and class is used."""
 
 import ast
 import sys
@@ -79,3 +79,30 @@ def test_every_parameter_is_read():
               for path in sorted(SRC.glob("*.py"))
               for fn, p in _unread_parameters(path)}
     assert unread <= allowed, sorted(unread - allowed)
+
+
+def _private_definitions_and_references():
+    """(file, name, first line, last line) of every private function, method
+    and class in the package, and (file, line, name) of every name and
+    attribute anywhere in it."""
+    defs, refs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((path.name, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path.name, node.lineno, node.attr))
+    return defs, refs
+
+
+def test_every_private_name_is_used():
+    # a use inside the definition itself (recursion) does not count
+    defs, refs = _private_definitions_and_references()
+    assert defs
+    unused = [(fname, name) for fname, name, first, last in defs
+              if not any(ref == name and not (rfile == fname and first <= line <= last)
+                         for rfile, line, ref in refs)]
+    assert not unused, unused
