@@ -22,7 +22,9 @@ from itertools import combinations
 
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
 from .graphs import (
-    CliqueFamily, EdgeSet, clique_mask, complete_edges, peel_order, union_of)
+    CliqueFamily, EdgeSet, bits, clique_mask, complete_edges, edge_count,
+    peel_order, union_of)
+from .matroids import ENUM_CAP, down_closure, element_bits, uniform_matroid
 
 __all__ = [
     "CircuitSequence",
@@ -31,6 +33,7 @@ __all__ = [
     "covering_sequence",
     "proper_order",
     "min_sequence_value",
+    "min_sequence_levels",
     "rank_certificate",
     "find_simplicial_base_vertex",
 ]
@@ -219,6 +222,46 @@ def min_sequence_value(
     order = _proper_order_masks([masks[i] for i in best_chosen])
     witness = CircuitSequence(n, tuple(cliques[best_chosen[j]] for j in order), d)
     return best[0], witness
+
+
+def min_sequence_levels(n: int) -> list[int]:
+    """The minimum sequence value (d = 3) of every edge set of K_n at once,
+    as level bitsets oriented like ``ExplicitMatroid.levels``: bit x of
+    entry k is set when the edge set with mask x has value >= k.
+
+    With tau(G) the size of the largest proper family of K5s inside G, the
+    minimum value of F is min over G ⊇ F of |G| - tau(G) (take G = F ∪ the
+    cliques).  The last clique of a proper family has an edge e no earlier
+    one has, and any K5 through e extends a proper family inside G - e, so
+    tau(G) > k iff tau(G - e) >= k for some e on a K5 inside G.
+    """
+    m = edge_count(n)
+    if m > ENUM_CAP:
+        raise CapExceeded(f"sequence levels over {m} edges")
+    with_e = element_bits(m)
+    every = (1 << (1 << m)) - 1
+    on_clique = [0] * m  # on_clique[e]: the edge sets holding a K5 through e
+    for c in combinations(range(n), 5):
+        edges = list(bits(clique_mask(n, c)))
+        holds = every
+        for e in edges:
+            holds &= with_e[e]
+        for e in edges:
+            on_clique[e] |= holds
+    tau = [every]  # tau[k]: the edge sets G with tau(G) >= k
+    while tau[-1]:
+        tau.append(0)
+        for e in range(m):
+            tau[-1] |= on_clique[e] & (tau[-2] & ~with_e[e]) << (1 << e)
+    sizes = uniform_matroid(m, m).levels + [0]  # sizes[j]: >= j edges
+    levels = [every]
+    while levels[-1]:
+        # value <= r: a subset of some G with tau(G) >= k and |G| <= r + k
+        r, low = len(levels) - 1, 0
+        for k, family in enumerate(tau):
+            low |= family & ~sizes[min(r + k + 1, m + 1)]
+        levels.append(every & ~down_closure(low, m))
+    return levels[:-1]
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ Suites:
 * ``axioms``          rank axioms on E(K6); the two closure laws for
                       low-overlap unions and clique merges; K5 copies in
                       K8 are circuits.
-* ``sequence-sweep``  exhaustive check on all 32768 subsets of E(K6) that
-                      the best proper clique-sequence value equals the
-                      oracle rank, plus sampled dual certificates.
+* ``sequence-sweep``  exhaustive check, on level bitsets, that the best
+                      proper clique-sequence value of each of the 32768
+                      subsets of E(K6) equals the oracle rank, plus sampled
+                      dual certificates.
 * ``elevation``       the free elevation of the rank-10 clique truncation
                       on E(K6) reproduces the degree-2 cofactor matroid;
                       cyclic flats stay unions of K5 copies; truncating
@@ -35,7 +36,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .cofactor import CofactorOracle
 from .covers import (
@@ -54,10 +55,10 @@ from .graphs import (
     complete_graph,
     double_banana,
 )
-from .matroids import clique_truncation_matroid, verify_rank_axioms
+from .matroids import clique_truncation_matroid, members, verify_rank_axioms
 from .sequences import (
     find_simplicial_base_vertex,
-    min_sequence_value,
+    min_sequence_levels,
     rank_certificate,
 )
 
@@ -211,13 +212,14 @@ def _suite_axioms(rng: random.Random) -> list[Check]:
 
 def _suite_sequence_sweep(rng: random.Random) -> list[Check]:
     oracle = _oracle(6)
-    table = oracle.rank_table()
-    mismatches: list[str] = []
-    for mask in range(1 << 15):
-        value, _ = min_sequence_value(EdgeSet(6, mask), vertex_pool=range(6))
-        if value != table[mask]:
-            mismatches.append(
-                f"mask {mask:#x}: sequence value {value}, rank {table[mask]}")
+    M, values = oracle.explicit_matroid(), min_sequence_levels(6)
+    wrong = 0
+    for v, r in zip_longest(values, M.levels, fillvalue=0):
+        wrong |= v ^ r
+    mismatches = [
+        f"mask {mask:#x}: sequence value "
+        f"{sum(v >> mask & 1 for v in values[1:])}, rank {M.rank(mask)}"
+        for mask in members(wrong)]
     checks = [_check(
         "k6-exhaustive-sweep", mismatches,
         "all 32768 subsets of E(K6): best proper sequence value equals the "

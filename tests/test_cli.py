@@ -197,7 +197,9 @@ def test_certificate_output_is_pinned(capsys, request, command, graph, digest):
      "58afc868f86d9d131767b8b26ea601faabebd65fc65249d4f50b4b1116042824"),
     ("axioms",
      "4e883949fd1067554787465a85f0ccbc1e448a8772851bf16683ee67f5e1d108"),
-], ids=["elevation", "axioms"])
+    ("sequence-sweep",
+     "cdb682acaf1c0efaf4df7e3e78d7c1c9b03deac32ff0f0ad0b6721b3421b57d5"),
+], ids=["elevation", "axioms", "sequence-sweep"])
 def test_verify_output_is_pinned(capsys, suite, digest):
     code, out, _ = _run(capsys, ["verify", suite, "--seed", "13"])
     assert code == 0

@@ -7,10 +7,12 @@ import pytest
 from cofrig.cofactor import CofactorOracle
 from cofrig.errors import CapExceeded
 from cofrig.graphs import EdgeSet, complete_edges, complete_graph, double_banana
+from cofrig.matroids import uniform_matroid
 from cofrig.sequences import (
     CircuitSequence,
     covering_sequence,
     find_simplicial_base_vertex,
+    min_sequence_levels,
     min_sequence_value,
     proper_order,
     rank_certificate,
@@ -218,3 +220,19 @@ def test_simplicial_base_vertex_requires_s2():
     oracle = CofactorOracle(6, s=1)
     with pytest.raises(ValueError, match="s = 2"):
         find_simplicial_base_vertex(complete_graph(6), oracle)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_min_sequence_levels_match_the_search(n):
+    levels = min_sequence_levels(n)
+    m = n * (n - 1) // 2
+    if n < 5:  # no K5: every value is |F|
+        assert levels == uniform_matroid(m, m).levels
+    for mask in range(1 << m):
+        value, _ = min_sequence_value(EdgeSet(n, mask), vertex_pool=range(n))
+        assert sum(level >> mask & 1 for level in levels[1:]) == value
+
+
+def test_min_sequence_levels_respect_the_table_cap():
+    with pytest.raises(CapExceeded):
+        min_sequence_levels(7)  # 21 edges, over ENUM_CAP

@@ -1,5 +1,7 @@
 import pytest
 
+from cofrig import sequences, verify
+from cofrig.matroids import ExplicitMatroid
 from cofrig.verify import SUITE_NAMES, run_suite
 
 
@@ -33,3 +35,58 @@ def test_connectivity_suite_passes_and_serializes():
 def test_extensions_suite_respects_rounds():
     result = run_suite("extensions", seed=7, rounds=25)
     assert result.passed
+
+
+class _CorruptedK6:
+    """The shared K6 oracle seen through a copy of its rank table with some
+    entries changed; every other query goes to the real oracle."""
+
+    def __init__(self, oracle, changes: dict[int, int]):
+        self._real = oracle
+        self._ranks = list(oracle.rank_table())
+        for mask, delta in changes.items():
+            self._ranks[mask] += delta
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def rank_table(self):
+        return self._ranks
+
+    def explicit_matroid(self):
+        return ExplicitMatroid.from_table(self._ranks)
+
+
+@pytest.mark.parametrize("changes, detail", [
+    ({0x1234: +1, 0x7fff: -1},
+     "mask 0x1234: sequence value 5, rank 6; "
+     "mask 0x7fff: sequence value 12, rank 11"),
+    ({0x1: +1, 0x2: +1, 0x4: +1, 0x1234: +1, 0x7fff: -1},
+     "mask 0x1: sequence value 1, rank 2; mask 0x2: sequence value 1, rank 2; "
+     "mask 0x4: sequence value 1, rank 2 (+2 more)"),
+], ids=["two", "five"])
+def test_sequence_sweep_reports_table_mismatches(monkeypatch, changes, detail):
+    shared = verify._oracle
+    stub = _CorruptedK6(shared(6), changes)
+    monkeypatch.setattr(verify, "_oracle",
+                        lambda n, s=2: stub if (n, s) == (6, 2) else shared(n, s))
+    checks = {c.name: c for c in run_suite("sequence-sweep", seed=13).checks}
+    assert not checks["k6-exhaustive-sweep"].passed
+    assert checks["k6-exhaustive-sweep"].detail == detail
+    assert checks["sampled-certificates"].passed
+
+
+def test_sequence_sweep_runs_no_search_per_mask(monkeypatch):
+    calls = 0
+    search = sequences.min_sequence_value
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return search(*args, **kwargs)
+
+    # patch both names, so a search imported into verify is counted too
+    monkeypatch.setattr(sequences, "min_sequence_value", counted)
+    monkeypatch.setattr(verify, "min_sequence_value", counted, raising=False)
+    assert run_suite("sequence-sweep", seed=13).passed
+    assert calls <= 50  # one per sampled certificate
