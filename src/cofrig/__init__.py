@@ -61,8 +61,6 @@ from .sequences import (
     RankCertificate,
     covering_sequence,
     find_simplicial_base_vertex,
-    min_sequence_value,
-    proper_order,
     rank_certificate,
     seq_value,
 )
@@ -105,9 +103,7 @@ __all__ = [
     "is_M_degenerate",
     "load_edge_file",
     "maximal_cliques",
-    "min_sequence_value",
     "parse_edge_text",
-    "proper_order",
     "rank_certificate",
     "run_suite",
     "seq_value",

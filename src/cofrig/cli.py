@@ -104,8 +104,7 @@ def _note(message: str) -> None:
 def cmd_rank(args) -> int:
     F = _load_graph(args.graph)
     oracle = _oracle_from(args, F.n)
-    pool = range(F.n) if args.pool == "all" else None
-    certificate = rank_certificate(F, oracle, vertex_pool=pool, force=args.force)
+    certificate = rank_certificate(F, oracle)
     _emit(args, certificate.to_json())
     _note(f"rank {certificate.rank} certified by {len(certificate.independent_set)} "
           f"independent edges and a {len(certificate.sequence)}-clique sequence")
@@ -285,11 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="emit a rank certificate for an edge list")
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--pool", choices=("support", "all"), default="support",
-                   help="candidate cliques: inside the closure (support) or "
-                        "all ambient vertices (all)")
-    p.add_argument("--force", action="store_true",
-                   help="lift the vertex-pool cap of --pool all (may be very slow)")
     _add_flags(p, oracle=True)
     p.set_defaults(func=cmd_rank)
 

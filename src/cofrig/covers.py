@@ -70,18 +70,15 @@ class CliqueCover(CliqueFamily):
         return not F.mask & ~self.union_edges().mask
 
 
-def maximal_cliques(F: EdgeSet) -> tuple[CliqueCover, EdgeSet]:
-    """All maximal cliques of (V(F), F) with ≥ 5 vertices, plus F₀.
-
-    F₀ is the set of edges lying in no listed clique.  Enumeration is
-    branch-and-bound with pivoting; members come out lexicographically.
-    """
+def _maximal_cliques(F: EdgeSet, size: int) -> tuple[tuple[int, ...], ...]:
+    """The maximal cliques of (V(F), F) with ≥ size vertices, as sorted
+    tuples in lexicographic order (Bron–Kerbosch with pivoting)."""
     adjacency = {v: F.neighbors(v) for v in F.vertex_support()}
     found: list[tuple[int, ...]] = []
 
     def expand(clique: set[int], cands: set[int], done: set[int]):
         if not cands and not done:
-            if len(clique) >= 5:
+            if len(clique) >= size:
                 found.append(tuple(sorted(clique)))
             return
         pivot = max(cands | done, key=lambda u: len(adjacency[u] & cands))
@@ -92,9 +89,17 @@ def maximal_cliques(F: EdgeSet) -> tuple[CliqueCover, EdgeSet]:
 
     if adjacency:
         expand(set(), set(adjacency), set())
-    cover = CliqueCover(F.n, tuple(sorted(found)))
-    covered = cover.union_edges()
-    return cover, F - covered
+    return tuple(sorted(found))
+
+
+def maximal_cliques(F: EdgeSet) -> tuple[CliqueCover, EdgeSet]:
+    """All maximal cliques of (V(F), F) with ≥ 5 vertices, plus F₀.
+
+    F₀ is the set of edges lying in no listed clique.  Enumeration is
+    branch-and-bound with pivoting; members come out lexicographically.
+    """
+    cover = CliqueCover(F.n, _maximal_cliques(F, 5))
+    return cover, F - cover.union_edges()
 
 
 def hinge_table(cover: CliqueCover):
@@ -116,16 +121,23 @@ def val_D(cover: CliqueCover) -> int:
     return total - sum(deg - 1 for deg in cover.hinges.values())
 
 
-def find_shellable_order(cover: CliqueCover) -> tuple[int, ...] | None:
-    """An order with every member meeting its predecessors' union in ≤ 4
-    vertices, or None if there is none.
+def _shelling_order(members, overlap: int) -> tuple[int, ...] | None:
+    """An order of the vertex sets ``members`` with every member meeting its
+    predecessors' union in at most ``overlap`` vertices, or None if there is
+    none.
 
     The overlap only shrinks with fewer predecessors, so ``peel_order``
     decides this exactly.
     """
-    sets = [sum(1 << v for v in m) for m in cover.members]
+    sets = [sum(1 << v for v in m) for m in members]
     return peel_order(len(sets), lambda i, before:
-                      (sets[i] & union_of(sets, before)).bit_count() <= 4)
+                      (sets[i] & union_of(sets, before)).bit_count() <= overlap)
+
+
+def find_shellable_order(cover: CliqueCover) -> tuple[int, ...] | None:
+    """An order with every member meeting its predecessors' union in ≤ 4
+    vertices, or None if there is none."""
+    return _shelling_order(cover.members, 4)
 
 
 def is_M_degenerate(cover: CliqueCover, oracle) -> tuple[bool, tuple[int, ...] | None]:

@@ -6,7 +6,7 @@ class AmbientMismatch(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration cap was hit and force was not requested."""
+    """A table or enumeration would exceed its fixed size cap."""
 
 
 class SeedDisagreement(RuntimeError):

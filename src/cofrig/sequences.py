@@ -9,9 +9,10 @@ of the earlier cliques.  For an edge set F the quantity
 bounds the rank of F in the d-dimensional generic cofactor matroid from
 above, and the minimum over all proper sequences attains the rank exactly.
 This module evaluates sequence values, builds the explicit covering sequence
-behind the dn − C(d+1, 2) upper bound, searches exhaustively for the
-minimum on small vertex pools, and packages matching algebraic/combinatorial
-witness pairs as rank certificates.
+behind the dn − C(d+1, 2) upper bound, computes the minimum value of every
+edge set of K_6 at once on level bitsets, and builds tight sequences from
+the maximal cliques of a closure, packaged with a maximum independent set
+as rank certificates.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .covers import _maximal_cliques, _shelling_order
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
-from .graphs import (
-    CliqueFamily, EdgeSet, bits, clique_mask, complete_edges, edge_count,
-    peel_order, union_of)
+from .graphs import CliqueFamily, EdgeSet, bits, clique_mask, complete_edges, edge_count
 from .matroids import ENUM_CAP, down_closure, element_bits, uniform_matroid
 
 __all__ = [
@@ -31,14 +31,10 @@ __all__ = [
     "RankCertificate",
     "seq_value",
     "covering_sequence",
-    "proper_order",
-    "min_sequence_value",
     "min_sequence_levels",
     "rank_certificate",
     "find_simplicial_base_vertex",
 ]
-
-DEFAULT_POOL_CAP = 9
 
 
 @dataclass(frozen=True)
@@ -102,126 +98,6 @@ def covering_sequence(n: int, d: int = 3) -> CircuitSequence:
         for j in range(d, i):
             members.append(pivot + (j, i))
     return CircuitSequence(n, tuple(members), d)
-
-
-def _proper_order_masks(masks: list[int]) -> tuple[int, ...] | None:
-    """Reorder edge masks so each adds a new edge; None if impossible.
-
-    A clique adding a new edge after some cliques adds it after any subset
-    of them, so ``peel_order`` decides this exactly, and any subset of an
-    orderable family is orderable: callers may prune supersets of a failure.
-    """
-    return peel_order(len(masks), lambda i, before:
-                      masks[i] & ~union_of(masks, before))
-
-
-def proper_order(n: int, cliques) -> tuple[int, ...] | None:
-    """Indices ordering the given cliques into a proper sequence, or None."""
-    return _proper_order_masks([clique_mask(n, tuple(sorted(c))) for c in cliques])
-
-
-class _SearchDone(Exception):
-    """Internal: cuts the subset search once ``stop_at`` has been attained."""
-
-
-def min_sequence_value(
-    F: EdgeSet,
-    vertex_pool=None,
-    *,
-    d: int = 3,
-    force: bool = False,
-    candidates=None,
-    stop_at: int | None = None,
-) -> tuple[int, CircuitSequence]:
-    """Minimum sequence value of F over proper sequences from a clique pool.
-
-    The search runs over unordered candidate subsets (a subset is usable
-    iff some ordering of it is proper), so each family is priced once.  Ties
-    among minimizers break toward fewer cliques, then the lexicographically
-    smallest clique set.  Candidates default to all (d+2)-subsets of the
-    vertex pool, which itself defaults to the support of F; pools larger
-    than ``DEFAULT_POOL_CAP`` vertices raise CapExceeded unless ``force`` is
-    set.
-
-    ``stop_at`` is for callers who already hold a trusted lower bound on
-    every sequence value (every proper sequence values F at or above the
-    rank, so the oracle rank qualifies): the search returns the first
-    witness attaining the bound, skipping both the remaining subsets and
-    the tie-break canonicalization.
-
-    Dense edge sets on 8+ support vertices make the exhaustive search
-    expensive; prefer an explicit ``candidates`` list (or an oracle-backed
-    certificate, which restricts candidates to the closure) in that regime.
-
-    Returns ``(value, witness)`` where witness is a proper sequence
-    achieving the value.
-    """
-    n = F.n
-    size = d + 2
-    per_clique = size * (size - 1) // 2
-    if candidates is not None:
-        # the sequence member rule validates and normalizes every candidate
-        cliques = sorted(set(CircuitSequence(n, tuple(candidates), d).members))
-    else:
-        pool = sorted(vertex_pool) if vertex_pool is not None else sorted(F.vertex_support())
-        if pool and (pool[0] < 0 or pool[-1] >= n):
-            raise ValueError(f"vertex pool {pool} does not fit inside K_{n}")
-        if len(pool) > DEFAULT_POOL_CAP and not force:
-            raise CapExceeded(
-                f"vertex pool has {len(pool)} > {DEFAULT_POOL_CAP} vertices; "
-                "lift the cap with force (--force on the command line), "
-                "or search a smaller pool or explicit candidates"
-            )
-        cliques = list(combinations(pool, size))
-
-    fmask = F.mask
-    cliques.sort(key=lambda c: ((clique_mask(n, c) & ~fmask).bit_count(), c))
-    masks = [clique_mask(n, c) for c in cliques]
-    count = len(cliques)
-    suffix_or = [0] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | masks[i]
-
-    # Best = (value, clique count, sorted clique tuple); empty sequence seeds it.
-    best = [len(F), 0, ()]
-    best_chosen: list[int] = []
-    if stop_at is not None and best[0] <= stop_at:
-        return best[0], CircuitSequence(n, (), d)
-
-    def settle(chosen: list[int], start: int, union: int):
-        here = (fmask | union).bit_count() - len(chosen)
-        if (here, len(chosen)) <= (best[0], best[1]):
-            entry = [here, len(chosen), tuple(sorted(cliques[i] for i in chosen))]
-            if entry < best:
-                best[:] = entry
-                best_chosen[:] = chosen
-                if stop_at is not None and best[0] <= stop_at:
-                    raise _SearchDone
-        for i in range(start, count):
-            child_union = union | masks[i]
-            # A clique swallowed by the current union needs the whole subset
-            # reordered; if no order is proper, no superset's is either.
-            if not masks[i] & ~union and _proper_order_masks(
-                    [masks[j] for j in chosen] + [masks[i]]) is None:
-                continue
-            k1 = len(chosen) + 1
-            child_w = (fmask | child_union).bit_count()
-            # Any deeper family must keep adding fresh edges, so its size is
-            # capped by the edges still reachable; price the subtree floor.
-            avail = (child_union | suffix_or[i + 1]).bit_count()
-            qmax = min(count - i - 1, max(0, avail - per_clique + 1 - k1))
-            floor = child_w - k1 - qmax
-            if floor > best[0] or (floor == best[0] and k1 > best[1]):
-                continue
-            settle(chosen + [i], i + 1, child_union)
-
-    try:
-        settle([], 0, 0)
-    except _SearchDone:
-        pass
-    order = _proper_order_masks([masks[i] for i in best_chosen])
-    witness = CircuitSequence(n, tuple(cliques[best_chosen[j]] for j in order), d)
-    return best[0], witness
 
 
 def min_sequence_levels(n: int) -> list[int]:
@@ -294,36 +170,28 @@ class RankCertificate:
         return json.dumps(payload, indent=2)
 
 
-def rank_certificate(F: EdgeSet, oracle, *, vertex_pool=None,
-                     force: bool = False) -> RankCertificate:
+def rank_certificate(F: EdgeSet, oracle) -> RankCertificate:
     """Certify oracle rank(F) with a maximum independent set and a sequence.
 
-    Candidates default to the cliques lying inside closure(F): a minimizing
-    sequence always fits there, because at equality the clique union is
-    forced into the closure and everything it misses is a coloop.  Given a
-    ``vertex_pool``, the search runs over all its cliques instead, under the
-    pool cap of ``min_sequence_value`` that ``force`` lifts.  The same two
-    tightness conditions are re-checked on the winning sequence; any
-    disagreement raises WitnessMismatch with a diagnostic payload, since it
-    would mean a bug rather than new mathematics.  The search runs before
-    any oracle work it does not need, so a pool over the cap fails fast.
+    The sequence is built, not searched for, from the maximal (d+2)-cliques
+    of C = closure(F), d = s + 1.  They are ordered so that each meets the
+    earlier ones in at most d + 1 vertices, and each member X in turn
+    contributes ``covering_sequence(|X|, d)`` with its shared vertices
+    labelled first, so every clique adds an edge at a vertex that no
+    earlier member holds and the sequence is proper.  For s = 2 the paper's
+    cover theorem (the maximal cliques of a flat are 2-thin and
+    4-shellable) makes its value the rank; for s = 0 and 1 the members are
+    the components and the rigid components.  An independent F gets the
+    empty sequence.  The value, the closure and the coloops outside the
+    union are re-checked, and any failure raises WitnessMismatch with a
+    diagnostic payload; nothing falls back to a search.
     """
     d = oracle.s + 1
     rank = oracle.rank(F)
-    closure = candidates = None
-    if vertex_pool is None:
-        closure = oracle.closure(F)
-        cmask = closure.mask
-        candidates = [
-            c
-            for c in combinations(sorted(closure.vertex_support()), d + 2)
-            if not clique_mask(F.n, c) & ~cmask
-        ]
-    value, seq = min_sequence_value(F, vertex_pool, d=d, force=force,
-                                    candidates=candidates, stop_at=rank)
+    closure = oracle.closure(F)
     lower = oracle.basis_of(F)
-    if closure is None:
-        closure = oracle.closure(F)
+    seq = CircuitSequence(F.n, (), d)
+    value = len(F)
 
     def bail(message: str, **extra):
         raise WitnessMismatch(
@@ -343,8 +211,21 @@ def rank_certificate(F: EdgeSet, oracle, *, vertex_pool=None,
 
     if len(lower) != rank:
         bail("maximum independent set does not match the oracle rank")
+    if rank < len(F):
+        cliques = _maximal_cliques(closure, d + 2)
+        order = _shelling_order(cliques, d + 1)
+        if order is None:
+            bail("the closure's maximal cliques admit no shelling order")
+        members, seen = [], set()
+        for X in (cliques[i] for i in order):
+            label = sorted(seen.intersection(X)) + sorted(set(X) - seen)
+            members += [tuple(label[v] for v in c)
+                        for c in covering_sequence(len(X), d).members]
+            seen.update(X)
+        seq = CircuitSequence(F.n, tuple(members), d)
+        value = seq_value(F, seq)
     if value != rank:
-        bail("minimum sequence value does not match the oracle rank")
+        bail("clique-cover sequence value does not match the oracle rank")
     union = seq.union_edges()
     if union.mask & ~closure.mask:
         stray = EdgeSet(F.n, union.mask & ~closure.mask)

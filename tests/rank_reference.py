@@ -1,12 +1,15 @@
 """Per-mask definitions of the matroid operations, written straight from a
-rank function on bitmasks.  The library answers these questions on whole
-bitsets of subsets; the tests check it against these loops."""
+rank function on bitmasks, and an exhaustive search for the minimum proper
+clique-sequence value.  The library answers these questions on whole
+bitsets of subsets or from clique covers; the tests check it against these
+loops."""
 
 from itertools import combinations
 
 from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
 from cofrig.field import EchelonBasis, matrix_rank, subset_rank_table
-from cofrig.graphs import EdgeSet, bits, edge_count
+from cofrig.graphs import EdgeSet, bits, clique_mask, edge_count, peel_order, union_of
+from cofrig.sequences import CircuitSequence
 
 
 def closure(rank, mask, ground):
@@ -67,6 +70,103 @@ def plane_rigidity_rank(F):
                 for i, j in F.edges()]
         best = max(best, matrix_rank(rows))
     return best
+
+
+def graphic_rank(F):
+    """Rank of F in the graphic matroid: the support's vertex count minus
+    its number of components, by union-find."""
+    parent = {v: v for v in F.vertex_support()}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in F.edges():
+        parent[root(u)] = root(v)
+    return len(parent) - sum(parent[v] == v for v in parent)
+
+
+def _proper_order_masks(masks):
+    """Reorder edge masks so each adds a new edge; None if impossible.
+
+    A clique adding a new edge after some cliques adds it after any subset
+    of them, so ``peel_order`` decides this exactly, and any subset of an
+    orderable family is orderable: callers may prune supersets of a failure.
+    """
+    return peel_order(len(masks), lambda i, before:
+                      masks[i] & ~union_of(masks, before))
+
+
+def proper_order(n, cliques):
+    """Indices ordering the given cliques into a proper sequence, or None."""
+    return _proper_order_masks([clique_mask(n, tuple(sorted(c))) for c in cliques])
+
+
+def min_sequence_value(F, vertex_pool=None, *, d=3, candidates=None):
+    """Minimum sequence value of F over proper sequences from a clique pool.
+
+    The search runs over unordered candidate subsets (a subset is usable
+    iff some ordering of it is proper), so each family is priced once.  Ties
+    among minimizers break toward fewer cliques, then the lexicographically
+    smallest clique set.  Candidates default to all (d+2)-subsets of the
+    vertex pool, which itself defaults to the support of F.  Dense edge sets
+    on 8+ pool vertices make the search expensive.
+
+    Returns ``(value, witness)`` where witness is a proper sequence
+    achieving the value.
+    """
+    n = F.n
+    size = d + 2
+    per_clique = size * (size - 1) // 2
+    if candidates is not None:
+        # the sequence member rule validates and normalizes every candidate
+        cliques = sorted(set(CircuitSequence(n, tuple(candidates), d).members))
+    else:
+        pool = sorted(vertex_pool) if vertex_pool is not None else sorted(F.vertex_support())
+        cliques = list(combinations(pool, size))
+
+    fmask = F.mask
+    cliques.sort(key=lambda c: ((clique_mask(n, c) & ~fmask).bit_count(), c))
+    masks = [clique_mask(n, c) for c in cliques]
+    count = len(cliques)
+    suffix_or = [0] * (count + 1)
+    for i in range(count - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | masks[i]
+
+    # Best = (value, clique count, sorted clique tuple); empty sequence seeds it.
+    best = [len(F), 0, ()]
+    best_chosen = []
+
+    def settle(chosen, start, union):
+        here = (fmask | union).bit_count() - len(chosen)
+        if (here, len(chosen)) <= (best[0], best[1]):
+            entry = [here, len(chosen), tuple(sorted(cliques[i] for i in chosen))]
+            if entry < best:
+                best[:] = entry
+                best_chosen[:] = chosen
+        for i in range(start, count):
+            child_union = union | masks[i]
+            # A clique swallowed by the current union needs the whole subset
+            # reordered; if no order is proper, no superset's is either.
+            if not masks[i] & ~union and _proper_order_masks(
+                    [masks[j] for j in chosen] + [masks[i]]) is None:
+                continue
+            k1 = len(chosen) + 1
+            child_w = (fmask | child_union).bit_count()
+            # Any deeper family must keep adding fresh edges, so its size is
+            # capped by the edges still reachable; price the subtree floor.
+            avail = (child_union | suffix_or[i + 1]).bit_count()
+            qmax = min(count - i - 1, max(0, avail - per_clique + 1 - k1))
+            floor = child_w - k1 - qmax
+            if floor > best[0] or (floor == best[0] and k1 > best[1]):
+                continue
+            settle(chosen + [i], i + 1, child_union)
+
+    settle([], 0, 0)
+    order = _proper_order_masks([masks[i] for i in best_chosen])
+    witness = CircuitSequence(n, tuple(cliques[best_chosen[j]] for j in order), d)
+    return best[0], witness
 
 
 def parent_chains(masks):

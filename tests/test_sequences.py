@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from cofrig.cofactor import CofactorOracle
-from cofrig.errors import CapExceeded
+from cofrig.errors import CapExceeded, WitnessMismatch
 from cofrig.graphs import EdgeSet, complete_edges, complete_graph, double_banana
 from cofrig.matroids import uniform_matroid
 from cofrig.sequences import (
@@ -13,11 +13,12 @@ from cofrig.sequences import (
     covering_sequence,
     find_simplicial_base_vertex,
     min_sequence_levels,
-    min_sequence_value,
-    proper_order,
     rank_certificate,
     seq_value,
 )
+
+from rank_reference import (
+    graphic_rank, min_sequence_value, plane_rigidity_rank, proper_order)
 
 
 def test_member_validation():
@@ -89,38 +90,6 @@ def test_candidates_follow_the_member_rule():
     assert sorted(seq.members) == [(0, 1, 2, 3, 4), (0, 1, 5, 6, 7)]
 
 
-def test_rank_certificate_vertex_pool():
-    oracle = CofactorOracle(10)
-    with pytest.raises(CapExceeded):
-        rank_certificate(complete_graph(10), oracle, vertex_pool=range(10))
-    F = double_banana().reindexed(10)
-    pooled = rank_certificate(F, oracle, vertex_pool=range(8))
-    assert pooled.rank == rank_certificate(F, oracle).rank == 17
-
-
-def test_rank_certificate_checks_the_pool_cap_before_the_oracle(monkeypatch):
-    oracle = CofactorOracle(10)
-
-    def refuse(F):
-        raise AssertionError("oracle work before the pool cap was checked")
-
-    monkeypatch.setattr(oracle, "basis_of", refuse)
-    monkeypatch.setattr(oracle, "closure", refuse)
-    with pytest.raises(CapExceeded):
-        rank_certificate(complete_graph(10), oracle, vertex_pool=range(10))
-
-
-def test_pool_cap():
-    F = complete_graph(10)
-    with pytest.raises(CapExceeded):
-        min_sequence_value(F, vertex_pool=range(10))
-    # force lifts the cap; an empty F meets stop_at before any search
-    value, seq = min_sequence_value(
-        EdgeSet.empty(10), vertex_pool=range(10), force=True, stop_at=0
-    )
-    assert value == 0 and len(seq) == 0
-
-
 def test_values_dominate_ranks(table6):
     rng = random.Random(31)
     for _ in range(200):
@@ -128,19 +97,6 @@ def test_values_dominate_ranks(table6):
         value, seq = min_sequence_value(F, vertex_pool=range(6))
         assert value == table6[F.mask]
         assert seq_value(F, seq) == value
-
-
-def test_stop_at_matches_blind_search(table6):
-    rng = random.Random(32)
-    for _ in range(40):
-        F = EdgeSet(6, rng.getrandbits(15))
-        blind, _ = min_sequence_value(F, vertex_pool=range(6))
-        stopped, seq = min_sequence_value(
-            F, vertex_pool=range(6), stop_at=table6[F.mask]
-        )
-        assert blind == stopped
-        if len(seq):
-            assert seq_value(F, seq) == stopped
 
 
 def test_proper_order_reorders_or_reports():
@@ -184,6 +140,64 @@ def test_certificate_on_spanning_clique():
     cert = rank_certificate(complete_graph(8), oracle)
     assert cert.rank == 18
     assert seq_value(complete_graph(8), cert.sequence) == 18
+
+
+def _gnp(n, p, seed):
+    """G(n, p): each pair u < v, in lexicographic order, kept with
+    probability p under random.Random(seed)."""
+    rng = random.Random(seed)
+    return EdgeSet.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < p])
+
+
+def _certified_rank(F, s):
+    """The certified rank of F, after checking that the certificate's
+    sequence values F at that rank."""
+    cert = rank_certificate(F, CofactorOracle(F.n, s=s))
+    assert seq_value(F, cert.sequence) == cert.rank
+    return cert.rank
+
+
+@pytest.mark.parametrize("n, p", [(20, 0.4), (30, 0.25)])
+@pytest.mark.parametrize("seed", range(4))
+def test_cover_route_certifies_s2_draws(n, p, seed):
+    F = _gnp(n, p, seed)
+    assert _certified_rank(F, 2) == CofactorOracle(n, seeds=(7, 8, 9)).rank(F)
+
+
+# G(30, 0.12) draws, plus small pieces: a triangle, two K4 on one shared
+# vertex and a lone edge, whose (rigid) components have 2-7 vertices
+_SPARSE = [_gnp(30, 0.12, seed) for seed in range(4)] + [
+    EdgeSet.complete(12, range(3)) | EdgeSet.complete(12, range(3, 7))
+    | EdgeSet.complete(12, range(6, 10)) | EdgeSet.from_edges(12, [(10, 11)])]
+_SPARSE_IDS = ["seed0", "seed1", "seed2", "seed3", "pieces"]
+
+
+@pytest.mark.parametrize("F", _SPARSE, ids=_SPARSE_IDS)
+def test_cover_route_certifies_s1_draws(F):
+    assert _certified_rank(F, 1) == plane_rigidity_rank(F)
+
+
+@pytest.mark.parametrize("F", _SPARSE, ids=_SPARSE_IDS)
+def test_cover_route_certifies_s0_draws(F):
+    assert _certified_rank(F, 0) == graphic_rank(F)
+
+
+def test_cover_route_labels_shared_vertices_first():
+    # Two K6 on the hinge {9, 10}, which sorts last in the second member:
+    # labelled in sorted order, its last covering clique would add only the
+    # hinge edge the first member already holds.
+    F = EdgeSet.complete(11, (0, 1, 2, 3, 9, 10)) | EdgeSet.complete(11, range(5, 11))
+    assert _certified_rank(F, 2) == 2 * 12 - 1
+
+
+def test_cover_route_fails_loudly(monkeypatch):
+    # a closure that adds nothing leaves the double banana without a K5
+    oracle = CofactorOracle(8)
+    monkeypatch.setattr(oracle, "closure", lambda F: F)
+    with pytest.raises(WitnessMismatch, match="sequence value") as info:
+        rank_certificate(double_banana(), oracle)
+    assert info.value.detail["sequence"] == []  # no search stood in
 
 
 def test_simplicial_base_vertex_on_cliques():

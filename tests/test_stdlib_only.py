@@ -1,12 +1,15 @@
-"""The library imports nothing outside the standard library, its modules
-import one another without a cycle, every function reads the parameters
-it takes, and every private function, method and class is used."""
+"""The library imports nothing outside the standard library or the tests,
+its modules import one another without a cycle, every function reads the
+parameters it takes, and every private function, method and class is
+used."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cofrig"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cofrig"
 
 
 def _imports(path):
@@ -34,6 +37,20 @@ def test_every_import_is_stdlib_or_cofrig():
         if level == 0 and name != "cofrig" and name not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def test_library_keeps_no_reference_search():
+    # the exhaustive sequence search is a test reference, not a library path
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    leaked = {(path.name, name)
+              for path in sorted(SRC.glob("*.py"))
+              for level, name in _imports(path)
+              if level == 0 and name in test_modules}
+    assert not leaked
+    modules = [importlib.import_module(f"cofrig.{path.stem}")
+               for path in SRC.glob("*.py") if path.stem != "__init__"]
+    for module in (importlib.import_module("cofrig"), *modules):
+        assert not hasattr(module, "min_sequence_value"), module.__name__
 
 
 def test_internal_imports_have_no_cycle():

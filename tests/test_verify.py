@@ -1,6 +1,6 @@
 import pytest
 
-from cofrig import sequences, verify
+from cofrig import verify
 from cofrig.matroids import ExplicitMatroid
 from cofrig.verify import SUITE_NAMES, run_suite
 
@@ -74,19 +74,3 @@ def test_sequence_sweep_reports_table_mismatches(monkeypatch, changes, detail):
     assert not checks["k6-exhaustive-sweep"].passed
     assert checks["k6-exhaustive-sweep"].detail == detail
     assert checks["sampled-certificates"].passed
-
-
-def test_sequence_sweep_runs_no_search_per_mask(monkeypatch):
-    calls = 0
-    search = sequences.min_sequence_value
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return search(*args, **kwargs)
-
-    # patch both names, so a search imported into verify is counted too
-    monkeypatch.setattr(sequences, "min_sequence_value", counted)
-    monkeypatch.setattr(verify, "min_sequence_value", counted, raising=False)
-    assert run_suite("sequence-sweep", seed=13).passed
-    assert calls <= 50  # one per sampled certificate
