@@ -28,7 +28,8 @@ from functools import cache
 
 from . import matroids
 from .errors import AmbientMismatch, SeedDisagreement
-from .field import MERSENNE61, EchelonBasis, is_prime, subset_rank_table
+from .field import (MERSENNE61, EchelonBasis, independent_subsets, is_prime,
+                    subset_rank_table)
 from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
 DEFAULT_SEEDS = (101, 202, 303)
@@ -395,26 +396,37 @@ class CofactorOracle:
     def rank_table(self) -> list[int]:
         """Rank of every subset of E(K_n), indexed by bitmask (n small).
 
-        Seed 0 ranks every mask in one subset table, and a vertex-support DP
-        gives every mask's cap.  Seed k ranks, in one table restricted to
-        them and their parent chains, exactly the masks on which seeds
-        0..k-1 all fell below the cap: the masks _vote would ask it about.
-        Only the masks below the cap on seed 0 go through _vote, and the
-        finished table then serves as the memo.
+        Seed 0's table comes from its bases, found by one depth-first walk
+        over the r-subsets of its rows, r its rank of E(K_n): a linear
+        matroid ranks X as the largest |X & B| over its bases B.  The masks
+        it ranks below their cap, read off its levels, go through _vote; seed
+        k ranks, in one table restricted to them and their parent chains, the
+        masks on which seeds 0..k-1 all fell below the cap.  The finished
+        table then serves as the memo.
         """
         if self._table is not None:
             return self._table
         m = edge_count(self.n)
         if m > 16:
             raise ValueError(f"rank table over {m} edges is not tractable")
-        ends = [1 << u | 1 << v for u, v in (edge_at(self.n, b) for b in range(m))]
-        vcap = [_vertex_cap(v, self.dim) for v in range(self.n + 1)]
-        support, cap = bytearray(1 << m), bytearray(1 << m)
-        for x in range(1, 1 << m):
-            support[x] = vs = support[x & (x - 1)] | ends[(x & -x).bit_length() - 1]
-            cap[x] = min(x.bit_count(), vcap[vs.bit_count()])
-        table = subset_rank_table([self._row(b, 0) for b in range(m)], self.modulus)
-        asked = [x for x in range(1 << m) if table[x] < cap[x]]
+        full, rows = (1 << m) - 1, [self._row(b, 0) for b in range(m)]
+        r = subset_rank_table(rows, self.modulus, [full])[full]
+        first = matroids.ExplicitMatroid.from_bases(
+            m, independent_subsets(rows, r, self.modulus))
+        table, levels = first.full_table(), first.levels
+        independent = sum(lv & sz for lv, sz in zip(levels, matroids.size_bits(m)))
+        # on[v]: the masks whose edges touch exactly v of the vertices so far
+        on = [levels[0]]
+        for u in range(self.n):
+            star = EdgeSet.complete(self.n).star(u).mask
+            at_u = levels[0] & ~matroids.down_closure(1 << (full & ~star), m)
+            on = [a & ~at_u | b & at_u for a, b in zip([*on, 0], [0, *on])]
+        cap = {}
+        for v, on_v in enumerate(on):
+            c = _vertex_cap(v, self.dim)
+            below = on_v & ~independent & ~(levels[c] if c <= r else 0)
+            cap.update((x, min(x.bit_count(), c)) for x in matroids.members(below))
+        asked = sorted(cap)
         ranks, below = [table], asked
         for idx in range(1, len(self.seeds)):
             if not below:

@@ -19,6 +19,8 @@ the rows between subsets, and drops a subset's tuple as soon as the last
 subset built from it is done.  A subset that no other is built from only
 asks whether its row survives the clearing loop, with no inverse, and a
 table asked about a list of masks reduces only them and their parent chains.
+``independent_subsets`` walks the same chains depth first for the bases of
+the rows' matroid, cutting every prefix whose new row falls in its span.
 
 A caller may give its rows tag columns right of the real ones, one unit
 vector per element, and insert only the rows whose pivot falls left of the
@@ -211,3 +213,28 @@ def subset_rank_table(rows, p: int = MERSENNE61,
             b = b[:at] + (pair,) + b[at:]
         basis[x] = b
     return rank
+
+
+def independent_subsets(rows, r: int, p: int = MERSENNE61) -> list[int]:
+    """The bitmasks of the linearly independent r-subsets of the rows,
+    depth first over the parent chains of subset_rank_table: a prefix grows
+    only by rows below its lowest row while enough are left to reach r, is
+    cut with its subtree when its new row falls in its span, and its r-th
+    row only asks whether it survives the clearing loop."""
+    rows = [_sparse_row(row, p) for row in rows]
+    found, stack = ([], [(0, (), len(rows), r)]) if r else ([0], [])
+    while stack:
+        x, pairs, below, need = stack.pop()
+        for i in range(need - 1, below):
+            cur = dict(rows[i])
+            if need == 1:
+                _clear_pivots(cur, pairs, p)
+                if any(v % p for v in cur.values()):
+                    found.append(x | 1 << i)
+                continue
+            pair = _eliminate(cur, pairs, p)
+            if pair is not None:
+                at = bisect(pairs, pair)
+                pairs_i = pairs[:at] + (pair,) + pairs[at:]
+                stack.append((x | 1 << i, pairs_i, i, need - 1))
+    return found

@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapExceeded
-from .graphs import EdgeSet, bits, edge_count
+from .graphs import EdgeSet, edge_count
 
 ENUM_CAP = 16
 
@@ -35,6 +35,15 @@ def element_bits(m: int) -> tuple[int, ...]:
     every = (1 << (1 << m)) - 1  # divided below into one bit per run, then spread
     return tuple(every // ((1 << (2 << e)) - 1) * ((1 << (1 << e)) - 1) << (1 << e)
                  for e in range(m))
+
+
+@lru_cache(maxsize=ENUM_CAP + 1)
+def size_bits(m: int) -> tuple[int, ...]:
+    """For each k in 0..m, the bitset of the k-element subsets of {0..m-1}."""
+    sizes = [1]
+    for e in range(m):
+        sizes = [a | b << (1 << e) for a, b in zip([*sizes, 0], [0, *sizes])]
+    return tuple(sizes)
 
 
 def down_closure(family: int, m: int) -> int:
@@ -58,7 +67,7 @@ def subset_flags(family: int, m: int) -> bytes:
 class ExplicitMatroid:
     """A matroid on {0..m-1} given by its full rank table, m <= ENUM_CAP."""
 
-    def __init__(self, table: list[int]):
+    def __init__(self, table: Sequence[int]):
         m = (len(table) - 1).bit_length()
         if len(table) != 1 << m:
             raise ValueError("table length must be a power of two")
@@ -79,25 +88,11 @@ class ExplicitMatroid:
         return cls([rank_fn(x) for x in range(1 << m)])
 
     @classmethod
-    def from_independence(cls, m: int,
-                          independent: Callable[[int], bool]) -> "ExplicitMatroid":
-        """Build the full table from an independence predicate.
-
-        rank(X) = |X| when X is independent, else the max over one-element
-        deletions; correct because some element of a dependent X lies in a
-        circuit of X, and removing it keeps the rank.
-        """
-        if m > ENUM_CAP:
-            raise CapExceeded(f"independence table over {m} elements")
-        table = [0] * (1 << m)
-        # every one-element deletion of x is a smaller number than x
-        for x in range(1, 1 << m):
-            table[x] = (x.bit_count() if independent(x)
-                        else max(table[x & ~(1 << b)] for b in bits(x)))
-        return cls(table)
-
-    @classmethod
     def from_bases(cls, m: int, bases: Iterable[int]) -> "ExplicitMatroid":
+        """The matroid with the given bases, if they form one: rank(X) is the
+        largest size of a subset of X inside a base.  Level k, the subsets
+        of rank >= k, is the up-closure of the independent k-sets, and the
+        table is the sum of the levels."""
         base_set = set(bases)
         if not base_set:
             raise ValueError("a matroid has at least one base")
@@ -112,7 +107,18 @@ class ExplicitMatroid:
                 f"base {min(outside):#x} is not a subset of the {m} ground elements")
         # subsets of bases are the independent sets
         independent = down_closure(sum(1 << b for b in base_set), m)
-        return cls.from_independence(m, subset_flags(independent, m).__getitem__)
+        levels = []
+        for size_k in size_bits(m)[:max(sizes) + 1]:
+            level = independent & size_k
+            for e, with_e in enumerate(element_bits(m)):
+                level |= (level & ~with_e) << (1 << e)
+            levels.append(level)
+        # a rank is at most 16, so the byte sums never carry
+        table = sum(int.from_bytes(subset_flags(level, m), "little")
+                    for level in levels[1:])
+        matroid = cls(table.to_bytes(1 << m, "little"))
+        matroid.levels = levels
+        return matroid
 
     # -- rank and derived operators ------------------------------------------
 
@@ -189,10 +195,8 @@ class ExplicitMatroid:
     # -- serialization -----------------------------------------------------------
 
     def bases(self) -> list[int]:
-        table = self._table
         r = self.rank_total
-        return [x for x in range(1 << self.m)
-                if x.bit_count() == r and table[x] == r]
+        return members(self.levels[r] & size_bits(self.m)[r])
 
     def to_text(self) -> str:
         lines = [f"ground_size={self.m}", f"rank={self.rank_total}", "bases"]

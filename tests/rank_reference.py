@@ -9,6 +9,7 @@ from itertools import combinations
 from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
 from cofrig.field import EchelonBasis, matrix_rank, subset_rank_table
 from cofrig.graphs import EdgeSet, bits, clique_mask, edge_count, peel_order, union_of
+from cofrig.matroids import ExplicitMatroid
 from cofrig.sequences import CircuitSequence
 
 
@@ -56,6 +57,21 @@ def per_mask_rank_table(oracle):
     return [oracle._decide(mask, lambda idx: first[mask] if idx == 0
                            else oracle._seed_basis(mask, idx).rank)
             for mask in range(1 << m)]
+
+
+def from_independence(m, independent):
+    """The explicit matroid of an independence predicate on {0..m-1}, mask
+    by mask: rank(X) = |X| when X is independent, else the max over
+    one-element deletions; correct because some element of a dependent X
+    lies in a circuit of X, and removing it keeps the rank.  For any
+    down-closed predicate this is the size of a largest independent subset.
+    """
+    table = [0] * (1 << m)
+    # every one-element deletion of x is a smaller number than x
+    for x in range(1, 1 << m):
+        table[x] = (x.bit_count() if independent(x)
+                    else max(table[x & ~(1 << b)] for b in bits(x)))
+    return ExplicitMatroid(table)
 
 
 def plane_rigidity_rank(F):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -405,17 +406,18 @@ def test_closure_and_rank_table_bound_their_eliminations(monkeypatch):
     CofactorOracle(n).closure(F)
     assert calls[0] <= len(F)
 
-    tables = 0
+    handed = []
     real_table = cofactor.subset_rank_table
 
-    def counting_table(rows, p):
-        nonlocal tables
-        tables += 1
-        return real_table(rows, p)
+    def recording_table(rows, p, masks=None):
+        handed.append(masks)
+        return real_table(rows, p, masks)
 
-    monkeypatch.setattr(cofactor, "subset_rank_table", counting_table)
+    # K5 is a circuit, so seed 0 meets the cap on every mask and asks only
+    # about the full mask, for its rank; its bases give the rest
+    monkeypatch.setattr(cofactor, "subset_rank_table", recording_table)
     CofactorOracle(5).rank_table()
-    assert tables == 1
+    assert handed == [[(1 << 10) - 1]]
 
 
 def test_flexible_closure_reduces_no_non_edge(monkeypatch):
@@ -494,10 +496,39 @@ def test_rank_table_splits_where_the_per_mask_reference_does(monkeypatch):
     assert split(CofactorOracle.rank_table) == split(reference.per_mask_rank_table)
 
 
+@pytest.mark.parametrize("later_lose, kind", [((), "table"),
+                                               (((0, 5), (1, 2)), "split at")])
+def test_rank_table_survives_a_degenerate_seed_0(monkeypatch, later_lose, kind):
+    # Seed 0 loses the rows of 01, 02, 03 and 04, so it ranks K6 10, below
+    # the cap 12, and its bases are 10-sets.  Where seeds 1 and 2 lose the
+    # rows of 05 and 12 as well, they fall below seed 0 together on
+    # {01, 05, 12}, and the table splits where the per-mask reference does.
+    lost = [{edge_index(6, 0, v) for v in range(1, 5)},
+            *[{edge_index(6, *e) for e in later_lose}] * 2]
+
+    def outcome(build):
+        oracle = CofactorOracle(6)
+        real = oracle._row
+        monkeypatch.setattr(oracle, "_row",
+                            lambda b, idx: {} if b in lost[idx] else real(b, idx))
+        assert field.matrix_rank([oracle._row(b, 0) for b in range(15)]) == 10
+        try:
+            return "table", build(oracle)
+        except SeedDisagreement as exc:
+            return "split at", exc.detail
+
+    got = outcome(CofactorOracle.rank_table)
+    assert got[0] == kind
+    assert got == outcome(reference.per_mask_rank_table)
+
+
 def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
-    # Seed 0 ranks every mask in one table.  Seeds 1 and 2 rank only the
-    # masks below the cap on every earlier seed, plus their parent chains,
-    # and no seed builds an echelon basis of its own.
+    # Seed 0 reduces the chain of the full mask, for its rank r, and walks
+    # the r-subsets of its rows: at most the C(16, r) - 1 nonempty prefixes
+    # that can still grow to r rows, fewer where a row falls in the span.
+    # Seeds 1 and 2 rank only the masks below the cap on every earlier
+    # seed, plus their parent chains, and no seed builds an echelon basis
+    # of its own.
     calls = _count_reductions(monkeypatch)
     cleared = [0]
     real_clear = field._clear_pivots
@@ -508,22 +539,32 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
 
     monkeypatch.setattr(field, "_clear_pivots", counting_clear)
     handed = []
-    real_table = cofactor.subset_rank_table
 
-    def recording_table(rows, p, masks=None):
-        cleared[0] = 0
-        table = real_table(rows, p, masks)
-        handed.append((masks, cleared[0]))
-        return table
+    def recording(name):
+        real = getattr(cofactor, name)
 
-    monkeypatch.setattr(cofactor, "subset_rank_table", recording_table)
-    CofactorOracle(6, s=1).rank_table()
-    assert calls[0] == 0
-    (everything, reduced), (first, _), (second, _) = handed
-    assert everything is None and reduced == (1 << 15) - 1
-    assert len(first) == 2415 and set(second) <= set(first)
-    for masks, reduced in handed[1:]:
-        assert reduced == len(reference.parent_chains(masks)) == 5682
+        def record(rows, *args):
+            cleared[0] = 0
+            got = real(rows, *args)
+            handed.append((args, cleared[0]))
+            return got
+
+        monkeypatch.setattr(cofactor, name, record)
+
+    recording("subset_rank_table")
+    recording("independent_subsets")
+    full = (1 << 15) - 1
+    for s, rank, asked, chains in [(1, 9, 2415, 5682), (2, 12, 90, 473)]:
+        handed.clear()
+        CofactorOracle(6, s=s).rank_table()
+        assert calls[0] == 0
+        ((_, everything), reduced), ((r, _), walked), *later = handed
+        assert everything == [full] and reduced == 15
+        assert r == rank and walked <= comb(16, rank) - 1
+        ((_, first), _), ((_, second), _) = later
+        assert len(first) == asked and set(second) <= set(first)
+        for (_, masks), reduced in later:
+            assert reduced == len(reference.parent_chains(masks)) == chains
 
 
 def test_motion_closure_matches_the_reduction_closure():

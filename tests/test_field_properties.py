@@ -1,6 +1,7 @@
 """Property tests: the sparse echelon kernel against a dense Gaussian
 elimination written here, on small matrices with zero and repeated rows,
-and the kernel back-substitution against the span that ``reduce`` tests."""
+the depth-first basis walk against the full subset table, and the kernel
+back-substitution against the span that ``reduce`` tests."""
 
 import pytest
 
@@ -9,7 +10,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cofrig.field import MERSENNE61, EchelonBasis, subset_rank_table  # noqa: E402
+from cofrig.field import (  # noqa: E402
+    MERSENNE61,
+    EchelonBasis,
+    independent_subsets,
+    subset_rank_table,
+)
 
 from rank_reference import parent_chains  # noqa: E402
 
@@ -97,6 +103,18 @@ def test_restricted_subset_rank_table_matches_the_full_table(case, data):
     chains = {0} | parent_chains(masks)
     assert set(got) == chains
     assert all(got[x] == full[x] for x in chains)
+
+
+@settings(CASES, max_examples=40)
+@given(matrices(max_rows=9))
+def test_independent_subsets_are_the_r_subsets_of_rank_r(case):
+    p, rows = case
+    table = subset_rank_table(rows, p)
+    for r in range(len(rows) + 2):
+        got = independent_subsets(rows, r, p)
+        assert len(got) == len(set(got))
+        assert sorted(got) == [x for x, rank in enumerate(table)
+                               if x.bit_count() == r == rank]
 
 
 @st.composite

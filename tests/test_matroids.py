@@ -13,7 +13,13 @@ from cofrig.matroids import (
     verify_rank_axioms,
 )
 
-from rank_reference import clique_truncation_independent, closure, cyc, rank_axioms_hold
+from rank_reference import (
+    clique_truncation_independent,
+    closure,
+    cyc,
+    from_independence,
+    rank_axioms_hold,
+)
 
 
 def test_uniform_matroid_basics():
@@ -53,8 +59,7 @@ def test_clique_truncation_r6():
 @pytest.mark.parametrize("n, t", [(6, 5), (6, 4), (5, 3)])
 def test_clique_truncation_closed_form_matches_the_independence_table(n, t):
     m = n * (n - 1) // 2
-    by_independence = ExplicitMatroid.from_independence(
-        m, clique_truncation_independent(n, t))
+    by_independence = from_independence(m, clique_truncation_independent(n, t))
     assert clique_truncation_matroid(n, t).full_table() == by_independence.full_table()
 
 
@@ -133,7 +138,7 @@ def test_from_text_rejects_bad_headers(text, message):
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        ExplicitMatroid.from_independence(17, lambda x: True)
+        ExplicitMatroid.from_bases(17, [0])
     with pytest.raises(CapExceeded):
         clique_truncation_matroid(7, 5)
 
