@@ -15,8 +15,9 @@ minor), so the maximum over several seeds is a sound lower bound, and it is
 exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
-infinitesimal motions of a plane framework; Whiteley 1996): ``closure``
-takes an edge exactly when every motion annihilates its row.
+infinitesimal motions of a plane framework; Whiteley 1996).  ``closure``
+tests each row against one random motion per seed; a row outside the span
+passes with probability 1/p, and the seed then ranks F + e too low.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
 DEFAULT_SEEDS = (101, 202, 303)
 MIN_MODULUS = (1 << 31) - 1
-# How many recent masks keep their per-seed echelon bases and motions.
+# How many recent masks keep their per-seed echelon bases.
 SPAN_CACHE = 4
 
 
@@ -117,7 +118,7 @@ class CofactorOracle:
             GenericConfiguration.generate(n, seed, modulus) for seed in seeds)
         self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
-        self._spans: dict[int, list[list]] = {}
+        self._spans: dict[int, list[EchelonBasis | None]] = {}
         self._table: list[int] | None = None
 
     # -- plumbing ----------------------------------------------------------
@@ -141,10 +142,10 @@ class CofactorOracle:
                 edge_at(self.n, edge_bit), self.configs[seed_idx], self.s)
         return row
 
-    def _spans_of(self, mask: int) -> list[list]:
-        """The per-seed [basis, motions] slots of mask, kept for the last
-        SPAN_CACHE masks asked for."""
-        slots = self._spans.pop(mask, None) or [[None, None] for _ in self.seeds]
+    def _spans_of(self, mask: int) -> list[EchelonBasis | None]:
+        """The per-seed echelon bases of mask, None where not yet built, kept
+        for the last SPAN_CACHE masks asked for."""
+        slots = self._spans.pop(mask, None) or [None] * len(self.seeds)
         self._spans[mask] = slots
         if len(self._spans) > SPAN_CACHE:
             del self._spans[next(iter(self._spans))]
@@ -157,11 +158,11 @@ class CofactorOracle:
         It stops once it reaches the proven cap: no evaluation rank exceeds
         the generic rank, so that prefix already spans every row of mask.
         """
-        slot = self._spans_of(mask)[seed_idx]
-        if slot[0] is None:
+        slots = self._spans_of(mask)
+        if slots[seed_idx] is None:
             cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
-            slot[0] = self._greedy(bits(mask), seed_idx, cap)[0]
-        return slot[0]
+            slots[seed_idx] = self._greedy(bits(mask), seed_idx, cap)[0]
+        return slots[seed_idx]
 
     def _greedy(self, elems, seed_idx: int, stop: int):
         """One seed's echelon basis of the rows of elems, inserted in the
@@ -174,13 +175,6 @@ class CofactorOracle:
             if basis.insert(self._row(b, seed_idx)):
                 base |= 1 << b
         return basis, base
-
-    def _seed_motions(self, mask: int, seed_idx: int) -> list[list[int]]:
-        """One seed's motions of mask: the kernel of its evaluated rows."""
-        slot = self._spans_of(mask)[seed_idx]
-        if slot[1] is None:
-            slot[1] = self._seed_basis(mask, seed_idx).kernel(self.dim * self.n)
-        return slot[1]
 
     def _decide(self, mask: int, seed_rank, cap: int | None = None) -> int:
         """The rank of a mask by the seed rule of _vote, memoized: a table
@@ -263,34 +257,42 @@ class CofactorOracle:
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
 
-        A seed's rank of F + e is its rank of F plus whether some motion of
-        F fails to annihilate the row of e: 2(s+1) products per motion, no
-        reduction.  The cap of F + e comes from F's vertex support and e's
-        endpoints.  The seeds whose rank of F is the decided rank r file
-        their basis and motions under the closure C as well: an edge joins
-        C only if no seed ranks F + e above r, so they span C's rows too.
+        A seed's rank of F + e is its rank of F plus whether the row of e
+        fails to annihilate one random motion of F, drawn from the seed
+        alone: 2(s+1) products, no reduction.  F + e is capped by F's vertex
+        support and e's endpoints, and voted unless the table has it, not
+        memoized.  The seeds whose rank of F is the decided rank r file their
+        basis under the closure C: an edge joins C only if no seed ranks
+        F + e above r, so it spans C's rows too.
         """
         self._check(F)
         basis = cache(lambda idx: self._seed_basis(F.mask, idx))
-        motions = cache(lambda idx: self._seed_motions(F.mask, idx))
         support = F.vertex_support()
         r = self._decide(F.mask, lambda idx: basis(idx).rank,
                          min(len(F), _vertex_cap(len(support), self.dim)))
-        p, out = self.modulus, F.mask
+        p, out, width = self.modulus, F.mask, self.dim * self.n
+
+        @cache
+        def motion(idx):
+            rng = random.Random(f"motion:{self.seeds[idx]}")
+            return basis(idx).motion([rng.randrange(p) for _ in range(width)])
+
         for bit in bits(((1 << edge_count(self.n)) - 1) & ~F.mask):
             def with_e(idx):
-                row = self._row(bit, idx).items()
-                return basis(idx).rank + any(
-                    sum(c * m[j] for j, c in row) % p for m in motions(idx))
+                w = motion(idx)
+                return basis(idx).rank + (
+                    sum(c * w[j] for j, c in self._row(bit, idx).items()) % p != 0)
             v_e = len(support) + sum(u not in support for u in edge_at(self.n, bit))
             cap = min(len(F) + 1, _vertex_cap(v_e, self.dim))
-            if self._decide(F.mask | 1 << bit, with_e, cap) == r:
+            x = F.mask | 1 << bit
+            if (self._vote(x, with_e, cap) if self._table is None
+                    else self._table[x]) == r:
                 out |= 1 << bit
         if out != F.mask:
             filed = self._spans_of(out)
-            for idx, slot in enumerate(self._spans_of(F.mask)):
-                if slot[0] is not None and slot[0].rank == r:
-                    filed[idx] = slot
+            for idx, b in enumerate(self._spans_of(F.mask)):
+                if b is not None and b.rank == r:
+                    filed[idx] = b
         return EdgeSet(self.n, out)
 
     def is_flat(self, F: EdgeSet) -> bool:

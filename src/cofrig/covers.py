@@ -164,6 +164,8 @@ def is_M_degenerate(cover: CliqueCover, oracle) -> tuple[bool, tuple[int, ...] |
 
 def cover_upper_bound(F: EdgeSet, cover: CliqueCover, oracle) -> int:
     """val_D of an M-degenerate cover of F, checked to bound rank(F) above."""
+    if oracle.s != 2:
+        raise ValueError(f"the clique-cover formula needs s = 2, got s = {oracle.s}")
     if not cover.covers(F):
         missing = F - cover.union_edges()
         raise ValueError(

@@ -29,8 +29,9 @@ and its tag part is the combination of inserted rows it equals: its support
 is the row's fundamental circuit.  The cofactor oracle answers cyc and
 fundamental circuits this way, through the same ``reduce``.
 
-``EchelonBasis.kernel`` back-substitutes one kernel vector per free column;
-a row lies in the span exactly when every kernel vector annihilates it.
+``EchelonBasis.motion`` back-substitutes the kernel vector with given values
+at the free columns.  Independent uniform values make it a uniform kernel
+vector, which a row outside the span annihilates with probability 1/p.
 """
 
 from __future__ import annotations
@@ -119,20 +120,15 @@ class EchelonBasis:
         insort(self.pairs, pair)
         return True
 
-    def kernel(self, width: int) -> list[list[int]]:
-        """A basis of the length-width vectors that every row annihilates, as
-        dense lists, one per free column f: 1 at f, 0 at the other free
-        columns, and the pivot entries back-substituted in decreasing order."""
-        p, pairs = self.p, self.pairs[::-1]
-        out = []
-        for f in sorted(set(range(width)).difference(piv for piv, _ in pairs)):
-            m = [0] * width
-            m[f] = 1
-            for piv, row in pairs:
-                # the keys right of piv are set; m[piv] itself is still 0
-                m[piv] = -sum(c * m[j] for j, c in row.items()) % p
-            out.append(m)
-        return out
+    def motion(self, values) -> list[int]:
+        """The vector that every row annihilates and that keeps the given
+        values, a dense sequence, at the free columns.  Going down the pivots
+        in decreasing order, each pivot entry loses the row's product with the
+        vector so far; the row is 1 at its pivot, so the product drops to 0."""
+        p, m = self.p, list(values)
+        for piv, row in reversed(self.pairs):
+            m[piv] = (m[piv] - sum(c * m[j] for j, c in row.items())) % p
+        return m
 
 
 def _clear_pivots(cur: dict[int, int], pairs, p: int) -> None:

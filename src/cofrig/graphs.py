@@ -230,8 +230,7 @@ def complete_edges(n: int, vertices: Iterable[int]) -> EdgeSet:
 
 @lru_cache(maxsize=None)
 def clique_mask(n: int, verts: tuple[int, ...]) -> int:
-    """Mask of the clique on a sorted vertex tuple inside K_n, cached for the
-    cliques that families and sequence searches price over and over."""
+    """Clique mask of a sorted vertex tuple in K_n, cached for clique-family members."""
     return EdgeSet.complete(n, verts).mask
 
 

@@ -4,6 +4,7 @@ clique-sequence value.  The library answers these questions on whole
 bitsets of subsets or from clique covers; the tests check it against these
 loops."""
 
+from functools import cache
 from itertools import combinations
 
 from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
@@ -49,13 +50,17 @@ def reduction_closure(oracle, mask):
 
 
 def per_mask_rank_table(oracle):
-    """The cofactor oracle's rank table decided mask by mask: seed 0's ranks
-    from one subset table, another seed's rank of a mask from its own echelon
-    basis, and every mask through the oracle's own seed rule."""
+    """The cofactor oracle's rank table decided mask by mask: a seed's ranks
+    from one subset table of its rows, built the first time the seed is
+    asked, and every mask through the oracle's own seed rule."""
     m = edge_count(oracle.n)
-    first = subset_rank_table([oracle._row(b, 0) for b in range(m)], oracle.modulus)
-    return [oracle._decide(mask, lambda idx: first[mask] if idx == 0
-                           else oracle._seed_basis(mask, idx).rank)
+
+    @cache
+    def table(idx):
+        return subset_rank_table([oracle._row(b, idx) for b in range(m)],
+                                 oracle.modulus)
+
+    return [oracle._decide(mask, lambda idx: table(idx)[mask])
             for mask in range(1 << m)]
 
 

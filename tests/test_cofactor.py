@@ -421,15 +421,27 @@ def test_closure_and_rank_table_bound_their_eliminations(monkeypatch):
 
 
 def test_flexible_closure_reduces_no_non_edge(monkeypatch):
-    # Below full rank every seed is asked about every F + e; the motions
-    # answer those, so only the seeds' bases of F cost reductions.
+    # Below full rank every seed is asked about every F + e; one motion of
+    # each seed's basis of F answers those, so only the bases cost
+    # reductions, and the F + e decisions, never asked again, are not
+    # memoized.
     n = 24
     F = _flexible(n)
     calls = _count_reductions(monkeypatch)
+    drawn = []
+    real = EchelonBasis.motion
+
+    def motion(basis, values):
+        drawn.append(basis)
+        return real(basis, values)
+
+    monkeypatch.setattr(EchelonBasis, "motion", motion)
     oracle = CofactorOracle(n)
     closed = oracle.closure(F)
     assert oracle.rank(F) < 3 * n - 6 and closed != F
     assert calls[0] <= len(oracle.seeds) * len(F)
+    assert 0 < len(drawn) == len(set(map(id, drawn))) <= len(oracle.seeds)
+    assert len(oracle._memo) <= 2
 
 
 def test_rank_closure_and_flat_check_eliminate_once(monkeypatch):

@@ -200,6 +200,13 @@ def test_cover_upper_bound_values():
         cover_upper_bound(complete_graph(8), banana, oracle)
 
 
+@pytest.mark.parametrize("s", [0, 1, 3])
+def test_cover_upper_bound_needs_s_2(s):
+    cover = CliqueCover(5, ((0, 1, 2, 3, 4),))
+    with pytest.raises(ValueError, match="s = 2"):
+        cover_upper_bound(complete_graph(5), cover, CofactorOracle(5, s=s))
+
+
 def test_dress_rank_on_cliques():
     for n in (5, 6, 7):
         oracle = CofactorOracle(n)

@@ -1,6 +1,6 @@
 """Property tests: the sparse echelon kernel against a dense Gaussian
 elimination written here, on small matrices with zero and repeated rows,
-the depth-first basis walk against the full subset table, and the kernel
+the depth-first basis walk against the full subset table, and the motion
 back-substitution against the span that ``reduce`` tests."""
 
 import pytest
@@ -137,11 +137,22 @@ def annihilates(m, row, p):
     return sum(c * m[j] for j, c in row.items()) % p == 0
 
 
+def free_columns(basis, width):
+    return sorted(set(range(width)) - {piv for piv, _ in basis.pairs})
+
+
+def unit_motions(basis, width):
+    """The kernel basis rebuilt from motions: one per free column f, from
+    the values 1 at f and 0 at every other column."""
+    return [basis.motion([int(g == f) for g in range(width)])
+            for f in free_columns(basis, width)]
+
+
 def check_kernel(basis, width, rows, probes):
     p = basis.p
-    motions = basis.kernel(width)
+    motions = unit_motions(basis, width)
+    free = free_columns(basis, width)
     assert len(motions) == width - basis.rank
-    free = sorted(set(range(width)) - {piv for piv, _ in basis.pairs})
     for f, m in zip(free, motions):
         assert len(m) == width and all(0 <= x < p for x in m)
         assert [m[g] for g in free] == [int(g == f) for g in free]
@@ -167,12 +178,28 @@ def test_kernel_of_an_empty_and_of_a_full_rank_basis(p):
     width = 5
     probes = [{j: 1} for j in range(width)] + [{0: 3, 4: p - 1}]
     empty = EchelonBasis(p)
-    assert empty.kernel(width) == [[int(i == j) for i in range(width)]
-                                   for j in range(width)]
+    assert unit_motions(empty, width) == [[int(i == j) for i in range(width)]
+                                          for j in range(width)]
     check_kernel(empty, width, [], probes)
     full = EchelonBasis(p)
     rows = [{j: j + 1, (j + 1) % width: 2} for j in range(width)]
     for row in rows:
         full.insert(row)
-    assert full.rank == width and full.kernel(width) == []
+    assert full.rank == width and unit_motions(full, width) == []
+    assert full.motion(range(1, width + 1)) == [0] * width
     check_kernel(full, width, rows, probes)
+
+
+@CASES
+@given(sparse_rows(max_rows=10), st.data())
+def test_motion_annihilates_the_rows_and_keeps_the_free_values(case, data):
+    p, width, rows, _ = case
+    basis = EchelonBasis(p)
+    for row in rows:
+        basis.insert(row)
+    values = data.draw(st.lists(st.integers(0, p - 1), min_size=width,
+                                max_size=width))
+    m = basis.motion(values)
+    assert len(m) == width and all(0 <= x < p for x in m)
+    assert all(m[f] == values[f] for f in free_columns(basis, width))
+    assert all(annihilates(m, row, p) for row in rows)
