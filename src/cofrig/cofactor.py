@@ -14,6 +14,16 @@ above the generic rank (a nonzero minor mod p lifts to a nonzero generic
 minor), so the maximum over several seeds is a sound lower bound, and it is
 exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
 
+Columns run over the vertices in reverse: vertex v's block sits at columns
+(s+1)(n-1-v) .. (s+1)(n-1-v) + s, so the row of ij has its leftmost key in
+j's block, and the field kernel pivots an edge on its higher endpoint.  The
+oracle inserts rows in edge order, grouped by the lower endpoint i, so a
+star at i pivots on the blocks of its other ends and needs no clearing;
+pivoting on i's block instead would clear every later edge at i against the
+first ones and spread entries over all of i's earlier neighbours.  A column
+permutation changes the rank of no set of rows, so every rank, base, coloop
+and circuit is the same under either order; only the fill-in differs.
+
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).  ``closure``
 tests each row against one random motion per seed; a row outside the span
@@ -57,7 +67,12 @@ class GenericConfiguration:
 
 def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
     """Evaluated cofactor row of an edge, as a sparse {column: entry} dict:
-    the (s+1)-block D_ij at vertex i and its negation at vertex j."""
+    the (s+1)-block D_ij at vertex i and its negation at vertex j.
+
+    Vertex v's block starts at column (s+1)(n-1-v), so j > i lies left of i
+    and the row pivots in j's block.  Edges inserted in order, grouped by
+    their lower endpoint, then fill in only near the star they join (see the
+    module docstring)."""
     i, j = sorted(edge)
     p = config.p
     xi, yi = config.points[i]
@@ -65,12 +80,13 @@ def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
     dx = (xi - xj) % p
     dy = (yi - yj) % p
     w = s + 1
+    at_i, at_j = w * (config.n - 1 - i), w * (config.n - 1 - j)
     row = {}
     for t in range(w):
         b = pow(dx, s - t, p) * pow(dy, t, p) % p
         if b:
-            row[w * i + t] = b
-            row[w * j + t] = p - b
+            row[at_i + t] = b
+            row[at_j + t] = p - b
     return row
 
 
@@ -120,6 +136,9 @@ class CofactorOracle:
         self._memo: dict[int, int] = {0: 0}
         self._spans: dict[int, list[EchelonBasis | None]] = {}
         self._table: list[int] | None = None
+        # masks that closure and cyc returned: flats and cyclic sets
+        self._flats: set[int] = set()
+        self._cyclic: set[int] = set()
 
     # -- plumbing ----------------------------------------------------------
 
@@ -263,9 +282,12 @@ class CofactorOracle:
         support and e's endpoints, and voted unless the table has it, not
         memoized.  The seeds whose rank of F is the decided rank r file their
         basis under the closure C: an edge joins C only if no seed ranks
-        F + e above r, so it spans C's rows too.
+        F + e above r, so it spans C's rows too.  C is remembered as a flat,
+        so closing it again, as is_flat does, votes nothing.
         """
         self._check(F)
+        if F.mask in self._flats:
+            return F
         basis = cache(lambda idx: self._seed_basis(F.mask, idx))
         support = F.vertex_support()
         r = self._decide(F.mask, lambda idx: basis(idx).rank,
@@ -293,6 +315,7 @@ class CofactorOracle:
             for idx, b in enumerate(self._spans_of(F.mask)):
                 if b is not None and b.rank == r:
                     filed[idx] = b
+        self._flats.add(out)
         return EdgeSet(self.n, out)
 
     def is_flat(self, F: EdgeSet) -> bool:
@@ -304,9 +327,13 @@ class CofactorOracle:
         One tagged pass per seed gives that seed's rank of F and its coloops:
         the basis elements in no recorded circuit.  Dropping e lowers a seed's
         rank exactly when e is one of its coloops, which gives every rank of
-        F - e without a further elimination.
+        F - e without a further elimination.  F - e is capped by its vertex
+        support and voted unless the table has it, not memoized.  The result
+        is remembered as a cyclic set, so is_cyclic of it votes nothing.
         """
         self._check(F)
+        if F.mask in self._cyclic:
+            return F
         elems = list(bits(F.mask))
 
         @cache
@@ -316,14 +343,21 @@ class CofactorOracle:
                 base &= ~circuit
             return len(elems) - len(circuits), base
 
-        r = self._decide(F.mask, lambda idx: seed_pass(idx)[0])
+        support = F.vertex_support()
+        r = self._decide(F.mask, lambda idx: seed_pass(idx)[0],
+                         min(len(elems), _vertex_cap(len(support), self.dim)))
         keep = 0
         for b in elems:
             def without(idx):
                 r_i, coloops = seed_pass(idx)
                 return r_i - (coloops >> b & 1)
-            if self._decide(F.mask & ~(1 << b), without) == r:
+            v_e = len(support) - sum(F.degree(u) == 1 for u in edge_at(self.n, b))
+            cap = min(len(elems) - 1, _vertex_cap(v_e, self.dim))
+            x = F.mask & ~(1 << b)
+            if (self._vote(x, without, cap) if self._table is None
+                    else self._table[x]) == r:
                 keep |= 1 << b
+        self._cyclic.add(keep)
         return EdgeSet(self.n, keep)
 
     def is_cyclic(self, F: EdgeSet) -> bool:

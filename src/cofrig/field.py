@@ -10,8 +10,11 @@ row has 2(s+1) nonzeros among (s+1)n columns, so elimination touches only
 the columns a row and its reducers actually use.  An echelon basis is a
 pivot-sorted sequence of (pivot, row) pairs: each row is 1 at its pivot and
 has no key left of it, and no two pivots are equal, so pairs sort by pivot
-alone.  One kernel, ``_eliminate``, reduces a row against such a sequence:
-its pivot-clearing loop ``_clear_pivots``, then one inverse to normalize.
+alone.  Pivoting on the lowest column makes the caller's column order the
+elimination order: it decides how many entries clearing adds to a row (the
+fill-in), though never a rank.  One kernel, ``_eliminate``, reduces a row
+against such a sequence: its pivot-clearing loop ``_clear_pivots``, then
+one inverse to normalize.
 ``EchelonBasis`` keeps a growing list of pairs and turns its input rows,
 dense sequences or mappings, into the sparse form at the boundary.
 ``subset_rank_table`` keeps one immutable tuple of pairs per subset, sharing

@@ -2,9 +2,9 @@
 rank function on bitmasks, and an exhaustive search for the minimum proper
 clique-sequence value.  The library answers these questions on whole
 bitsets of subsets or from clique covers; the tests check it against these
-loops."""
+loops.  The G(n, p) sampler the tests share lives here too."""
 
-from functools import cache
+import random
 from itertools import combinations
 
 from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
@@ -49,19 +49,50 @@ def reduction_closure(oracle, mask):
     return out
 
 
+class _Unranked(Exception):
+    """A mask asked a seed whose subset table is not built yet."""
+
+
 def per_mask_rank_table(oracle):
-    """The cofactor oracle's rank table decided mask by mask: a seed's ranks
-    from one subset table of its rows, built the first time the seed is
-    asked, and every mask through the oracle's own seed rule."""
+    """The cofactor oracle's rank table decided mask by mask, every mask
+    through the oracle's own seed rule, in passes: seed 0 ranks every mask
+    from one full subset table of its rows, and seed k ranks, in one subset
+    table restricted to them, the masks whose pass k asked for it.  Masks
+    are decided in increasing order within a pass, and only a mask that has
+    asked every seed can split, so the first split raised is the first in
+    numeric order."""
     m = edge_count(oracle.n)
 
-    @cache
-    def table(idx):
-        return subset_rank_table([oracle._row(b, idx) for b in range(m)],
-                                 oracle.modulus)
+    def rows(idx):
+        return [oracle._row(b, idx) for b in range(m)]
 
-    return [oracle._decide(mask, lambda idx: table(idx)[mask])
-            for mask in range(1 << m)]
+    tables = [subset_rank_table(rows(0), oracle.modulus)]
+
+    def seed_rank(mask, idx):
+        if idx == len(tables):
+            raise _Unranked
+        return tables[idx][mask]
+
+    ranks, pending = [0] * (1 << m), range(1 << m)
+    while pending:
+        asked = []
+        for mask in pending:
+            try:
+                ranks[mask] = oracle._decide(mask, lambda idx: seed_rank(mask, idx))
+            except _Unranked:
+                asked.append(mask)
+        if asked:
+            tables.append(subset_rank_table(rows(len(tables)), oracle.modulus, asked))
+        pending = asked
+    return ranks
+
+
+def gnp(n, p, seed):
+    """G(n, p): each pair u < v, in lexicographic order, kept with
+    probability p under random.Random(seed)."""
+    rng = random.Random(seed)
+    return EdgeSet.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < p])
 
 
 def from_independence(m, independent):

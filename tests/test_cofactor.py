@@ -10,10 +10,13 @@ from cofrig.errors import AmbientMismatch, SeedDisagreement
 from cofrig.field import EchelonBasis
 from cofrig.graphs import (
     EdgeSet,
+    bits,
     complete_edges,
     complete_graph,
     cycle_graph,
     double_banana,
+    edge_at,
+    edge_count,
     edge_index,
     path_graph,
 )
@@ -96,7 +99,8 @@ def test_closure_is_idempotent_and_extensive(oracle7):
         F = EdgeSet(7, rng.getrandbits(21))
         closed = oracle7.closure(F)
         assert F.issubset(closed)
-        assert oracle7.closure(closed) == closed
+        # oracle7 remembers what its closure returned; a fresh one decides
+        assert oracle7.closure(closed) == CofactorOracle(7).closure(closed) == closed
         assert oracle7.rank(closed) == oracle7.rank(F)
 
 
@@ -211,6 +215,42 @@ def test_degree_one_matches_rigidity_rows():
     for _ in range(60):
         F = EdgeSet(6, rng.getrandbits(15))
         assert cof.rank(F) == reference.plane_rigidity_rank(F)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_seed_ranks_do_not_depend_on_the_column_layout(s):
+    # Vertex v's block sits at columns (s+1)(n-1-v); mapped back to the
+    # low-vertex-first layout (s+1)v, the same rows keep every seed's rank.
+    rng = random.Random(40 + s)
+    w = s + 1
+    for n in range(8, 13):
+        oracle = CofactorOracle(n, s=s)
+        m = edge_count(n)
+        for density in range(1, 5):
+            mask = ~0
+            for _ in range(density):
+                mask &= rng.getrandbits(m)
+            for idx in range(len(oracle.seeds)):
+                rows = []
+                for b in bits(mask):
+                    row = {w * (n - 1 - c // w) + c % w: x
+                           for c, x in oracle._row(b, idx).items()}
+                    i, j = edge_at(n, b)
+                    assert set(row) <= {w * v + t for v in (i, j) for t in range(w)}
+                    rows.append(row)
+                assert (oracle._seed_basis(mask, idx).rank
+                        == field.matrix_rank(rows, oracle.modulus))
+
+
+def test_complete_graph_basis_stays_sparse():
+    # K13's rows go in by lower endpoint and pivot on the higher one, so each
+    # star fills in little: seed 0's basis stores 178 entries, against 375
+    # when a row pivots on its lower endpoint's block.
+    oracle = CofactorOracle(13)
+    K = EdgeSet.complete(13)
+    assert oracle.rank(K) == 33
+    basis = oracle._spans[K.mask][0]
+    assert sum(len(row) for _, row in basis.pairs) <= 200
 
 
 def test_rank_table_matches_pointwise(oracle6, table6):
@@ -442,6 +482,36 @@ def test_flexible_closure_reduces_no_non_edge(monkeypatch):
     assert calls[0] <= len(oracle.seeds) * len(F)
     assert 0 < len(drawn) == len(set(map(id, drawn))) <= len(oracle.seeds)
     assert len(oracle._memo) <= 2
+
+
+def test_cyc_memoizes_no_deletion():
+    # the F - e decisions, never asked again, are voted, not memoized
+    F = reference.gnp(40, 0.15, 0)
+    assert len(F) == 128
+    oracle = CofactorOracle(40)
+    oracle.cyc(F)
+    assert len(oracle._memo) <= 2
+
+
+def test_returned_flats_and_cyclic_sets_are_not_voted_again(monkeypatch):
+    n = 24
+    F = _flexible(n)
+    oracle = CofactorOracle(n)
+    closed = oracle.closure(F)
+    cyclic = oracle.cyc(closed)
+    votes = []
+    real = CofactorOracle._vote
+
+    def vote(self, *args):
+        votes.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(CofactorOracle, "_vote", vote)
+    assert oracle.is_flat(closed) and oracle.is_cyclic(cyclic)
+    assert votes == []
+    fresh = CofactorOracle(n)
+    assert fresh.is_flat(closed) and fresh.is_cyclic(cyclic)
+    assert votes
 
 
 def test_rank_closure_and_flat_check_eliminate_once(monkeypatch):

@@ -18,7 +18,7 @@ from cofrig.sequences import (
 )
 
 from rank_reference import (
-    graphic_rank, min_sequence_value, plane_rigidity_rank, proper_order)
+    gnp, graphic_rank, min_sequence_value, plane_rigidity_rank, proper_order)
 
 
 def test_member_validation():
@@ -142,14 +142,6 @@ def test_certificate_on_spanning_clique():
     assert seq_value(complete_graph(8), cert.sequence) == 18
 
 
-def _gnp(n, p, seed):
-    """G(n, p): each pair u < v, in lexicographic order, kept with
-    probability p under random.Random(seed)."""
-    rng = random.Random(seed)
-    return EdgeSet.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                  if rng.random() < p])
-
-
 def _certified_rank(F, s):
     """The certified rank of F, after checking that the certificate's
     sequence values F at that rank."""
@@ -161,13 +153,13 @@ def _certified_rank(F, s):
 @pytest.mark.parametrize("n, p", [(20, 0.4), (30, 0.25)])
 @pytest.mark.parametrize("seed", range(4))
 def test_cover_route_certifies_s2_draws(n, p, seed):
-    F = _gnp(n, p, seed)
+    F = gnp(n, p, seed)
     assert _certified_rank(F, 2) == CofactorOracle(n, seeds=(7, 8, 9)).rank(F)
 
 
 # G(30, 0.12) draws, plus small pieces: a triangle, two K4 on one shared
 # vertex and a lone edge, whose (rigid) components have 2-7 vertices
-_SPARSE = [_gnp(30, 0.12, seed) for seed in range(4)] + [
+_SPARSE = [gnp(30, 0.12, seed) for seed in range(4)] + [
     EdgeSet.complete(12, range(3)) | EdgeSet.complete(12, range(3, 7))
     | EdgeSet.complete(12, range(6, 10)) | EdgeSet.from_edges(12, [(10, 11)])]
 _SPARSE_IDS = ["seed0", "seed1", "seed2", "seed3", "pieces"]
