@@ -14,26 +14,29 @@ above the generic rank (a nonzero minor mod p lifts to a nonzero generic
 minor), so the maximum over several seeds is a sound lower bound, and it is
 exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
 
-Columns run over the vertices in reverse: vertex v's block sits at columns
-(s+1)(n-1-v) .. (s+1)(n-1-v) + s, so the row of ij has its leftmost key in
-j's block, and the field kernel pivots an edge on its higher endpoint.  The
-oracle inserts rows in edge order, grouped by the lower endpoint i, so a
-star at i pivots on the blocks of its other ends and needs no clearing;
-pivoting on i's block instead would clear every later edge at i against the
-first ones and spread entries over all of i's earlier neighbours.  A column
-permutation changes the rank of no set of rows, so every rank, base, coloop
-and circuit is the same under either order; only the fill-in differs.
+cofactor_row lays the columns out over the vertices in reverse, vertex v's
+block at columns (s+1)(n-1-v) .. (s+1)(n-1-v) + s, and the rank tables,
+greedy bases and tagged passes keep that layout and their row order.  The
+basis behind rank and closure sets its columns per mask, by a least-degree
+peel: the k-th peeled vertex v takes the k-th block, and up to s+1 of its
+edges to vertices not yet peeled go in first, ahead of all other rows.
+Read backwards, the peel adds each vertex to the later ones with at most
+s+1 edges, a 0-extension, which keeps a set independent; so those rows
+pivot in v's own block and clear only against each other, with almost no
+fill-in.  A column permutation changes the rank of no set of rows, so no
+rank depends on the layout; only the fill-in does.
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).  ``closure``
-tests each row against one random motion per seed; a row outside the span
-passes with probability 1/p, and the seed then ranks F + e too low.
+tests each row against one random motion per seed, and so does the basis
+build, for its remaining rows once one of them falls in the span.  A row
+outside the span passes with probability 1/p; the seed then ranks the set
+one too low, never too high.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import insort
 from dataclasses import dataclass
 from functools import cache
 
@@ -69,10 +72,9 @@ def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
     """Evaluated cofactor row of an edge, as a sparse {column: entry} dict:
     the (s+1)-block D_ij at vertex i and its negation at vertex j.
 
-    Vertex v's block starts at column (s+1)(n-1-v), so j > i lies left of i
-    and the row pivots in j's block.  Edges inserted in order, grouped by
-    their lower endpoint, then fill in only near the star they join (see the
-    module docstring)."""
+    Vertex v's block starts at column (s+1)(n-1-v).  This is the layout the
+    oracle caches; its rank and closure bases move each vertex's block to
+    the column of its mask's peel (see the module docstring)."""
     i, j = sorted(edge)
     p = config.p
     xi, yi = config.points[i]
@@ -98,6 +100,17 @@ def _vertex_cap(v: int, d: int) -> int:
 def generic_rank_upper_bound(F: EdgeSet, s: int) -> int:
     """Matroid-theoretic cap on the rank of F in the order-s cofactor matroid."""
     return min(len(F), _vertex_cap(len(F.vertex_support()), s + 1))
+
+
+class _PeeledBasis(EchelonBasis):
+    """An echelon basis in the columns of a mask's peel, which carries its
+    column map: cols[c] is the basis column of column c of cofactor_row."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, p: int, cols: list[int]):
+        super().__init__(p)
+        self.cols = cols
 
 
 class CofactorOracle:
@@ -130,11 +143,12 @@ class CofactorOracle:
         self.s = s
         self.seeds = seeds
         self.modulus = modulus
-        self.configs = tuple(
-            GenericConfiguration.generate(n, seed, modulus) for seed in seeds)
+        # built on a seed's first row: later seeds are seldom asked
+        self._configs: list[GenericConfiguration | None] = [None] * len(seeds)
+        self._values: list[list[int] | None] = [None] * len(seeds)
         self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
-        self._spans: dict[int, list[EchelonBasis | None]] = {}
+        self._spans: dict[int, list[_PeeledBasis | None]] = {}
         self._table: list[int] | None = None
         # masks that closure and cyc returned: flats and cyclic sets
         self._flats: set[int] = set()
@@ -157,11 +171,26 @@ class CofactorOracle:
         cache = self._row_cache[seed_idx]
         row = cache.get(edge_bit)
         if row is None:
+            config = self._configs[seed_idx]
+            if config is None:
+                config = self._configs[seed_idx] = GenericConfiguration.generate(
+                    self.n, self.seeds[seed_idx], self.modulus)
             row = cache[edge_bit] = cofactor_row(
-                edge_at(self.n, edge_bit), self.configs[seed_idx], self.s)
+                edge_at(self.n, edge_bit), config, self.s)
         return row
 
-    def _spans_of(self, mask: int) -> list[EchelonBasis | None]:
+    def _motion_values(self, seed_idx: int) -> list[int]:
+        """Independent uniform values, one per column, drawn from the seed
+        alone, never from the query order: the free values of every random
+        motion of that seed."""
+        values = self._values[seed_idx]
+        if values is None:
+            rng = random.Random(f"motion:{self.seeds[seed_idx]}")
+            values = self._values[seed_idx] = [
+                rng.randrange(self.modulus) for _ in range(self.dim * self.n)]
+        return values
+
+    def _spans_of(self, mask: int) -> list[_PeeledBasis | None]:
         """The per-seed echelon bases of mask, None where not yet built, kept
         for the last SPAN_CACHE masks asked for."""
         slots = self._spans.pop(mask, None) or [None] * len(self.seeds)
@@ -170,30 +199,77 @@ class CofactorOracle:
             del self._spans[next(iter(self._spans))]
         return slots
 
-    def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
-        """One seed's echelon basis of the rows of mask, in edge order, kept
-        in the mask's span slot.
+    def _seed_basis(self, mask: int, seed_idx: int) -> _PeeledBasis:
+        """One seed's echelon basis of the rows of mask, in its peel's order
+        and columns, kept in the mask's span slot.
 
         It stops once it reaches the proven cap: no evaluation rank exceeds
         the generic rank, so that prefix already spans every row of mask.
+        Once a row after the 0-extension rows falls in the span, each later
+        row is tested against one random motion of the basis so far and
+        reduced only if it passes, which proves it independent; a row that
+        goes in drops the motion, and the next row to fall in the span draws
+        it again.  A row outside the span fails with probability 1/p, which
+        lowers this seed's rank and never raises it.
         """
         slots = self._spans_of(mask)
         if slots[seed_idx] is None:
             cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
-            slots[seed_idx] = self._greedy(bits(mask), seed_idx, cap)[0]
+            order, first, cols = self._peel(mask)
+            p = self.modulus
+            basis, motion = _PeeledBasis(p, cols), None
+            for k, b in enumerate(order):
+                if basis.rank == cap:
+                    break
+                row = {cols[c]: x for c, x in self._row(b, seed_idx).items()}
+                if motion is None:
+                    if not basis.absorb(row) and k >= first:
+                        motion = basis.motion(self._motion_values(seed_idx))
+                elif sum(c * motion[j] for j, c in row.items()) % p:
+                    basis.absorb(row)
+                    motion = None
+            slots[seed_idx] = basis
         return slots[seed_idx]
 
-    def _greedy(self, elems, seed_idx: int, stop: int):
-        """One seed's echelon basis of the rows of elems, inserted in the
-        given order until its rank reaches stop, and the mask of the
-        elements whose rows grew it."""
-        basis, base = EchelonBasis(self.modulus), 0
-        for b in elems:
-            if basis.rank == stop:
-                break
-            if basis.insert(self._row(b, seed_idx)):
-                base |= 1 << b
-        return basis, base
+    def _peel(self, mask: int) -> tuple[list[int], int, list[int]]:
+        """The edge bits of mask in peeling order, how many of them are
+        0-extension rows, and the column map of the peel.
+
+        Vertices leave by least degree among those left, from a bucket queue.
+        The k-th vertex to leave takes the k-th (s+1)-block: cols[c] is the
+        column that column c of cofactor_row moves to.  Its first s+1 edges
+        to vertices still left, in edge order, are its 0-extension rows;
+        the order puts all of those first, then every other edge.
+        """
+        n, w = self.n, self.dim
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for b in bits(mask):
+            i, j = edge_at(n, b)
+            nbrs[i].append((j, b))
+            nbrs[j].append((i, b))
+        degree = [len(x) for x in nbrs]
+        buckets: list[dict[int, None]] = [{} for _ in range(max(degree) + 1)]
+        for v, d in enumerate(degree):
+            buckets[d][v] = None
+        first, rest, cols, low = [], [], [0] * (w * n), 0
+        for k in range(n):
+            while not buckets[low]:
+                low += 1
+            v = buckets[low].popitem()[0]
+            degree[v] = -1
+            at = w * (n - 1 - v)
+            cols[at:at + w] = range(w * k, w * k + w)
+            taken = 0
+            for u, b in nbrs[v]:
+                d = degree[u]
+                if d > 0:
+                    (first if taken < w else rest).append(b)
+                    taken += 1
+                    del buckets[d][u]
+                    buckets[d - 1][u] = None
+                    degree[u] = d - 1
+            low = max(low - 1, 0)
+        return first + rest, len(first), cols
 
     def _decide(self, mask: int, seed_rank, cap: int | None = None) -> int:
         """The rank of a mask by the seed rule of _vote, memoized: a table
@@ -244,13 +320,13 @@ class CofactorOracle:
         basis = EchelonBasis(self.modulus)
         base, circuits = 0, []
         for t, b in enumerate(elems):
-            pair = basis.reduce({**self._row(b, seed_idx), width + t: 1})
-            if pair[0] < width:
-                insort(basis.pairs, pair)
+            piv, row = basis.reduce({**self._row(b, seed_idx), width + t: 1})
+            if piv < width:
+                basis.rows[piv] = row
                 base |= 1 << b
             else:
                 circuit = 0
-                for j in pair[1]:
+                for j in row:
                     if j >= width:
                         circuit |= 1 << elems[j - width]
                 circuits.append(circuit)
@@ -292,12 +368,12 @@ class CofactorOracle:
         support = F.vertex_support()
         r = self._decide(F.mask, lambda idx: basis(idx).rank,
                          min(len(F), _vertex_cap(len(support), self.dim)))
-        p, out, width = self.modulus, F.mask, self.dim * self.n
+        p, out = self.modulus, F.mask
 
         @cache
         def motion(idx):
-            rng = random.Random(f"motion:{self.seeds[idx]}")
-            return basis(idx).motion([rng.randrange(p) for _ in range(width)])
+            w = basis(idx).motion(self._motion_values(idx))
+            return [w[c] for c in basis(idx).cols]
 
         for bit in bits(((1 << edge_count(self.n)) - 1) & ~F.mask):
             def with_e(idx):
@@ -390,7 +466,12 @@ class CofactorOracle:
         elems = [*bits(start), *bits(F.mask & ~start)]
         ranks = []
         for idx in range(len(self.seeds)):
-            basis, base = self._greedy(elems, idx, target)
+            basis, base = EchelonBasis(self.modulus), 0
+            for b in elems:
+                if basis.rank == target:
+                    break
+                if basis.absorb(dict(self._row(b, idx))):
+                    base |= 1 << b
             if basis.rank == target and base & start == start:
                 return EdgeSet(self.n, base)
             ranks.append(basis.rank)

@@ -8,20 +8,24 @@ full rank except with vanishing probability.
 Rows are sparse: a dict from column to nonzero entry in [0, p).  A cofactor
 row has 2(s+1) nonzeros among (s+1)n columns, so elimination touches only
 the columns a row and its reducers actually use.  An echelon basis is a
-pivot-sorted sequence of (pivot, row) pairs: each row is 1 at its pivot and
-has no key left of it, and no two pivots are equal, so pairs sort by pivot
-alone.  Pivoting on the lowest column makes the caller's column order the
-elimination order: it decides how many entries clearing adds to a row (the
-fill-in), though never a rank.  One kernel, ``_eliminate``, reduces a row
-against such a sequence: its pivot-clearing loop ``_clear_pivots``, then
-one inverse to normalize.
-``EchelonBasis`` keeps a growing list of pairs and turns its input rows,
-dense sequences or mappings, into the sparse form at the boundary.
-``subset_rank_table`` keeps one immutable tuple of pairs per subset, sharing
-the rows between subsets, and drops a subset's tuple as soon as the last
-subset built from it is done.  A subset that no other is built from only
-asks whether its row survives the clearing loop, with no inverse, and a
-table asked about a list of masks reduces only them and their parent chains.
+dict from pivot column to row: each row is 1 at its pivot and has no key
+left of it.  One routine, ``reduce_row``, reduces a row against such a dict:
+it walks the row's own keys in increasing order, clears each key that is a
+pivot, and stops at the first nonzero key that is not one.  That key is the
+row's new pivot, and the row is normalized there with one inverse.  The
+keys right of it are left as they are, so a stored row may still be nonzero
+at later pivots: the basis is in semi-reduced echelon form, not reduced
+form.  Back-substitution and the tag-column circuits below need no more.
+Which columns a row meets first is the caller's column order, which decides
+how many entries clearing adds (the fill-in), though never a rank.
+``EchelonBasis`` keeps one growing dict and turns its input rows, dense
+sequences or mappings, into the sparse form at the boundary; a caller whose
+rows are already sparse and reduced mod p hands them to ``absorb``.
+``subset_rank_table`` keeps one immutable dict per subset, sharing the rows
+between subsets, and drops a subset's dict as soon as the last subset built
+from it is done.  A subset that no other is built from only asks whether
+its row finds a pivot, with no inverse, and a table asked about a list of
+masks reduces only them and their parent chains.
 ``independent_subsets`` walks the same chains depth first for the bases of
 the rows' matroid, cutting every prefix whose new row falls in its span.
 
@@ -39,7 +43,6 @@ vector, which a row outside the span annihilates with probability 1/p.
 
 from __future__ import annotations
 
-from bisect import bisect, insort
 from collections.abc import Mapping
 
 MERSENNE61 = (1 << 61) - 1
@@ -92,35 +95,77 @@ def _sparse_row(row, p: int) -> dict[int, int]:
     return {j: y for j, x in items if (y := x % p)}
 
 
-class EchelonBasis:
-    """Incremental row echelon form over GF(p), as one sequence of pairs.
+def reduce_row(cur: dict[int, int], rows: dict[int, dict[int, int]],
+               p: int) -> int | None:
+    """Reduce a sparse row, in place, against an echelon basis indexed by
+    pivot: the row's new pivot, or None if the row lies in the span.
 
-    Rows are never modified after insertion.
+    The walk takes the row's least key each time.  A key that is a pivot is
+    cleared, which adds keys only right of it, since no basis row has a key
+    left of its pivot; a zero entry is dropped; the first nonzero key that
+    is no pivot ends the walk, and is returned with its entry reduced mod p.
+    Entries right of it stay exact integers, reduced mod p only where read
+    as a multiplier, so one of them may be 0 mod p.
+    """
+    get = cur.get
+    while cur:
+        k = min(cur)
+        c = cur[k] % p
+        if not c:
+            del cur[k]
+            continue
+        brow = rows.get(k)
+        if brow is None:
+            cur[k] = c
+            return k
+        for j, b in brow.items():
+            cur[j] = get(j, 0) - c * b
+        del cur[k]
+    return None
+
+
+def _normalized(cur: dict[int, int], lead: int, p: int) -> dict[int, int]:
+    """The row reduce_row left with the given pivot, scaled to 1 there,
+    without zero entries."""
+    inv = pow(cur[lead], -1, p)
+    return {j: y for j, x in cur.items() if (y := x * inv % p)}
+
+
+class EchelonBasis:
+    """Incremental row echelon form over GF(p), as one dict from pivot to
+    row.  Rows are never modified after insertion.
     """
 
-    __slots__ = ("p", "pairs")
+    __slots__ = ("p", "rows")
 
     def __init__(self, p: int = MERSENNE61):
         self.p = p
-        self.pairs: list[tuple[int, dict[int, int]]] = []
+        self.rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.pairs)
+        return len(self.rows)
 
     def reduce(self, row) -> tuple[int, dict[int, int]] | None:
         """Reduce a row, dense or a mapping, against the basis: its new
         (pivot, sparse normalized row) pair, or None if it reduces to zero.
         The row does not alias the input.
         """
-        return _eliminate(_sparse_row(row, self.p), self.pairs, self.p)
+        cur = _sparse_row(row, self.p)
+        lead = reduce_row(cur, self.rows, self.p)
+        return None if lead is None else (lead, _normalized(cur, lead, self.p))
 
     def insert(self, row) -> bool:
-        """Add a row to the span; True if the rank grew."""
-        pair = self.reduce(row)
-        if pair is None:
+        """Add a row, dense or a mapping, to the span; True if the rank grew."""
+        return self.absorb(_sparse_row(row, self.p))
+
+    def absorb(self, cur: dict[int, int]) -> bool:
+        """Add a sparse row with entries in [0, p), which the basis consumes,
+        to the span; True if the rank grew."""
+        lead = reduce_row(cur, self.rows, self.p)
+        if lead is None:
             return False
-        insort(self.pairs, pair)
+        self.rows[lead] = _normalized(cur, lead, self.p)
         return True
 
     def motion(self, values) -> list[int]:
@@ -129,39 +174,9 @@ class EchelonBasis:
         in decreasing order, each pivot entry loses the row's product with the
         vector so far; the row is 1 at its pivot, so the product drops to 0."""
         p, m = self.p, list(values)
-        for piv, row in reversed(self.pairs):
-            m[piv] = (m[piv] - sum(c * m[j] for j, c in row.items())) % p
+        for piv in sorted(self.rows, reverse=True):
+            m[piv] = (m[piv] - sum(c * m[j] for j, c in self.rows[piv].items())) % p
         return m
-
-
-def _clear_pivots(cur: dict[int, int], pairs, p: int) -> None:
-    """Clear, in place, every pivot column of pivot-sorted pairs from a
-    sparse row: one pass in pivot order, since no pair's row has a key left of
-    its pivot.  Entries stay exact integers, reduced mod p only where read as
-    a multiplier, so a kept entry may be 0 mod p; a cleared column is dropped.
-    """
-    get = cur.get
-    for piv, brow in pairs:
-        c = get(piv)
-        if c is not None:
-            c %= p
-            if c:
-                for j, b in brow.items():
-                    cur[j] = get(j, 0) - c * b
-            del cur[piv]
-
-
-def _eliminate(cur: dict[int, int], pairs, p: int):
-    """Reduce a sparse row, consumed, against pivot-sorted pairs: the new
-    (pivot, normalized row) pair, whose pivot no pair has, or None if the row
-    lies in their span."""
-    _clear_pivots(cur, pairs, p)
-    support = [j for j, x in cur.items() if x % p]
-    if not support:
-        return None
-    lead = min(support)
-    inv = pow(cur[lead], -1, p)
-    return lead, {j: y for j, x in cur.items() if (y := x * inv % p)}
 
 
 def subset_rank_table(rows, p: int = MERSENNE61,
@@ -170,12 +185,12 @@ def subset_rank_table(rows, p: int = MERSENNE61,
 
     Given masks, only those subsets and their parent chains are reduced, and
     a {mask: rank} dict of them (and of 0) is returned.  Subsets are processed
-    in increasing numeric order, so each mask x reuses the pairs of its
-    parent, x minus its lowest bit.  A mask's pairs are kept only while a
-    child still needs them, and a childless mask (every odd one, in the full
-    table) only checks whether its new row survives, with no inverse and no
-    normalized row.  The live tuples share their rows, which keeps the table
-    affordable up to 16 rows.
+    in increasing numeric order, so each mask x reuses the basis of its
+    parent, x minus its lowest bit.  A mask's basis is kept only while a
+    child still needs it, and a childless mask (every odd one, in the full
+    table) only checks whether its new row finds a pivot, with no inverse and
+    no normalized row.  The live dicts share their rows, which keeps the
+    table affordable up to 16 rows.
     """
     m = len(rows)
     if m > 16:
@@ -195,22 +210,16 @@ def subset_rank_table(rows, p: int = MERSENNE61,
     for x in order:
         kids[x & (x - 1)] += 1
     rank = [0] * size if masks is None else {0: 0}
-    basis: dict[int, tuple] = {0: ()}
+    basis: dict[int, dict] = {0: {}}
     for x in order:
         y = x & (x - 1)
         kids[y] -= 1
         b = basis[y] if kids[y] else basis.pop(y)
         cur = dict(rows[(x & -x).bit_length() - 1])
-        if not kids[x]:
-            _clear_pivots(cur, b, p)
-            rank[x] = rank[y] + any(v % p for v in cur.values())
-            continue
-        pair = _eliminate(cur, b, p)
-        rank[x] = rank[y] + (pair is not None)
-        if pair is not None:
-            at = bisect(b, pair)
-            b = b[:at] + (pair,) + b[at:]
-        basis[x] = b
+        lead = reduce_row(cur, b, p)
+        rank[x] = rank[y] + (lead is not None)
+        if kids[x]:
+            basis[x] = b if lead is None else {**b, lead: _normalized(cur, lead, p)}
     return rank
 
 
@@ -219,21 +228,19 @@ def independent_subsets(rows, r: int, p: int = MERSENNE61) -> list[int]:
     depth first over the parent chains of subset_rank_table: a prefix grows
     only by rows below its lowest row while enough are left to reach r, is
     cut with its subtree when its new row falls in its span, and its r-th
-    row only asks whether it survives the clearing loop."""
+    row only asks whether it finds a pivot."""
     rows = [_sparse_row(row, p) for row in rows]
-    found, stack = ([], [(0, (), len(rows), r)]) if r else ([0], [])
+    found, stack = ([], [({}, 0, len(rows), r)]) if r else ([0], [])
     while stack:
-        x, pairs, below, need = stack.pop()
+        basis, x, below, need = stack.pop()
         for i in range(need - 1, below):
             cur = dict(rows[i])
-            if need == 1:
-                _clear_pivots(cur, pairs, p)
-                if any(v % p for v in cur.values()):
-                    found.append(x | 1 << i)
+            lead = reduce_row(cur, basis, p)
+            if lead is None:
                 continue
-            pair = _eliminate(cur, pairs, p)
-            if pair is not None:
-                at = bisect(pairs, pair)
-                pairs_i = pairs[:at] + (pair,) + pairs[at:]
-                stack.append((x | 1 << i, pairs_i, i, need - 1))
+            if need == 1:
+                found.append(x | 1 << i)
+            else:
+                stack.append(({**basis, lead: _normalized(cur, lead, p)},
+                              x | 1 << i, i, need - 1))
     return found

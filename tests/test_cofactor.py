@@ -242,17 +242,6 @@ def test_seed_ranks_do_not_depend_on_the_column_layout(s):
                         == field.matrix_rank(rows, oracle.modulus))
 
 
-def test_complete_graph_basis_stays_sparse():
-    # K13's rows go in by lower endpoint and pivot on the higher one, so each
-    # star fills in little: seed 0's basis stores 178 entries, against 375
-    # when a row pivots on its lower endpoint's block.
-    oracle = CofactorOracle(13)
-    K = EdgeSet.complete(13)
-    assert oracle.rank(K) == 33
-    basis = oracle._spans[K.mask][0]
-    assert sum(len(row) for _, row in basis.pairs) <= 200
-
-
 def test_rank_table_matches_pointwise(oracle6, table6):
     rng = random.Random(18)
     fresh = CofactorOracle(6)
@@ -323,17 +312,75 @@ def _flexible(n):
     return F | complete_edges(n, range(n - 6, n))
 
 
-def _count_reductions(monkeypatch):
-    """Count EchelonBasis.reduce calls from here on, in a one-item list."""
+def _count_reductions(monkeypatch, zeros=None):
+    """Count field.reduce_row calls from here on, in a one-item list, and
+    those that leave the row zero in the list zeros, if given."""
     calls = [0]
-    real = EchelonBasis.reduce
+    real = field.reduce_row
 
-    def counting(self, row):
+    def counting(cur, rows, p):
         calls[0] += 1
-        return real(self, row)
+        lead = real(cur, rows, p)
+        if zeros is not None and lead is None:
+            zeros[0] += 1
+        return lead
 
-    monkeypatch.setattr(EchelonBasis, "reduce", counting)
+    monkeypatch.setattr(field, "reduce_row", counting)
     return calls
+
+
+def test_rigid_rank_reduces_no_row_to_zero(monkeypatch):
+    # The peel puts each vertex's 0-extension rows first, and on these rigid
+    # dependent graphs they alone reach the cap 3n - 6, so seed 0 stops there
+    # having reduced no row to zero.  Inserted in edge order instead, 15 and
+    # 59 of their rows fall in the span before the cap.
+    for n in (20, 60):
+        F = _rigid_dense(n)
+        zeros = [0]
+        calls = _count_reductions(monkeypatch, zeros)
+        assert CofactorOracle(n).rank(F) == 3 * n - 6 < len(F)
+        assert zeros[0] == 0 and calls[0] == 3 * n - 6
+
+
+def _clique_and_bipartite(s, m):
+    """K_(s+4) beside K_(s+4, m), on disjoint vertices: the clique's rows
+    after its 0-extension rows fall in the span, and the bipartite graph's
+    come after them and partly do not."""
+    k = s + 4
+    edges = [*combinations(range(k), 2),
+             *((k + i, 2 * k + j) for i in range(k) for j in range(m))]
+    return EdgeSet.from_edges(2 * k + m, edges)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_sketched_seed_ranks_match_the_matrix_rank(monkeypatch, s):
+    # Below its cap, each seed's basis build tests the rows after the first
+    # one to fall in the span against a random motion, and its rank must
+    # still be the rank of the mask's rows.  With one value repeated at every
+    # free column the motion is a translation, which every row annihilates:
+    # the clique-and-bipartite masks then rank too low for s = 1 and 2 (on
+    # the closures the 0-extension rows alone reach the rank).
+    drawn = []
+    real = EchelonBasis.motion
+
+    def motion(basis, values):
+        drawn.append(basis)
+        return real(basis, values)
+
+    monkeypatch.setattr(EchelonBasis, "motion", motion)
+    masks = [(30, CofactorOracle(30, s=s).closure(reference.gnp(30, 0.2, seed)).mask)
+             for seed in range(3)]
+    masks += [(2 * s + 8 + m, _clique_and_bipartite(s, m).mask) for m in (6, 10)]
+    for n, mask in masks:
+        oracle = CofactorOracle(n, s=s)
+        for idx in range(len(oracle.seeds)):
+            drawn.clear()
+            rows = [oracle._row(b, idx) for b in bits(mask)]
+            rank = oracle._seed_basis(mask, idx).rank
+            assert rank == field.matrix_rank(rows, oracle.modulus)
+            # below the cap some row after the 0-extension rows is dependent
+            assert drawn or rank == cofactor.generic_rank_upper_bound(
+                EdgeSet(n, mask), s)
 
 
 def test_one_pass_queries_match_the_rank_derived_ones():
@@ -464,18 +511,28 @@ def test_flexible_closure_reduces_no_non_edge(monkeypatch):
     # Below full rank every seed is asked about every F + e; one motion of
     # each seed's basis of F answers those, so only the bases cost
     # reductions, and the F + e decisions, never asked again, are not
-    # memoized.
+    # memoized.  The basis builds draw motions of their own, for their
+    # sketch; closure's decisions draw one more per seed.
     n = 24
     F = _flexible(n)
     calls = _count_reductions(monkeypatch)
-    drawn = []
-    real = EchelonBasis.motion
+    drawn, building = [], [False]
+    real, real_build = EchelonBasis.motion, CofactorOracle._seed_basis
 
     def motion(basis, values):
-        drawn.append(basis)
+        if not building[0]:
+            drawn.append(basis)
         return real(basis, values)
 
+    def seed_basis(oracle, mask, idx):
+        building[0] = True
+        try:
+            return real_build(oracle, mask, idx)
+        finally:
+            building[0] = False
+
     monkeypatch.setattr(EchelonBasis, "motion", motion)
+    monkeypatch.setattr(CofactorOracle, "_seed_basis", seed_basis)
     oracle = CofactorOracle(n)
     closed = oracle.closure(F)
     assert oracle.rank(F) < 3 * n - 6 and closed != F
@@ -610,25 +667,17 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
     # that can still grow to r rows, fewer where a row falls in the span.
     # Seeds 1 and 2 rank only the masks below the cap on every earlier
     # seed, plus their parent chains, and no seed builds an echelon basis
-    # of its own.
+    # of its own: every reduction happens inside those tables and the walk.
     calls = _count_reductions(monkeypatch)
-    cleared = [0]
-    real_clear = field._clear_pivots
-
-    def counting_clear(cur, pairs, p):
-        cleared[0] += 1
-        real_clear(cur, pairs, p)
-
-    monkeypatch.setattr(field, "_clear_pivots", counting_clear)
     handed = []
 
     def recording(name):
         real = getattr(cofactor, name)
 
         def record(rows, *args):
-            cleared[0] = 0
+            calls[0] = 0
             got = real(rows, *args)
-            handed.append((args, cleared[0]))
+            handed.append((args, calls[0]))
             return got
 
         monkeypatch.setattr(cofactor, name, record)
@@ -639,7 +688,7 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
     for s, rank, asked, chains in [(1, 9, 2415, 5682), (2, 12, 90, 473)]:
         handed.clear()
         CofactorOracle(6, s=s).rank_table()
-        assert calls[0] == 0
+        assert calls[0] == handed[-1][1]
         ((_, everything), reduced), ((r, _), walked), *later = handed
         assert everything == [full] and reduced == 15
         assert r == rank and walked <= comb(16, rank) - 1

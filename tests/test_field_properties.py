@@ -1,7 +1,8 @@
 """Property tests: the sparse echelon kernel against a dense Gaussian
-elimination written here, on small matrices with zero and repeated rows,
-the depth-first basis walk against the full subset table, and the motion
-back-substitution against the span that ``reduce`` tests."""
+elimination written here, on small matrices with zero and repeated rows and
+on rows with tag columns, the depth-first basis walk against the full subset
+table, and the motion back-substitution against the span that ``reduce``
+tests."""
 
 import pytest
 
@@ -14,6 +15,7 @@ from cofrig.field import (  # noqa: E402
     MERSENNE61,
     EchelonBasis,
     independent_subsets,
+    reduce_row,
     subset_rank_table,
 )
 
@@ -57,12 +59,10 @@ def matrices(draw, max_rows):
     return p, rows
 
 
-def check_pairs(basis):
-    """Each stored pair is 1 at its pivot, has no key left of it and no zero
-    entry, and the pivots strictly increase."""
-    pivots = [piv for piv, _ in basis.pairs]
-    assert pivots == sorted(set(pivots))
-    for piv, row in basis.pairs:
+def check_rows(basis):
+    """Each stored row is 1 at its pivot, has no key left of it and no zero
+    entry."""
+    for piv, row in basis.rows.items():
         assert row[piv] == 1
         assert min(row) == piv
         assert all(0 < x < basis.p for x in row.values())
@@ -77,7 +77,7 @@ def test_echelon_ranks_match_dense_elimination(case, as_mapping):
         grew = basis.insert(dict(enumerate(row)) if as_mapping else row)
         assert grew == (dense_rank(rows[:i], p) > dense_rank(rows[:i - 1], p))
         assert basis.rank == dense_rank(rows[:i], p)
-        check_pairs(basis)
+        check_rows(basis)
     for row in rows:
         assert basis.reduce(row) is None
 
@@ -133,12 +133,50 @@ def sparse_rows(draw, max_rows):
     return p, width, rows, probes
 
 
+def dense(row, width):
+    return [row.get(j, 0) for j in range(width)]
+
+
+@CASES
+@given(sparse_rows(max_rows=10))
+def test_reduce_row_matches_dense_elimination_on_tagged_rows(case):
+    # Row t carries the unit tag column width + t.  reduce_row stops at the
+    # first nonzero key that is no pivot: a real column exactly when dense
+    # elimination says the row grows the rank, and otherwise a tag, with the
+    # real part cleared and the tag part a combination of row t and the
+    # inserted rows that vanishes on the real columns.
+    p, width, rows, probes = case
+    basis, kept = EchelonBasis(p), []
+    for t, row in enumerate(rows):
+        cur = {**row, width + t: 1}
+        pair = basis.reduce(cur)
+        lead = reduce_row(cur, basis.rows, p)
+        assert lead == pair[0] and min(cur) == lead and 0 < cur[lead] < p
+        grew = dense_rank([dense(r, width) for r in [*kept, row]], p) > len(kept)
+        assert (lead < width) == grew
+        if grew:
+            basis.rows[lead] = pair[1]
+            kept.append(row)
+            continue
+        coef = {j - width: x % p for j, x in cur.items() if x % p}
+        assert coef[t] == 1 and all(rows[i] in kept for i in coef if i != t)
+        for col in range(width):
+            assert sum(c * rows[i].get(col, 0) for i, c in coef.items()) % p == 0
+    for probe in probes:
+        # an untagged row in the span is left with the tags of its combination
+        in_span = dense_rank([dense(r, width) for r in [*kept, probe]], p) == len(kept)
+        lead = reduce_row(dict(probe), basis.rows, p)
+        assert (lead is None or lead >= width) == in_span
+
+
+
+
 def annihilates(m, row, p):
     return sum(c * m[j] for j, c in row.items()) % p == 0
 
 
 def free_columns(basis, width):
-    return sorted(set(range(width)) - {piv for piv, _ in basis.pairs})
+    return sorted(set(range(width)) - set(basis.rows))
 
 
 def unit_motions(basis, width):
