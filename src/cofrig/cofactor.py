@@ -16,12 +16,12 @@ exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
 
 cofactor_row lays the columns out over the vertices in reverse, vertex v's
 block at columns (s+1)(n-1-v) .. (s+1)(n-1-v) + s, and the rank tables,
-greedy bases and tagged passes keep that layout and their row order.  The
-basis behind rank and closure sets its columns per mask, by a least-degree
-peel: the k-th peeled vertex v takes the k-th block, and up to s+1 of its
-edges to vertices not yet peeled go in first, ahead of all other rows.
-Read backwards, the peel adds each vertex to the later ones with at most
-s+1 edges, a 0-extension, which keeps a set independent; so those rows
+greedy bases and fundamental circuits keep that layout and their row order.
+The bases behind rank, closure and cyc set their columns per mask, by a
+least-degree peel: the k-th peeled vertex v takes the k-th block, and up to
+s+1 of its edges to vertices not yet peeled go in first, ahead of all other
+rows.  Read backwards, the peel adds each vertex to the later ones with at
+most s+1 edges, a 0-extension, which keeps a set independent; so those rows
 pivot in v's own block and clear only against each other, with almost no
 fill-in.  A column permutation changes the rank of no set of rows, so no
 rank depends on the layout; only the fill-in does.
@@ -31,7 +31,9 @@ infinitesimal motions of a plane framework; Whiteley 1996).  ``closure``
 tests each row against one random motion per seed, and so does the basis
 build, for its remaining rows once one of them falls in the span.  A row
 outside the span passes with probability 1/p; the seed then ranks the set
-one too low, never too high.
+one too low, never too high.  Its *self-stresses* are the linear relations
+among those rows: ``cyc`` reads a seed's coloops, the rows in no circuit,
+as the rows where one random self-stress vanishes, which errs the same way.
 """
 
 from __future__ import annotations
@@ -102,15 +104,17 @@ def generic_rank_upper_bound(F: EdgeSet, s: int) -> int:
     return min(len(F), _vertex_cap(len(F.vertex_support()), s + 1))
 
 
-class _PeeledBasis(EchelonBasis):
-    """An echelon basis in the columns of a mask's peel, which carries its
-    column map: cols[c] is the basis column of column c of cofactor_row."""
+class _Spans:
+    """One mask's per-seed echelon bases, None where not yet built, all in
+    one column map: cols[c] is the basis column of column c of cofactor_row.
+    The map is the mask's own peel's, or F's where closure filed the bases
+    of F under the mask."""
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "bases")
 
-    def __init__(self, p: int, cols: list[int]):
-        super().__init__(p)
+    def __init__(self, cols: list[int] | None, bases: list[EchelonBasis | None]):
         self.cols = cols
+        self.bases = bases
 
 
 class CofactorOracle:
@@ -148,7 +152,7 @@ class CofactorOracle:
         self._values: list[list[int] | None] = [None] * len(seeds)
         self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
-        self._spans: dict[int, list[_PeeledBasis | None]] = {}
+        self._spans: dict[int, _Spans] = {}
         self._table: list[int] | None = None
         # masks that closure and cyc returned: flats and cyclic sets
         self._flats: set[int] = set()
@@ -190,18 +194,20 @@ class CofactorOracle:
                 rng.randrange(self.modulus) for _ in range(self.dim * self.n)]
         return values
 
-    def _spans_of(self, mask: int) -> list[_PeeledBasis | None]:
-        """The per-seed echelon bases of mask, None where not yet built, kept
-        for the last SPAN_CACHE masks asked for."""
-        slots = self._spans.pop(mask, None) or [None] * len(self.seeds)
-        self._spans[mask] = slots
+    def _spans_of(self, mask: int) -> _Spans:
+        """The span slots of mask, kept for the last SPAN_CACHE masks asked
+        for."""
+        spans = self._spans.pop(mask, None)
+        if spans is None:
+            spans = _Spans(None, [None] * len(self.seeds))
+        self._spans[mask] = spans
         if len(self._spans) > SPAN_CACHE:
             del self._spans[next(iter(self._spans))]
-        return slots
+        return spans
 
-    def _seed_basis(self, mask: int, seed_idx: int) -> _PeeledBasis:
+    def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
         """One seed's echelon basis of the rows of mask, in its peel's order
-        and columns, kept in the mask's span slot.
+        and in the column map of its span slots, kept there.
 
         It stops once it reaches the proven cap: no evaluation rank exceeds
         the generic rank, so that prefix already spans every row of mask.
@@ -212,12 +218,13 @@ class CofactorOracle:
         it again.  A row outside the span fails with probability 1/p, which
         lowers this seed's rank and never raises it.
         """
-        slots = self._spans_of(mask)
-        if slots[seed_idx] is None:
+        spans = self._spans_of(mask)
+        if spans.bases[seed_idx] is None:
             cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
             order, first, cols = self._peel(mask)
+            cols = spans.cols = spans.cols or cols
             p = self.modulus
-            basis, motion = _PeeledBasis(p, cols), None
+            basis, motion = EchelonBasis(p), None
             for k, b in enumerate(order):
                 if basis.rank == cap:
                     break
@@ -228,8 +235,63 @@ class CofactorOracle:
                 elif sum(c * motion[j] for j, c in row.items()) % p:
                     basis.absorb(row)
                     motion = None
-            slots[seed_idx] = basis
-        return slots[seed_idx]
+            spans.bases[seed_idx] = basis
+        return spans.bases[seed_idx]
+
+    def _motion(self, mask: int, seed_idx: int) -> list[int]:
+        """A random motion of one seed's basis of mask, in the columns of
+        cofactor_row."""
+        basis = self._seed_basis(mask, seed_idx)
+        w = basis.motion(self._motion_values(seed_idx))
+        return [w[c] for c in self._spans_of(mask).cols]
+
+    def _coloop_pass(self, mask: int, seed_idx: int) -> tuple[int, int]:
+        """One seed's rank of mask and its coloops, from one random
+        self-stress of its rows.
+
+        The rows go in as in _seed_basis, in the peel's order and columns,
+        but each carries its tag as in _tagged_pass, so every basis row keeps
+        its combination of the rows of mask; the rows left out are in the
+        span.  Their sum with random weights from the seed reduces to zero on
+        the real columns, and the tags left are the basis rows' part of a
+        random self-stress.  Every row left out is in a circuit, and a basis
+        row is in one exactly when that part is nonzero at its tag, unless
+        its weights cancel, with probability 1/p; it is taken for a coloop
+        then.  Each rank this gives for mask minus one element is at most
+        the seed's, also when a motion test misses.
+        """
+        order, first, cols = self._peel(mask)
+        cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
+        p, width = self.modulus, self.dim * self.n
+        # value 0 at every tag column: a motion sees the real columns alone
+        values = [*self._motion_values(seed_idx), *[0] * len(order)]
+        basis, motion, base, left = EchelonBasis(p), None, 0, []
+        for k, b in enumerate(order):
+            row = {cols[c]: x for c, x in self._row(b, seed_idx).items()}
+            if basis.rank == cap or motion is not None and not sum(
+                    c * motion[j] for j, c in row.items()) % p:
+                left.append(row)
+                continue
+            got = basis.reduce({**row, width + k: 1})
+            if got is not None and got[0] < width:
+                basis.rows[got[0]] = got[1]
+                base |= 1 << b
+                motion = None
+            else:
+                left.append(row)
+                if motion is None and k >= first:
+                    motion = basis.motion(values)
+        rng = random.Random(f"stress:{self.seeds[seed_idx]}")
+        stress: dict[int, int] = {}
+        for row in left:
+            weight = rng.randrange(p)
+            for j, x in row.items():
+                stress[j] = stress.get(j, 0) + weight * x
+        got = basis.reduce(stress)
+        if got is not None and got[0] >= width:
+            for j in got[1]:
+                base &= ~(1 << order[j - width])
+        return basis.rank, base
 
     def _peel(self, mask: int) -> tuple[list[int], int, list[int]]:
         """The edge bits of mask in peeling order, how many of them are
@@ -357,9 +419,10 @@ class CofactorOracle:
         alone: 2(s+1) products, no reduction.  F + e is capped by F's vertex
         support and e's endpoints, and voted unless the table has it, not
         memoized.  The seeds whose rank of F is the decided rank r file their
-        basis under the closure C: an edge joins C only if no seed ranks
-        F + e above r, so it spans C's rows too.  C is remembered as a flat,
-        so closing it again, as is_flat does, votes nothing.
+        basis, with F's column map, under the closure C: an edge joins C only
+        if no seed ranks F + e above r, so it spans C's rows too.  C is
+        remembered as a flat, so closing it again, as is_flat does, votes
+        nothing.
         """
         self._check(F)
         if F.mask in self._flats:
@@ -369,12 +432,7 @@ class CofactorOracle:
         r = self._decide(F.mask, lambda idx: basis(idx).rank,
                          min(len(F), _vertex_cap(len(support), self.dim)))
         p, out = self.modulus, F.mask
-
-        @cache
-        def motion(idx):
-            w = basis(idx).motion(self._motion_values(idx))
-            return [w[c] for c in basis(idx).cols]
-
+        motion = cache(lambda idx: self._motion(F.mask, idx))
         for bit in bits(((1 << edge_count(self.n)) - 1) & ~F.mask):
             def with_e(idx):
                 w = motion(idx)
@@ -387,10 +445,10 @@ class CofactorOracle:
                     else self._table[x]) == r:
                 out |= 1 << bit
         if out != F.mask:
-            filed = self._spans_of(out)
-            for idx, b in enumerate(self._spans_of(F.mask)):
-                if b is not None and b.rank == r:
-                    filed[idx] = b
+            mine, filed = self._spans_of(F.mask), self._spans_of(out)
+            filed.cols = mine.cols
+            filed.bases = [b if b is not None and b.rank == r else None
+                           for b in mine.bases]
         self._flats.add(out)
         return EdgeSet(self.n, out)
 
@@ -400,25 +458,19 @@ class CofactorOracle:
     def cyc(self, F: EdgeSet) -> EdgeSet:
         """F minus its restriction coloops, i.e. the union of circuits in F.
 
-        One tagged pass per seed gives that seed's rank of F and its coloops:
-        the basis elements in no recorded circuit.  Dropping e lowers a seed's
-        rank exactly when e is one of its coloops, which gives every rank of
-        F - e without a further elimination.  F - e is capped by its vertex
-        support and voted unless the table has it, not memoized.  The result
-        is remembered as a cyclic set, so is_cyclic of it votes nothing.
+        One peeled pass per seed gives that seed's rank of F and its coloops:
+        the basis elements outside one random self-stress (_coloop_pass).
+        Dropping e lowers a seed's rank exactly when e is one of its coloops,
+        which gives every rank of F - e without a further elimination.
+        F - e is capped by its vertex support and voted unless the table has
+        it, not memoized.  The result is remembered as a cyclic set, so
+        is_cyclic of it votes nothing.
         """
         self._check(F)
         if F.mask in self._cyclic:
             return F
         elems = list(bits(F.mask))
-
-        @cache
-        def seed_pass(idx):
-            base, circuits = self._tagged_pass(elems, idx)
-            for circuit in circuits:
-                base &= ~circuit
-            return len(elems) - len(circuits), base
-
+        seed_pass = cache(lambda idx: self._coloop_pass(F.mask, idx))
         support = F.vertex_support()
         r = self._decide(F.mask, lambda idx: seed_pass(idx)[0],
                          min(len(elems), _vertex_cap(len(support), self.dim)))

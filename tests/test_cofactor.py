@@ -342,6 +342,27 @@ def test_rigid_rank_reduces_no_row_to_zero(monkeypatch):
         assert zeros[0] == 0 and calls[0] == 3 * n - 6
 
 
+def test_edge_order_basis_stays_sparse(monkeypatch):
+    # basis_of inserts K13's rows in edge order, by lower endpoint, in
+    # cofactor_row's columns, where each row pivots in the block of its
+    # higher endpoint, so each star fills in little: seed 0's basis stores
+    # 260 entries, against 344 with vertex v's block at columns (s+1)v.
+    stored = [0]
+    real = field._normalized
+
+    def normalized(cur, lead, p):
+        row = real(cur, lead, p)
+        stored[0] += len(row)
+        return row
+
+    oracle = CofactorOracle(13)
+    K = EdgeSet.complete(13)
+    assert oracle.rank(K) == 33
+    monkeypatch.setattr(field, "_normalized", normalized)
+    assert len(oracle.basis_of(K)) == 33
+    assert stored[0] <= 280
+
+
 def _clique_and_bipartite(s, m):
     """K_(s+4) beside K_(s+4, m), on disjoint vertices: the clique's rows
     after its 0-extension rows fall in the span, and the bipartite graph's
@@ -379,6 +400,35 @@ def test_sketched_seed_ranks_match_the_matrix_rank(monkeypatch, s):
             rank = oracle._seed_basis(mask, idx).rank
             assert rank == field.matrix_rank(rows, oracle.modulus)
             # below the cap some row after the 0-extension rows is dependent
+            assert drawn or rank == cofactor.generic_rank_upper_bound(
+                EdgeSet(n, mask), s)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_seed_coloops_match_the_matrix_rank(monkeypatch, s):
+    # cyc takes each seed's rank and coloops from its peeled, sketched basis
+    # build and one random self-stress of the rows left out; both must be
+    # those of the mask's rows, a coloop being a row whose deletion lowers
+    # the rank.  Below the cap the build has tested rows against a motion.
+    drawn = []
+    real = EchelonBasis.motion
+
+    def motion(basis, values):
+        drawn.append(basis)
+        return real(basis, values)
+
+    monkeypatch.setattr(EchelonBasis, "motion", motion)
+    masks = [(16, reference.gnp(16, 0.3, seed).mask) for seed in range(3)]
+    masks.append((2 * s + 14, _clique_and_bipartite(s, 6).mask))
+    for n, mask in masks:
+        oracle = CofactorOracle(n, s=s)
+        for idx in range(len(oracle.seeds)):
+            drawn.clear()
+            rows = {b: oracle._row(b, idx) for b in bits(mask)}
+            rank = field.matrix_rank(rows.values(), oracle.modulus)
+            coloops = sum(1 << b for b in rows if field.matrix_rank(
+                [row for c, row in rows.items() if c != b], oracle.modulus) < rank)
+            assert oracle._coloop_pass(mask, idx) == (rank, coloops)
             assert drawn or rank == cofactor.generic_rank_upper_bound(
                 EdgeSet(n, mask), s)
 
@@ -595,8 +645,8 @@ def test_closure_files_its_spans_only_for_seeds_at_the_decided_rank(monkeypatch)
     closed = oracle.closure(F)
     assert closed == F.add(0, 1)
     spans = oracle._spans
-    assert [spans[closed.mask][i] is spans[F.mask][i] for i in range(3)] == [
-        True, True, False]
+    assert [spans[closed.mask].bases[i] is spans[F.mask].bases[i]
+            for i in range(3)] == [True, True, False]
 
 
 def test_span_cache_stays_bounded():
@@ -675,9 +725,9 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
         real = getattr(cofactor, name)
 
         def record(rows, *args):
-            calls[0] = 0
+            before = calls[0]
             got = real(rows, *args)
-            handed.append((args, calls[0]))
+            handed.append((args, calls[0] - before))
             return got
 
         monkeypatch.setattr(cofactor, name, record)
@@ -687,8 +737,9 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
     full = (1 << 15) - 1
     for s, rank, asked, chains in [(1, 9, 2415, 5682), (2, 12, 90, 473)]:
         handed.clear()
+        calls[0] = 0
         CofactorOracle(6, s=s).rank_table()
-        assert calls[0] == handed[-1][1]
+        assert calls[0] == sum(reduced for _, reduced in handed)
         ((_, everything), reduced), ((r, _), walked), *later = handed
         assert everything == [full] and reduced == 15
         assert r == rank and walked <= comb(16, rank) - 1
