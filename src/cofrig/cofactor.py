@@ -15,9 +15,9 @@ minor), so the maximum over several seeds is a sound lower bound, and it is
 exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
 
 cofactor_row lays the columns out over the vertices in reverse, vertex v's
-block at columns (s+1)(n-1-v) .. (s+1)(n-1-v) + s, and the rank tables,
-greedy bases and fundamental circuits keep that layout and their row order.
-The bases behind rank, closure and cyc set their columns per mask, by a
+block at columns (s+1)(n-1-v) .. (s+1)(n-1-v) + s, and the rank tables and
+greedy bases keep that layout and their row order.  The bases behind rank,
+closure, cyc and fundamental circuits set their columns per mask, by a
 least-degree peel: the k-th peeled vertex v takes the k-th block, and up to
 s+1 of its edges to vertices not yet peeled go in first, ahead of all other
 rows.  Read backwards, the peel adds each vertex to the later ones with at
@@ -250,15 +250,16 @@ class CofactorOracle:
         self-stress of its rows.
 
         The rows go in as in _seed_basis, in the peel's order and columns,
-        but each carries its tag as in _tagged_pass, so every basis row keeps
-        its combination of the rows of mask; the rows left out are in the
-        span.  Their sum with random weights from the seed reduces to zero on
-        the real columns, and the tags left are the basis rows' part of a
-        random self-stress.  Every row left out is in a circuit, and a basis
-        row is in one exactly when that part is nonzero at its tag, unless
-        its weights cancel, with probability 1/p; it is taken for a coloop
-        then.  Each rank this gives for mask minus one element is at most
-        the seed's, also when a motion test misses.
+        but the k-th row carries a unit tag at column width + k, right of the
+        real columns, so every basis row keeps its combination of the rows of
+        mask; the rows left out are in the span.  Their sum with random
+        weights from the seed reduces to zero on the real columns, and the
+        tags left are the basis rows' part of a random self-stress.  Every
+        row left out is in a circuit, and a basis row is in one exactly when
+        that part is nonzero at its tag, unless its weights cancel, with
+        probability 1/p; it is taken for a coloop then.  Each rank this gives
+        for mask minus one element is at most the seed's, also when a motion
+        test misses.
         """
         order, first, cols = self._peel(mask)
         cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
@@ -367,32 +368,6 @@ class CofactorOracle:
                         "seeds": self.seeds, "ranks": per_seed,
                         "modulus": self.modulus})
         return r
-
-    def _tagged_pass(self, elems: list[int], seed_idx: int):
-        """One elimination of the rows of elems, in the given order.
-
-        The row of the t-th element carries its tag as the one extra key
-        width + t, a unit vector right of the real columns, so a row that
-        reduces to zero on the real columns is left with the combination of
-        earlier basis rows it equals: its keys from width on are its
-        fundamental circuit.  Returns the basis mask and the circuits of the
-        rejected elements, in order.
-        """
-        width = self.dim * self.n
-        basis = EchelonBasis(self.modulus)
-        base, circuits = 0, []
-        for t, b in enumerate(elems):
-            piv, row = basis.reduce({**self._row(b, seed_idx), width + t: 1})
-            if piv < width:
-                basis.rows[piv] = row
-                base |= 1 << b
-            else:
-                circuit = 0
-                for j in row:
-                    if j >= width:
-                        circuit |= 1 << elems[j - width]
-                circuits.append(circuit)
-        return base, circuits
 
     # -- core queries ------------------------------------------------------
 
@@ -536,10 +511,11 @@ class CofactorOracle:
     def fundamental_circuit(self, B: EdgeSet, e) -> EdgeSet:
         """The unique circuit inside B + e, for B independent with e in cl(B).
 
-        Every seed on which B stays independent writes the row of e, in one
-        tagged pass, as a combination of the rows of B.  Its support lies
-        inside the generic circuit, and is all of it unless a coefficient
-        vanishes at that seed's point, so the union over those seeds is
+        The circuit is B + e minus its coloops.  A seed whose rank of B + e is
+        |B| has exactly one circuit there, B + e minus the coloops of its pass
+        (_coloop_pass), and it lies inside the generic circuit, which is
+        dependent at every seed; it is all of it unless the seed degenerates
+        or a self-stress weight cancels.  So the union over those seeds is
         returned: the greedy rank-derived answer whenever the seeds agree.
         """
         self._check(B)
@@ -548,16 +524,15 @@ class CofactorOracle:
             raise ValueError("element is already in the base")
         if not self.independent(B):
             raise ValueError("B is not independent")
-        elems = [*bits(B.mask), bit]
-        seed_pass = cache(lambda idx: self._tagged_pass(elems, idx))
-        if self._decide(B.mask | 1 << bit,
-                        lambda idx: seed_pass(idx)[0].bit_count()) != len(B):
+        mask = B.mask | 1 << bit
+        seed_pass = cache(lambda idx: self._coloop_pass(mask, idx))
+        if self._decide(mask, lambda idx: seed_pass(idx)[0]) != len(B):
             raise ValueError("element is not in the closure of the base")
         circuit = 0
         for idx in range(len(self.seeds)):
-            base, circuits = seed_pass(idx)
-            if base == B.mask:
-                circuit |= circuits[0]
+            r, coloops = seed_pass(idx)
+            if r == len(B):
+                circuit |= mask & ~coloops
         return EdgeSet(self.n, circuit)
 
     # -- whole-powerset table ---------------------------------------------

@@ -15,7 +15,7 @@ pivot, and stops at the first nonzero key that is not one.  That key is the
 row's new pivot, and the row is normalized there with one inverse.  The
 keys right of it are left as they are, so a stored row may still be nonzero
 at later pivots: the basis is in semi-reduced echelon form, not reduced
-form.  Back-substitution and the tag-column circuits below need no more.
+form.  Back-substitution and the tag-column self-stresses below need no more.
 Which columns a row meets first is the caller's column order, which decides
 how many entries clearing adds (the fill-in), though never a rank.
 ``EchelonBasis`` keeps one growing dict and turns its input rows, dense
@@ -32,9 +32,9 @@ the rows' matroid, cutting every prefix whose new row falls in its span.
 A caller may give its rows tag columns right of the real ones, one unit
 vector per element, and insert only the rows whose pivot falls left of the
 tags.  A row whose pivot falls inside the tags is zero on the real columns,
-and its tag part is the combination of inserted rows it equals: its support
-is the row's fundamental circuit.  The cofactor oracle answers cyc and
-fundamental circuits this way, through the same ``reduce``.
+and its tag part is the combination of inserted rows it equals, a
+self-stress.  The cofactor oracle reads cyc and fundamental circuits off one
+such row per seed (``_coloop_pass``), through the same ``reduce``.
 
 ``EchelonBasis.motion`` back-substitutes the kernel vector with given values
 at the free columns.  Independent uniform values make it a uniform kernel

@@ -455,6 +455,47 @@ def test_one_pass_queries_match_the_rank_derived_ones():
                     == reference.fundamental_circuit(rank, B.mask, bit))
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_fundamental_circuits_match_the_reference(s):
+    rng = random.Random(29)
+    for n in range(6, 15):
+        F = _random_graph(rng, n, rng.randint(2 * n, 4 * n))
+        fast, slow = CofactorOracle(n, s=s), CofactorOracle(n, s=s)
+
+        def rank(mask):
+            return slow.rank(EdgeSet(n, mask))
+
+        B = fast.basis_of(F)
+        outside = (F - B).sorted_edges()
+        for e in rng.sample(outside, min(4, len(outside))):
+            assert (fast.fundamental_circuit(B, e).mask
+                    == reference.fundamental_circuit(rank, B.mask,
+                                                     edge_index(n, *e)))
+
+
+def test_fundamental_circuit_survives_a_degenerate_seed(monkeypatch):
+    # Seed 0 loses the row of one circuit element f of B, so B is dependent
+    # there, but B + e still has rank |B| at seed 0: its one circuit there
+    # is {f}, inside the generic circuit, and the other seeds give the rest.
+    clean = CofactorOracle(8)
+    B = clean.basis_of(EdgeSet.complete(8))
+
+    def rank(mask):
+        return clean.rank(EdgeSet(8, mask))
+
+    cases = 0
+    for e in (EdgeSet.complete(8) - B).sorted_edges():
+        bit = edge_index(8, *e)
+        circuit = reference.fundamental_circuit(rank, B.mask, bit)
+        for f in list(bits(circuit & B.mask))[:4]:
+            oracle = _losing(monkeypatch, CofactorOracle(8), {0: {f}})
+            assert oracle._seed_basis(B.mask, 0).rank == len(B) - 1
+            assert oracle._coloop_pass(B.mask | 1 << bit, 0)[0] == len(B)
+            assert oracle.fundamental_circuit(B, e).mask == circuit
+            cases += 1
+    assert cases == 40
+
+
 def test_one_pass_queries_check_the_seeds(monkeypatch):
     # The rigged seeds of test_closure_checks_the_seeds_it_memoizes.
     F = double_banana().reindexed(9).add(2, 8).add(3, 8).add(4, 8)
@@ -462,10 +503,16 @@ def test_one_pass_queries_check_the_seeds(monkeypatch):
         _rigged_oracle9(monkeypatch).cyc(F)
     with pytest.raises(SeedDisagreement):
         _rigged_oracle9(monkeypatch).basis_of(F)
+    # B is independent, since seed 2 meets its cap, but B + 67 is not
+    # capped, and two of three seeds rank it below the third
+    B = CofactorOracle(9).basis_of(F)
+    assert (6, 7) not in B
+    with pytest.raises(SeedDisagreement):
+        _rigged_oracle9(monkeypatch).fundamental_circuit(B, (6, 7))
 
 
 def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
-    # one tagged pass per seed, not one rank from scratch per edge
+    # one pass per seed, not one rank from scratch per edge
     n = 20
     F = _rigid_dense(n)
     calls = _count_reductions(monkeypatch)
@@ -474,8 +521,13 @@ def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
     assert calls[0] <= len(oracle.seeds) * len(F)
     calls[0] = 0
     oracle = CofactorOracle(n)
-    oracle.basis_of(F)
+    B = oracle.basis_of(F)
     assert calls[0] <= 2 * len(F)
+    # |B| for independent(B), then one pass of B + e per seed
+    calls[0] = 0
+    oracle = CofactorOracle(n)
+    oracle.fundamental_circuit(B, next((F - B).edges()))
+    assert calls[0] <= len(B) + len(oracle.seeds) * (len(B) + 2)
 
 
 def _losing(monkeypatch, oracle, lost):
