@@ -21,10 +21,15 @@ closure, cyc and fundamental circuits set their columns per mask, by a
 least-degree peel: the k-th peeled vertex v takes the k-th block, and up to
 s+1 of its edges to vertices not yet peeled go in first, ahead of all other
 rows.  Read backwards, the peel adds each vertex to the later ones with at
-most s+1 edges, a 0-extension, which keeps a set independent; so those rows
-pivot in v's own block and clear only against each other, with almost no
-fill-in.  A column permutation changes the rank of no set of rows, so no
-rank depends on the layout; only the fill-in does.
+most s+1 edges, a 0-extension, which keeps a set independent (Whiteley
+1996); so those rows pivot in v's own block and clear only against each
+other, with almost no fill-in.  They are block upper triangular in the
+peel's columns, so where they number the count cap, a seed proves the cap
+with no reduction at all: each vertex's rows need only full rank on its own
+block (``_seed_rank``).  A column permutation changes the rank of no set of
+rows, so no rank depends on the layout; only the fill-in does.  A rank
+table walks the bases of the rows' matroid or of its dual, whichever has
+the smaller rank (``field.dual_rows``).
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).  ``closure``
@@ -44,8 +49,8 @@ from functools import cache
 
 from . import matroids
 from .errors import AmbientMismatch, SeedDisagreement
-from .field import (MERSENNE61, EchelonBasis, independent_subsets, is_prime,
-                    subset_rank_table)
+from .field import (MERSENNE61, EchelonBasis, dual_rows, independent_subsets,
+                    is_prime, subset_rank_table)
 from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
 DEFAULT_SEEDS = (101, 202, 303)
@@ -104,6 +109,23 @@ def generic_rank_upper_bound(F: EdgeSet, s: int) -> int:
     return min(len(F), _vertex_cap(len(F.vertex_support()), s + 1))
 
 
+def _full_row_rank(vectors: list[list[int]], p: int) -> bool:
+    """Whether a few short dense vectors, entries in [0, p), are linearly
+    independent mod p, by fraction-free elimination: each later vector is
+    scaled by the pivot entry and loses a multiple of the pivot vector, so
+    no inverse is taken.  The vectors are consumed."""
+    for k, v in enumerate(vectors):
+        for c, x in enumerate(v):
+            if x:
+                break
+        else:
+            return False
+        for u in vectors[k + 1:]:
+            if f := u[c]:
+                u[:] = [(y * x - f * z) % p for y, z in zip(u, v)]
+    return True
+
+
 class _Spans:
     """One mask's per-seed echelon bases, None where not yet built, all in
     one column map: cols[c] is the basis column of column c of cofactor_row.
@@ -153,6 +175,8 @@ class CofactorOracle:
         self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
         self._spans: dict[int, _Spans] = {}
+        # the last mask peeled, and its peel
+        self._peeled: tuple[int, tuple] | None = None
         self._table: list[int] | None = None
         # masks that closure and cyc returned: flats and cyclic sets
         self._flats: set[int] = set()
@@ -205,6 +229,31 @@ class CofactorOracle:
             del self._spans[next(iter(self._spans))]
         return spans
 
+    def _seed_rank(self, mask: int, seed_idx: int) -> int:
+        """One seed's rank of mask, with no reduction where the peel's
+        0-extension rows number the proven cap and are independent.
+
+        Those rows are block upper triangular in the peel's columns: a row of
+        the k-th peeled vertex v meets only v's block and later ones.  So
+        they are independent when each vertex's rows, at most s+1 of them,
+        have full row rank on its own s+1 columns, which a fraction-free
+        elimination of those short vectors decides.  Otherwise the seed's
+        basis is built, from the same peel, or read from the span slots.
+        """
+        spans = self._spans.get(mask)
+        if spans is not None and spans.bases[seed_idx] is not None:
+            return spans.bases[seed_idx].rank
+        order, first, _, owners = self._peel(mask)
+        if first == generic_rank_upper_bound(EdgeSet(self.n, mask), self.s):
+            span = range(self.dim)
+            blocks: dict[int, list[list[int]]] = {}
+            for b, at in zip(order, owners):
+                row = self._row(b, seed_idx)
+                blocks.setdefault(at, []).append([row.get(at + t, 0) for t in span])
+            if all(_full_row_rank(vs, self.modulus) for vs in blocks.values()):
+                return first
+        return self._seed_basis(mask, seed_idx).rank
+
     def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
         """One seed's echelon basis of the rows of mask, in its peel's order
         and in the column map of its span slots, kept there.
@@ -221,7 +270,7 @@ class CofactorOracle:
         spans = self._spans_of(mask)
         if spans.bases[seed_idx] is None:
             cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
-            order, first, cols = self._peel(mask)
+            order, first, cols, _ = self._peel(mask)
             cols = spans.cols = spans.cols or cols
             p = self.modulus
             basis, motion = EchelonBasis(p), None
@@ -261,7 +310,7 @@ class CofactorOracle:
         for mask minus one element is at most the seed's, also when a motion
         test misses.
         """
-        order, first, cols = self._peel(mask)
+        order, first, cols, _ = self._peel(mask)
         cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
         p, width = self.modulus, self.dim * self.n
         # value 0 at every tag column: a motion sees the real columns alone
@@ -294,16 +343,21 @@ class CofactorOracle:
                 base &= ~(1 << order[j - width])
         return basis.rank, base
 
-    def _peel(self, mask: int) -> tuple[list[int], int, list[int]]:
+    def _peel(self, mask: int) -> tuple[list[int], int, list[int], list[int]]:
         """The edge bits of mask in peeling order, how many of them are
-        0-extension rows, and the column map of the peel.
+        0-extension rows, the column map of the peel, and where each
+        0-extension row's vertex has its block in cofactor_row.
 
         Vertices leave by least degree among those left, from a bucket queue.
         The k-th vertex to leave takes the k-th (s+1)-block: cols[c] is the
         column that column c of cofactor_row moves to.  Its first s+1 edges
         to vertices still left, in edge order, are its 0-extension rows;
-        the order puts all of those first, then every other edge.
+        the order puts all of those first, then every other edge.  The last
+        mask's peel is kept, so the seeds of a mask, and a seed's rank
+        followed by its basis, peel it once; callers only read it.
         """
+        if self._peeled is not None and self._peeled[0] == mask:
+            return self._peeled[1]
         n, w = self.n, self.dim
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for b in bits(mask):
@@ -314,7 +368,7 @@ class CofactorOracle:
         buckets: list[dict[int, None]] = [{} for _ in range(max(degree) + 1)]
         for v, d in enumerate(degree):
             buckets[d][v] = None
-        first, rest, cols, low = [], [], [0] * (w * n), 0
+        first, rest, owners, cols, low = [], [], [], [0] * (w * n), 0
         for k in range(n):
             while not buckets[low]:
                 low += 1
@@ -326,13 +380,18 @@ class CofactorOracle:
             for u, b in nbrs[v]:
                 d = degree[u]
                 if d > 0:
-                    (first if taken < w else rest).append(b)
+                    if taken < w:
+                        first.append(b)
+                        owners.append(at)
+                    else:
+                        rest.append(b)
                     taken += 1
                     del buckets[d][u]
                     buckets[d - 1][u] = None
                     degree[u] = d - 1
             low = max(low - 1, 0)
-        return first + rest, len(first), cols
+        self._peeled = mask, (first + rest, len(first), cols, owners)
+        return self._peeled[1]
 
     def _decide(self, mask: int, seed_rank, cap: int | None = None) -> int:
         """The rank of a mask by the seed rule of _vote, memoized: a table
@@ -373,7 +432,7 @@ class CofactorOracle:
 
     def rank(self, F: EdgeSet) -> int:
         self._check(F)
-        return self._decide(F.mask, lambda idx: self._seed_basis(F.mask, idx).rank)
+        return self._decide(F.mask, lambda idx: self._seed_rank(F.mask, idx))
 
     def independent(self, F: EdgeSet) -> bool:
         return self.rank(F) == len(F)
@@ -389,38 +448,46 @@ class CofactorOracle:
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
 
-        A seed's rank of F + e is its rank of F plus whether the row of e
-        fails to annihilate one random motion of F, drawn from the seed
-        alone: 2(s+1) products, no reduction.  F + e is capped by F's vertex
-        support and e's endpoints, and voted unless the table has it, not
-        memoized.  The seeds whose rank of F is the decided rank r file their
-        basis, with F's column map, under the closure C: an edge joins C only
-        if no seed ranks F + e above r, so it spans C's rows too.  C is
-        remembered as a flat, so closing it again, as is_flat does, votes
-        nothing.
+        F + e is capped by F's vertex support and e's endpoints; where that
+        cap is r = rank(F), e joins the closure with no seed asked, since
+        r <= rank(F + e) <= cap.  Otherwise a seed's rank of F + e is its
+        rank of F plus whether the row of e fails to annihilate one random
+        motion of F, drawn from the seed alone: 2(s+1) products, no
+        reduction; F + e is voted unless the table has it, not memoized.  So
+        an F on all n vertices whose 0-extension rows reach the cap of every
+        F + e builds no basis.
+        The seeds whose basis of F has the decided rank r file it, with F's
+        column map, under the closure C: an edge joins C only if no seed
+        ranks F + e above r, so it spans C's rows too.  C is remembered as a
+        flat, so closing it again, as is_flat does, votes nothing.
         """
         self._check(F)
         if F.mask in self._flats:
             return F
-        basis = cache(lambda idx: self._seed_basis(F.mask, idx))
+        seed_rank = cache(lambda idx: self._seed_rank(F.mask, idx))
         support = F.vertex_support()
-        r = self._decide(F.mask, lambda idx: basis(idx).rank,
+        r = self._decide(F.mask, seed_rank,
                          min(len(F), _vertex_cap(len(support), self.dim)))
         p, out = self.modulus, F.mask
         motion = cache(lambda idx: self._motion(F.mask, idx))
         for bit in bits(((1 << edge_count(self.n)) - 1) & ~F.mask):
-            def with_e(idx):
-                w = motion(idx)
-                return basis(idx).rank + (
-                    sum(c * w[j] for j, c in self._row(bit, idx).items()) % p != 0)
             v_e = len(support) + sum(u not in support for u in edge_at(self.n, bit))
             cap = min(len(F) + 1, _vertex_cap(v_e, self.dim))
+            if cap == r:
+                out |= 1 << bit
+                continue
+
+            def with_e(idx):
+                w = motion(idx)
+                return seed_rank(idx) + (
+                    sum(c * w[j] for j, c in self._row(bit, idx).items()) % p != 0)
             x = F.mask | 1 << bit
             if (self._vote(x, with_e, cap) if self._table is None
                     else self._table[x]) == r:
                 out |= 1 << bit
-        if out != F.mask:
-            mine, filed = self._spans_of(F.mask), self._spans_of(out)
+        mine = self._spans.get(F.mask)
+        if out != F.mask and mine is not None:
+            filed = self._spans_of(out)
             filed.cols = mine.cols
             filed.bases = [b if b is not None and b.rank == r else None
                            for b in mine.bases]
@@ -511,9 +578,11 @@ class CofactorOracle:
     def fundamental_circuit(self, B: EdgeSet, e) -> EdgeSet:
         """The unique circuit inside B + e, for B independent with e in cl(B).
 
-        The circuit is B + e minus its coloops.  A seed whose rank of B + e is
-        |B| has exactly one circuit there, B + e minus the coloops of its pass
-        (_coloop_pass), and it lies inside the generic circuit, which is
+        The circuit is B + e minus its coloops.  One pass of B + e per seed
+        asked (_coloop_pass) gives that seed's rank of B + e, its coloops, and
+        its rank of B, one lower exactly when e is one of them, as in cyc.  A
+        seed whose rank of B + e is |B| has exactly one circuit there, B + e
+        minus its coloops, and it lies inside the generic circuit, which is
         dependent at every seed; it is all of it unless the seed degenerates
         or a self-stress weight cancels.  So the union over those seeds is
         returned: the greedy rank-derived answer whenever the seeds agree.
@@ -522,10 +591,15 @@ class CofactorOracle:
         bit = edge_index(self.n, *e)
         if B.mask >> bit & 1:
             raise ValueError("element is already in the base")
-        if not self.independent(B):
-            raise ValueError("B is not independent")
         mask = B.mask | 1 << bit
         seed_pass = cache(lambda idx: self._coloop_pass(mask, idx))
+
+        def without_e(idx):
+            r_i, coloops = seed_pass(idx)
+            return r_i - (coloops >> bit & 1)
+
+        if self._decide(B.mask, without_e) != len(B):
+            raise ValueError("B is not independent")
         if self._decide(mask, lambda idx: seed_pass(idx)[0]) != len(B):
             raise ValueError("element is not in the closure of the base")
         circuit = 0
@@ -540,23 +614,33 @@ class CofactorOracle:
     def rank_table(self) -> list[int]:
         """Rank of every subset of E(K_n), indexed by bitmask (n small).
 
-        Seed 0's table comes from its bases, found by one depth-first walk
-        over the r-subsets of its rows, r its rank of E(K_n): a linear
-        matroid ranks X as the largest |X & B| over its bases B.  The masks
-        it ranks below their cap, read off its levels, go through _vote; seed
-        k ranks, in one table restricted to them and their parent chains, the
-        masks on which seeds 0..k-1 all fell below the cap.  The finished
-        table then serves as the memo.
+        Seed 0's table comes from its bases: a linear matroid ranks X as the
+        largest |X & B| over its bases B.  One tagged pass over its rows
+        (dual_rows) gives its rank r of E(K_n) and a representation of the
+        dual matroid, of rank m - r, whose bases are the complements of the
+        bases of the rows.  One depth-first walk lists the bases of whichever
+        side has the smaller rank, complemented if it walked the dual.  The
+        masks seed 0 ranks below their cap, read off its levels, go through
+        _vote; seed k ranks, in one table restricted to them and their parent
+        chains, the masks on which seeds 0..k-1 all fell below the cap.  On
+        the dual side it ranks their complements there instead and reads
+        r(X) = |X| + r*(E - X) - r*(E).  The finished table then serves as
+        the memo.
         """
         if self._table is not None:
             return self._table
         m = edge_count(self.n)
         if m > 16:
             raise ValueError(f"rank table over {m} edges is not tractable")
-        full, rows = (1 << m) - 1, [self._row(b, 0) for b in range(m)]
-        r = subset_rank_table(rows, self.modulus, [full])[full]
-        first = matroids.ExplicitMatroid.from_bases(
-            m, independent_subsets(rows, r, self.modulus))
+        full, width, p = (1 << m) - 1, self.dim * self.n, self.modulus
+        rows = [self._row(b, 0) for b in range(m)]
+        vectors, r = dual_rows(rows, width, p)
+        dual = m - r < r
+        if dual:
+            bases = [full & ~x for x in independent_subsets(vectors, m - r, p)]
+        else:
+            bases = independent_subsets(rows, r, p)
+        first = matroids.ExplicitMatroid.from_bases(m, bases)
         table, levels = first.full_table(), first.levels
         independent = sum(lv & sz for lv, sz in zip(levels, matroids.size_bits(m)))
         # on[v]: the masks whose edges touch exactly v of the vertices so far
@@ -575,8 +659,14 @@ class CofactorOracle:
         for idx in range(1, len(self.seeds)):
             if not below:
                 break
-            ranks.append(subset_rank_table(
-                [self._row(b, idx) for b in range(m)], self.modulus, below))
+            rows = [self._row(b, idx) for b in range(m)]
+            if dual:
+                vectors, r_idx = dual_rows(rows, width, p)
+                co = subset_rank_table(vectors, p, [full & ~x for x in below])
+                ranks.append({x: x.bit_count() + co[full & ~x] - (m - r_idx)
+                              for x in below})
+            else:
+                ranks.append(subset_rank_table(rows, p, below))
             below = [x for x in below if ranks[idx][x] < cap[x]]
         for x in asked:
             # reads table[x], seed 0's rank, before overwriting it

@@ -35,6 +35,10 @@ tags.  A row whose pivot falls inside the tags is zero on the real columns,
 and its tag part is the combination of inserted rows it equals, a
 self-stress.  The cofactor oracle reads cyc and fundamental circuits off one
 such row per seed (``_coloop_pass``), through the same ``reduce``.
+``dual_rows`` tags every row and keeps each relation it finds: read per row,
+their coefficients represent the dual matroid, of rank m - r, whose bases
+are the complements of the rows' bases.  A rank table walks the bases of
+whichever side has the smaller rank.
 
 ``EchelonBasis.motion`` back-substitutes the kernel vector with given values
 at the free columns.  Independent uniform values make it a uniform kernel
@@ -44,6 +48,7 @@ vector, which a row outside the span annihilates with probability 1/p.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import lru_cache
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -51,8 +56,10 @@ MERSENNE61 = (1 << 61) - 1
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=8)
 def is_prime(p: int) -> bool:
-    """Deterministic primality test for p < 2^64."""
+    """Deterministic primality test for p < 2^64, remembered for the last few
+    moduli asked about, since every oracle asks about its own."""
     if p >= 1 << 64:
         raise ValueError("primality is only decided below 2^64")
     if p < 2:
@@ -221,6 +228,38 @@ def subset_rank_table(rows, p: int = MERSENNE61,
         if kids[x]:
             basis[x] = b if lead is None else {**b, lead: _normalized(cur, lead, p)}
     return rank
+
+
+def dual_rows(rows, width: int,
+              p: int = MERSENNE61) -> tuple[list[dict[int, int]], int]:
+    """A representation of the dual of the rows' matroid, one sparse vector
+    per row, and the rows' rank r; every column of the rows is below width.
+
+    Row k goes in with a unit tag at column width + k, as in the tagged
+    passes: a row whose pivot falls left of the tags grows the basis, and
+    any other row reduces to zero on the real columns, leaving a relation
+    among the rows, its tag part.  The relation of row k has tag k and
+    otherwise only tags of basis rows, so the m - r relations are
+    independent and span every relation.  Row e's dual vector holds its
+    coefficients across them, {relation: coefficient}, so a set X of rows
+    has rank |X| + r*(E - X) - r*(E), r* the rank of dual vectors and
+    r*(E) = m - r (Oxley, Matroid Theory, Thm 2.2.8).
+    """
+    basis: dict[int, dict[int, int]] = {}
+    vectors: list[dict[int, int]] = [{} for _ in rows]
+    for k, row in enumerate(rows):
+        cur = _sparse_row(row, p)
+        cur[width + k] = 1
+        lead = reduce_row(cur, basis, p)
+        if lead < width:
+            basis[lead] = _normalized(cur, lead, p)
+            continue
+        # the relations found before this one: one per row left out so far
+        relation = k - len(basis)
+        for j, x in cur.items():
+            if x := x % p:
+                vectors[j - width][relation] = x
+    return vectors, len(basis)
 
 
 def independent_subsets(rows, r: int, p: int = MERSENNE61) -> list[int]:

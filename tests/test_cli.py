@@ -175,8 +175,9 @@ def test_certificate_output_is_pinned(capsys, request, command, graph, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the verify stdout of the suites that read whole rank tables, so
-# that a change to how the tables are built cannot alter a verdict unnoticed
+# sha256 of the verify stdout of every suite, so that a change to how the
+# rank tables or the single-mask ranks are built cannot alter a verdict
+# unnoticed
 @pytest.mark.parametrize("suite, digest", [
     ("elevation",
      "58afc868f86d9d131767b8b26ea601faabebd65fc65249d4f50b4b1116042824"),
@@ -184,7 +185,14 @@ def test_certificate_output_is_pinned(capsys, request, command, graph, digest):
      "4e883949fd1067554787465a85f0ccbc1e448a8772851bf16683ee67f5e1d108"),
     ("sequence-sweep",
      "cdb682acaf1c0efaf4df7e3e78d7c1c9b03deac32ff0f0ad0b6721b3421b57d5"),
-], ids=["elevation", "axioms", "sequence-sweep"])
+    ("dress",
+     "6af3cfcdfbf4be7fc311b78de2a4ad035555c703ad69f92b508f9377cd52e0ad"),
+    ("connectivity",
+     "41817393dac1a671be736e6d35a399fc020cc1b67a67c4ae8df9f93d7c32d0d4"),
+    ("extensions",
+     "b873488ac0c52089337c710824d41384c355a0435439985918455bc680cb8edc"),
+], ids=["elevation", "axioms", "sequence-sweep", "dress", "connectivity",
+        "extensions"])
 def test_verify_output_is_pinned(capsys, suite, digest):
     code, out, _ = _run(capsys, ["verify", suite, "--seed", "13"])
     assert code == 0

@@ -331,15 +331,62 @@ def _count_reductions(monkeypatch, zeros=None):
 
 def test_rigid_rank_reduces_no_row_to_zero(monkeypatch):
     # The peel puts each vertex's 0-extension rows first, and on these rigid
-    # dependent graphs they alone reach the cap 3n - 6, so seed 0 stops there
-    # having reduced no row to zero.  Inserted in edge order instead, 15 and
-    # 59 of their rows fall in the span before the cap.
+    # dependent graphs they alone reach the cap 3n - 6, so seed 0's basis
+    # stops there having reduced no row to zero.  Inserted in edge order
+    # instead, 15 and 59 of their rows fall in the span before the cap.
+    # rank needs no basis at all: the block check proves those rows
+    # independent.
     for n in (20, 60):
         F = _rigid_dense(n)
         zeros = [0]
         calls = _count_reductions(monkeypatch, zeros)
         assert CofactorOracle(n).rank(F) == 3 * n - 6 < len(F)
+        assert calls[0] == 0
+        assert CofactorOracle(n)._seed_basis(F.mask, 0).rank == 3 * n - 6
         assert zeros[0] == 0 and calls[0] == 3 * n - 6
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_seed_ranks_match_the_matrix_rank(monkeypatch, s):
+    # _seed_rank reads a seed's rank off the 0-extension blocks where they
+    # reach the cap, with no reduction, and builds the basis otherwise;
+    # either way it is the rank of the mask's rows.
+    calls = _count_reductions(monkeypatch)
+    rng = random.Random(60 + s)
+    read_off = built = 0
+    for n in range(6, 16):
+        F = _henneberg(rng, n) if s == 2 else EdgeSet.complete(n)
+        for mask in (F.mask, (F | _random_graph(rng, n, 2 * n)).mask,
+                     _random_graph(rng, n, (s + 1) * n).mask):
+            oracle = CofactorOracle(n, s=s)
+            for idx in range(len(oracle.seeds)):
+                rows = [oracle._row(b, idx) for b in bits(mask)]
+                rank = field.matrix_rank(rows, oracle.modulus)
+                before = calls[0]
+                assert oracle._seed_rank(mask, idx) == rank
+                if calls[0] == before:
+                    read_off += 1
+                else:
+                    built += 1
+    assert read_off and built
+
+
+def test_a_lost_0_extension_row_falls_back_to_the_basis(monkeypatch):
+    # Seed 0 loses the row of the first 0-extension edge of the peel, so its
+    # vertex's block falls below full row rank and the check fails: rank
+    # builds seed 0's basis from the same peel, whose other rows still
+    # reach the cap 3n - 6 on this dependent graph.
+    n = 20
+    F = _rigid_dense(n)
+    order, first, *_ = CofactorOracle(n)._peel(F.mask)
+    assert first == 3 * n - 6
+    oracle = _losing(monkeypatch, CofactorOracle(n), {0: {order[0]}})
+    calls = _count_reductions(monkeypatch)
+    assert oracle.rank(F) == 3 * n - 6
+    basis = oracle._spans[F.mask].bases[0]
+    assert basis is not None and calls[0] > 0
+    rows = [oracle._row(b, 0) for b in bits(F.mask)]
+    assert basis.rank == field.matrix_rank(rows, oracle.modulus) == 3 * n - 6
 
 
 def test_edge_order_basis_stays_sparse(monkeypatch):
@@ -523,11 +570,11 @@ def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
     oracle = CofactorOracle(n)
     B = oracle.basis_of(F)
     assert calls[0] <= 2 * len(F)
-    # |B| for independent(B), then one pass of B + e per seed
+    # one pass of B + e per seed, which decides independent(B) as well
     calls[0] = 0
     oracle = CofactorOracle(n)
     oracle.fundamental_circuit(B, next((F - B).edges()))
-    assert calls[0] <= len(B) + len(oracle.seeds) * (len(B) + 2)
+    assert calls[0] <= len(oracle.seeds) * (len(B) + 2)
 
 
 def _losing(monkeypatch, oracle, lost):
@@ -587,13 +634,13 @@ def test_closure_and_rank_table_follow_the_rank_rule(monkeypatch):
 
 
 def test_closure_and_rank_table_bound_their_eliminations(monkeypatch):
-    # F is rigid, so seed 0 meets the cap on F and on every F + e: closure
-    # reduces the rows of F once, for one seed's basis, and no non-edge.
+    # F is rigid and spans every vertex: seed 0's 0-extension rows meet the
+    # cap on F, and every F + e has that cap, so closure reduces nothing.
     n = 20
     F = _rigid_dense(n)
     calls = _count_reductions(monkeypatch)
-    CofactorOracle(n).closure(F)
-    assert calls[0] <= len(F)
+    assert CofactorOracle(n).closure(F) == EdgeSet.complete(n)
+    assert calls[0] == 0
 
     handed = []
     real_table = cofactor.subset_rank_table
@@ -602,11 +649,11 @@ def test_closure_and_rank_table_bound_their_eliminations(monkeypatch):
         handed.append(masks)
         return real_table(rows, p, masks)
 
-    # K5 is a circuit, so seed 0 meets the cap on every mask and asks only
-    # about the full mask, for its rank; its bases give the rest
+    # K5 is a circuit, so seed 0 meets the cap on every mask; its tagged pass
+    # gives its rank and its bases give the rest, with no subset table
     monkeypatch.setattr(cofactor, "subset_rank_table", recording_table)
     CofactorOracle(5).rank_table()
-    assert handed == [[(1 << 10) - 1]]
+    assert handed == []
 
 
 def test_flexible_closure_reduces_no_non_edge(monkeypatch):
@@ -714,7 +761,9 @@ def test_span_cache_stays_bounded():
         assert 0 < len(oracle._spans) <= cofactor.SPAN_CACHE
 
 
-@pytest.mark.parametrize("n, s", [(6, 2), (6, 1), (5, 0)])
+# K6 with s = 1, 2 and 3 walks the dual, of rank 6, 3 and 1; K5 and K6
+# with s = 0 walk the rows, of rank 4 and 5
+@pytest.mark.parametrize("n, s", [(6, 2), (6, 1), (5, 0), (6, 0), (6, 3)])
 def test_rank_table_matches_the_per_mask_reference(table6, n, s):
     got = table6 if (n, s) == (6, 2) else CofactorOracle(n, s=s).rank_table()
     assert got == reference.per_mask_rank_table(CofactorOracle(n, s=s))
@@ -764,12 +813,15 @@ def test_rank_table_survives_a_degenerate_seed_0(monkeypatch, later_lose, kind):
 
 
 def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
-    # Seed 0 reduces the chain of the full mask, for its rank r, and walks
-    # the r-subsets of its rows: at most the C(16, r) - 1 nonempty prefixes
-    # that can still grow to r rows, fewer where a row falls in the span.
-    # Seeds 1 and 2 rank only the masks below the cap on every earlier
-    # seed, plus their parent chains, and no seed builds an echelon basis
-    # of its own: every reduction happens inside those tables and the walk.
+    # On K6 with s = 1 and 2 the dual, of rank m - r = 6 and 3, is the
+    # smaller side.  Each seed asked reduces its 15 rows once, with tags, for
+    # its rank and the dual vectors.  Seed 0 walks the (m - r)-subsets of
+    # its dual vectors: at most the C(16, m - r) - 1 nonempty prefixes that
+    # can still grow to m - r vectors, fewer where one falls in the span.
+    # Seeds 1 and 2 rank, in the dual, only the complements of the masks
+    # below the cap on every earlier seed, plus their parent chains, and no
+    # seed builds an echelon basis of its own: every reduction happens
+    # inside those passes, the tables and the walk.
     calls = _count_reductions(monkeypatch)
     handed = []
 
@@ -779,25 +831,32 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
         def record(rows, *args):
             before = calls[0]
             got = real(rows, *args)
-            handed.append((args, calls[0] - before))
+            handed.append((name, args, calls[0] - before))
             return got
 
         monkeypatch.setattr(cofactor, name, record)
 
+    recording("dual_rows")
     recording("subset_rank_table")
     recording("independent_subsets")
     full = (1 << 15) - 1
-    for s, rank, asked, chains in [(1, 9, 2415, 5682), (2, 12, 90, 473)]:
+    for s, rank, asked, chains in [(1, 9, 2415, 3978), (2, 12, 90, 138)]:
         handed.clear()
         calls[0] = 0
         CofactorOracle(6, s=s).rank_table()
-        assert calls[0] == sum(reduced for _, reduced in handed)
-        ((_, everything), reduced), ((r, _), walked), *later = handed
-        assert everything == [full] and reduced == 15
-        assert r == rank and walked <= comb(16, rank) - 1
-        ((_, first), _), ((_, second), _) = later
+        assert calls[0] == sum(reduced for *_, reduced in handed)
+        assert [name for name, *_ in handed] == [
+            "dual_rows", "independent_subsets",
+            "dual_rows", "subset_rank_table", "dual_rows", "subset_rank_table"]
+        assert all(reduced == 15 for name, _, reduced in handed
+                   if name == "dual_rows")
+        _, (r, _), walked = handed[1]
+        assert r == 15 - rank and walked <= comb(16, r) - 1
+        later = handed[3], handed[5]
+        (_, (_, first), _), (_, (_, second), _) = later
         assert len(first) == asked and set(second) <= set(first)
-        for (_, masks), reduced in later:
+        assert all(x & full == x for x in first)
+        for _, (_, masks), reduced in later:
             assert reduced == len(reference.parent_chains(masks)) == chains
 
 

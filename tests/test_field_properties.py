@@ -8,12 +8,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cofrig.field import (  # noqa: E402
     MERSENNE61,
     EchelonBasis,
+    dual_rows,
     independent_subsets,
     reduce_row,
     subset_rank_table,
@@ -115,6 +116,26 @@ def test_independent_subsets_are_the_r_subsets_of_rank_r(case):
         assert len(got) == len(set(got))
         assert sorted(got) == [x for x, rank in enumerate(table)
                                if x.bit_count() == r == rank]
+
+
+@settings(CASES, max_examples=40)
+@given(matrices(max_rows=8))
+@example((13, []))
+@example((13, [[0, 0, 0]] * 3))
+@example((MERSENNE61, [[0, 0, 0], [1, 0, 0]]))
+@example((13, [[1, 2, 0], [0, 1, 5], [3, 0, 1]]))
+@example((2, [[1, 1], [1, 1], [1, 0], [0, 0]]))
+def test_dual_rows_rank_every_set_through_its_complement(case):
+    # rank 0, full rank, and zero and repeated rows among the fixed examples
+    p, rows = case
+    m, full = len(rows), (1 << len(rows)) - 1
+    vectors, r = dual_rows(rows, len(rows[0]) if rows else 0, p)
+    assert r == dense_rank(rows, p) and len(vectors) == m
+    dual = subset_rank_table(vectors, p)
+    assert dual[full] == m - r
+    for x in range(1 << m):
+        chosen = [row for i, row in enumerate(rows) if x >> i & 1]
+        assert x.bit_count() + dual[full & ~x] - (m - r) == dense_rank(chosen, p)
 
 
 @st.composite
