@@ -29,7 +29,8 @@ with no reduction at all: each vertex's rows need only full rank on its own
 block (``_seed_rank``).  A column permutation changes the rank of no set of
 rows, so no rank depends on the layout; only the fill-in does.  A rank
 table walks the bases of the rows' matroid or of its dual, whichever has
-the smaller rank (``field.dual_rows``).
+the smaller rank (``field.dual_rows``), and seed 0's table stands proven
+when each of its circuits has more edges than its count cap.
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).  ``closure``
@@ -147,6 +148,8 @@ class CofactorOracle:
     combinatorial cap gives the rank; otherwise the maximum does, unless a
     strict majority of seeds falls below it, and then the oracle aborts with
     a diagnostic instead of guessing.  Results are memoized per edge bitmask.
+    The one exception is a rank table that seed 0 proves whole from its
+    circuits (rank_table): it answers every mask with no vote.
 
     The modulus must be a prime of at least 2^31 - 1, which keeps the chance
     that one seed drops below the generic rank under about 1e-7 for n <= 60.
@@ -464,8 +467,13 @@ class CofactorOracle:
         self._check(F)
         if F.mask in self._flats:
             return F
-        seed_rank = cache(lambda idx: self._seed_rank(F.mask, idx))
         support = F.vertex_support()
+        # a seed asked about F is asked about F + e for e at a vertex outside
+        # the support too, whose cap exceeds r, and that takes its motion:
+        # build its basis of F at once, with no block check first
+        seed_rank = cache(lambda idx: self._seed_rank(F.mask, idx)
+                          if len(support) == self.n
+                          else self._seed_basis(F.mask, idx).rank)
         r = self._decide(F.mask, seed_rank,
                          min(len(F), _vertex_cap(len(support), self.dim)))
         p, out = self.modulus, F.mask
@@ -586,6 +594,8 @@ class CofactorOracle:
         dependent at every seed; it is all of it unless the seed degenerates
         or a self-stress weight cancels.  So the union over those seeds is
         returned: the greedy rank-derived answer whenever the seeds agree.
+        A union with more edges than its count cap is generically dependent,
+        so it is the generic circuit itself, and no later seed is asked.
         """
         self._check(B)
         bit = edge_index(self.n, *e)
@@ -602,12 +612,15 @@ class CofactorOracle:
             raise ValueError("B is not independent")
         if self._decide(mask, lambda idx: seed_pass(idx)[0]) != len(B):
             raise ValueError("element is not in the closure of the base")
-        circuit = 0
+        circuit = EdgeSet(self.n, 0)
         for idx in range(len(self.seeds)):
             r, coloops = seed_pass(idx)
             if r == len(B):
-                circuit |= mask & ~coloops
-        return EdgeSet(self.n, circuit)
+                circuit = EdgeSet(self.n, circuit.mask | mask & ~coloops)
+                if len(circuit) > generic_rank_upper_bound(circuit, self.s):
+                    # dependent and inside the generic circuit, so all of it
+                    return circuit
+        return circuit
 
     # -- whole-powerset table ---------------------------------------------
 
@@ -619,11 +632,20 @@ class CofactorOracle:
         (dual_rows) gives its rank r of E(K_n) and a representation of the
         dual matroid, of rank m - r, whose bases are the complements of the
         bases of the rows.  One depth-first walk lists the bases of whichever
-        side has the smaller rank, complemented if it walked the dual.  The
-        masks seed 0 ranks below their cap, read off its levels, go through
-        _vote; seed k ranks, in one table restricted to them and their parent
-        chains, the masks on which seeds 0..k-1 all fell below the cap.  On
-        the dual side it ranks their complements there instead and reads
+        side has the smaller rank, complemented if it walked the dual.
+
+        Seed 0's table is then proven or voted.  Its matroid M0 has no
+        independent set that is generically dependent (evaluation is
+        one-sided), and a matroid is fixed by its circuits (Oxley, Matroid
+        Theory, 1.1).  So if every circuit of M0, a cyclic set of nullity one
+        on its levels, has more edges than the cap of its vertex count, all
+        of them are generically dependent, M0 is the generic matroid, and the
+        table is returned with no later seed asked.  A degenerate seed 0 has
+        some circuit within its cap (a lost row is a loop), and then the
+        masks seed 0 ranks below their cap go through _vote; seed k ranks,
+        in one table restricted to them and their parent chains, the masks
+        on which seeds 0..k-1 all fell below the cap.  On the dual side it
+        ranks their complements there instead and reads
         r(X) = |X| + r*(E - X) - r*(E).  The finished table then serves as
         the memo.
         """
@@ -641,14 +663,25 @@ class CofactorOracle:
         else:
             bases = independent_subsets(rows, r, p)
         first = matroids.ExplicitMatroid.from_bases(m, bases)
-        table, levels = first.full_table(), first.levels
-        independent = sum(lv & sz for lv, sz in zip(levels, matroids.size_bits(m)))
+        table, levels, sizes = first.full_table(), first.levels, matroids.size_bits(m)
         # on[v]: the masks whose edges touch exactly v of the vertices so far
         on = [levels[0]]
         for u in range(self.n):
             star = EdgeSet.complete(self.n).star(u).mask
             at_u = levels[0] & ~matroids.down_closure(1 << (full & ~star), m)
             on = [a & ~at_u | b & at_u for a, b in zip([*on, 0], [0, *on])]
+        # seed 0's circuits, its cyclic sets of rank k with k + 1 edges, and
+        # the masks with no more edges than the cap of their vertex count
+        circuits = 0
+        for level, higher, size in zip(levels, [*levels[1:], 0], sizes[1:]):
+            circuits |= level & ~higher & size
+        within = 0
+        for v, on_v in enumerate(on):
+            within |= on_v & sum(sizes[:_vertex_cap(v, self.dim) + 1])
+        if not circuits & first.cyclic_bits & within:
+            self._table = table
+            return table
+        independent = sum(lv & sz for lv, sz in zip(levels, sizes))
         cap = {}
         for v, on_v in enumerate(on):
             c = _vertex_cap(v, self.dim)

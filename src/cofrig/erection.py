@@ -49,6 +49,7 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
         if not cyclic >> x & 1:
             raise ValueError(f"seed member {x:#x} is not cyclic")
     top = M.cyclic_bits.bit_length() - 1  # cyc(E) holds every cyclic set
+    table = M.full_table()
 
     down, down_list, unions = 0, [], seeds | {0}
     while unions:
@@ -66,7 +67,7 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
                 u = x | y
                 if u == x or u == y or u in known or u in unions:
                     continue
-                if M.is_modular_pair(x, y):
+                if table[x] + table[y] == table[u] + table[x & y]:  # modular
                     if u == top:
                         return frozenset(members(cyclic))
                     unions.add(u)
@@ -91,10 +92,11 @@ def family_violation(M: ExplicitMatroid, family) -> str | None:
         z = members(below)[0]
         x = min(x for x in family if x & z == z)
         return f"not down-closed at {z:#x} <= {x:#x}"
-    listed = sorted(family)
+    listed, table = sorted(family), M.full_table()
     for i, x in enumerate(listed):
         for y in listed[i + 1:]:
-            if (x | y) not in family and M.is_modular_pair(x, y):
+            u = x | y
+            if u not in family and table[x] + table[y] == table[u] + table[x & y]:
                 return f"modular pair {x:#x},{y:#x} union missing"
     return None
 

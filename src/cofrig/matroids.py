@@ -11,6 +11,8 @@ holds the subsets of rank >= k and element_bits(m)[e] those containing e.
 A right shift by 2^e moves the bit of x + e onto x, so one shift compares
 every subset without e with its extension by e, and each question costs
 O(m^2 r) big-integer operations instead of a loop over the 2^m subsets.
+Whole tables of small ranks are bytes, one per subset, built and capped with
+bytes.translate from the cached table of subset sizes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .graphs import EdgeSet, edge_count
 ENUM_CAP = 16
 
 _DIGIT_VALUE = bytes.maketrans(b"01", b"\x00\x01")
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
 
 
 @lru_cache(maxsize=ENUM_CAP + 1)
@@ -44,6 +47,22 @@ def size_bits(m: int) -> tuple[int, ...]:
     for e in range(m):
         sizes = [a | b << (1 << e) for a, b in zip([*sizes, 0], [0, *sizes])]
     return tuple(sizes)
+
+
+@lru_cache(maxsize=ENUM_CAP + 1)
+def subset_sizes(m: int) -> bytes:
+    """One byte per subset of {0..m-1}, lowest first: its number of elements.
+    The subsets with element e are the upper half of each run of 2^(e+1), so
+    each doubling appends a copy one higher."""
+    sizes = b"\x00"
+    for _ in range(m):
+        sizes += sizes.translate(_PLUS_ONE)
+    return sizes
+
+
+def _capped(ranks: bytes, k: int) -> bytes:
+    """The byte ranks, each lowered to at most k >= 0."""
+    return ranks.translate(bytes(min(v, k) for v in range(256)))
 
 
 def down_closure(family: int, m: int) -> int:
@@ -106,7 +125,10 @@ class ExplicitMatroid:
             raise ValueError(
                 f"base {min(outside):#x} is not a subset of the {m} ground elements")
         # subsets of bases are the independent sets
-        independent = down_closure(sum(1 << b for b in base_set), m)
+        packed = bytearray((1 << m) + 7 >> 3)
+        for b in base_set:
+            packed[b >> 3] |= 1 << (b & 7)
+        independent = down_closure(int.from_bytes(packed, "little"), m)
         levels = []
         for size_k in size_bits(m)[:max(sizes) + 1]:
             level = independent & size_k
@@ -140,7 +162,9 @@ class ExplicitMatroid:
         return table[x] + table[y] == table[x | y] + table[x & y]
 
     def truncate(self, k: int) -> "ExplicitMatroid":
-        return ExplicitMatroid([min(r, k) for r in self._table])
+        """The rank-k truncation, k >= 0; a rank outside 0..255 raises
+        ValueError."""
+        return ExplicitMatroid(_capped(bytes(self._table), k))
 
     # -- whole-table bitsets (see the module docstring) ------------------------
 
@@ -154,17 +178,31 @@ class ExplicitMatroid:
                 for k in range(max(ranks) + 1)]
 
     @cached_property
+    def _raises(self) -> list[int]:
+        """raises[e] is the bitset of the subsets x without e whose rank
+        r(x + e) exceeds r(x): some level holds x + e and not x."""
+        raises = []
+        for e, with_e in enumerate(element_bits(self.m)):
+            step, up = 1 << e, 0
+            for level in self.levels[1:]:
+                up |= level >> step & ~level
+            raises.append(up & ~with_e)
+        return raises
+
+    @cached_property
     def _cyclic_and_flat_bits(self) -> tuple[int, int]:
         """The bitsets of the cyclic sets (no element is a coloop) and of the
-        flats (every element outside raises the rank)."""
+        flats (every element outside raises the rank), both read off _raises:
+        e is a coloop of x exactly when x - e is in raises[e]."""
         cyclic = flats = (1 << (1 << self.m)) - 1
-        for e, with_e in enumerate(element_bits(self.m)):
-            step, coloops = 1 << e, 0
-            for level in self.levels:
-                coloops |= level & ~(level << step)
-            coloops &= with_e  # x contains e and rank(x - e) < rank(x)
-            cyclic &= ~coloops
-            flats &= with_e | coloops >> step
+        raises = self._raises
+        # these two bitsets are all that is kept of raises, to save memory:
+        # free_erection checks a new matroid's axioms before it asks for its
+        # cyclic flats, and a later axiom check derives raises again
+        del self.__dict__["_raises"]
+        for e, (up, with_e) in enumerate(zip(raises, element_bits(self.m))):
+            cyclic &= ~(up << (1 << e))
+            flats &= with_e | up
         return cyclic, flats
 
     @property
@@ -241,36 +279,41 @@ def verify_rank_axioms(M: ExplicitMatroid) -> None:
     Checked: r(empty) = 0, every rank in 0..m (M.levels holds no other
     rank), unit increase, and local submodularity (r(X+e) = r(X+f) = r(X)
     implies r(X+e+f) = r(X)), which together characterize matroid rank
-    functions.
+    functions.  Unit increase is checked level by level for each element.
+    Once it holds, x + e lies outside raises[e] (M._raises) exactly when
+    r(x + e) = r(x), so local submodularity fails at x+e,f exactly where x
+    lies in neither raises[e] nor raises[f] but x + e lies in raises[f]:
+    three operations per pair of elements, whatever the rank.
     """
     table, m = M.full_table(), M.m
     if table[0] != 0:
         raise AssertionError("rank of the empty set is not 0")
-    if not 0 <= min(table) <= max(table) <= m:
+    try:
+        levels = M.levels
+    except ValueError:  # a rank outside 0..255
+        levels = None
+    if levels is None or len(levels) > m + 1:
         x = next(x for x, r in enumerate(table) if not 0 <= r <= m)
         raise AssertionError(f"rank {table[x]} of {x:#x} is outside 0..{m}")
-    levels, with_e = M.levels, element_bits(m)
-    # up[e][k]: bit x is set when rank(x + e) >= k (read on the x without e)
-    up = [[level >> (1 << e) for level in levels] for e in range(m)]
+    with_e = element_bits(m)
     failures = []
     for e in range(m):
-        bad = 0
-        for k in range(1, len(levels)):
+        step, bad = 1 << e, 0
+        for below, level in zip(levels, levels[1:]):
+            up = level >> step  # bit x: rank(x + e) >= k, for level k
             # rank(x + e) < k <= rank(x), or rank(x) + 2 <= k <= rank(x + e)
-            bad |= levels[k] & ~up[e][k] | up[e][k] & ~levels[k - 1]
+            bad |= level & ~up | up & ~below
         bad &= ~with_e[e]
         if bad:
             failures.append(((bad & -bad).bit_length() - 1, e))
     if failures:
         x, e = min(failures)
         raise AssertionError(f"unit increase fails at {x:#x}+{e}")
-    # keeps[e][k - 1]: rank(x) = rank(x + e) = k - 1, for x without e
-    keeps = [[levels[k - 1] & ~up[e][k] & ~with_e[e] for k in range(1, len(levels))]
-             for e in range(m)]
+    raises = M._raises
+    # stays[e]: the x without e with rank(x + e) = rank(x)
+    stays = [~up & ~with_e[e] for e, up in enumerate(raises)]
     for e, f in itertools.combinations(range(m), 2):
-        bad = 0
-        for keep_e, keep_f, up_e in zip(keeps[e], keeps[f], up[e][1:]):
-            bad |= keep_e & keep_f & up_e >> (1 << f)
+        bad = stays[e] & stays[f] & raises[f] >> (1 << e)
         if bad:
             failures.append(((bad & -bad).bit_length() - 1, e, f))
     if failures:
@@ -279,8 +322,8 @@ def verify_rank_axioms(M: ExplicitMatroid) -> None:
 
 
 def uniform_matroid(m: int, r: int) -> ExplicitMatroid:
-    return ExplicitMatroid.from_table([min(x.bit_count(), r)
-                                       for x in range(1 << m)])
+    """U(r, m): every subset of at most r >= 0 elements is independent."""
+    return ExplicitMatroid(_capped(subset_sizes(m), r))
 
 
 def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
@@ -299,8 +342,7 @@ def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
     m = edge_count(n)
     if m > ENUM_CAP:
         raise CapExceeded(f"clique truncation over {m} elements")
-    cap = t * (t - 1) // 2
-    table = [min(x.bit_count(), cap) for x in range(1 << m)]
+    table = bytearray(_capped(subset_sizes(m), t * (t - 1) // 2))
     for vs in itertools.combinations(range(n), t):
         table[EdgeSet.complete(n, vs).mask] -= 1
     return ExplicitMatroid(table)

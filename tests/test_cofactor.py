@@ -543,6 +543,25 @@ def test_fundamental_circuit_survives_a_degenerate_seed(monkeypatch):
     assert cases == 40
 
 
+def test_fundamental_circuit_asks_later_seeds_only_within_the_cap(monkeypatch):
+    # A union of seed circuits with more edges than its count cap is
+    # generically dependent, so it is the circuit: the K5 of K5 - 01 + 01,
+    # 10 edges with cap 9, takes seed 0 alone.  The double banana is a
+    # circuit of 18 edges on 8 vertices, with cap 18, so for the banana
+    # minus 23 and the edge 23 every seed is asked.
+    asked = []
+    real = CofactorOracle._coloop_pass
+    monkeypatch.setattr(CofactorOracle, "_coloop_pass", lambda oracle, mask, idx:
+                        asked.append(idx) or real(oracle, mask, idx))
+    k5 = complete_edges(8, range(5))
+    assert CofactorOracle(8).fundamental_circuit(k5.remove(0, 1), (0, 1)) == k5
+    assert asked == [0]
+    asked.clear()
+    banana = double_banana()
+    assert CofactorOracle(8).fundamental_circuit(banana.remove(2, 3), (2, 3)) == banana
+    assert asked == [0, 1, 2]
+
+
 def test_one_pass_queries_check_the_seeds(monkeypatch):
     # The rigged seeds of test_closure_checks_the_seeds_it_memoizes.
     F = double_banana().reindexed(9).add(2, 8).add(3, 8).add(4, 8)
@@ -622,12 +641,21 @@ def _rigged_oracle6(monkeypatch):
 
 def test_closure_and_rank_table_follow_the_rank_rule(monkeypatch):
     # Seed 0 meets the cap on {e}, so rank answers 1 without the majority
-    # check; closure and rank_table must decide the same way.
+    # check; closure must decide the same way.  Every circuit of seed 0
+    # exceeds its cap, which proves its table, so rank_table asks no later
+    # seed and gives the clean table.  A single mask's rank has no such
+    # proof: it splits where the per-mask reference splits.
     oracle = _rigged_oracle6(monkeypatch)
     assert oracle.rank(EdgeSet(6, 1)) == 1
     assert oracle.closure(EdgeSet.empty(6)) == EdgeSet.empty(6)
+    handed = []
+    real_table = cofactor.subset_rank_table
+    monkeypatch.setattr(cofactor, "subset_rank_table",
+                        lambda *args: handed.append(args) or real_table(*args))
+    assert _rigged_oracle6(monkeypatch).rank_table() == CofactorOracle(6).rank_table()
+    assert handed == []
     with pytest.raises(SeedDisagreement) as info:
-        _rigged_oracle6(monkeypatch).rank_table()
+        reference.per_mask_rank_table(_rigged_oracle6(monkeypatch))
     mask = info.value.detail["mask"]
     with pytest.raises(SeedDisagreement):
         _rigged_oracle6(monkeypatch).rank(EdgeSet(6, mask))
@@ -763,10 +791,24 @@ def test_span_cache_stays_bounded():
 
 # K6 with s = 1, 2 and 3 walks the dual, of rank 6, 3 and 1; K5 and K6
 # with s = 0 walk the rows, of rank 4 and 5
-@pytest.mark.parametrize("n, s", [(6, 2), (6, 1), (5, 0), (6, 0), (6, 3)])
+REFERENCE_TABLES = [(6, 2), (6, 1), (5, 0), (6, 0), (6, 3)]
+
+
+@pytest.mark.parametrize("n, s", REFERENCE_TABLES)
 def test_rank_table_matches_the_per_mask_reference(table6, n, s):
     got = table6 if (n, s) == (6, 2) else CofactorOracle(n, s=s).rank_table()
     assert got == reference.per_mask_rank_table(CofactorOracle(n, s=s))
+
+
+@pytest.mark.parametrize("n, s", REFERENCE_TABLES)
+def test_proven_rank_tables_evaluate_seed_0_alone(monkeypatch, n, s):
+    # every circuit of seed 0 exceeds its cap, which proves its table
+    oracle = CofactorOracle(n, s=s)
+    asked = set()
+    real = oracle._row
+    monkeypatch.setattr(oracle, "_row", lambda b, idx: asked.add(idx) or real(b, idx))
+    oracle.rank_table()
+    assert asked == {0}
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -778,9 +820,15 @@ def test_rank_table_writes_no_memo_entries(s):
 
 
 def test_rank_table_splits_where_the_per_mask_reference_does(monkeypatch):
+    # Seed 0 loses the row of 45, a loop and so a circuit within its cap:
+    # its table is not proven, and the masks it ranks below their cap are
+    # voted.  Seeds 1 and 2 lose the row of 01 and split with it on some.
+    lost = {0: {edge_index(6, 4, 5)}, 1: {edge_index(6, 0, 1)},
+            2: {edge_index(6, 0, 1)}}
+
     def split(build):
         with pytest.raises(SeedDisagreement) as info:
-            build(_rigged_oracle6(monkeypatch))
+            build(_losing(monkeypatch, CofactorOracle(6), lost))
         return info.value.detail
 
     assert split(CofactorOracle.rank_table) == split(reference.per_mask_rank_table)
@@ -818,10 +866,11 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
     # its rank and the dual vectors.  Seed 0 walks the (m - r)-subsets of
     # its dual vectors: at most the C(16, m - r) - 1 nonempty prefixes that
     # can still grow to m - r vectors, fewer where one falls in the span.
-    # Seeds 1 and 2 rank, in the dual, only the complements of the masks
-    # below the cap on every earlier seed, plus their parent chains, and no
-    # seed builds an echelon basis of its own: every reduction happens
-    # inside those passes, the tables and the walk.
+    # Clean, its table is proven and no later seed is asked.  Where seed 0
+    # loses the row of 45, seeds 1 and 2 rank, in the dual, only the
+    # complements of the masks below the cap on every earlier seed, plus
+    # their parent chains, and no seed builds an echelon basis of its own:
+    # every reduction happens inside those passes, the tables and the walk.
     calls = _count_reductions(monkeypatch)
     handed = []
 
@@ -840,24 +889,34 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
     recording("subset_rank_table")
     recording("independent_subsets")
     full = (1 << 15) - 1
-    for s, rank, asked, chains in [(1, 9, 2415, 3978), (2, 12, 90, 138)]:
+    for s, rank in [(1, 9), (2, 12)]:
         handed.clear()
         calls[0] = 0
         CofactorOracle(6, s=s).rank_table()
+        assert calls[0] == sum(reduced for *_, reduced in handed)
+        assert [name for name, *_ in handed] == ["dual_rows", "independent_subsets"]
+        assert handed[0][2] == 15
+        _, (r, _), walked = handed[1]
+        assert r == 15 - rank and walked <= comb(16, r) - 1
+    lost = {0: {edge_index(6, 4, 5)}}
+    for s, asked, chains in [(1, (14499, 2415), (16555, 3978)),
+                             (2, (16306, 90), (16393, 138))]:
+        handed.clear()
+        calls[0] = 0
+        _losing(monkeypatch, CofactorOracle(6, s=s), lost).rank_table()
         assert calls[0] == sum(reduced for *_, reduced in handed)
         assert [name for name, *_ in handed] == [
             "dual_rows", "independent_subsets",
             "dual_rows", "subset_rank_table", "dual_rows", "subset_rank_table"]
         assert all(reduced == 15 for name, _, reduced in handed
                    if name == "dual_rows")
-        _, (r, _), walked = handed[1]
-        assert r == 15 - rank and walked <= comb(16, r) - 1
         later = handed[3], handed[5]
         (_, (_, first), _), (_, (_, second), _) = later
-        assert len(first) == asked and set(second) <= set(first)
+        assert (len(first), len(second)) == asked and set(second) <= set(first)
         assert all(x & full == x for x in first)
-        for _, (_, masks), reduced in later:
-            assert reduced == len(reference.parent_chains(masks)) == chains
+        assert [reduced for *_, reduced in later] == list(chains)
+        assert [len(reference.parent_chains(masks))
+                for _, (_, masks), _ in later] == list(chains)
 
 
 def test_motion_closure_matches_the_reduction_closure():

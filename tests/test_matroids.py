@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 
+from cofrig.cofactor import CofactorOracle
 from cofrig.errors import CapExceeded
 from cofrig.graphs import EdgeSet, bits
 from cofrig.matroids import (
+    ENUM_CAP,
     ExplicitMatroid,
     clique_truncation_matroid,
     uniform_matroid,
@@ -18,6 +20,7 @@ from rank_reference import (
     closure,
     cyc,
     from_independence,
+    per_rank_axiom_check,
     rank_axioms_hold,
 )
 
@@ -30,6 +33,24 @@ def test_uniform_matroid_basics():
     assert M.is_independent(0b0101)
     assert not M.is_independent(0b0111)
     assert sorted(M.circuits()) == [0b0111, 0b1011, 0b1101, 0b1110]
+
+
+def test_byte_built_tables_match_their_closed_forms():
+    for m in range(ENUM_CAP + 1):
+        sizes = [x.bit_count() for x in range(1 << m)]
+        for r in {0, m // 2, m, m + 1}:
+            closed = [min(size, r) for size in sizes]
+            assert uniform_matroid(m, r).full_table() == closed
+            assert uniform_matroid(m, m).truncate(r).full_table() == closed
+    for n in range(3, 7):
+        for t in range(3, n + 1):
+            cap, copies = t * (t - 1) // 2, [
+                EdgeSet.complete(n, vs).mask for vs in combinations(range(n), t)]
+            closed = [min(x.bit_count(), cap) - (x in copies)
+                      for x in range(1 << n * (n - 1) // 2)]
+            assert clique_truncation_matroid(n, t).full_table() == closed
+    K6 = ExplicitMatroid(CofactorOracle(6).rank_table())
+    assert K6.truncate(10).full_table() == [min(r, 10) for r in K6.full_table()]
 
 
 def test_truncation():
@@ -199,6 +220,31 @@ def test_rank_axioms_match_the_reference_on_k6_corruptions():
         verdicts.append(_verdict(bad))
         assert verdicts[-1] == rank_axioms_hold(bad, touching=x)
     assert 0 < sum(verdicts) < 200  # some corruptions are matroids again
+
+
+def _failure(check, table):
+    try:
+        check(ExplicitMatroid(table))
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_rank_axioms_name_what_the_per_rank_check_names():
+    rng = random.Random(37)
+    kinds = set()
+    for table in (CofactorOracle(6, s=1).rank_table(),
+                  CofactorOracle(6, s=2).rank_table(),
+                  uniform_matroid(11, 6).full_table()):
+        for _ in range(40):
+            x, delta = rng.randrange(1, len(table)), rng.choice((-1, 1))
+            bad = list(table)
+            bad[x] += delta
+            got = _failure(verify_rank_axioms, bad)
+            assert got == _failure(per_rank_axiom_check, bad)
+            kinds.add(got and got.split(" fails")[0])
+    # each kind of failure shows up, and some corruptions are matroids again
+    assert kinds == {"unit increase", "local submodularity", None}
 
 
 @pytest.mark.parametrize("table, message", [
