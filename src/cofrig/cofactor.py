@@ -29,8 +29,9 @@ with no reduction at all: each vertex's rows need only full rank on its own
 block (``_seed_rank``).  A column permutation changes the rank of no set of
 rows, so no rank depends on the layout; only the fill-in does.  A rank
 table walks the bases of the rows' matroid or of its dual, whichever has
-the smaller rank (``field.dual_rows``), and seed 0's table stands proven
-when each of its circuits has more edges than its count cap.
+the smaller rank (``field.dual_rows``), seed by seed, and returns the
+first seed's table whose circuits each have more edges than their count
+cap, which proves it generic.
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).  ``closure``
@@ -51,7 +52,7 @@ from functools import cache
 from . import matroids
 from .errors import AmbientMismatch, SeedDisagreement
 from .field import (MERSENNE61, EchelonBasis, dual_rows, independent_subsets,
-                    is_prime, subset_rank_table)
+                    is_prime)
 from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
 DEFAULT_SEEDS = (101, 202, 303)
@@ -148,8 +149,9 @@ class CofactorOracle:
     combinatorial cap gives the rank; otherwise the maximum does, unless a
     strict majority of seeds falls below it, and then the oracle aborts with
     a diagnostic instead of guessing.  Results are memoized per edge bitmask.
-    The one exception is a rank table that seed 0 proves whole from its
-    circuits (rank_table): it answers every mask with no vote.
+    The one exception is the rank table, which the first seed whose
+    circuits all exceed their caps proves whole (rank_table): it answers
+    every mask with no vote.
 
     The modulus must be a prime of at least 2^31 - 1, which keeps the chance
     that one seed drops below the generic rank under about 1e-7 for n <= 60.
@@ -627,27 +629,24 @@ class CofactorOracle:
     def rank_table(self) -> list[int]:
         """Rank of every subset of E(K_n), indexed by bitmask (n small).
 
-        Seed 0's table comes from its bases: a linear matroid ranks X as the
+        A seed's table comes from its bases: a linear matroid ranks X as the
         largest |X & B| over its bases B.  One tagged pass over its rows
         (dual_rows) gives its rank r of E(K_n) and a representation of the
         dual matroid, of rank m - r, whose bases are the complements of the
         bases of the rows.  One depth-first walk lists the bases of whichever
         side has the smaller rank, complemented if it walked the dual.
 
-        Seed 0's table is then proven or voted.  Its matroid M0 has no
-        independent set that is generically dependent (evaluation is
-        one-sided), and a matroid is fixed by its circuits (Oxley, Matroid
-        Theory, 1.1).  So if every circuit of M0, a cyclic set of nullity one
-        on its levels, has more edges than the cap of its vertex count, all
-        of them are generically dependent, M0 is the generic matroid, and the
-        table is returned with no later seed asked.  A degenerate seed 0 has
-        some circuit within its cap (a lost row is a loop), and then the
-        masks seed 0 ranks below their cap go through _vote; seed k ranks,
-        in one table restricted to them and their parent chains, the masks
-        on which seeds 0..k-1 all fell below the cap.  On the dual side it
-        ranks their complements there instead and reads
-        r(X) = |X| + r*(E - X) - r*(E).  The finished table then serves as
-        the memo.
+        The seeds are tried in order, and the first whose table its circuits
+        prove is returned.  A seed's matroid M has no independent set that
+        is generically dependent (evaluation is one-sided), and a matroid is
+        fixed by its circuits (Oxley, Matroid Theory, 1.1).  So if every
+        circuit of M, a cyclic set of nullity one on its levels, has more
+        edges than the cap of its vertex count, all of them are generically
+        dependent and M is the generic matroid.  A degenerate seed has some
+        circuit within its cap (a lost row is a loop), so skipping it
+        discards nothing; if every seed has one, SeedDisagreement is raised
+        with each seed's lowest such circuit.  The proven table then serves
+        as the memo.
         """
         if self._table is not None:
             return self._table
@@ -655,58 +654,39 @@ class CofactorOracle:
         if m > 16:
             raise ValueError(f"rank table over {m} edges is not tractable")
         full, width, p = (1 << m) - 1, self.dim * self.n, self.modulus
-        rows = [self._row(b, 0) for b in range(m)]
-        vectors, r = dual_rows(rows, width, p)
-        dual = m - r < r
-        if dual:
-            bases = [full & ~x for x in independent_subsets(vectors, m - r, p)]
-        else:
-            bases = independent_subsets(rows, r, p)
-        first = matroids.ExplicitMatroid.from_bases(m, bases)
-        table, levels, sizes = first.full_table(), first.levels, matroids.size_bits(m)
+        every, sizes = (1 << (1 << m)) - 1, matroids.size_bits(m)
         # on[v]: the masks whose edges touch exactly v of the vertices so far
-        on = [levels[0]]
+        on = [every]
         for u in range(self.n):
             star = EdgeSet.complete(self.n).star(u).mask
-            at_u = levels[0] & ~matroids.down_closure(1 << (full & ~star), m)
+            at_u = every & ~matroids.down_closure(1 << (full & ~star), m)
             on = [a & ~at_u | b & at_u for a, b in zip([*on, 0], [0, *on])]
-        # seed 0's circuits, its cyclic sets of rank k with k + 1 edges, and
         # the masks with no more edges than the cap of their vertex count
-        circuits = 0
-        for level, higher, size in zip(levels, [*levels[1:], 0], sizes[1:]):
-            circuits |= level & ~higher & size
         within = 0
         for v, on_v in enumerate(on):
             within |= on_v & sum(sizes[:_vertex_cap(v, self.dim) + 1])
-        if not circuits & first.cyclic_bits & within:
-            self._table = table
-            return table
-        independent = sum(lv & sz for lv, sz in zip(levels, sizes))
-        cap = {}
-        for v, on_v in enumerate(on):
-            c = _vertex_cap(v, self.dim)
-            below = on_v & ~independent & ~(levels[c] if c <= r else 0)
-            cap.update((x, min(x.bit_count(), c)) for x in matroids.members(below))
-        asked = sorted(cap)
-        ranks, below = [table], asked
-        for idx in range(1, len(self.seeds)):
-            if not below:
-                break
+        lowest = []
+        for idx in range(len(self.seeds)):
             rows = [self._row(b, idx) for b in range(m)]
-            if dual:
-                vectors, r_idx = dual_rows(rows, width, p)
-                co = subset_rank_table(vectors, p, [full & ~x for x in below])
-                ranks.append({x: x.bit_count() + co[full & ~x] - (m - r_idx)
-                              for x in below})
+            vectors, r = dual_rows(rows, width, p)
+            if m - r < r:
+                bases = [full & ~x for x in independent_subsets(vectors, m - r, p)]
             else:
-                ranks.append(subset_rank_table(rows, p, below))
-            below = [x for x in below if ranks[idx][x] < cap[x]]
-        for x in asked:
-            # reads table[x], seed 0's rank, before overwriting it
-            table[x] = self._vote(x, lambda idx: ranks[idx][x], cap[x])
-        self._table = table
-        return table
+                bases = independent_subsets(rows, r, p)
+            matroid = matroids.ExplicitMatroid.from_bases(m, bases)
+            # its circuits: its cyclic sets of rank k with k + 1 edges
+            circuits, levels = 0, matroid.levels
+            for level, higher, size in zip(levels, [*levels[1:], 0], sizes[1:]):
+                circuits |= level & ~higher & size
+            low = circuits & matroid.cyclic_bits & within
+            if not low:
+                self._table = matroid.full_table()
+                return self._table
+            lowest.append((low & -low).bit_length() - 1)
+        raise SeedDisagreement(
+            "every seed has a circuit within its count cap",
+            detail={"n": self.n, "s": self.s, "seeds": self.seeds,
+                    "circuits": lowest, "modulus": self.modulus})
 
     def explicit_matroid(self) -> matroids.ExplicitMatroid:
-        return matroids.ExplicitMatroid.from_table(self.rank_table())
-
+        return matroids.ExplicitMatroid(self.rank_table())

@@ -10,9 +10,13 @@ class CapExceeded(RuntimeError):
 
 
 class SeedDisagreement(RuntimeError):
-    """A strict majority of evaluation seeds disagreed with the maximum rank.
+    """The evaluation seeds gave no answer that could be trusted.
 
-    Carries enough context to rerun the offending computation by hand.
+    Raised when a strict majority of seeds falls below the maximum rank of a
+    mask, when no seed extends an independent set to a base of the decided
+    rank, and when every seed's rank table has a circuit within its count
+    cap, so that none is proven.  Carries enough context to rerun the
+    offending computation by hand.
     """
 
     def __init__(self, message, *, detail=None):

@@ -21,13 +21,9 @@ how many entries clearing adds (the fill-in), though never a rank.
 ``EchelonBasis`` keeps one growing dict and turns its input rows, dense
 sequences or mappings, into the sparse form at the boundary; a caller whose
 rows are already sparse and reduced mod p hands them to ``absorb``.
-``subset_rank_table`` keeps one immutable dict per subset, sharing the rows
-between subsets, and drops a subset's dict as soon as the last subset built
-from it is done.  A subset that no other is built from only asks whether
-its row finds a pivot, with no inverse, and a table asked about a list of
-masks reduces only them and their parent chains.
-``independent_subsets`` walks the same chains depth first for the bases of
-the rows' matroid, cutting every prefix whose new row falls in its span.
+``independent_subsets`` walks subsets depth first for the bases of the
+rows' matroid: each prefix keeps one immutable dict, sharing its rows with
+its parent's, and every prefix whose new row falls in its span is cut.
 
 A caller may give its rows tag columns right of the real ones, one unit
 vector per element, and insert only the rows whose pivot falls left of the
@@ -186,50 +182,6 @@ class EchelonBasis:
         return m
 
 
-def subset_rank_table(rows, p: int = MERSENNE61,
-                      masks=None) -> list[int] | dict[int, int]:
-    """Rank of every subset of the given rows, as a list indexed by bitmask.
-
-    Given masks, only those subsets and their parent chains are reduced, and
-    a {mask: rank} dict of them (and of 0) is returned.  Subsets are processed
-    in increasing numeric order, so each mask x reuses the basis of its
-    parent, x minus its lowest bit.  A mask's basis is kept only while a
-    child still needs it, and a childless mask (every odd one, in the full
-    table) only checks whether its new row finds a pivot, with no inverse and
-    no normalized row.  The live dicts share their rows, which keeps the
-    table affordable up to 16 rows.
-    """
-    m = len(rows)
-    if m > 16:
-        raise ValueError(f"subset table over {m} rows is too large")
-    rows = [_sparse_row(r, p) for r in rows]
-    size = 1 << m
-    if masks is None:
-        order = range(1, size)
-    else:
-        chains = set()
-        for x in masks:
-            while x and x not in chains:
-                chains.add(x)
-                x &= x - 1
-        order = sorted(chains)
-    kids = bytearray(size)
-    for x in order:
-        kids[x & (x - 1)] += 1
-    rank = [0] * size if masks is None else {0: 0}
-    basis: dict[int, dict] = {0: {}}
-    for x in order:
-        y = x & (x - 1)
-        kids[y] -= 1
-        b = basis[y] if kids[y] else basis.pop(y)
-        cur = dict(rows[(x & -x).bit_length() - 1])
-        lead = reduce_row(cur, b, p)
-        rank[x] = rank[y] + (lead is not None)
-        if kids[x]:
-            basis[x] = b if lead is None else {**b, lead: _normalized(cur, lead, p)}
-    return rank
-
-
 def dual_rows(rows, width: int,
               p: int = MERSENNE61) -> tuple[list[dict[int, int]], int]:
     """A representation of the dual of the rows' matroid, one sparse vector
@@ -264,10 +216,10 @@ def dual_rows(rows, width: int,
 
 def independent_subsets(rows, r: int, p: int = MERSENNE61) -> list[int]:
     """The bitmasks of the linearly independent r-subsets of the rows,
-    depth first over the parent chains of subset_rank_table: a prefix grows
-    only by rows below its lowest row while enough are left to reach r, is
-    cut with its subtree when its new row falls in its span, and its r-th
-    row only asks whether it finds a pivot."""
+    depth first over the parent chains x -> x minus its lowest bit: a
+    prefix grows only by rows below its lowest row while enough are left to
+    reach r, is cut with its subtree when its new row falls in its span, and
+    its r-th row only asks whether it finds a pivot."""
     rows = [_sparse_row(row, p) for row in rows]
     found, stack = ([], [({}, 0, len(rows), r)]) if r else ([0], [])
     while stack:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded
 from .graphs import EdgeSet, edge_count
@@ -97,14 +97,6 @@ class ExplicitMatroid:
         self._table = list(table)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_table(cls, table: list[int]) -> "ExplicitMatroid":
-        return cls(table)
-
-    @classmethod
-    def from_function(cls, m: int, rank_fn: Callable[[int], int]) -> "ExplicitMatroid":
-        return cls([rank_fn(x) for x in range(1 << m)])
 
     @classmethod
     def from_bases(cls, m: int, bases: Iterable[int]) -> "ExplicitMatroid":

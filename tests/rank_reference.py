@@ -8,7 +8,7 @@ import random
 from itertools import combinations
 
 from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
-from cofrig.field import EchelonBasis, matrix_rank, subset_rank_table
+from cofrig.field import EchelonBasis, _normalized, _sparse_row, matrix_rank, reduce_row
 from cofrig.graphs import EdgeSet, bits, clique_mask, edge_count, peel_order, union_of
 from cofrig.matroids import ExplicitMatroid, element_bits
 from cofrig.sequences import CircuitSequence
@@ -49,18 +49,50 @@ def reduction_closure(oracle, mask):
     return out
 
 
+def subset_rank_table(rows, p):
+    """Rank of every subset of the given rows, as a list indexed by bitmask.
+
+    Subsets are processed in increasing numeric order, so each mask x reuses
+    the basis of its parent, x minus its lowest bit.  A mask's basis is kept
+    only while a child still needs it, and a childless mask (every odd one)
+    only checks whether its new row finds a pivot, with no inverse and no
+    normalized row.  The live dicts share their rows, which keeps the table
+    affordable up to 16 rows.
+    """
+    m = len(rows)
+    if m > 16:
+        raise ValueError(f"subset table over {m} rows is too large")
+    rows = [_sparse_row(r, p) for r in rows]
+    size = 1 << m
+    kids = bytearray(size)
+    for x in range(1, size):
+        kids[x & (x - 1)] += 1
+    rank = [0] * size
+    basis: dict[int, dict] = {0: {}}
+    for x in range(1, size):
+        y = x & (x - 1)
+        kids[y] -= 1
+        b = basis[y] if kids[y] else basis.pop(y)
+        cur = dict(rows[(x & -x).bit_length() - 1])
+        lead = reduce_row(cur, b, p)
+        rank[x] = rank[y] + (lead is not None)
+        if kids[x]:
+            basis[x] = b if lead is None else {**b, lead: _normalized(cur, lead, p)}
+    return rank
+
+
 class _Unranked(Exception):
     """A mask asked a seed whose subset table is not built yet."""
 
 
 def per_mask_rank_table(oracle):
     """The cofactor oracle's rank table decided mask by mask, every mask
-    through the oracle's own seed rule, in passes: seed 0 ranks every mask
-    from one full subset table of its rows, and seed k ranks, in one subset
-    table restricted to them, the masks whose pass k asked for it.  Masks
-    are decided in increasing order within a pass, and only a mask that has
-    asked every seed can split, so the first split raised is the first in
-    numeric order."""
+    through the oracle's own seed rule, in passes: each seed ranks every
+    mask from one full subset table of its rows, and seed k's table is built
+    only once pass k has a mask that asks for it.  Masks are decided in
+    increasing order within a pass, and only a mask that has asked every
+    seed can split, so the first split raised is the first in numeric
+    order."""
     m = edge_count(oracle.n)
 
     def rows(idx):
@@ -82,7 +114,7 @@ def per_mask_rank_table(oracle):
             except _Unranked:
                 asked.append(mask)
         if asked:
-            tables.append(subset_rank_table(rows(len(tables)), oracle.modulus, asked))
+            tables.append(subset_rank_table(rows(len(tables)), oracle.modulus))
         pending = asked
     return ranks
 
@@ -219,16 +251,6 @@ def min_sequence_value(F, vertex_pool=None, *, d=3, candidates=None):
     order = _proper_order_masks([masks[i] for i in best_chosen])
     witness = CircuitSequence(n, tuple(cliques[best_chosen[j]] for j in order), d)
     return best[0], witness
-
-
-def parent_chains(masks):
-    """The nonzero masks on the parent chains x -> x & (x - 1) of masks."""
-    chains = set()
-    for x in masks:
-        while x:
-            chains.add(x)
-            x &= x - 1
-    return chains
 
 
 def clique_truncation_independent(n, t):

@@ -270,7 +270,7 @@ def test_criterion_11_simplicial_vertices_in_encountered_flats(
     # the K_6 flats cover everything the exhaustive and elevation criteria
     # touch; the K_7 closures are the ones the cover-formula criterion drew
     universe = []
-    M6 = ExplicitMatroid.from_table(table6)
+    M6 = ExplicitMatroid(table6)
     for mask in M6.cyclic_flats(include_spanning=True):
         if mask:  # the empty flat has no vertices to inspect
             universe.append((EdgeSet(6, mask), oracle6))

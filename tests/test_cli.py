@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from cofrig import cli
+from cofrig import cli, verify
 from cofrig.cli import main
+from cofrig.cofactor import CofactorOracle
 from cofrig.graphs import EdgeSet, format_edge_text, complete_graph, double_banana
 from cofrig.matroids import clique_truncation_matroid
 
@@ -197,6 +198,24 @@ def test_verify_output_is_pinned(capsys, suite, digest):
     code, out, _ = _run(capsys, ["verify", suite, "--seed", "13"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_reports_a_rank_table_no_seed_proves(capsys, monkeypatch):
+    # every seed loses the row of edge bit 0, a loop within its cap, so no
+    # seed proves the K6 table that the elevation suite compares against
+    real = CofactorOracle._row
+    monkeypatch.setattr(CofactorOracle, "_row",
+                        lambda self, b, idx: {} if b == 0 else real(self, b, idx))
+    verify._oracle.cache_clear()
+    try:
+        code, out, err = _run(capsys, ["verify", "elevation"])
+    finally:
+        verify._oracle.cache_clear()
+    assert code == cli.EXIT_FAIL
+    detail = json.loads(out)
+    assert (detail["n"], detail["s"], detail["circuits"]) == (6, 2, [1, 1, 1])
+    assert "every seed has a circuit within its count cap" in err
+    assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("text", ["n=-2\n", "n=3\nn=5\n0 4\n"],

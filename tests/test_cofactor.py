@@ -648,12 +648,7 @@ def test_closure_and_rank_table_follow_the_rank_rule(monkeypatch):
     oracle = _rigged_oracle6(monkeypatch)
     assert oracle.rank(EdgeSet(6, 1)) == 1
     assert oracle.closure(EdgeSet.empty(6)) == EdgeSet.empty(6)
-    handed = []
-    real_table = cofactor.subset_rank_table
-    monkeypatch.setattr(cofactor, "subset_rank_table",
-                        lambda *args: handed.append(args) or real_table(*args))
     assert _rigged_oracle6(monkeypatch).rank_table() == CofactorOracle(6).rank_table()
-    assert handed == []
     with pytest.raises(SeedDisagreement) as info:
         reference.per_mask_rank_table(_rigged_oracle6(monkeypatch))
     mask = info.value.detail["mask"]
@@ -669,19 +664,6 @@ def test_closure_and_rank_table_bound_their_eliminations(monkeypatch):
     calls = _count_reductions(monkeypatch)
     assert CofactorOracle(n).closure(F) == EdgeSet.complete(n)
     assert calls[0] == 0
-
-    handed = []
-    real_table = cofactor.subset_rank_table
-
-    def recording_table(rows, p, masks=None):
-        handed.append(masks)
-        return real_table(rows, p, masks)
-
-    # K5 is a circuit, so seed 0 meets the cap on every mask; its tagged pass
-    # gives its rank and its bases give the rest, with no subset table
-    monkeypatch.setattr(cofactor, "subset_rank_table", recording_table)
-    CofactorOracle(5).rank_table()
-    assert handed == []
 
 
 def test_flexible_closure_reduces_no_non_edge(monkeypatch):
@@ -792,6 +774,8 @@ def test_span_cache_stays_bounded():
 # K6 with s = 1, 2 and 3 walks the dual, of rank 6, 3 and 1; K5 and K6
 # with s = 0 walk the rows, of rank 4 and 5
 REFERENCE_TABLES = [(6, 2), (6, 1), (5, 0), (6, 0), (6, 3)]
+# every table with at most 15 edges and s <= 6
+TRACTABLE_TABLES = [(n, s) for n in range(1, 7) for s in range(7)]
 
 
 @pytest.mark.parametrize("n, s", REFERENCE_TABLES)
@@ -800,15 +784,16 @@ def test_rank_table_matches_the_per_mask_reference(table6, n, s):
     assert got == reference.per_mask_rank_table(CofactorOracle(n, s=s))
 
 
-@pytest.mark.parametrize("n, s", REFERENCE_TABLES)
+@pytest.mark.parametrize("n, s", TRACTABLE_TABLES)
 def test_proven_rank_tables_evaluate_seed_0_alone(monkeypatch, n, s):
-    # every circuit of seed 0 exceeds its cap, which proves its table
+    # every circuit of seed 0 exceeds its cap, which proves its table; K1
+    # has no edge and so no row to ask for
     oracle = CofactorOracle(n, s=s)
     asked = set()
     real = oracle._row
     monkeypatch.setattr(oracle, "_row", lambda b, idx: asked.add(idx) or real(b, idx))
     oracle.rank_table()
-    assert asked == {0}
+    assert asked == ({0} if n > 1 else set())
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -820,9 +805,10 @@ def test_rank_table_writes_no_memo_entries(s):
 
 
 def test_rank_table_splits_where_the_per_mask_reference_does(monkeypatch):
-    # Seed 0 loses the row of 45, a loop and so a circuit within its cap:
-    # its table is not proven, and the masks it ranks below their cap are
-    # voted.  Seeds 1 and 2 lose the row of 01 and split with it on some.
+    # Seed 0 loses the row of 45 and seeds 1 and 2 the row of 01: each lost
+    # row is a loop, and so a circuit within its cap, so no seed's table is
+    # proven and each seed's lowest such circuit is reported.  Voted mask by
+    # mask, the seeds split too.
     lost = {0: {edge_index(6, 4, 5)}, 1: {edge_index(6, 0, 1)},
             2: {edge_index(6, 0, 1)}}
 
@@ -831,16 +817,29 @@ def test_rank_table_splits_where_the_per_mask_reference_does(monkeypatch):
             build(_losing(monkeypatch, CofactorOracle(6), lost))
         return info.value.detail
 
-    assert split(CofactorOracle.rank_table) == split(reference.per_mask_rank_table)
+    assert split(CofactorOracle.rank_table)["circuits"] == [
+        1 << edge_index(6, 4, 5), 1, 1]
+    split(reference.per_mask_rank_table)
+
+
+def test_a_degenerate_seed_0_asks_only_seed_1(monkeypatch):
+    # seed 0's loop {45} is within its cap; seed 1's circuits prove its table
+    oracle = _losing(monkeypatch, CofactorOracle(6), {0: {edge_index(6, 4, 5)}})
+    asked = set()
+    real = oracle._row
+    monkeypatch.setattr(oracle, "_row", lambda b, idx: asked.add(idx) or real(b, idx))
+    assert oracle.rank_table() == CofactorOracle(6).rank_table()
+    assert asked == {0, 1}
 
 
 @pytest.mark.parametrize("later_lose, kind", [((), "table"),
                                                (((0, 5), (1, 2)), "split at")])
 def test_rank_table_survives_a_degenerate_seed_0(monkeypatch, later_lose, kind):
     # Seed 0 loses the rows of 01, 02, 03 and 04, so it ranks K6 10, below
-    # the cap 12, and its bases are 10-sets.  Where seeds 1 and 2 lose the
-    # rows of 05 and 12 as well, they fall below seed 0 together on
-    # {01, 05, 12}, and the table splits where the per-mask reference does.
+    # the cap 12, and its bases are 10-sets.  Clean seeds 1 and 2 give the
+    # clean table.  Where they lose the rows of 05 and 12, every seed is
+    # degenerate and the table raises; the per-mask reference splits too,
+    # where seeds 1 and 2 fall below seed 0 together on {01, 05, 12}.
     lost = [{edge_index(6, 0, v) for v in range(1, 5)},
             *[{edge_index(6, *e) for e in later_lose}] * 2]
 
@@ -856,21 +855,21 @@ def test_rank_table_survives_a_degenerate_seed_0(monkeypatch, later_lose, kind):
             return "split at", exc.detail
 
     got = outcome(CofactorOracle.rank_table)
-    assert got[0] == kind
-    assert got == outcome(reference.per_mask_rank_table)
+    assert got[0] == outcome(reference.per_mask_rank_table)[0] == kind
+    if kind == "table":
+        assert got[1] == CofactorOracle(6).rank_table()
 
 
-def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
+def test_rank_table_reduces_only_in_its_passes_and_walks(monkeypatch):
     # On K6 with s = 1 and 2 the dual, of rank m - r = 6 and 3, is the
     # smaller side.  Each seed asked reduces its 15 rows once, with tags, for
     # its rank and the dual vectors.  Seed 0 walks the (m - r)-subsets of
     # its dual vectors: at most the C(16, m - r) - 1 nonempty prefixes that
     # can still grow to m - r vectors, fewer where one falls in the span.
     # Clean, its table is proven and no later seed is asked.  Where seed 0
-    # loses the row of 45, seeds 1 and 2 rank, in the dual, only the
-    # complements of the masks below the cap on every earlier seed, plus
-    # their parent chains, and no seed builds an echelon basis of its own:
-    # every reduction happens inside those passes, the tables and the walk.
+    # loses the row of 45, seed 1 does the same and its table is proven.
+    # No seed builds an echelon basis of its own: every reduction happens
+    # inside those passes and walks.
     calls = _count_reductions(monkeypatch)
     handed = []
 
@@ -886,37 +885,19 @@ def test_rank_table_reduces_only_the_chains_of_the_asked_masks(monkeypatch):
         monkeypatch.setattr(cofactor, name, record)
 
     recording("dual_rows")
-    recording("subset_rank_table")
     recording("independent_subsets")
-    full = (1 << 15) - 1
     for s, rank in [(1, 9), (2, 12)]:
-        handed.clear()
-        calls[0] = 0
-        CofactorOracle(6, s=s).rank_table()
-        assert calls[0] == sum(reduced for *_, reduced in handed)
-        assert [name for name, *_ in handed] == ["dual_rows", "independent_subsets"]
-        assert handed[0][2] == 15
-        _, (r, _), walked = handed[1]
-        assert r == 15 - rank and walked <= comb(16, r) - 1
-    lost = {0: {edge_index(6, 4, 5)}}
-    for s, asked, chains in [(1, (14499, 2415), (16555, 3978)),
-                             (2, (16306, 90), (16393, 138))]:
-        handed.clear()
-        calls[0] = 0
-        _losing(monkeypatch, CofactorOracle(6, s=s), lost).rank_table()
-        assert calls[0] == sum(reduced for *_, reduced in handed)
-        assert [name for name, *_ in handed] == [
-            "dual_rows", "independent_subsets",
-            "dual_rows", "subset_rank_table", "dual_rows", "subset_rank_table"]
-        assert all(reduced == 15 for name, _, reduced in handed
-                   if name == "dual_rows")
-        later = handed[3], handed[5]
-        (_, (_, first), _), (_, (_, second), _) = later
-        assert (len(first), len(second)) == asked and set(second) <= set(first)
-        assert all(x & full == x for x in first)
-        assert [reduced for *_, reduced in later] == list(chains)
-        assert [len(reference.parent_chains(masks))
-                for _, (_, masks), _ in later] == list(chains)
+        for lost, asked in [({}, 1), ({0: {edge_index(6, 4, 5)}}, 2)]:
+            handed.clear()
+            calls[0] = 0
+            _losing(monkeypatch, CofactorOracle(6, s=s), lost).rank_table()
+            assert calls[0] == sum(reduced for *_, reduced in handed)
+            assert [name for name, *_ in handed] == [
+                "dual_rows", "independent_subsets"] * asked
+            assert all(reduced == 15 for name, _, reduced in handed
+                       if name == "dual_rows")
+            _, (r, _), walked = handed[-1]
+            assert r == 15 - rank and walked <= comb(16, r) - 1
 
 
 def test_motion_closure_matches_the_reduction_closure():

@@ -124,7 +124,7 @@ def test_levels_hold_the_subsets_of_each_rank():
 
 
 def test_closure_cyc_roundtrip(oracle6, table6):
-    M = ExplicitMatroid.from_table(table6)
+    M = ExplicitMatroid(table6)
     rng = random.Random(22)
     for _ in range(50):
         x = rng.getrandbits(15)
@@ -166,7 +166,7 @@ def test_enumeration_cap():
 
 def test_rank_table_cap_is_checked_on_construction():
     with pytest.raises(CapExceeded):
-        ExplicitMatroid.from_table([0] * (1 << 17))
+        ExplicitMatroid([0] * (1 << 17))
 
 
 def test_modular_pairs_in_uniform():
@@ -176,7 +176,7 @@ def test_modular_pairs_in_uniform():
 
 
 def test_rank_axioms_catch_violations():
-    bad = ExplicitMatroid.from_function(3, lambda x: 2 * x.bit_count())
+    bad = ExplicitMatroid([2 * x.bit_count() for x in range(1 << 3)])
     with pytest.raises(AssertionError):
         verify_rank_axioms(bad)
 

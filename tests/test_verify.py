@@ -54,7 +54,7 @@ class _CorruptedK6:
         return self._ranks
 
     def explicit_matroid(self):
-        return ExplicitMatroid.from_table(self._ranks)
+        return ExplicitMatroid(self._ranks)
 
 
 @pytest.mark.parametrize("changes, detail", [
