@@ -34,13 +34,18 @@ first seed's table whose circuits each have more edges than their count
 cap, which proves it generic.
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
-infinitesimal motions of a plane framework; Whiteley 1996).  ``closure``
-tests each row against one random motion per seed, and so does the basis
-build, for its remaining rows once one of them falls in the span.  A row
-outside the span passes with probability 1/p; the seed then ranks the set
-one too low, never too high.  Its *self-stresses* are the linear relations
-among those rows: ``cyc`` reads a seed's coloops, the rows in no circuit,
-as the rows where one random self-stress vanishes, which errs the same way.
+infinitesimal motions of a plane framework; Whiteley 1996).
+``seed_closure`` tests each non-edge's row against one random motion of one
+seed, with no vote, and ``closure`` votes on each non-edge with the same
+test; the basis build tests its remaining rows the same way once one of
+them falls in the span.  A row outside the span passes with probability
+1/p; the seed then ranks the set one too low, never too high.  A
+certificate (``sequences``) is proven by the first seed whose base meets
+its clique sequence, and its ``independent_set`` is that seed's peel-order
+base, which need not be lexicographically greedy.  A seed's
+*self-stresses* are the linear relations among its rows: ``cyc`` reads its
+coloops, the rows in no circuit, as the rows where one random self-stress
+vanishes, which errs the same way.
 """
 
 from __future__ import annotations
@@ -131,14 +136,16 @@ def _full_row_rank(vectors: list[list[int]], p: int) -> bool:
 class _Spans:
     """One mask's per-seed echelon bases, None where not yet built, all in
     one column map: cols[c] is the basis column of column c of cofactor_row.
+    picked[i] holds the edge bits of the rows that seed i's basis took in.
     The map is the mask's own peel's, or F's where closure filed the bases
     of F under the mask."""
 
-    __slots__ = ("cols", "bases")
+    __slots__ = ("cols", "bases", "picked")
 
-    def __init__(self, cols: list[int] | None, bases: list[EchelonBasis | None]):
-        self.cols = cols
-        self.bases = bases
+    def __init__(self, seeds: int):
+        self.cols: list[int] | None = None
+        self.bases: list[EchelonBasis | None] = [None] * seeds
+        self.picked: list[int | None] = [None] * seeds
 
 
 class CofactorOracle:
@@ -228,7 +235,7 @@ class CofactorOracle:
         for."""
         spans = self._spans.pop(mask, None)
         if spans is None:
-            spans = _Spans(None, [None] * len(self.seeds))
+            spans = _Spans(len(self.seeds))
         self._spans[mask] = spans
         if len(self._spans) > SPAN_CACHE:
             del self._spans[next(iter(self._spans))]
@@ -278,26 +285,22 @@ class CofactorOracle:
             order, first, cols, _ = self._peel(mask)
             cols = spans.cols = spans.cols or cols
             p = self.modulus
-            basis, motion = EchelonBasis(p), None
+            basis, motion, picked = EchelonBasis(p), None, 0
             for k, b in enumerate(order):
                 if basis.rank == cap:
                     break
                 row = {cols[c]: x for c, x in self._row(b, seed_idx).items()}
                 if motion is None:
-                    if not basis.absorb(row) and k >= first:
+                    if basis.absorb(row):
+                        picked |= 1 << b
+                    elif k >= first:
                         motion = basis.motion(self._motion_values(seed_idx))
                 elif sum(c * motion[j] for j, c in row.items()) % p:
                     basis.absorb(row)
+                    picked |= 1 << b
                     motion = None
-            spans.bases[seed_idx] = basis
+            spans.bases[seed_idx], spans.picked[seed_idx] = basis, picked
         return spans.bases[seed_idx]
-
-    def _motion(self, mask: int, seed_idx: int) -> list[int]:
-        """A random motion of one seed's basis of mask, in the columns of
-        cofactor_row."""
-        basis = self._seed_basis(mask, seed_idx)
-        w = basis.motion(self._motion_values(seed_idx))
-        return [w[c] for c in self._spans_of(mask).cols]
 
     def _coloop_pass(self, mask: int, seed_idx: int) -> tuple[int, int]:
         """One seed's rank of mask and its coloops, from one random
@@ -450,17 +453,74 @@ class CofactorOracle:
             raise ValueError(f"rigidity needs ambient n >= {d + 2}")
         return self.rank(F) == d * self.n - (d + 1) * d // 2
 
+    def _extension_caps(self, F: EdgeSet) -> dict[int, int]:
+        """The non-edges e of F by the cap of F + e, as {cap: edge mask}: e
+        adds none, one or both of its ends to F's vertex support."""
+        full, support = EdgeSet.complete(self.n), F.vertex_support()
+        once = twice = 0
+        for v in set(range(self.n)) - support:
+            star = full.star(v).mask
+            once, twice = once | star, twice | once & star
+        caps: dict[int, int] = {}
+        for k, ties in enumerate((full.mask & ~F.mask & ~once, once & ~twice, twice)):
+            if ties:
+                cap = min(len(F) + 1, _vertex_cap(len(support) + k, self.dim))
+                caps[cap] = caps.get(cap, 0) | ties
+        return caps
+
+    def _closure_rank(self, F: EdgeSet, seed_idx: int) -> int:
+        """One seed's rank of F, for closing F: where F's support misses a
+        vertex, some F + e needs a motion, so the basis is built at once."""
+        if len(F.vertex_support()) == self.n:
+            return self._seed_rank(F.mask, seed_idx)
+        return self._seed_basis(F.mask, seed_idx).rank
+
+    def _lifts(self, F: EdgeSet, seed_idx: int):
+        """Whether the row of a non-edge, by bit, lifts one seed's rank of F:
+        whether it fails to annihilate one random motion of the seed's basis
+        of F, 2(s+1) products and no reduction."""
+        v = self._seed_basis(F.mask, seed_idx).motion(self._motion_values(seed_idx))
+        w, p = [v[c] for c in self._spans[F.mask].cols], self.modulus
+        return lambda b: sum(
+            c * w[j] for j, c in self._row(b, seed_idx).items()) % p != 0
+
+    def seed_closure(self, F: EdgeSet, seed_idx: int) -> tuple[EdgeSet, int, EdgeSet]:
+        """One seed's base of F, its rank r of F, and its closure of F.
+
+        The base is the peel's 0-extension rows where ``_seed_rank``'s block
+        check proves the cap, else the rows ``_seed_basis`` took in.  A
+        non-edge e joins untested where the cap of F + e is r, and otherwise
+        unless its row lifts this seed's rank (``_lifts``): a row that fails
+        to annihilate a motion of F lies outside its span for certain, so the
+        seed ranks F + e at r + 1.
+        """
+        self._check(F)
+        mask = F.mask
+        r = self._closure_rank(F, seed_idx)
+        spans = self._spans.get(mask)
+        if spans is not None and spans.bases[seed_idx] is not None:
+            base = spans.picked[seed_idx]
+        else:  # the block check proved the cap
+            order, first, _, _ = self._peel(mask)
+            base = sum(1 << b for b in order[:first])
+        caps = self._extension_caps(F)
+        out = mask | caps.pop(r, 0)
+        if tested := sum(caps.values()):
+            lifts = self._lifts(F, seed_idx)
+            out |= sum(1 << b for b in bits(tested) if not lifts(b))
+        return EdgeSet(self.n, base), r, EdgeSet(self.n, out)
+
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
 
         F + e is capped by F's vertex support and e's endpoints; where that
         cap is r = rank(F), e joins the closure with no seed asked, since
-        r <= rank(F + e) <= cap.  Otherwise a seed's rank of F + e is its
-        rank of F plus whether the row of e fails to annihilate one random
-        motion of F, drawn from the seed alone: 2(s+1) products, no
-        reduction; F + e is voted unless the table has it, not memoized.  So
-        an F on all n vertices whose 0-extension rows reach the cap of every
-        F + e builds no basis.
+        r <= rank(F + e) <= cap.  Otherwise F + e is voted unless the table
+        has it, not memoized: a seed ranks it one above its rank of F where
+        the row of e lifts it (``_lifts``, the test ``seed_closure`` makes),
+        asked only once the vote on F + e reaches that seed.  So an F on all
+        n vertices whose 0-extension rows reach the cap of every F + e builds
+        no basis.
         The seeds whose basis of F has the decided rank r file it, with F's
         column map, under the closure C: an edge joins C only if no seed
         ranks F + e above r, so it spans C's rows too.  C is remembered as a
@@ -469,38 +529,26 @@ class CofactorOracle:
         self._check(F)
         if F.mask in self._flats:
             return F
-        support = F.vertex_support()
-        # a seed asked about F is asked about F + e for e at a vertex outside
-        # the support too, whose cap exceeds r, and that takes its motion:
-        # build its basis of F at once, with no block check first
-        seed_rank = cache(lambda idx: self._seed_rank(F.mask, idx)
-                          if len(support) == self.n
-                          else self._seed_basis(F.mask, idx).rank)
+        seed_rank = cache(lambda idx: self._closure_rank(F, idx))
         r = self._decide(F.mask, seed_rank,
-                         min(len(F), _vertex_cap(len(support), self.dim)))
-        p, out = self.modulus, F.mask
-        motion = cache(lambda idx: self._motion(F.mask, idx))
-        for bit in bits(((1 << edge_count(self.n)) - 1) & ~F.mask):
-            v_e = len(support) + sum(u not in support for u in edge_at(self.n, bit))
-            cap = min(len(F) + 1, _vertex_cap(v_e, self.dim))
-            if cap == r:
-                out |= 1 << bit
-                continue
-
-            def with_e(idx):
-                w = motion(idx)
-                return seed_rank(idx) + (
-                    sum(c * w[j] for j, c in self._row(bit, idx).items()) % p != 0)
-            x = F.mask | 1 << bit
-            if (self._vote(x, with_e, cap) if self._table is None
-                    else self._table[x]) == r:
-                out |= 1 << bit
+                         min(len(F), _vertex_cap(len(F.vertex_support()), self.dim)))
+        lifts = cache(lambda idx: self._lifts(F, idx))
+        caps = self._extension_caps(F)
+        out = F.mask | caps.pop(r, 0)
+        for cap, ties in caps.items():
+            for b in bits(ties):
+                x = F.mask | 1 << b
+                # the motion first: its basis then gives the rank, no block check
+                if (self._vote(x, lambda idx: lifts(idx)(b) + seed_rank(idx), cap)
+                        if self._table is None else self._table[x]) == r:
+                    out |= 1 << b
         mine = self._spans.get(F.mask)
         if out != F.mask and mine is not None:
             filed = self._spans_of(out)
+            keep = [b is not None and b.rank == r for b in mine.bases]
             filed.cols = mine.cols
-            filed.bases = [b if b is not None and b.rank == r else None
-                           for b in mine.bases]
+            filed.bases = [b if k else None for b, k in zip(mine.bases, keep)]
+            filed.picked = [x if k else None for x, k in zip(mine.picked, keep)]
         self._flats.add(out)
         return EdgeSet(self.n, out)
 

@@ -30,6 +30,7 @@ __all__ = [
     "find_shellable_order",
     "is_M_degenerate",
     "cover_upper_bound",
+    "dress_value",
     "dress_rank",
 ]
 
@@ -191,13 +192,22 @@ def cover_upper_bound(F: EdgeSet, cover: CliqueCover, oracle) -> int:
     return value
 
 
+def dress_value(F: EdgeSet):
+    """``(value, cover, F0, shelling_order)`` of F's maximal cliques on five
+    or more vertices: the value is |F₀| + val_D, or None unless the cover is
+    2-thin and 4-shellable."""
+    cover, f0 = maximal_cliques(F)
+    order = None if hinge_table(cover)[1] else find_shellable_order(cover)
+    return (None if order is None else len(f0) + val_D(cover)), cover, f0, order
+
+
 def dress_rank(F: EdgeSet, oracle):
     """Rank of a flat from its maximal cliques: |F₀| + val_D(𝒳*).
 
     Builds 𝒳* (maximal cliques of size ≥ 5) and the uncovered rest F₀,
-    requires 𝒳* to be 2-thin and 4-shellable, and checks the formula against
-    the oracle rank.  Any failure raises WitnessMismatch with a diagnostic
-    payload, since on a flat all three facts are guaranteed.
+    requires 𝒳* to be 2-thin and 4-shellable (``dress_value``), and checks
+    the formula against the oracle rank.  Any failure raises WitnessMismatch
+    with a diagnostic payload, since on a flat all three facts are guaranteed.
 
     Returns ``(value, cover, F0, shelling_order)``.
     """
@@ -205,12 +215,14 @@ def dress_rank(F: EdgeSet, oracle):
         raise ValueError(f"the clique-cover formula needs s = 2, got s = {oracle.s}")
     if not oracle.is_flat(F):
         raise ValueError("dress_rank requires a flat (closure(F) == F)")
-    cover, f0 = maximal_cliques(F)
-    hinges, violations = hinge_table(cover)
-
-    def bail(message: str, **extra):
+    value, cover, f0, order = dress = dress_value(F)
+    rank = oracle.rank(F)
+    if value != rank:
+        hinges, violations = hinge_table(cover)
         raise WitnessMismatch(
-            message,
+            "maximal cliques of a flat are not 2-thin" if violations
+            else "maximal cliques of a flat admit no 4-shellable order"
+            if order is None else "clique-cover formula disagrees with the oracle rank",
             detail={
                 "n": F.n,
                 "edges": [list(e) for e in F.sorted_edges()],
@@ -218,22 +230,9 @@ def dress_rank(F: EdgeSet, oracle):
                 "F0": [list(e) for e in f0.sorted_edges()],
                 "hinges": {f"{x},{y}": d for (x, y), d in hinges.items()},
                 "seeds": list(oracle.seeds),
-                **extra,
+                "violations": violations,
+                "value": value,
+                "rank": rank,
             },
         )
-
-    if violations:
-        bail("maximal cliques of a flat are not 2-thin", violations=violations)
-    order = find_shellable_order(cover)
-    if order is None:
-        bail("maximal cliques of a flat admit no 4-shellable order")
-    value = len(f0) + val_D(cover)
-    rank = oracle.rank(F)
-    if value != rank:
-        bail(
-            "clique-cover formula disagrees with the oracle rank",
-            val_D=val_D(cover),
-            value=value,
-            rank=rank,
-        )
-    return value, cover, f0, order
+    return dress

@@ -101,10 +101,6 @@ def family_violation(M: ExplicitMatroid, family) -> str | None:
     return None
 
 
-def is_modular_cyclic_family(M: ExplicitMatroid, family) -> bool:
-    return family_violation(M, family) is None
-
-
 def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[int]]:
     """The free erection of M: (matroid, trivial flag, closure family).
 

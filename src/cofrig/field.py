@@ -80,17 +80,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def matrix_rank(rows, p: int = MERSENNE61) -> int:
-    """Rank by Gaussian elimination with exact arithmetic mod p.
-
-    Pivots on the first nonzero entry of each remaining row.
-    """
-    basis = EchelonBasis(p)
-    for row in rows:
-        basis.insert(row)
-    return basis.rank
-
-
 def _sparse_row(row, p: int) -> dict[int, int]:
     """A fresh {column: entry mod p} dict of a dense sequence or a mapping,
     without zero entries."""

@@ -366,28 +366,6 @@ def complete_graph(n: int) -> EdgeSet:
     return EdgeSet.complete(n)
 
 
-def cycle_graph(n: int) -> EdgeSet:
-    return EdgeSet.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> EdgeSet:
-    return EdgeSet.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star_graph(n: int) -> EdgeSet:
-    return EdgeSet.from_edges(n, [(0, i) for i in range(1, n)])
-
-
-def wheel_graph(n: int) -> EdgeSet:
-    """Cycle on vertices 1..n-1 plus a hub at 0."""
-    rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
-    return EdgeSet.from_edges(n, rim + [(0, i) for i in range(1, n)])
-
-
-def complete_bipartite_graph(a: int, b: int) -> EdgeSet:
-    return EdgeSet.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def double_banana() -> EdgeSet:
     """Two K_5 copies sharing vertices {0,1}, with the shared edge 01 removed.
 
@@ -396,17 +374,3 @@ def double_banana() -> EdgeSet:
     b1 = EdgeSet.complete(8, [0, 1, 2, 3, 4])
     b2 = EdgeSet.complete(8, [0, 1, 5, 6, 7])
     return (b1 | b2).remove(0, 1)
-
-
-def petersen_graph() -> EdgeSet:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return EdgeSet.from_edges(10, outer + spokes + inner)
-
-
-def shifted_union(F: EdgeSet, G: EdgeSet) -> EdgeSet:
-    """Disjoint union: G's vertices are shifted past F's ambient."""
-    n = F.n + G.n
-    shifted = [(u + F.n, v + F.n) for u, v in G.edges()]
-    return EdgeSet.from_edges(n, list(F.edges()) + shifted)

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .covers import _maximal_cliques, _shelling_order
+from .covers import _maximal_cliques, _shelling_order, dress_value
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
 from .graphs import CliqueFamily, EdgeSet, bits, clique_mask, complete_edges, edge_count
 from .matroids import ENUM_CAP, down_closure, element_bits, uniform_matroid
@@ -33,6 +33,7 @@ __all__ = [
     "covering_sequence",
     "min_sequence_levels",
     "rank_certificate",
+    "dress_certificate",
     "find_simplicial_base_vertex",
 ]
 
@@ -144,10 +145,11 @@ def min_sequence_levels(n: int) -> list[int]:
 class RankCertificate:
     """Matching algebraic and combinatorial rank witnesses for an edge set.
 
-    ``independent_set`` is a maximum independent subset found by the field
-    oracle (the lower witness); ``sequence`` is a proper clique sequence
-    whose value equals the rank (the upper witness).  Verifying either side
-    is cheap, which is what makes the pair a certificate.
+    ``independent_set`` is one seed's base of F (the lower witness): the
+    rows its peel-order basis took in, which need not be the
+    lexicographically greedy base.  ``sequence`` is a proper clique sequence
+    whose value equals the base's size (the upper witness).  Verifying
+    either side is cheap, which is what makes the pair a certificate.
     """
 
     F: EdgeSet
@@ -170,52 +172,55 @@ class RankCertificate:
         return json.dumps(payload, indent=2)
 
 
-def rank_certificate(F: EdgeSet, oracle) -> RankCertificate:
-    """Certify oracle rank(F) with a maximum independent set and a sequence.
+def _first_proving_seed(F: EdgeSet, oracle, witness):
+    """``(B, C, proof)`` of the first seed whose witness meets its base.
 
-    The sequence is built, not searched for, from the maximal (d+2)-cliques
-    of C = closure(F), d = s + 1.  They are ordered so that each meets the
-    earlier ones in at most d + 1 vertices, and each member X in turn
+    ``oracle.seed_closure`` gives a seed's base B and closure C of F, and
+    ``witness(B, C)`` returns a proper sequence value bounding rank(F) from
+    above (or None), the cliques behind it, and the proof to return.  B is
+    independent at its seed, so generically: |B| <= rank(F) <= value, and
+    where they meet no later seed runs.
+    """
+    tried = []
+    for idx, seed in enumerate(oracle.seeds):
+        base, _, closure = oracle.seed_closure(F, idx)
+        value, cliques, proof = witness(base, closure)
+        if value == len(base):
+            return base, closure, proof
+        tried.append({"seed": seed, "base_size": len(base), "sequence_value": value,
+                      "cliques": cliques if cliques is None
+                      else [list(m) for m in cliques.members]})
+    raise WitnessMismatch("no seed's base size meets its sequence value", detail={
+        "n": F.n, "s": oracle.s, "seeds": list(oracle.seeds),
+        "edges": [list(e) for e in F.sorted_edges()], "per_seed": tried})
+
+
+def rank_certificate(F: EdgeSet, oracle) -> RankCertificate:
+    """Certify rank(F) with a maximum independent set and a sequence, both
+    from the first seed whose witnesses meet (``_first_proving_seed``).
+
+    The sequence S is built, not searched for, from the maximal
+    (d+2)-cliques of that seed's closure C, d = s + 1, ordered so that each
+    meets the earlier ones in at most d + 1 vertices.  Each member X in turn
     contributes ``covering_sequence(|X|, d)`` with its shared vertices
-    labelled first, so every clique adds an edge at a vertex that no
-    earlier member holds and the sequence is proper.  For s = 2 the paper's
-    cover theorem (the maximal cliques of a flat are 2-thin and
-    4-shellable) makes its value the rank; for s = 0 and 1 the members are
-    the components and the rigid components.  An independent F gets the
-    empty sequence.  The value, the closure and the coloops outside the
-    union are re-checked, and any failure raises WitnessMismatch with a
-    diagnostic payload; nothing falls back to a search.
+    labelled first, so every clique adds an edge at a vertex that no earlier
+    member holds and S is proper.  For s = 2 the paper's cover theorem (the
+    maximal cliques of a flat are 2-thin and 4-shellable) makes its value
+    the rank; for s = 0 and 1 the members are the components and the rigid
+    components.  A base B with |B| = |F| gets the empty sequence.  Once
+    value(F, S) = |B| nothing is left to check: an edge of F outside S's
+    union is a coloop, since value(F - e, S) = |B| - 1.  If no seed gets
+    there, WitnessMismatch carries each seed's base size, value and
+    sequence; nothing falls back to a search.
     """
     d = oracle.s + 1
-    rank = oracle.rank(F)
-    closure = oracle.closure(F)
-    lower = oracle.basis_of(F)
-    seq = CircuitSequence(F.n, (), d)
-    value = len(F)
 
-    def bail(message: str, **extra):
-        raise WitnessMismatch(
-            message,
-            detail={
-                "n": F.n,
-                "s": oracle.s,
-                "seeds": list(oracle.seeds),
-                "edges": [list(e) for e in F.sorted_edges()],
-                "oracle_rank": rank,
-                "sequence_value": value,
-                "sequence": [list(m) for m in seq.members],
-                "independent_set": [list(e) for e in lower.sorted_edges()],
-                **extra,
-            },
-        )
-
-    if len(lower) != rank:
-        bail("maximum independent set does not match the oracle rank")
-    if rank < len(F):
-        cliques = _maximal_cliques(closure, d + 2)
-        order = _shelling_order(cliques, d + 1)
-        if order is None:
-            bail("the closure's maximal cliques admit no shelling order")
+    def witness(base: EdgeSet, closure: EdgeSet):
+        cliques, order = (), ()
+        if len(base) < len(F):
+            cliques = _maximal_cliques(closure, d + 2)
+            if (order := _shelling_order(cliques, d + 1)) is None:
+                return None, None, None
         members, seen = [], set()
         for X in (cliques[i] for i in order):
             label = sorted(seen.intersection(X)) + sorted(set(X) - seen)
@@ -223,34 +228,34 @@ def rank_certificate(F: EdgeSet, oracle) -> RankCertificate:
                         for c in covering_sequence(len(X), d).members]
             seen.update(X)
         seq = CircuitSequence(F.n, tuple(members), d)
-        value = seq_value(F, seq)
-    if value != rank:
-        bail("clique-cover sequence value does not match the oracle rank")
-    union = seq.union_edges()
-    if union.mask & ~closure.mask:
-        stray = EdgeSet(F.n, union.mask & ~closure.mask)
-        bail(
-            "tight sequence leaves the closure",
-            stray_edges=[list(e) for e in stray.sorted_edges()],
-        )
-    outside = F - union
-    if outside:
-        # every edge outside the union must be a coloop: one cyc answers all
-        in_circuits = outside & oracle.cyc(F)
-        if in_circuits:
-            u, v = next(in_circuits.edges())
-            bail(
-                "edge outside the sequence union is not a coloop",
-                edge=[u, v],
-            )
-    return RankCertificate(
-        F=F,
-        rank=rank,
-        independent_set=lower,
-        sequence=seq,
-        s=oracle.s,
-        seeds=tuple(oracle.seeds),
-    )
+        return seq_value(F, seq), seq, seq
+
+    base, _, seq = _first_proving_seed(F, oracle, witness)
+    return RankCertificate(F, len(base), base, seq, oracle.s, tuple(oracle.seeds))
+
+
+def dress_certificate(F: EdgeSet, oracle):
+    """The closure C of F and its rank |F₀| + val_D, from the first seed
+    whose closure's cover proves both (``_first_proving_seed``).
+
+    A seed proves C = cl(F) when C's maximal cliques on five or more
+    vertices are 2-thin and 4-shellable and |F₀| + val_D is the size of its
+    base B: that is the value on C of C's cover sequence (a member X adds
+    C(|X|, 2) - C(|X| - 3, 2) = 3|X| - 6, a hinge's edge counts once), so
+    rank(F) <= rank(C) <= |B| <= rank(F), and every edge outside C lifted
+    the seed's rank of F + e above |B| (``seed_closure``).
+
+    Returns ``(C, value, cover, F0, shelling_order)``.
+    """
+    if oracle.s != 2:
+        raise ValueError(f"the clique-cover formula needs s = 2, got s = {oracle.s}")
+
+    def witness(_, closure: EdgeSet):
+        dress = dress_value(closure)
+        return dress[0], dress[1], dress
+
+    _, closure, dress = _first_proving_seed(F, oracle, witness)
+    return closure, *dress
 
 
 def find_simplicial_base_vertex(X: EdgeSet, oracle) -> tuple[int, EdgeSet]:

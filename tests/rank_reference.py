@@ -2,13 +2,15 @@
 rank function on bitmasks, and an exhaustive search for the minimum proper
 clique-sequence value.  The library answers these questions on whole
 bitsets of subsets or from clique covers; the tests check it against these
-loops.  The G(n, p) sampler the tests share lives here too."""
+loops.  The G(n, p) sampler, the named graphs and the dense matrix rank
+that the tests share live here too."""
 
 import random
 from itertools import combinations
 
 from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
-from cofrig.field import EchelonBasis, _normalized, _sparse_row, matrix_rank, reduce_row
+from cofrig.erection import family_violation
+from cofrig.field import MERSENNE61, EchelonBasis, _normalized, _sparse_row, reduce_row
 from cofrig.graphs import EdgeSet, bits, clique_mask, edge_count, peel_order, union_of
 from cofrig.matroids import ExplicitMatroid, element_bits
 from cofrig.sequences import CircuitSequence
@@ -364,3 +366,56 @@ def per_rank_axiom_check(M):
     if failures:
         x, e, f = min(failures)
         raise AssertionError(f"local submodularity fails at {x:#x}+{e},{f}")
+
+
+def matrix_rank(rows, p: int = MERSENNE61) -> int:
+    """Rank by Gaussian elimination with exact arithmetic mod p.
+
+    Pivots on the first nonzero entry of each remaining row.
+    """
+    basis = EchelonBasis(p)
+    for row in rows:
+        basis.insert(row)
+    return basis.rank
+
+
+def is_modular_cyclic_family(M: ExplicitMatroid, family) -> bool:
+    return family_violation(M, family) is None
+
+
+# -- named graphs ----------------------------------------------------------
+
+def cycle_graph(n: int) -> EdgeSet:
+    return EdgeSet.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> EdgeSet:
+    return EdgeSet.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(n: int) -> EdgeSet:
+    return EdgeSet.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def wheel_graph(n: int) -> EdgeSet:
+    """Cycle on vertices 1..n-1 plus a hub at 0."""
+    rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+    return EdgeSet.from_edges(n, rim + [(0, i) for i in range(1, n)])
+
+
+def complete_bipartite_graph(a: int, b: int) -> EdgeSet:
+    return EdgeSet.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def petersen_graph() -> EdgeSet:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return EdgeSet.from_edges(10, outer + spokes + inner)
+
+
+def shifted_union(F: EdgeSet, G: EdgeSet) -> EdgeSet:
+    """Disjoint union: G's vertices are shifted past F's ambient."""
+    n = F.n + G.n
+    shifted = [(u + F.n, v + F.n) for u, v in G.edges()]
+    return EdgeSet.from_edges(n, list(F.edges()) + shifted)

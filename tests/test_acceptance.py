@@ -24,22 +24,24 @@ from cofrig.covers import (
 from cofrig.erection import check_cyclic_flat_cover, free_elevation
 from cofrig.graphs import (
     EdgeSet,
-    complete_bipartite_graph,
     complete_edges,
     complete_graph,
-    cycle_graph,
     double_banana,
-    path_graph,
-    petersen_graph,
-    shifted_union,
-    star_graph,
-    wheel_graph,
 )
 from cofrig.matroids import ExplicitMatroid, clique_truncation_matroid
 from cofrig.sequences import find_simplicial_base_vertex, min_sequence_levels
 from cofrig.verify import run_suite
 
 import rank_reference as reference
+from rank_reference import (
+    complete_bipartite_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    shifted_union,
+    star_graph,
+    wheel_graph,
+)
 
 
 @pytest.fixture(scope="module")

@@ -35,6 +35,16 @@ def k5_chain_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def glued_file(tmp_path):
+    # K6, K5 and K7 glued on the hinges {4, 5} and {7, 8}; vertex 14 is bare
+    glued = (EdgeSet.complete(15, range(6)) | EdgeSet.complete(15, range(4, 9))
+             | EdgeSet.complete(15, range(7, 14)))
+    path = tmp_path / "glued.txt"
+    path.write_text(format_edge_text(glued))
+    return str(path)
+
+
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -174,6 +184,28 @@ def test_certificate_output_is_pinned(capsys, request, command, graph, digest):
     code, out, _ = _run(capsys, [command, request.getfixturevalue(graph)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("graph", ["banana_file", "k5_chain_file", "glued_file"])
+@pytest.mark.parametrize("command", ["rank", "dress"])
+def test_certificates_are_proven_by_seed_0_alone(capsys, monkeypatch, request,
+                                                 command, graph):
+    # seed 0's base meets its sequence, so no voted query runs and no later
+    # seed is built
+    def voted(*args):
+        raise AssertionError("a certificate asked a voted query")
+
+    for name in ("rank", "closure", "basis_of", "cyc", "extend_basis"):
+        monkeypatch.setattr(CofactorOracle, name, voted)
+    built, real = [], cli._oracle_from
+    monkeypatch.setattr(cli, "_oracle_from",
+                        lambda args, n: built.append(real(args, n)) or built[-1])
+    code, out, _ = _run(capsys, [command, request.getfixturevalue(graph)])
+    assert code == 0
+    assert json.loads(out)["rank"] > 0
+    [oracle] = built
+    assert oracle._configs[0] is not None
+    assert oracle._configs[1:] == [None, None]
 
 
 # sha256 of the verify stdout of every suite, so that a change to how the

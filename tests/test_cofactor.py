@@ -13,15 +13,14 @@ from cofrig.graphs import (
     bits,
     complete_edges,
     complete_graph,
-    cycle_graph,
     double_banana,
     edge_at,
     edge_count,
     edge_index,
-    path_graph,
 )
 
 import rank_reference as reference
+from rank_reference import cycle_graph, matrix_rank, path_graph
 
 
 def _graphic_rank(F):
@@ -239,7 +238,7 @@ def test_seed_ranks_do_not_depend_on_the_column_layout(s):
                     assert set(row) <= {w * v + t for v in (i, j) for t in range(w)}
                     rows.append(row)
                 assert (oracle._seed_basis(mask, idx).rank
-                        == field.matrix_rank(rows, oracle.modulus))
+                        == matrix_rank(rows, oracle.modulus))
 
 
 def test_rank_table_matches_pointwise(oracle6, table6):
@@ -361,7 +360,7 @@ def test_seed_ranks_match_the_matrix_rank(monkeypatch, s):
             oracle = CofactorOracle(n, s=s)
             for idx in range(len(oracle.seeds)):
                 rows = [oracle._row(b, idx) for b in bits(mask)]
-                rank = field.matrix_rank(rows, oracle.modulus)
+                rank = matrix_rank(rows, oracle.modulus)
                 before = calls[0]
                 assert oracle._seed_rank(mask, idx) == rank
                 if calls[0] == before:
@@ -386,7 +385,7 @@ def test_a_lost_0_extension_row_falls_back_to_the_basis(monkeypatch):
     basis = oracle._spans[F.mask].bases[0]
     assert basis is not None and calls[0] > 0
     rows = [oracle._row(b, 0) for b in bits(F.mask)]
-    assert basis.rank == field.matrix_rank(rows, oracle.modulus) == 3 * n - 6
+    assert basis.rank == matrix_rank(rows, oracle.modulus) == 3 * n - 6
 
 
 def test_edge_order_basis_stays_sparse(monkeypatch):
@@ -445,7 +444,7 @@ def test_sketched_seed_ranks_match_the_matrix_rank(monkeypatch, s):
             drawn.clear()
             rows = [oracle._row(b, idx) for b in bits(mask)]
             rank = oracle._seed_basis(mask, idx).rank
-            assert rank == field.matrix_rank(rows, oracle.modulus)
+            assert rank == matrix_rank(rows, oracle.modulus)
             # below the cap some row after the 0-extension rows is dependent
             assert drawn or rank == cofactor.generic_rank_upper_bound(
                 EdgeSet(n, mask), s)
@@ -472,8 +471,8 @@ def test_seed_coloops_match_the_matrix_rank(monkeypatch, s):
         for idx in range(len(oracle.seeds)):
             drawn.clear()
             rows = {b: oracle._row(b, idx) for b in bits(mask)}
-            rank = field.matrix_rank(rows.values(), oracle.modulus)
-            coloops = sum(1 << b for b in rows if field.matrix_rank(
+            rank = matrix_rank(rows.values(), oracle.modulus)
+            coloops = sum(1 << b for b in rows if matrix_rank(
                 [row for c, row in rows.items() if c != b], oracle.modulus) < rank)
             assert oracle._coloop_pass(mask, idx) == (rank, coloops)
             assert drawn or rank == cofactor.generic_rank_upper_bound(
@@ -848,7 +847,7 @@ def test_rank_table_survives_a_degenerate_seed_0(monkeypatch, later_lose, kind):
         real = oracle._row
         monkeypatch.setattr(oracle, "_row",
                             lambda b, idx: {} if b in lost[idx] else real(b, idx))
-        assert field.matrix_rank([oracle._row(b, 0) for b in range(15)]) == 10
+        assert matrix_rank([oracle._row(b, 0) for b in range(15)]) == 10
         try:
             return "table", build(oracle)
         except SeedDisagreement as exc:

@@ -4,10 +4,9 @@ from cofrig.field import (
     MERSENNE61,
     EchelonBasis,
     is_prime,
-    matrix_rank,
 )
 
-from rank_reference import subset_rank_table
+from rank_reference import matrix_rank, subset_rank_table
 
 
 def test_modulus_is_the_mersenne_prime():

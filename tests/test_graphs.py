@@ -6,16 +6,19 @@ from cofrig.errors import AmbientMismatch
 from cofrig.graphs import (
     EdgeSet,
     apply_extension,
-    complete_bipartite_graph,
     complete_edges,
     complete_graph,
-    cycle_graph,
     double_banana,
     edge_at,
     edge_count,
     edge_index,
     format_edge_text,
     parse_edge_text,
+)
+
+from rank_reference import (
+    complete_bipartite_graph,
+    cycle_graph,
     path_graph,
     petersen_graph,
     shifted_union,

@@ -6,11 +6,13 @@ import pytest
 
 from cofrig.cofactor import CofactorOracle
 from cofrig.errors import CapExceeded, WitnessMismatch
-from cofrig.graphs import EdgeSet, complete_edges, complete_graph, double_banana
+from cofrig.graphs import (
+    EdgeSet, apply_extension, complete_edges, complete_graph, double_banana, edge_index)
 from cofrig.matroids import uniform_matroid
 from cofrig.sequences import (
     CircuitSequence,
     covering_sequence,
+    dress_certificate,
     find_simplicial_base_vertex,
     min_sequence_levels,
     rank_certificate,
@@ -184,12 +186,101 @@ def test_cover_route_labels_shared_vertices_first():
 
 
 def test_cover_route_fails_loudly(monkeypatch):
-    # a closure that adds nothing leaves the double banana without a K5
+    # every seed's closure adds nothing, which leaves the double banana
+    # without a K5: no seed's base meets its (empty) sequence's value
     oracle = CofactorOracle(8)
-    monkeypatch.setattr(oracle, "closure", lambda F: F)
+    real = oracle.seed_closure
+    monkeypatch.setattr(oracle, "seed_closure",
+                        lambda F, idx: (*real(F, idx)[:2], F))
     with pytest.raises(WitnessMismatch, match="sequence value") as info:
         rank_certificate(double_banana(), oracle)
-    assert info.value.detail["sequence"] == []  # no search stood in
+    tried = info.value.detail["per_seed"]
+    assert [t["seed"] for t in tried] == list(oracle.seeds)
+    for t in tried:  # no search stood in
+        assert t["cliques"] == []
+        assert (t["base_size"], t["sequence_value"]) == (17, 18)
+
+
+def test_a_degenerate_seed_0_hands_the_certificates_to_seed_1(monkeypatch):
+    # K5 plus the pendant edge 45, a coloop: seed 0 loses its row, so its
+    # base falls one short of the value of its sequence and of its cover
+    F = complete_edges(6, range(5)).add(4, 5)
+    clean = rank_certificate(F, CofactorOracle(6))
+    clean_dress = dress_certificate(F, CofactorOracle(6))
+    lost, real = edge_index(6, 4, 5), CofactorOracle._row
+    monkeypatch.setattr(CofactorOracle, "_row", lambda self, b, idx:
+                        {} if (b, idx) == (lost, 0) else real(self, b, idx))
+    oracle = CofactorOracle(6)
+    cert = rank_certificate(F, oracle)
+    assert (cert.rank, cert.sequence) == (clean.rank, clean.sequence)
+    assert cert.rank == len(cert.independent_set) == 10
+    assert (4, 5) in cert.independent_set
+    assert oracle._configs[1] is not None and oracle._configs[2] is None
+    oracle = CofactorOracle(6)
+    closed, value, cover, f0, order = dress_certificate(F, oracle)
+    assert (closed, value, cover, f0, order) == clean_dress
+    assert value == 10 and closed == F
+    assert oracle._configs[1] is not None and oracle._configs[2] is None
+
+
+def _henneberg(rng, n):
+    """A rigid independent graph on n >= 4 vertices, by 0- and 1-extensions
+    from K4."""
+    F = complete_edges(n, range(4))
+    for v in range(4, n):
+        if rng.random() < 0.5:
+            u, w = rng.choice(F.sorted_edges())
+            rest = rng.sample([x for x in range(v) if x not in (u, w)], 2)
+            F = apply_extension(F, "1ext", v, [u, w, *rest], [(u, w)])
+        else:
+            F = apply_extension(F, "0ext", v, rng.sample(range(v), 3))
+    return F
+
+
+def _glued(rng, n, count):
+    """Cliques of 5-7 vertices, each new one on a 2-vertex hinge of an
+    earlier one and fresh vertices otherwise, while they fit in K_n."""
+    members, used = [tuple(range(5))], 5
+    for _ in range(count - 1):
+        size = rng.randint(5, 7)
+        if used + size - 2 > n:
+            break
+        members.append((*rng.sample(rng.choice(members), 2),
+                        *range(used, used + size - 2)))
+        used += size - 2
+    F = EdgeSet.empty(n)
+    for m in members:
+        F |= complete_edges(n, m)
+    return F
+
+
+def _certify_classes(seed):
+    rng = random.Random(seed)
+    n = rng.randint(7, 12)
+    base = _henneberg(rng, n)
+    planted = complete_edges(9, rng.sample(range(9), 5))
+    rest = [e for e in complete_graph(9).sorted_edges() if e not in planted]
+    return {
+        "sparse": EdgeSet.from_edges(n, rng.sample(base.sorted_edges(), 2 * n)),
+        "henneberg": base,
+        "planted-K5": planted | EdgeSet.from_edges(9, rng.sample(rest, 16)),
+        "complete": complete_graph(rng.randint(5, 10)),
+        "banana": double_banana(),
+        "glued": _glued(rng, 13, rng.randint(2, 4)),
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_certificates_recheck_under_other_seeds(seed):
+    for name, F in _certify_classes(seed).items():
+        cert = rank_certificate(F, CofactorOracle(F.n))
+        B = cert.independent_set
+        assert B.issubset(F), name
+        # one-sided: independent at any one evaluation is independent
+        assert CofactorOracle(F.n, seeds=(7,)).independent(B), name
+        assert cert.sequence.is_proper, name
+        assert seq_value(F, cert.sequence) == cert.rank == len(B), name
+        assert cert.rank == CofactorOracle(F.n, seeds=(7, 8, 9)).rank(F), name
 
 
 def test_simplicial_base_vertex_on_cliques():
