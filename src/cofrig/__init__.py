@@ -24,7 +24,6 @@ Entry points:
 from .cofactor import DEFAULT_SEEDS, CofactorOracle
 from .covers import (
     CliqueCover,
-    cover_upper_bound,
     dress_rank,
     find_shellable_order,
     hinge_table,
@@ -32,12 +31,7 @@ from .covers import (
     maximal_cliques,
     val_D,
 )
-from .erection import (
-    ErectionChain,
-    free_elevation,
-    free_erection,
-    has_nontrivial_erection,
-)
+from .erection import ErectionChain, free_elevation, free_erection
 from .errors import AmbientMismatch, CapExceeded, SeedDisagreement, WitnessMismatch
 from .field import MERSENNE61
 from .graphs import (
@@ -89,7 +83,6 @@ __all__ = [
     "clique_truncation_matroid",
     "complete_edges",
     "complete_graph",
-    "cover_upper_bound",
     "covering_sequence",
     "double_banana",
     "dress_rank",
@@ -98,7 +91,6 @@ __all__ = [
     "format_edge_text",
     "free_elevation",
     "free_erection",
-    "has_nontrivial_erection",
     "hinge_table",
     "is_M_degenerate",
     "load_edge_file",

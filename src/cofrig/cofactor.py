@@ -62,8 +62,6 @@ from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
 DEFAULT_SEEDS = (101, 202, 303)
 MIN_MODULUS = (1 << 31) - 1
-# How many recent masks keep their per-seed echelon bases.
-SPAN_CACHE = 4
 
 
 @dataclass(frozen=True)
@@ -133,19 +131,20 @@ def _full_row_rank(vectors: list[list[int]], p: int) -> bool:
     return True
 
 
-class _Spans:
-    """One mask's per-seed echelon bases, None where not yet built, all in
-    one column map: cols[c] is the basis column of column c of cofactor_row.
-    picked[i] holds the edge bits of the rows that seed i's basis took in.
-    The map is the mask's own peel's, or F's where closure filed the bases
-    of F under the mask."""
+@dataclass
+class _Peel:
+    """The peel of the last mask peeled (CofactorOracle._peel), and per seed
+    its echelon basis of the mask, None until built, and the edge bits of
+    the rows that basis took in."""
 
-    __slots__ = ("cols", "bases", "picked")
-
-    def __init__(self, seeds: int):
-        self.cols: list[int] | None = None
-        self.bases: list[EchelonBasis | None] = [None] * seeds
-        self.picked: list[int | None] = [None] * seeds
+    mask: int
+    order: list[int]
+    first: int
+    cols: list[int]
+    owners: list[int]
+    cap: int
+    bases: list[EchelonBasis | None]
+    picked: list[int]
 
 
 class CofactorOracle:
@@ -156,6 +155,8 @@ class CofactorOracle:
     combinatorial cap gives the rank; otherwise the maximum does, unless a
     strict majority of seeds falls below it, and then the oracle aborts with
     a diagnostic instead of guessing.  Results are memoized per edge bitmask.
+    Per-seed bases outlive a query only in the record of the last mask
+    peeled (_peel), where the next query on that mask reads them.
     The one exception is the rank table, which the first seed whose
     circuits all exceed their caps proves whole (rank_table): it answers
     every mask with no vote.
@@ -186,9 +187,7 @@ class CofactorOracle:
         self._values: list[list[int] | None] = [None] * len(seeds)
         self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
-        self._spans: dict[int, _Spans] = {}
-        # the last mask peeled, and its peel
-        self._peeled: tuple[int, tuple] | None = None
+        self._last_peel: _Peel | None = None
         self._table: list[int] | None = None
         # masks that closure and cyc returned: flats and cyclic sets
         self._flats: set[int] = set()
@@ -230,17 +229,6 @@ class CofactorOracle:
                 rng.randrange(self.modulus) for _ in range(self.dim * self.n)]
         return values
 
-    def _spans_of(self, mask: int) -> _Spans:
-        """The span slots of mask, kept for the last SPAN_CACHE masks asked
-        for."""
-        spans = self._spans.pop(mask, None)
-        if spans is None:
-            spans = _Spans(len(self.seeds))
-        self._spans[mask] = spans
-        if len(self._spans) > SPAN_CACHE:
-            del self._spans[next(iter(self._spans))]
-        return spans
-
     def _seed_rank(self, mask: int, seed_idx: int) -> int:
         """One seed's rank of mask, with no reduction where the peel's
         0-extension rows number the proven cap and are independent.
@@ -250,25 +238,24 @@ class CofactorOracle:
         they are independent when each vertex's rows, at most s+1 of them,
         have full row rank on its own s+1 columns, which a fraction-free
         elimination of those short vectors decides.  Otherwise the seed's
-        basis is built, from the same peel, or read from the span slots.
+        basis is built from the same peel, or read from its record.
         """
-        spans = self._spans.get(mask)
-        if spans is not None and spans.bases[seed_idx] is not None:
-            return spans.bases[seed_idx].rank
-        order, first, _, owners = self._peel(mask)
-        if first == generic_rank_upper_bound(EdgeSet(self.n, mask), self.s):
+        peel = self._peel(mask)
+        if peel.bases[seed_idx] is not None:
+            return peel.bases[seed_idx].rank
+        if peel.first == peel.cap:
             span = range(self.dim)
             blocks: dict[int, list[list[int]]] = {}
-            for b, at in zip(order, owners):
+            for b, at in zip(peel.order, peel.owners):
                 row = self._row(b, seed_idx)
                 blocks.setdefault(at, []).append([row.get(at + t, 0) for t in span])
             if all(_full_row_rank(vs, self.modulus) for vs in blocks.values()):
-                return first
+                return peel.first
         return self._seed_basis(mask, seed_idx).rank
 
     def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
         """One seed's echelon basis of the rows of mask, in its peel's order
-        and in the column map of its span slots, kept there.
+        and columns, kept in the peel's record with the rows it took in.
 
         It stops once it reaches the proven cap: no evaluation rank exceeds
         the generic rank, so that prefix already spans every row of mask.
@@ -279,28 +266,25 @@ class CofactorOracle:
         it again.  A row outside the span fails with probability 1/p, which
         lowers this seed's rank and never raises it.
         """
-        spans = self._spans_of(mask)
-        if spans.bases[seed_idx] is None:
-            cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
-            order, first, cols, _ = self._peel(mask)
-            cols = spans.cols = spans.cols or cols
-            p = self.modulus
+        peel = self._peel(mask)
+        if peel.bases[seed_idx] is None:
+            cols, p = peel.cols, self.modulus
             basis, motion, picked = EchelonBasis(p), None, 0
-            for k, b in enumerate(order):
-                if basis.rank == cap:
+            for k, b in enumerate(peel.order):
+                if basis.rank == peel.cap:
                     break
                 row = {cols[c]: x for c, x in self._row(b, seed_idx).items()}
                 if motion is None:
                     if basis.absorb(row):
                         picked |= 1 << b
-                    elif k >= first:
+                    elif k >= peel.first:
                         motion = basis.motion(self._motion_values(seed_idx))
                 elif sum(c * motion[j] for j, c in row.items()) % p:
                     basis.absorb(row)
                     picked |= 1 << b
                     motion = None
-            spans.bases[seed_idx], spans.picked[seed_idx] = basis, picked
-        return spans.bases[seed_idx]
+            peel.bases[seed_idx], peel.picked[seed_idx] = basis, picked
+        return peel.bases[seed_idx]
 
     def _coloop_pass(self, mask: int, seed_idx: int) -> tuple[int, int]:
         """One seed's rank of mask and its coloops, from one random
@@ -318,15 +302,15 @@ class CofactorOracle:
         for mask minus one element is at most the seed's, also when a motion
         test misses.
         """
-        order, first, cols, _ = self._peel(mask)
-        cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
+        peel = self._peel(mask)
+        order, cols = peel.order, peel.cols
         p, width = self.modulus, self.dim * self.n
         # value 0 at every tag column: a motion sees the real columns alone
         values = [*self._motion_values(seed_idx), *[0] * len(order)]
         basis, motion, base, left = EchelonBasis(p), None, 0, []
         for k, b in enumerate(order):
             row = {cols[c]: x for c, x in self._row(b, seed_idx).items()}
-            if basis.rank == cap or motion is not None and not sum(
+            if basis.rank == peel.cap or motion is not None and not sum(
                     c * motion[j] for j, c in row.items()) % p:
                 left.append(row)
                 continue
@@ -337,7 +321,7 @@ class CofactorOracle:
                 motion = None
             else:
                 left.append(row)
-                if motion is None and k >= first:
+                if motion is None and k >= peel.first:
                     motion = basis.motion(values)
         rng = random.Random(f"stress:{self.seeds[seed_idx]}")
         stress: dict[int, int] = {}
@@ -351,21 +335,24 @@ class CofactorOracle:
                 base &= ~(1 << order[j - width])
         return basis.rank, base
 
-    def _peel(self, mask: int) -> tuple[list[int], int, list[int], list[int]]:
-        """The edge bits of mask in peeling order, how many of them are
-        0-extension rows, the column map of the peel, and where each
-        0-extension row's vertex has its block in cofactor_row.
+    def _peel(self, mask: int) -> _Peel:
+        """The record of mask's peel: its edge bits in peeling order, how
+        many of them are 0-extension rows, the column map, where each
+        0-extension row's vertex has its block in cofactor_row, and the
+        count cap from the degrees.
 
         Vertices leave by least degree among those left, from a bucket queue.
         The k-th vertex to leave takes the k-th (s+1)-block: cols[c] is the
         column that column c of cofactor_row moves to.  Its first s+1 edges
         to vertices still left, in edge order, are its 0-extension rows;
-        the order puts all of those first, then every other edge.  The last
-        mask's peel is kept, so the seeds of a mask, and a seed's rank
-        followed by its basis, peel it once; callers only read it.
+        the order puts all of those first, then every other edge.  Only the
+        last mask's record is kept, with the seed bases built on it, so the
+        seeds of a mask, and a seed's rank followed by its basis, peel it
+        once; peeling another mask drops it.
         """
-        if self._peeled is not None and self._peeled[0] == mask:
-            return self._peeled[1]
+        peel = self._last_peel
+        if peel is not None and peel.mask == mask:
+            return peel
         n, w = self.n, self.dim
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for b in bits(mask):
@@ -373,6 +360,7 @@ class CofactorOracle:
             nbrs[i].append((j, b))
             nbrs[j].append((i, b))
         degree = [len(x) for x in nbrs]
+        cap = min(mask.bit_count(), _vertex_cap(n - degree.count(0), w))
         buckets: list[dict[int, None]] = [{} for _ in range(max(degree) + 1)]
         for v, d in enumerate(degree):
             buckets[d][v] = None
@@ -398,8 +386,10 @@ class CofactorOracle:
                     buckets[d - 1][u] = None
                     degree[u] = d - 1
             low = max(low - 1, 0)
-        self._peeled = mask, (first + rest, len(first), cols, owners)
-        return self._peeled[1]
+        seeds = len(self.seeds)
+        self._last_peel = _Peel(mask, first + rest, len(first), cols, owners,
+                                cap, [None] * seeds, [0] * seeds)
+        return self._last_peel
 
     def _decide(self, mask: int, seed_rank, cap: int | None = None) -> int:
         """The rank of a mask by the seed rule of _vote, memoized: a table
@@ -480,7 +470,7 @@ class CofactorOracle:
         whether it fails to annihilate one random motion of the seed's basis
         of F, 2(s+1) products and no reduction."""
         v = self._seed_basis(F.mask, seed_idx).motion(self._motion_values(seed_idx))
-        w, p = [v[c] for c in self._spans[F.mask].cols], self.modulus
+        w, p = [v[c] for c in self._peel(F.mask).cols], self.modulus
         return lambda b: sum(
             c * w[j] for j, c in self._row(b, seed_idx).items()) % p != 0
 
@@ -495,16 +485,14 @@ class CofactorOracle:
         seed ranks F + e at r + 1.
         """
         self._check(F)
-        mask = F.mask
         r = self._closure_rank(F, seed_idx)
-        spans = self._spans.get(mask)
-        if spans is not None and spans.bases[seed_idx] is not None:
-            base = spans.picked[seed_idx]
+        peel = self._peel(F.mask)
+        if peel.bases[seed_idx] is not None:
+            base = peel.picked[seed_idx]
         else:  # the block check proved the cap
-            order, first, _, _ = self._peel(mask)
-            base = sum(1 << b for b in order[:first])
+            base = sum(1 << b for b in peel.order[:peel.first])
         caps = self._extension_caps(F)
-        out = mask | caps.pop(r, 0)
+        out = F.mask | caps.pop(r, 0)
         if tested := sum(caps.values()):
             lifts = self._lifts(F, seed_idx)
             out |= sum(1 << b for b in bits(tested) if not lifts(b))
@@ -521,17 +509,15 @@ class CofactorOracle:
         asked only once the vote on F + e reaches that seed.  So an F on all
         n vertices whose 0-extension rows reach the cap of every F + e builds
         no basis.
-        The seeds whose basis of F has the decided rank r file it, with F's
-        column map, under the closure C: an edge joins C only if no seed
-        ranks F + e above r, so it spans C's rows too.  C is remembered as a
-        flat, so closing it again, as is_flat does, votes nothing.
+        The closure C has rank r, so it is memoized at r: a later rank of C,
+        or cyc's rank decision on it, asks no seed.  C is also remembered as
+        a flat, so closing it again, as is_flat does, votes nothing.
         """
         self._check(F)
         if F.mask in self._flats:
             return F
         seed_rank = cache(lambda idx: self._closure_rank(F, idx))
-        r = self._decide(F.mask, seed_rank,
-                         min(len(F), _vertex_cap(len(F.vertex_support()), self.dim)))
+        r = self._decide(F.mask, seed_rank, generic_rank_upper_bound(F, self.s))
         lifts = cache(lambda idx: self._lifts(F, idx))
         caps = self._extension_caps(F)
         out = F.mask | caps.pop(r, 0)
@@ -542,13 +528,7 @@ class CofactorOracle:
                 if (self._vote(x, lambda idx: lifts(idx)(b) + seed_rank(idx), cap)
                         if self._table is None else self._table[x]) == r:
                     out |= 1 << b
-        mine = self._spans.get(F.mask)
-        if out != F.mask and mine is not None:
-            filed = self._spans_of(out)
-            keep = [b is not None and b.rank == r for b in mine.bases]
-            filed.cols = mine.cols
-            filed.bases = [b if k else None for b, k in zip(mine.bases, keep)]
-            filed.picked = [x if k else None for x, k in zip(mine.picked, keep)]
+        self._memo[out] = r
         self._flats.add(out)
         return EdgeSet(self.n, out)
 

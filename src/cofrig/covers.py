@@ -29,7 +29,6 @@ __all__ = [
     "val_D",
     "find_shellable_order",
     "is_M_degenerate",
-    "cover_upper_bound",
     "dress_value",
     "dress_rank",
 ]
@@ -161,35 +160,6 @@ def is_M_degenerate(cover: CliqueCover, oracle) -> tuple[bool, tuple[int, ...] |
 
     order = peel_order(len(cover.members), fits)
     return order is not None, order
-
-
-def cover_upper_bound(F: EdgeSet, cover: CliqueCover, oracle) -> int:
-    """val_D of an M-degenerate cover of F, checked to bound rank(F) above."""
-    if oracle.s != 2:
-        raise ValueError(f"the clique-cover formula needs s = 2, got s = {oracle.s}")
-    if not cover.covers(F):
-        missing = F - cover.union_edges()
-        raise ValueError(
-            f"not a cover of F: uncovered edges {missing.sorted_edges()}"
-        )
-    ok, _ = is_M_degenerate(cover, oracle)
-    if not ok:
-        raise ValueError("cover is not M-degenerate for this oracle")
-    value = val_D(cover)
-    rank = oracle.rank(F)
-    if rank > value:
-        raise WitnessMismatch(
-            "M-degenerate cover value fell below the oracle rank",
-            detail={
-                "n": F.n,
-                "edges": [list(e) for e in F.sorted_edges()],
-                "members": [list(m) for m in cover.members],
-                "val_D": value,
-                "rank": rank,
-                "seeds": list(oracle.seeds),
-            },
-        )
-    return value
 
 
 def dress_value(F: EdgeSet):

@@ -118,11 +118,6 @@ def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[
     return N, False, family
 
 
-def has_nontrivial_erection(M: ExplicitMatroid) -> bool:
-    _, trivial, _ = free_erection(M)
-    return not trivial
-
-
 @dataclass
 class ErectionChain:
     """A maximal chain of free erections: steps[0] is the input matroid."""

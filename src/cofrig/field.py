@@ -147,10 +147,6 @@ class EchelonBasis:
         lead = reduce_row(cur, self.rows, self.p)
         return None if lead is None else (lead, _normalized(cur, lead, self.p))
 
-    def insert(self, row) -> bool:
-        """Add a row, dense or a mapping, to the span; True if the rank grew."""
-        return self.absorb(_sparse_row(row, self.p))
-
     def absorb(self, cur: dict[int, int]) -> bool:
         """Add a sparse row with entries in [0, p), which the basis consumes,
         to the span; True if the rank grew."""

@@ -205,11 +205,6 @@ class EdgeSet:
         star = _stars(self.n)[v] if 0 <= v < self.n else 0
         return EdgeSet(self.n, self.mask & star)
 
-    def induced(self, vertices: Iterable[int]) -> "EdgeSet":
-        vs = set(vertices)
-        return EdgeSet.from_edges(
-            self.n, (e for e in self.edges() if e[0] in vs and e[1] in vs))
-
     def reindexed(self, new_n: int) -> "EdgeSet":
         """Same edges inside a different ambient K_new_n (bit positions move)."""
         if new_n == self.n:

@@ -146,13 +146,6 @@ class ExplicitMatroid:
     def rank_total(self) -> int:
         return self._table[self.full_mask]
 
-    def is_independent(self, mask: int) -> bool:
-        return self.rank(mask) == mask.bit_count()
-
-    def is_modular_pair(self, x: int, y: int) -> bool:
-        table = self._table
-        return table[x] + table[y] == table[x | y] + table[x & y]
-
     def truncate(self, k: int) -> "ExplicitMatroid":
         """The rank-k truncation, k >= 0; a rank outside 0..255 raises
         ValueError."""

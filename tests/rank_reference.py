@@ -3,13 +3,17 @@ rank function on bitmasks, and an exhaustive search for the minimum proper
 clique-sequence value.  The library answers these questions on whole
 bitsets of subsets or from clique covers; the tests check it against these
 loops.  The G(n, p) sampler, the named graphs and the dense matrix rank
-that the tests share live here too."""
+that the tests share live here too, with the small helpers that only the
+tests call: row insertion, per-mask independence and modular pairs,
+induced subgraphs, the checked cover bound and the erection test."""
 
 import random
 from itertools import combinations
 
 from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
-from cofrig.erection import family_violation
+from cofrig.covers import is_M_degenerate, val_D
+from cofrig.erection import family_violation, free_erection
+from cofrig.errors import WitnessMismatch
 from cofrig.field import MERSENNE61, EchelonBasis, _normalized, _sparse_row, reduce_row
 from cofrig.graphs import EdgeSet, bits, clique_mask, edge_count, peel_order, union_of
 from cofrig.matroids import ExplicitMatroid, element_bits
@@ -37,7 +41,7 @@ def reduction_closure(oracle, mask):
         if idx not in bases:
             bases[idx] = EchelonBasis(oracle.modulus)
             for b in bits(mask):
-                bases[idx].insert(oracle._row(b, idx))
+                insert(bases[idx], oracle._row(b, idx))
         return bases[idx]
 
     r = oracle._decide(mask, lambda idx: basis(idx).rank)
@@ -375,8 +379,63 @@ def matrix_rank(rows, p: int = MERSENNE61) -> int:
     """
     basis = EchelonBasis(p)
     for row in rows:
-        basis.insert(row)
+        insert(basis, row)
     return basis.rank
+
+
+def insert(basis: EchelonBasis, row) -> bool:
+    """Add a row, dense or a mapping, to the basis's span; True if the rank
+    grew."""
+    return basis.absorb(_sparse_row(row, basis.p))
+
+
+def is_independent(M: ExplicitMatroid, mask: int) -> bool:
+    return M.rank(mask) == mask.bit_count()
+
+
+def is_modular_pair(M: ExplicitMatroid, x: int, y: int) -> bool:
+    return M.rank(x) + M.rank(y) == M.rank(x | y) + M.rank(x & y)
+
+
+def has_nontrivial_erection(M: ExplicitMatroid) -> bool:
+    _, trivial, _ = free_erection(M)
+    return not trivial
+
+
+def induced(F: EdgeSet, vertices) -> EdgeSet:
+    """The edges of F with both ends in vertices."""
+    vs = set(vertices)
+    return EdgeSet.from_edges(
+        F.n, (e for e in F.edges() if e[0] in vs and e[1] in vs))
+
+
+def cover_upper_bound(F: EdgeSet, cover, oracle) -> int:
+    """val_D of an M-degenerate cover of F, checked to bound rank(F) above."""
+    if oracle.s != 2:
+        raise ValueError(f"the clique-cover formula needs s = 2, got s = {oracle.s}")
+    if not cover.covers(F):
+        missing = F - cover.union_edges()
+        raise ValueError(
+            f"not a cover of F: uncovered edges {missing.sorted_edges()}"
+        )
+    ok, _ = is_M_degenerate(cover, oracle)
+    if not ok:
+        raise ValueError("cover is not M-degenerate for this oracle")
+    value = val_D(cover)
+    rank = oracle.rank(F)
+    if rank > value:
+        raise WitnessMismatch(
+            "M-degenerate cover value fell below the oracle rank",
+            detail={
+                "n": F.n,
+                "edges": [list(e) for e in F.sorted_edges()],
+                "members": [list(m) for m in cover.members],
+                "val_D": value,
+                "rank": rank,
+                "seeds": list(oracle.seeds),
+            },
+        )
+    return value
 
 
 def is_modular_cyclic_family(M: ExplicitMatroid, family) -> bool:

@@ -14,7 +14,6 @@ import pytest
 from cofrig.cofactor import CofactorOracle
 from cofrig.covers import (
     CliqueCover,
-    cover_upper_bound,
     dress_rank,
     find_shellable_order,
     hinge_table,
@@ -35,6 +34,7 @@ from cofrig.verify import run_suite
 import rank_reference as reference
 from rank_reference import (
     complete_bipartite_graph,
+    cover_upper_bound,
     cycle_graph,
     path_graph,
     petersen_graph,

@@ -18,6 +18,7 @@ from cofrig.graphs import (
     edge_count,
     edge_index,
 )
+from cofrig.sequences import rank_certificate
 
 import rank_reference as reference
 from rank_reference import cycle_graph, matrix_rank, path_graph
@@ -51,7 +52,7 @@ def _laman_independent(F):
     verts = sorted(F.vertex_support())
     for k in range(2, len(verts) + 1):
         for vs in combinations(verts, k):
-            inner = F.induced(vs)
+            inner = reference.induced(F, vs)
             if len(inner) > 2 * k - 3:
                 return False
     return True
@@ -377,12 +378,12 @@ def test_a_lost_0_extension_row_falls_back_to_the_basis(monkeypatch):
     # reach the cap 3n - 6 on this dependent graph.
     n = 20
     F = _rigid_dense(n)
-    order, first, *_ = CofactorOracle(n)._peel(F.mask)
-    assert first == 3 * n - 6
-    oracle = _losing(monkeypatch, CofactorOracle(n), {0: {order[0]}})
+    peel = CofactorOracle(n)._peel(F.mask)
+    assert peel.first == 3 * n - 6
+    oracle = _losing(monkeypatch, CofactorOracle(n), {0: {peel.order[0]}})
     calls = _count_reductions(monkeypatch)
     assert oracle.rank(F) == 3 * n - 6
-    basis = oracle._spans[F.mask].bases[0]
+    basis = oracle._peel(F.mask).bases[0]
     assert basis is not None and calls[0] > 0
     rows = [oracle._row(b, 0) for b in bits(F.mask)]
     assert basis.rank == matrix_rank(rows, oracle.modulus) == 3 * n - 6
@@ -696,7 +697,7 @@ def test_flexible_closure_reduces_no_non_edge(monkeypatch):
     assert oracle.rank(F) < 3 * n - 6 and closed != F
     assert calls[0] <= len(oracle.seeds) * len(F)
     assert 0 < len(drawn) == len(set(map(id, drawn))) <= len(oracle.seeds)
-    assert len(oracle._memo) <= 2
+    assert set(oracle._memo) == {0, F.mask, closed.mask}
 
 
 def test_cyc_memoizes_no_deletion():
@@ -742,9 +743,10 @@ def test_rank_closure_and_flat_check_eliminate_once(monkeypatch):
     assert 0 < calls[0] <= alone
 
 
-def test_closure_files_its_spans_only_for_seeds_at_the_decided_rank(monkeypatch):
+def test_closure_memoizes_the_rank_of_its_flat(monkeypatch):
     # Seed 2 loses the row of the coloop 08, so it ranks F one below the
-    # decided rank; its basis of F does not span the rows of the closure.
+    # decided rank.  The closure has F's rank, memoized: ranking it, or
+    # cyc's rank decision on it, asks no seed.
     F = double_banana().reindexed(9).add(0, 8)
     oracle = CofactorOracle(9)
     real, bit = oracle._row, edge_index(9, 0, 8)
@@ -752,22 +754,77 @@ def test_closure_files_its_spans_only_for_seeds_at_the_decided_rank(monkeypatch)
                         lambda b, idx: {} if b == bit and idx == 2 else real(b, idx))
     closed = oracle.closure(F)
     assert closed == F.add(0, 1)
-    spans = oracle._spans
-    assert [spans[closed.mask].bases[i] is spans[F.mask].bases[i]
-            for i in range(3)] == [True, True, False]
+
+    def refuse(*args):
+        raise AssertionError("a seed was asked")
+
+    with monkeypatch.context() as m:
+        for name in ("_seed_rank", "_seed_basis", "_coloop_pass"):
+            m.setattr(CofactorOracle, name, refuse)
+        assert oracle.rank(closed) == oracle.rank(F) == 18
+    decided, real_decide = [], CofactorOracle._decide
+    monkeypatch.setattr(CofactorOracle, "_decide", lambda self, mask, seed_rank, cap=None:
+                        decided.append(mask) or real_decide(self, mask, refuse, cap))
+    oracle.cyc(closed)
+    assert decided == [closed.mask]
 
 
-def test_span_cache_stays_bounded():
-    # every flexible rank or closure query files the seed bases of its mask
+def _counting_peels(monkeypatch):
+    """Record the mask of every peel record built from here on."""
+    peeled, real = [], cofactor._Peel
+    monkeypatch.setattr(cofactor, "_Peel", lambda mask, *rest:
+                        peeled.append(mask) or real(mask, *rest))
+    return peeled
+
+
+def _bases_in(value):
+    """The echelon bases held in value, through lists, tuples and dicts."""
+    if isinstance(value, EchelonBasis):
+        return [value]
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple, set)):
+        return []
+    return [basis for x in value for basis in _bases_in(x)]
+
+
+def test_the_oracle_keeps_one_peel(monkeypatch):
+    # every flexible rank or closure query builds the seed bases of its
+    # mask; only the last mask peeled keeps them, in its record
     n = 24
     F = _flexible(n)
+    peeled = _counting_peels(monkeypatch)
     oracle = CofactorOracle(n)
-    for k, e in enumerate(F.sorted_edges()[:cofactor.SPAN_CACHE + 2]):
+    for k, e in enumerate(F.sorted_edges()[:6]):
         G = F.remove(*e)
         assert oracle.rank(G) < 3 * n - 6
         if k % 2:
             oracle.closure(G)
-        assert 0 < len(oracle._spans) <= cofactor.SPAN_CACHE
+        assert oracle._last_peel.mask == peeled[-1] == G.mask
+        assert None not in oracle._last_peel.bases
+        others = {name: value for name, value in vars(oracle).items()
+                  if name != "_last_peel"}
+        assert _bases_in(others) == []
+
+
+def test_each_query_peels_its_mask_once(monkeypatch):
+    peeled = _counting_peels(monkeypatch)
+    rigid, flexible = _rigid_dense(20), _flexible(24)
+    for F, query in [(rigid, "closure"), (flexible, "closure"), (flexible, "cyc")]:
+        peeled.clear()
+        getattr(CofactorOracle(F.n), query)(F)
+        assert peeled == [F.mask]
+    # seed 0 loses the row of the coloop 45, so the certificate asks seed 1
+    F = complete_edges(6, range(5)).add(4, 5)
+    oracle = _losing(monkeypatch, CofactorOracle(6), {0: {edge_index(6, 4, 5)}})
+    peeled.clear()
+    assert rank_certificate(F, oracle).rank == 10
+    assert oracle._configs[1] is not None and peeled == [F.mask]
+    # the banana's fundamental circuit asks every seed
+    banana = double_banana()
+    peeled.clear()
+    assert CofactorOracle(8).fundamental_circuit(banana.remove(2, 3), (2, 3)) == banana
+    assert peeled == [banana.mask]
 
 
 # K6 with s = 1, 2 and 3 walks the dual, of rank 6, 3 and 1; K5 and K6

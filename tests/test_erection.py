@@ -6,11 +6,10 @@ from cofrig.erection import (
     family_violation,
     free_elevation,
     free_erection,
-    has_nontrivial_erection,
 )
 from cofrig.matroids import clique_truncation_matroid, uniform_matroid
 
-from rank_reference import cyc, is_modular_cyclic_family
+from rank_reference import cyc, has_nontrivial_erection, is_modular_cyclic_family
 
 
 def test_u24_elevation_reaches_the_free_matroid():

@@ -19,6 +19,7 @@ from cofrig.graphs import (
 from rank_reference import (
     complete_bipartite_graph,
     cycle_graph,
+    induced,
     path_graph,
     petersen_graph,
     shifted_union,
@@ -70,7 +71,7 @@ def test_add_remove_and_queries():
     assert F.neighbors(0) == frozenset({2, 3, 4})
     assert F.degree(0) == 3
     assert sorted(F.star(0).edges()) == [(0, 2), (0, 3), (0, 4)]
-    assert F.induced([0, 2, 3]) == EdgeSet.from_edges(5, [(0, 2), (0, 3), (2, 3)])
+    assert induced(F, [0, 2, 3]) == EdgeSet.from_edges(5, [(0, 2), (0, 3), (2, 3)])
     assert F.vertex_support() == frozenset(range(5))
 
 
@@ -114,7 +115,7 @@ def test_named_graphs_have_expected_sizes():
 def test_shifted_union_is_disjoint():
     F = shifted_union(complete_graph(5), complete_graph(5))
     assert F.n == 10 and len(F) == 20
-    assert F.induced(range(5)) == complete_graph(5).reindexed(10)
+    assert induced(F, range(5)) == complete_graph(5).reindexed(10)
 
 
 def test_edge_text_round_trip():
@@ -147,7 +148,7 @@ def test_zero_extension_adds_a_star():
     out = apply_extension(F, "0ext", 5, [0, 2, 4])
     assert out.n == 6
     assert sorted(out.star(5).edges()) == [(0, 5), (2, 5), (4, 5)]
-    assert out.induced(range(5)) == F.reindexed(6)
+    assert induced(out, range(5)) == F.reindexed(6)
 
 
 def test_one_extension_swaps_an_edge():

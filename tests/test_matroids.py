@@ -20,6 +20,8 @@ from rank_reference import (
     closure,
     cyc,
     from_independence,
+    is_independent,
+    is_modular_pair,
     per_rank_axiom_check,
     rank_axioms_hold,
 )
@@ -30,8 +32,8 @@ def test_uniform_matroid_basics():
     verify_rank_axioms(M)
     assert M.rank_total == 2
     assert M.rank(0b0111) == 2
-    assert M.is_independent(0b0101)
-    assert not M.is_independent(0b0111)
+    assert is_independent(M, 0b0101)
+    assert not is_independent(M, 0b0111)
     assert sorted(M.circuits()) == [0b0111, 0b1011, 0b1101, 0b1110]
 
 
@@ -74,7 +76,7 @@ def test_clique_truncation_r6():
         if max(pair) <= 4:
             k5 |= 1 << i
     assert k5.bit_count() == 10
-    assert not R6.is_independent(k5)
+    assert not is_independent(R6, k5)
 
 
 @pytest.mark.parametrize("n, t", [(6, 5), (6, 4), (5, 3)])
@@ -101,8 +103,8 @@ def test_flats_and_cyclic_sets(build, request):
     flats = [x for x in masks if closure(rank, x, M.full_mask) == x]
     cyclic = [x for x in masks if cyc(rank, x) == x]
     cyclic_flats = sorted(set(cyclic) & set(flats))
-    circuits = [x for x in masks if not M.is_independent(x)
-                and all(M.is_independent(x & ~(1 << b)) for b in bits(x))]
+    circuits = [x for x in masks if not is_independent(M, x)
+                and all(is_independent(M, x & ~(1 << b)) for b in bits(x))]
     assert M.cyclic_bits.bit_length() - 1 == cyc(rank, M.full_mask)
     assert M.flats() == flats
     assert M.cyclic_sets() == cyclic
@@ -171,8 +173,8 @@ def test_rank_table_cap_is_checked_on_construction():
 
 def test_modular_pairs_in_uniform():
     M = uniform_matroid(4, 2)
-    assert M.is_modular_pair(0b0001, 0b0010)
-    assert not M.is_modular_pair(0b0011, 0b0110)
+    assert is_modular_pair(M, 0b0001, 0b0010)
+    assert not is_modular_pair(M, 0b0011, 0b0110)
 
 
 def test_rank_axioms_catch_violations():

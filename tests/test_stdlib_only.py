@@ -1,7 +1,7 @@
 """The library imports nothing outside the standard library or the tests,
 its modules import one another without a cycle, every function reads the
-parameters it takes, and every private function, method and class is
-used."""
+parameters it takes, every private function, method and class is used,
+and every name a module exports exists, once."""
 
 import ast
 import importlib
@@ -123,3 +123,17 @@ def test_every_private_name_is_used():
               if not any(ref == name and not (rfile == fname and first <= line <= last)
                          for rfile, line, ref in refs)]
     assert not unused, unused
+
+
+def test_every_exported_name_resolves_once():
+    # a stale entry would only break a star import, which no other test makes
+    modules = [importlib.import_module(f"cofrig.{path.stem}")
+               for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    exporting = [module for module in (importlib.import_module("cofrig"), *modules)
+                 if hasattr(module, "__all__")]
+    assert len(exporting) > 1
+    for module in exporting:
+        names = module.__all__
+        assert len(set(names)) == len(names), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
