@@ -51,8 +51,8 @@ vanishes, which errs the same way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import matroids
 from .errors import AmbientMismatch, SeedDisagreement
@@ -64,8 +64,7 @@ DEFAULT_SEEDS = (101, 202, 303)
 MIN_MODULUS = (1 << 31) - 1
 
 
-@dataclass(frozen=True)
-class GenericConfiguration:
+class GenericConfiguration(NamedTuple):
     """Random plane positions in GF(p)^2 for n vertices."""
 
     n: int
@@ -131,20 +130,24 @@ def _full_row_rank(vectors: list[list[int]], p: int) -> bool:
     return True
 
 
-@dataclass
 class _Peel:
     """The peel of the last mask peeled (CofactorOracle._peel), and per seed
     its echelon basis of the mask, None until built, and the edge bits of
     the rows that basis took in."""
 
-    mask: int
-    order: list[int]
-    first: int
-    cols: list[int]
-    owners: list[int]
-    cap: int
-    bases: list[EchelonBasis | None]
-    picked: list[int]
+    __slots__ = ("mask", "order", "first", "cols", "owners", "cap", "bases", "picked")
+
+    def __init__(self, mask: int, order: list[int], first: int, cols: list[int],
+                 owners: list[int], cap: int, bases: list[EchelonBasis | None],
+                 picked: list[int]):
+        self.mask = mask
+        self.order = order
+        self.first = first
+        self.cols = cols
+        self.owners = owners
+        self.cap = cap
+        self.bases = bases
+        self.picked = picked
 
 
 class CofactorOracle:
@@ -586,7 +589,8 @@ class CofactorOracle:
         the starting set gives a base of F.  It is the lexicographically
         greedy base unless that seed is degenerate on some prefix of F, where
         it may skip an element the generic greedy takes.  If no seed gets
-        there, the seeds disagree and SeedDisagreement is raised.
+        there, the seeds disagree and SeedDisagreement is raised.  An
+        independent F is its own base, so no seed builds one.
         """
         self._check(F)
         start = independent.mask
@@ -595,6 +599,8 @@ class CofactorOracle:
         if not self.independent(independent):
             raise ValueError("starting set is dependent")
         target = self.rank(F)
+        if target == len(F):
+            return F
         elems = [*bits(start), *bits(F.mask & ~start)]
         ranks = []
         for idx in range(len(self.seeds)):

@@ -15,7 +15,6 @@ checks the equality against the field oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -34,13 +33,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CliqueCover(CliqueFamily):
     """A family of distinct vertex sets of size ≥ 5 inside K_n, given as
     sorted tuples."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, n: int, members):
+        super().__init__(n, members)
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate cover members")
 

@@ -19,7 +19,6 @@ outside the family exactly when X is a cyclic set outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
 
 from .matroids import (
@@ -118,12 +117,13 @@ def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[
     return N, False, family
 
 
-@dataclass
 class ErectionChain:
     """A maximal chain of free erections: steps[0] is the input matroid."""
 
-    steps: list[ExplicitMatroid]
-    families: list[frozenset[int]] = field(default_factory=list)
+    def __init__(self, steps: list[ExplicitMatroid],
+                 families: list[frozenset[int]] | None = None):
+        self.steps = steps
+        self.families = [] if families is None else families
 
     @property
     def final(self) -> ExplicitMatroid:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -105,18 +104,47 @@ def peel_order(count: int, fits) -> tuple[int, ...] | None:
     return tuple(reversed(peeled))
 
 
-@dataclass(frozen=True)
-class EdgeSet:
-    """A subset of E(K_n): ambient size plus a bitmask in lexicographic edge order."""
+class _Immutable:
+    """Refuses assignment and deletion: a value whose __init__ set its
+    fields through object.__setattr__ stays as built, so it can be hashed."""
 
-    n: int
-    mask: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class EdgeSet(_Immutable):
+    """A subset of E(K_n): ambient size plus a bitmask in lexicographic edge order.
+
+    Two edge sets are equal when their ambients and masks are."""
+
+    __slots__ = ("n", "mask")
+
+    def __init__(self, n: int, mask: int = 0):
+        if n < 0:
             raise ValueError("ambient vertex count must be nonnegative")
-        if self.mask < 0 or self.mask >> edge_count(self.n):
-            raise ValueError(f"mask {self.mask:#x} out of range for ambient K_{self.n}")
+        if mask < 0 or mask >> edge_count(n):
+            raise ValueError(f"mask {mask:#x} out of range for ambient K_{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.mask) == (other.n, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
+    def __repr__(self) -> str:
+        return f"EdgeSet(n={self.n!r}, mask={self.mask!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which may set the fields
+        return EdgeSet, (self.n, self.mask)
 
     @classmethod
     def empty(cls, n: int) -> "EdgeSet":
@@ -229,24 +257,38 @@ def clique_mask(n: int, verts: tuple[int, ...]) -> int:
     return EdgeSet.complete(n, verts).mask
 
 
-@dataclass(frozen=True)
-class CliqueFamily:
+class CliqueFamily(_Immutable):
     """Vertex sets inside K_n, stored as sorted tuples and read as cliques.
 
     Every member must fit inside K_n; ``_check_member(i, m)`` in each subclass
     raises ValueError for any other member m (at index i) it does not admit.
+    Two families of one class are equal when their fields (``_fields``)
+    are, so a cached property never enters a comparison or a hash.
     """
 
-    n: int
-    members: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        members = tuple(tuple(sorted(m)) for m in self.members)
+    def __init__(self, n: int, members):
+        members = tuple(tuple(sorted(m)) for m in members)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
         for i, m in enumerate(members):
             self._check_member(i, m)
-            if m[0] < 0 or m[-1] >= self.n:
-                raise ValueError(f"member {i} does not fit inside K_{self.n}: {m}")
+            if m[0] < 0 or m[-1] >= n:
+                raise ValueError(f"member {i} does not fit inside K_{n}: {m}")
+
+    def _fields(self) -> dict:
+        return {"n": self.n, "members": self.members}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
 
     def __len__(self) -> int:
         return len(self.members)

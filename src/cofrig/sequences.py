@@ -18,8 +18,8 @@ as rank certificates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .covers import _maximal_cliques, _shelling_order, dress_value
 from .errors import AmbientMismatch, CapExceeded, WitnessMismatch
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CircuitSequence(CliqueFamily):
     """An ordered list of (d+2)-vertex cliques inside K_n.
 
@@ -47,7 +46,12 @@ class CircuitSequence(CliqueFamily):
     dimension d, which is why sequences of them can witness ranks.
     """
 
-    d: int = 3
+    def __init__(self, n: int, members, d: int = 3):
+        object.__setattr__(self, "d", d)
+        super().__init__(n, members)
+
+    def _fields(self) -> dict:
+        return {**super()._fields(), "d": self.d}
 
     def _check_member(self, i: int, m: tuple[int, ...]) -> None:
         size = self.d + 2
@@ -141,8 +145,7 @@ def min_sequence_levels(n: int) -> list[int]:
     return levels[:-1]
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """Matching algebraic and combinatorial rank witnesses for an edge set.
 
     ``independent_set`` is one seed's base of F (the lower witness): the

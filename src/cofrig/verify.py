@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, zip_longest
+from typing import NamedTuple
 
 from .cofactor import CofactorOracle
 from .covers import (
@@ -65,8 +65,7 @@ from .sequences import (
 __all__ = ["Check", "SuiteResult", "SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named pass/fail item inside a suite."""
 
     name: str
@@ -74,8 +73,7 @@ class Check:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     seed: int
     checks: tuple[Check, ...]

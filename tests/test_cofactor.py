@@ -624,6 +624,26 @@ def test_basis_falls_through_to_a_seed_that_reaches_the_rank(monkeypatch):
     fresh = CofactorOracle(6)
     assert oracle.basis_of(F).mask == reference.extend_basis(
         lambda x: fresh.rank(EdgeSet(6, x)), 0, F.mask) == F.mask
+    # the path is independent, so no seed built a base of it; on K5, of
+    # rank 9, seed 0 also loses 02 and stops at 8, and seed 1 builds the base
+    K5 = complete_edges(6, range(5))
+    oracle = _losing(monkeypatch, CofactorOracle(6),
+                     {0: {edge_index(6, 0, 1), edge_index(6, 0, 2)}})
+    assert oracle.rank(K5) == 9
+    assert oracle.basis_of(K5).mask == reference.extend_basis(
+        lambda x: fresh.rank(EdgeSet(6, x)), 0, K5.mask) == K5.remove(3, 4).mask
+
+
+def test_an_independent_set_is_its_own_base(monkeypatch):
+    # a Henneberg base is independent: rank proves it from the 0-extension
+    # blocks, and extend_basis then returns F with no elimination
+    F = _henneberg(random.Random(30), 30)
+    calls = _count_reductions(monkeypatch)
+    assert CofactorOracle(30).basis_of(F) == F
+    assert calls[0] == 0
+    slow = CofactorOracle(30)
+    assert F.mask == reference.extend_basis(
+        lambda x: slow.rank(EdgeSet(30, x)), 0, F.mask)
 
 
 def _rigged_oracle6(monkeypatch):

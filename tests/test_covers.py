@@ -27,6 +27,22 @@ def test_cover_validation():
         CliqueCover(5, ((0, 1, 2, 3, 5),))
 
 
+def test_covers_compare_by_their_fields_only():
+    members = ((0, 1, 2, 3, 4, 5), (6, 5, 4, 3, 2))
+    cover = CliqueCover(7, members)
+    assert cover.members == ((0, 1, 2, 3, 4, 5), (2, 3, 4, 5, 6))
+    assert cover.meets == {(0, 1): (2, 3, 4, 5)}
+    assert "meets" in vars(cover)
+    fresh = CliqueCover(7, members)
+    assert cover == fresh and hash(cover) == hash(fresh)
+    assert "meets" not in vars(fresh)
+    assert cover != CliqueCover(8, members)
+    assert repr(cover) == ("CliqueCover(n=7, members=((0, 1, 2, 3, 4, 5), "
+                           "(2, 3, 4, 5, 6)))")
+    with pytest.raises(AttributeError):
+        cover.members = ()
+
+
 def test_maximal_cliques_single_block():
     cover, rest = maximal_cliques(complete_graph(6))
     assert cover.members == ((0, 1, 2, 3, 4, 5),)

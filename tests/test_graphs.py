@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -62,6 +64,27 @@ def test_mask_bounds_checked():
         EdgeSet(4, 1 << 6)
     with pytest.raises(ValueError):
         EdgeSet(-1, 0)
+
+
+def test_edge_sets_are_immutable_values():
+    F = EdgeSet(5, 0b1011)
+    with pytest.raises(AttributeError):
+        F.mask = 0
+    with pytest.raises(AttributeError):
+        F.n = 6
+    with pytest.raises(AttributeError):
+        del F.mask
+    with pytest.raises(AttributeError):
+        F.label = "new"
+    assert (F.n, F.mask) == (5, 0b1011)
+    assert EdgeSet(n=5, mask=0b1011) == F != EdgeSet(6, 0b1011)
+    assert F != EdgeSet(5, 0b1010) and F != (5, 0b1011)
+    assert hash(F) == hash(EdgeSet(5, 0b1011)) == hash((5, 0b1011))
+    assert len({F, EdgeSet(5, 0b1011), EdgeSet(6, 0b1011)}) == 2
+    assert repr(F) == "EdgeSet(n=5, mask=11)"
+    assert repr(EdgeSet(3)) == "EdgeSet(n=3, mask=0)"
+    for again in (copy.copy(F), copy.deepcopy(F), pickle.loads(pickle.dumps(F))):
+        assert again == F
 
 
 def test_add_remove_and_queries():

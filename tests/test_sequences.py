@@ -33,6 +33,19 @@ def test_member_validation():
     CircuitSequence(6, ((4, 0, 1, 3, 2),))  # any order is accepted, sorted
 
 
+def test_sequence_fields_and_defaults():
+    seq = CircuitSequence(6, ((4, 0, 1, 3, 2), (5, 1, 2, 3, 4)))
+    assert seq.d == 3
+    assert seq.members == ((0, 1, 2, 3, 4), (1, 2, 3, 4, 5))
+    same = CircuitSequence(6, seq.members, 3)
+    assert seq == same and hash(seq) == hash(same)
+    assert seq != CircuitSequence(7, seq.members)
+    assert repr(CircuitSequence(5, ((0, 1, 2, 3),), 2)) == (
+        "CircuitSequence(n=5, members=((0, 1, 2, 3),), d=2)")
+    with pytest.raises(AttributeError):
+        seq.d = 2
+
+
 def test_improper_sequence_detected():
     seq = CircuitSequence(6, ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4)))
     assert seq.improper_index() == 1

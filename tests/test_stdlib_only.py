@@ -1,10 +1,12 @@
 """The library imports nothing outside the standard library or the tests,
-its modules import one another without a cycle, every function reads the
+nor the slow-to-import dataclasses and inspect, its modules import one
+another without a cycle, every function reads the
 parameters it takes, every private function, method and class is used,
 and every name a module exports exists, once."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,6 +39,29 @@ def test_every_import_is_stdlib_or_cofrig():
         if level == 0 and name != "cofrig" and name not in sys.stdlib_module_names
     }
     assert not outside
+
+
+# Cold start: dataclasses alone pulls in inspect, ast, dis and tokenize, which
+# take longer to import than the whole library, so records are plain classes.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    slow = {(path.name, name)
+            for path in sorted(SRC.glob("*.py"))
+            for level, name in _imports(path)
+            if level == 0 and name in SLOW_IMPORTS}
+    assert not slow
+
+
+def test_cli_import_leaves_the_slow_modules_unloaded():
+    # -S keeps site hooks out, so only what cofrig imports is counted
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            f"import cofrig.cli; "
+            f"print(sorted({sorted(SLOW_IMPORTS)!r} & sys.modules.keys()))")
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_library_keeps_no_reference_search():

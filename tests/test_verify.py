@@ -2,7 +2,7 @@ import pytest
 
 from cofrig import verify
 from cofrig.matroids import ExplicitMatroid
-from cofrig.verify import SUITE_NAMES, run_suite
+from cofrig.verify import SUITE_NAMES, Check, SuiteResult, run_suite
 
 
 def test_suite_names_are_stable():
@@ -14,6 +14,16 @@ def test_suite_names_are_stable():
         "connectivity",
         "extensions",
     }
+
+
+def test_checks_compare_by_value():
+    assert Check("k5", True) == Check("k5", True, "")
+    assert hash(Check("k5", True)) == hash(Check("k5", True, ""))
+    assert Check("k5", True) != Check("k5", False)
+    result = SuiteResult("axioms", 13, (Check("k5", True), Check("k6", False)), 0.5)
+    assert not result.passed
+    assert result.to_payload()["checks"][1] == {"name": "k6", "passed": False,
+                                                "detail": ""}
 
 
 def test_unknown_suite_rejected():
