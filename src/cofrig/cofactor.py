@@ -21,17 +21,19 @@ closure, cyc and fundamental circuits set their columns per mask, by a
 least-degree peel: the k-th peeled vertex v takes the k-th block, and up to
 s+1 of its edges to vertices not yet peeled go in first, ahead of all other
 rows.  Read backwards, the peel adds each vertex to the later ones with at
-most s+1 edges, a 0-extension, which keeps a set independent (Whiteley
-1996); so those rows pivot in v's own block and clear only against each
-other, with almost no fill-in.  They are block upper triangular in the
-peel's columns, so where they number the count cap, a seed proves the cap
-with no reduction at all: each vertex's rows need only full rank on its own
-block (``_seed_rank``).  A column permutation changes the rank of no set of
-rows, so no rank depends on the layout; only the fill-in does.  A rank
-table walks the bases of the rows' matroid or of its dual, whichever has
-the smaller rank (``field.dual_rows``), seed by seed, and returns the
-first seed's table whose circuits each have more edges than their count
-cap, which proves it generic.
+most s+1 edges, a 0-extension, which keeps a set generically independent
+for every s (Whiteley 1996).  So a mask's rank is at least the number of
+its 0-extension rows, and where they number its count cap, that is its
+rank: ``_decide`` answers such a mask from the peel alone, with no seed
+asked and no row evaluated, and the peel order is a witness one can check
+by hand.  Below the cap the seeds build their bases from the same peel,
+where the 0-extension rows pivot in v's own block and clear only against
+each other, with almost no fill-in.  A column permutation changes the
+rank of no set of rows, so no rank depends on the layout; only the fill-in
+does.  A rank table walks the bases of the rows' matroid or of its dual,
+whichever has the smaller rank (``field.dual_rows``), seed by seed, and
+returns the first seed's table whose circuits each have more edges than
+their count cap, which proves it generic.
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).
@@ -39,10 +41,14 @@ infinitesimal motions of a plane framework; Whiteley 1996).
 seed, with no vote, and ``closure`` votes on each non-edge with the same
 test; the basis build tests its remaining rows the same way once one of
 them falls in the span.  A row outside the span passes with probability
-1/p; the seed then ranks the set one too low, never too high.  A
-certificate (``sequences``) is proven by the first seed whose base meets
-its clique sequence, and its ``independent_set`` is that seed's peel-order
-base, which need not be lexicographically greedy.  A seed's
+1/p; the seed then ranks the set one too low, never too high.  So a motion
+test is only ever added to its own seed's rank of the set, never to a
+peel-proven rank: a degenerate seed ranks the set below it, and the sum
+could rank some F + e above its generic rank.  A certificate
+(``sequences``) is proven by the first seed whose base meets its clique
+sequence, and its ``independent_set`` is the peel's 0-extension rows where
+they prove the cap, else that seed's peel-order base; neither need be
+lexicographically greedy.  A seed's
 *self-stresses* are the linear relations among its rows: ``cyc`` reads its
 coloops, the rows in no circuit, as the rows where one random self-stress
 vanishes, which errs the same way.
@@ -113,38 +119,19 @@ def generic_rank_upper_bound(F: EdgeSet, s: int) -> int:
     return min(len(F), _vertex_cap(len(F.vertex_support()), s + 1))
 
 
-def _full_row_rank(vectors: list[list[int]], p: int) -> bool:
-    """Whether a few short dense vectors, entries in [0, p), are linearly
-    independent mod p, by fraction-free elimination: each later vector is
-    scaled by the pivot entry and loses a multiple of the pivot vector, so
-    no inverse is taken.  The vectors are consumed."""
-    for k, v in enumerate(vectors):
-        for c, x in enumerate(v):
-            if x:
-                break
-        else:
-            return False
-        for u in vectors[k + 1:]:
-            if f := u[c]:
-                u[:] = [(y * x - f * z) % p for y, z in zip(u, v)]
-    return True
-
-
 class _Peel:
     """The peel of the last mask peeled (CofactorOracle._peel), and per seed
     its echelon basis of the mask, None until built, and the edge bits of
     the rows that basis took in."""
 
-    __slots__ = ("mask", "order", "first", "cols", "owners", "cap", "bases", "picked")
+    __slots__ = ("mask", "order", "first", "cols", "cap", "bases", "picked")
 
     def __init__(self, mask: int, order: list[int], first: int, cols: list[int],
-                 owners: list[int], cap: int, bases: list[EchelonBasis | None],
-                 picked: list[int]):
+                 cap: int, bases: list[EchelonBasis | None], picked: list[int]):
         self.mask = mask
         self.order = order
         self.first = first
         self.cols = cols
-        self.owners = owners
         self.cap = cap
         self.bases = bases
         self.picked = picked
@@ -153,11 +140,13 @@ class _Peel:
 class CofactorOracle:
     """Rank oracle for the generic C_s^(s-1) cofactor matroid on E(K_n).
 
-    Every rank is decided by one rule over k random evaluations (default
-    three seeds), asked for in seed order: the first seed to meet the
-    combinatorial cap gives the rank; otherwise the maximum does, unless a
-    strict majority of seeds falls below it, and then the oracle aborts with
-    a diagnostic instead of guessing.  Results are memoized per edge bitmask.
+    A rank is decided from the mask's peel where its 0-extension rows
+    number the combinatorial cap, with no evaluation at all.  Below that
+    one rule over k random evaluations (default three seeds) decides it,
+    asked for in seed order: the first seed to meet the cap gives the rank;
+    otherwise the maximum does, unless a strict majority of seeds falls
+    below it, and then the oracle aborts with a diagnostic instead of
+    guessing.  Results are memoized per edge bitmask.
     Per-seed bases outlive a query only in the record of the last mask
     peeled (_peel), where the next query on that mask reads them.
     The one exception is the rank table, which the first seed whose
@@ -233,27 +222,8 @@ class CofactorOracle:
         return values
 
     def _seed_rank(self, mask: int, seed_idx: int) -> int:
-        """One seed's rank of mask, with no reduction where the peel's
-        0-extension rows number the proven cap and are independent.
-
-        Those rows are block upper triangular in the peel's columns: a row of
-        the k-th peeled vertex v meets only v's block and later ones.  So
-        they are independent when each vertex's rows, at most s+1 of them,
-        have full row rank on its own s+1 columns, which a fraction-free
-        elimination of those short vectors decides.  Otherwise the seed's
-        basis is built from the same peel, or read from its record.
-        """
-        peel = self._peel(mask)
-        if peel.bases[seed_idx] is not None:
-            return peel.bases[seed_idx].rank
-        if peel.first == peel.cap:
-            span = range(self.dim)
-            blocks: dict[int, list[list[int]]] = {}
-            for b, at in zip(peel.order, peel.owners):
-                row = self._row(b, seed_idx)
-                blocks.setdefault(at, []).append([row.get(at + t, 0) for t in span])
-            if all(_full_row_rank(vs, self.modulus) for vs in blocks.values()):
-                return peel.first
+        """One seed's rank of mask: the rank of its basis (_seed_basis).
+        _decide asks for it only where the peel falls short of the cap."""
         return self._seed_basis(mask, seed_idx).rank
 
     def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
@@ -340,9 +310,8 @@ class CofactorOracle:
 
     def _peel(self, mask: int) -> _Peel:
         """The record of mask's peel: its edge bits in peeling order, how
-        many of them are 0-extension rows, the column map, where each
-        0-extension row's vertex has its block in cofactor_row, and the
-        count cap from the degrees.
+        many of them are 0-extension rows, the column map, and the count cap
+        from the degrees.
 
         Vertices leave by least degree among those left, from a bucket queue.
         The k-th vertex to leave takes the k-th (s+1)-block: cols[c] is the
@@ -367,7 +336,7 @@ class CofactorOracle:
         buckets: list[dict[int, None]] = [{} for _ in range(max(degree) + 1)]
         for v, d in enumerate(degree):
             buckets[d][v] = None
-        first, rest, owners, cols, low = [], [], [], [0] * (w * n), 0
+        first, rest, cols, low = [], [], [0] * (w * n), 0
         for k in range(n):
             while not buckets[low]:
                 low += 1
@@ -381,7 +350,6 @@ class CofactorOracle:
                 if d > 0:
                     if taken < w:
                         first.append(b)
-                        owners.append(at)
                     else:
                         rest.append(b)
                     taken += 1
@@ -390,22 +358,22 @@ class CofactorOracle:
                     degree[u] = d - 1
             low = max(low - 1, 0)
         seeds = len(self.seeds)
-        self._last_peel = _Peel(mask, first + rest, len(first), cols, owners,
-                                cap, [None] * seeds, [0] * seeds)
+        self._last_peel = _Peel(mask, first + rest, len(first), cols, cap,
+                                [None] * seeds, [0] * seeds)
         return self._last_peel
 
-    def _decide(self, mask: int, seed_rank, cap: int | None = None) -> int:
-        """The rank of a mask by the seed rule of _vote, memoized: a table
-        or memo hit asks no seed.  A caller that knows the mask's cap passes
-        it, which spares a vertex-support count."""
+    def _decide(self, mask: int, seed_rank) -> int:
+        """The rank of a mask, memoized: a table or memo hit asks no seed.
+        On a miss the mask is peeled, and where its 0-extension rows number
+        its count cap, the cap is its rank with no seed asked; below that
+        the seeds vote on it (_vote)."""
         if self._table is not None:
             return self._table[mask]
-        got = self._memo.get(mask)
-        if got is not None:
-            return got
-        if cap is None:
-            cap = generic_rank_upper_bound(EdgeSet(self.n, mask), self.s)
-        self._memo[mask] = r = self._vote(mask, seed_rank, cap)
+        r = self._memo.get(mask)
+        if r is None:
+            peel = self._peel(mask)
+            r = self._memo[mask] = (peel.cap if peel.first == peel.cap
+                                    else self._vote(mask, seed_rank, peel.cap))
         return r
 
     def _vote(self, mask: int, seed_rank, cap: int) -> int:
@@ -461,13 +429,6 @@ class CofactorOracle:
                 caps[cap] = caps.get(cap, 0) | ties
         return caps
 
-    def _closure_rank(self, F: EdgeSet, seed_idx: int) -> int:
-        """One seed's rank of F, for closing F: where F's support misses a
-        vertex, some F + e needs a motion, so the basis is built at once."""
-        if len(F.vertex_support()) == self.n:
-            return self._seed_rank(F.mask, seed_idx)
-        return self._seed_basis(F.mask, seed_idx).rank
-
     def _lifts(self, F: EdgeSet, seed_idx: int):
         """Whether the row of a non-edge, by bit, lifts one seed's rank of F:
         whether it fails to annihilate one random motion of the seed's basis
@@ -480,21 +441,23 @@ class CofactorOracle:
     def seed_closure(self, F: EdgeSet, seed_idx: int) -> tuple[EdgeSet, int, EdgeSet]:
         """One seed's base of F, its rank r of F, and its closure of F.
 
-        The base is the peel's 0-extension rows where ``_seed_rank``'s block
-        check proves the cap, else the rows ``_seed_basis`` took in.  A
+        Where the peel's 0-extension rows prove the cap of F and every F + e
+        has that cap too, those rows are the base, the cap is r, and every
+        non-edge joins, with no row evaluated.  Otherwise the base is the
+        rows the seed's basis of F took in (``_seed_basis``) and r is that
+        basis's rank, even where the peel proves a higher one: a motion test
+        adds only to its own seed's rank (see the module docstring).  A
         non-edge e joins untested where the cap of F + e is r, and otherwise
         unless its row lifts this seed's rank (``_lifts``): a row that fails
-        to annihilate a motion of F lies outside its span for certain, so the
-        seed ranks F + e at r + 1.
+        to annihilate a motion of F lies outside its span for certain, so
+        the seed ranks F + e at r + 1.
         """
         self._check(F)
-        r = self._closure_rank(F, seed_idx)
-        peel = self._peel(F.mask)
-        if peel.bases[seed_idx] is not None:
-            base = peel.picked[seed_idx]
-        else:  # the block check proved the cap
-            base = sum(1 << b for b in peel.order[:peel.first])
-        caps = self._extension_caps(F)
+        peel, caps = self._peel(F.mask), self._extension_caps(F)
+        if peel.first == peel.cap and caps.keys() <= {peel.cap}:
+            r, base = peel.cap, sum(1 << b for b in peel.order[:peel.first])
+        else:
+            r, base = self._seed_rank(F.mask, seed_idx), peel.picked[seed_idx]
         out = F.mask | caps.pop(r, 0)
         if tested := sum(caps.values()):
             lifts = self._lifts(F, seed_idx)
@@ -507,11 +470,12 @@ class CofactorOracle:
         F + e is capped by F's vertex support and e's endpoints; where that
         cap is r = rank(F), e joins the closure with no seed asked, since
         r <= rank(F + e) <= cap.  Otherwise F + e is voted unless the table
-        has it, not memoized: a seed ranks it one above its rank of F where
-        the row of e lifts it (``_lifts``, the test ``seed_closure`` makes),
-        asked only once the vote on F + e reaches that seed.  So an F on all
-        n vertices whose 0-extension rows reach the cap of every F + e builds
-        no basis.
+        has it, not memoized: a seed ranks it one above its own rank of F
+        where the row of e lifts it (``_lifts``, the test ``seed_closure``
+        makes), asked only once the vote on F + e reaches that seed.  The
+        motion comes first, so its basis gives that seed's rank of F, never
+        the peel-proven r.  So an F whose 0-extension rows reach the cap of
+        every F + e builds no basis.
         The closure C has rank r, so it is memoized at r: a later rank of C,
         or cyc's rank decision on it, asks no seed.  C is also remembered as
         a flat, so closing it again, as is_flat does, votes nothing.
@@ -519,15 +483,14 @@ class CofactorOracle:
         self._check(F)
         if F.mask in self._flats:
             return F
-        seed_rank = cache(lambda idx: self._closure_rank(F, idx))
-        r = self._decide(F.mask, seed_rank, generic_rank_upper_bound(F, self.s))
+        seed_rank = cache(lambda idx: self._seed_rank(F.mask, idx))
+        r = self._decide(F.mask, seed_rank)
         lifts = cache(lambda idx: self._lifts(F, idx))
         caps = self._extension_caps(F)
         out = F.mask | caps.pop(r, 0)
         for cap, ties in caps.items():
             for b in bits(ties):
                 x = F.mask | 1 << b
-                # the motion first: its basis then gives the rank, no block check
                 if (self._vote(x, lambda idx: lifts(idx)(b) + seed_rank(idx), cap)
                         if self._table is None else self._table[x]) == r:
                     out |= 1 << b
@@ -546,18 +509,20 @@ class CofactorOracle:
         Dropping e lowers a seed's rank exactly when e is one of its coloops,
         which gives every rank of F - e without a further elimination.
         F - e is capped by its vertex support and voted unless the table has
-        it, not memoized.  The result is remembered as a cyclic set, so
-        is_cyclic of it votes nothing.
+        it, not memoized.  An F of decided rank |F| is independent, all
+        coloops, and gets the empty set with no pass.  The result is
+        remembered as a cyclic set, so is_cyclic of it votes nothing.
         """
         self._check(F)
         if F.mask in self._cyclic:
             return F
         elems = list(bits(F.mask))
         seed_pass = cache(lambda idx: self._coloop_pass(F.mask, idx))
-        support = F.vertex_support()
-        r = self._decide(F.mask, lambda idx: seed_pass(idx)[0],
-                         min(len(elems), _vertex_cap(len(support), self.dim)))
-        keep = 0
+        r = self._decide(F.mask, lambda idx: seed_pass(idx)[0])
+        if r == len(elems):
+            self._cyclic.add(0)
+            return EdgeSet(self.n, 0)
+        support, keep = F.vertex_support(), 0
         for b in elems:
             def without(idx):
                 r_i, coloops = seed_pass(idx)
@@ -644,7 +609,12 @@ class CofactorOracle:
             r_i, coloops = seed_pass(idx)
             return r_i - (coloops >> bit & 1)
 
-        if self._decide(B.mask, without_e) != len(B):
+        # B is voted on the passes of B + e, so that only B + e is peeled
+        r = self._memo.get(B.mask) if self._table is None else self._table[B.mask]
+        if r is None:
+            r = self._memo[B.mask] = self._vote(
+                B.mask, without_e, generic_rank_upper_bound(B, self.s))
+        if r != len(B):
             raise ValueError("B is not independent")
         if self._decide(mask, lambda idx: seed_pass(idx)[0]) != len(B):
             raise ValueError("element is not in the closure of the base")

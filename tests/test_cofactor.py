@@ -21,7 +21,8 @@ from cofrig.graphs import (
 from cofrig.sequences import rank_certificate
 
 import rank_reference as reference
-from rank_reference import cycle_graph, matrix_rank, path_graph
+from rank_reference import (complete_bipartite_graph, cycle_graph, matrix_rank,
+                            path_graph)
 
 
 def _graphic_rank(F):
@@ -334,8 +335,7 @@ def test_rigid_rank_reduces_no_row_to_zero(monkeypatch):
     # dependent graphs they alone reach the cap 3n - 6, so seed 0's basis
     # stops there having reduced no row to zero.  Inserted in edge order
     # instead, 15 and 59 of their rows fall in the span before the cap.
-    # rank needs no basis at all: the block check proves those rows
-    # independent.
+    # rank needs no basis at all: the peel proves the cap.
     for n in (20, 60):
         F = _rigid_dense(n)
         zeros = [0]
@@ -348,45 +348,117 @@ def test_rigid_rank_reduces_no_row_to_zero(monkeypatch):
 
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_seed_ranks_match_the_matrix_rank(monkeypatch, s):
-    # _seed_rank reads a seed's rank off the 0-extension blocks where they
-    # reach the cap, with no reduction, and builds the basis otherwise;
-    # either way it is the rank of the mask's rows.
+    # rank reads a mask's rank off its peel where the 0-extension rows reach
+    # the cap, with no reduction, and has the seeds build their bases
+    # otherwise; each seed's rank is the rank of the mask's rows, and it is
+    # the peel's cap wherever the peel proves that.
     calls = _count_reductions(monkeypatch)
     rng = random.Random(60 + s)
-    read_off = built = 0
+    proven = voted = 0
     for n in range(6, 16):
         F = _henneberg(rng, n) if s == 2 else EdgeSet.complete(n)
         for mask in (F.mask, (F | _random_graph(rng, n, 2 * n)).mask,
                      _random_graph(rng, n, (s + 1) * n).mask):
             oracle = CofactorOracle(n, s=s)
+            before = calls[0]
+            decided = oracle.rank(EdgeSet(n, mask))
+            peel = oracle._peel(mask)
+            if peel.first == peel.cap:
+                assert calls[0] == before and decided == peel.cap
+                proven += 1
+            else:
+                assert calls[0] > before
+                voted += 1
             for idx in range(len(oracle.seeds)):
                 rows = [oracle._row(b, idx) for b in bits(mask)]
                 rank = matrix_rank(rows, oracle.modulus)
-                before = calls[0]
                 assert oracle._seed_rank(mask, idx) == rank
-                if calls[0] == before:
-                    read_off += 1
-                else:
-                    built += 1
-    assert read_off and built
+                assert rank == decided or peel.first < peel.cap
+    assert proven and voted
 
 
-def test_a_lost_0_extension_row_falls_back_to_the_basis(monkeypatch):
-    # Seed 0 loses the row of the first 0-extension edge of the peel, so its
-    # vertex's block falls below full row rank and the check fails: rank
-    # builds seed 0's basis from the same peel, whose other rows still
-    # reach the cap 3n - 6 on this dependent graph.
-    n = 20
-    F = _rigid_dense(n)
+@pytest.mark.parametrize("n, s", [(6, 2), (5, 0), (5, 1), (5, 3)])
+def test_the_peel_bounds_every_rank(table6, n, s):
+    # Read backwards, a peel's 0-extension rows build their edges by
+    # 0-extensions, which keep a set independent: so they are independent in
+    # the proven table, and where they number the peel's cap, which is the
+    # count cap, the mask's rank is that cap.
+    table = table6 if (n, s) == (6, 2) else CofactorOracle(n, s=s).rank_table()
+    oracle = CofactorOracle(n, s=s)
+    for mask, rank in enumerate(table):
+        peel = oracle._peel(mask)
+        first = sum(1 << b for b in peel.order[:peel.first])
+        assert table[first] == peel.first <= rank <= peel.cap
+        assert peel.cap == cofactor.generic_rank_upper_bound(EdgeSet(n, mask), s)
+
+
+def test_a_peel_proven_rank_evaluates_no_row(monkeypatch):
+    # The peel of these rigid dependent graphs proves the cap 3n - 6, so
+    # rank, independent and is_rigid build no configuration and fetch no row.
+    def refuse(*args):
+        raise AssertionError("a row was fetched")
+
+    for n in (20, 60):
+        F = _rigid_dense(n)
+        oracle = CofactorOracle(n)
+        monkeypatch.setattr(oracle, "_row", refuse)
+        assert oracle.rank(F) == 3 * n - 6 < len(F)
+        assert oracle.is_rigid(F) and not oracle.independent(F)
+        assert oracle._configs == [None] * len(oracle.seeds)
+
+
+def test_a_lost_row_below_the_peel_falls_back_to_the_basis(monkeypatch):
+    # K_(5,5) has rank 24, its count cap, but its 0-extension rows number
+    # only 21, so rank asks the seeds.  Seed 0 loses the row of the first
+    # 0-extension edge: it builds its basis from the same peel, whose other
+    # rows still reach the cap on this dependent graph, and no later seed is
+    # asked.
+    F = complete_bipartite_graph(5, 5)
+    n = F.n
     peel = CofactorOracle(n)._peel(F.mask)
-    assert peel.first == 3 * n - 6
+    assert peel.first < peel.cap == 3 * n - 6
     oracle = _losing(monkeypatch, CofactorOracle(n), {0: {peel.order[0]}})
     calls = _count_reductions(monkeypatch)
     assert oracle.rank(F) == 3 * n - 6
     basis = oracle._peel(F.mask).bases[0]
     assert basis is not None and calls[0] > 0
+    assert oracle._configs[1:] == [None, None]
     rows = [oracle._row(b, 0) for b in bits(F.mask)]
     assert basis.rank == matrix_rank(rows, oracle.modulus) == 3 * n - 6
+
+
+def test_motion_tests_add_to_their_own_seed_rank(monkeypatch):
+    # F is K5 - 34 with pendant edges 05 and 06: independent, on all seven
+    # vertices, and proven by its peel.  Seed 0 loses the row of 01, a
+    # 0-extension row, so 34, in the generic closure of F, lifts seed 0's
+    # rank of F.  Added to the proven rank 11 that lift would rank F + 34 at
+    # 12; added to seed 0's own rank 10 it does not, and the later seeds
+    # keep 34 in the closure.
+    F = complete_edges(7, range(5)).remove(3, 4).add(0, 5).add(0, 6)
+    peel = CofactorOracle(7)._peel(F.mask)
+    assert peel.first == peel.cap == len(F) == 11
+    lost = edge_index(7, 0, 1)
+    assert lost in peel.order[:peel.first]
+    clean = CofactorOracle(7).closure(F)
+    assert (3, 4) in clean
+    oracle = _losing(monkeypatch, CofactorOracle(7), {0: {lost}})
+    assert oracle.rank(F) == 11 and oracle.closure(F) == clean
+    oracle = _losing(monkeypatch, CofactorOracle(7), {0: {lost}})
+    base, r, closed = oracle.seed_closure(F, 0)
+    assert r == len(base) == oracle._peel(F.mask).bases[0].rank == 10
+    assert (3, 4) not in closed
+    cert = rank_certificate(F, _losing(monkeypatch, CofactorOracle(7), {0: {lost}}))
+    assert cert.rank == len(cert.independent_set) == 11
+
+
+def test_an_independent_set_has_no_circuit(monkeypatch):
+    # cyc of a set the peel proves independent is empty, remembered as
+    # cyclic, and needs no coloop pass
+    F = _henneberg(random.Random(31), 20)
+    oracle = CofactorOracle(20)
+    monkeypatch.setattr(CofactorOracle, "_coloop_pass", lambda *args: 1 / 0)
+    assert oracle.cyc(F) == EdgeSet.empty(20)
+    assert oracle.is_cyclic(EdgeSet.empty(20)) and 0 in oracle._cyclic
 
 
 def test_edge_order_basis_stays_sparse(monkeypatch):
@@ -605,16 +677,19 @@ def _losing(monkeypatch, oracle, lost):
 
 
 def test_extend_basis_raises_when_no_seed_reaches_the_rank(monkeypatch):
-    # F has rank 2: seed 0 loses 01 and seed 1 loses 23 and 45, so seed 0's
-    # base of F leaves out 01 and seed 1's stops at rank 1.
-    oracle = _losing(monkeypatch, CofactorOracle(6, seeds=(1, 2)),
-                     {0: {edge_index(6, 0, 1)},
-                      1: {edge_index(6, 2, 3), edge_index(6, 4, 5)}})
-    F = EdgeSet.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-    assert oracle.rank(F) == 2
+    # K_(5,5) has rank 24, which its peel does not prove: seed 0 loses 05,
+    # which it does not need for the rank, and seed 1 loses 16 and 27, so
+    # seed 0's base of F leaves out 05 and seed 1's stops at rank 23.
+    F = complete_bipartite_graph(5, 5)
+    oracle = _losing(monkeypatch, CofactorOracle(10, seeds=(1, 2)),
+                     {0: {edge_index(10, 0, 5)},
+                      1: {edge_index(10, 1, 6), edge_index(10, 2, 7)}})
+    peel = oracle._peel(F.mask)
+    assert peel.first < peel.cap
+    assert oracle.rank(F) == 24
     with pytest.raises(SeedDisagreement) as info:
-        oracle.extend_basis(EdgeSet.from_edges(6, [(0, 1)]), F)
-    assert info.value.detail["ranks"] == [2, 1]
+        oracle.extend_basis(EdgeSet.from_edges(10, [(0, 5)]), F)
+    assert info.value.detail["ranks"] == [24, 23]
 
 
 def test_basis_falls_through_to_a_seed_that_reaches_the_rank(monkeypatch):
@@ -783,8 +858,8 @@ def test_closure_memoizes_the_rank_of_its_flat(monkeypatch):
             m.setattr(CofactorOracle, name, refuse)
         assert oracle.rank(closed) == oracle.rank(F) == 18
     decided, real_decide = [], CofactorOracle._decide
-    monkeypatch.setattr(CofactorOracle, "_decide", lambda self, mask, seed_rank, cap=None:
-                        decided.append(mask) or real_decide(self, mask, refuse, cap))
+    monkeypatch.setattr(CofactorOracle, "_decide", lambda self, mask, seed_rank:
+                        decided.append(mask) or real_decide(self, mask, refuse))
     oracle.cyc(closed)
     assert decided == [closed.mask]
 
