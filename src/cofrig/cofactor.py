@@ -180,7 +180,7 @@ class CofactorOracle:
         self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
         self._last_peel: _Peel | None = None
-        self._table: list[int] | None = None
+        self._table: bytes | None = None
         # masks that closure and cyc returned: flats and cyclic sets
         self._flats: set[int] = set()
         self._cyclic: set[int] = set()
@@ -220,11 +220,6 @@ class CofactorOracle:
             values = self._values[seed_idx] = [
                 rng.randrange(self.modulus) for _ in range(self.dim * self.n)]
         return values
-
-    def _seed_rank(self, mask: int, seed_idx: int) -> int:
-        """One seed's rank of mask: the rank of its basis (_seed_basis).
-        _decide asks for it only where the peel falls short of the cap."""
-        return self._seed_basis(mask, seed_idx).rank
 
     def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
         """One seed's echelon basis of the rows of mask, in its peel's order
@@ -401,7 +396,7 @@ class CofactorOracle:
 
     def rank(self, F: EdgeSet) -> int:
         self._check(F)
-        return self._decide(F.mask, lambda idx: self._seed_rank(F.mask, idx))
+        return self._decide(F.mask, lambda idx: self._seed_basis(F.mask, idx).rank)
 
     def independent(self, F: EdgeSet) -> bool:
         return self.rank(F) == len(F)
@@ -457,7 +452,7 @@ class CofactorOracle:
         if peel.first == peel.cap and caps.keys() <= {peel.cap}:
             r, base = peel.cap, sum(1 << b for b in peel.order[:peel.first])
         else:
-            r, base = self._seed_rank(F.mask, seed_idx), peel.picked[seed_idx]
+            r, base = self._seed_basis(F.mask, seed_idx).rank, peel.picked[seed_idx]
         out = F.mask | caps.pop(r, 0)
         if tested := sum(caps.values()):
             lifts = self._lifts(F, seed_idx)
@@ -483,7 +478,7 @@ class CofactorOracle:
         self._check(F)
         if F.mask in self._flats:
             return F
-        seed_rank = cache(lambda idx: self._seed_rank(F.mask, idx))
+        seed_rank = cache(lambda idx: self._seed_basis(F.mask, idx).rank)
         r = self._decide(F.mask, seed_rank)
         lifts = cache(lambda idx: self._lifts(F, idx))
         caps = self._extension_caps(F)
@@ -630,7 +625,7 @@ class CofactorOracle:
 
     # -- whole-powerset table ---------------------------------------------
 
-    def rank_table(self) -> list[int]:
+    def rank_table(self) -> bytes:
         """Rank of every subset of E(K_n), indexed by bitmask (n small).
 
         A seed's table comes from its bases: a linear matroid ranks X as the
@@ -678,11 +673,7 @@ class CofactorOracle:
             else:
                 bases = independent_subsets(rows, r, p)
             matroid = matroids.ExplicitMatroid.from_bases(m, bases)
-            # its circuits: its cyclic sets of rank k with k + 1 edges
-            circuits, levels = 0, matroid.levels
-            for level, higher, size in zip(levels, [*levels[1:], 0], sizes[1:]):
-                circuits |= level & ~higher & size
-            low = circuits & matroid.cyclic_bits & within
+            low = matroid.circuit_bits & within
             if not low:
                 self._table = matroid.full_table()
                 return self._table

@@ -19,19 +19,14 @@ outside the family exactly when X is a cyclic set outside it.
 
 from __future__ import annotations
 
-from operator import add
-
 from .matroids import (
     ExplicitMatroid,
     down_closure,
+    family_bits,
     members,
     subset_flags,
     verify_rank_axioms,
 )
-
-
-def _bitset(masks) -> int:
-    return sum(1 << x for x in set(masks))
 
 
 def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
@@ -52,7 +47,7 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
 
     down, down_list, unions = 0, [], seeds | {0}
     while unions:
-        fresh = down_closure(_bitset(unions), M.m) & cyclic & ~down
+        fresh = down_closure(family_bits(unions), M.m) & cyclic & ~down
         down |= fresh
         if down >> top & 1:
             return frozenset(members(cyclic))
@@ -81,7 +76,7 @@ def modular_cyclic_closure(M: ExplicitMatroid, seed_family) -> frozenset[int]:
 def family_violation(M: ExplicitMatroid, family) -> str | None:
     """None if the family is modular cyclic, else a short description."""
     family = set(family)
-    fam, cyclic = _bitset(family), M.cyclic_bits
+    fam, cyclic = family_bits(family), M.cyclic_bits
     if fam & ~cyclic:
         return "contains a non-cyclic set"
     if not fam & 1:
@@ -111,8 +106,9 @@ def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[
     family = modular_cyclic_closure(M, M.cyclic_flats())
     if M.cyclic_bits.bit_length() - 1 in family:  # cyc(E)
         return M, True, family
-    raised = subset_flags(M.cyclic_bits & ~_bitset(family), M.m)
-    N = ExplicitMatroid(list(map(add, M.full_table(), raised)))
+    raised = subset_flags(M.cyclic_bits & ~family_bits(family), M.m)
+    table = int.from_bytes(M.full_table(), "little") + int.from_bytes(raised, "little")
+    N = ExplicitMatroid(table.to_bytes(1 << M.m, "little"))
     verify_rank_axioms(N)
     return N, False, family
 

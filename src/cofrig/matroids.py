@@ -11,8 +11,8 @@ holds the subsets of rank >= k and element_bits(m)[e] those containing e.
 A right shift by 2^e moves the bit of x + e onto x, so one shift compares
 every subset without e with its extension by e, and each question costs
 O(m^2 r) big-integer operations instead of a loop over the 2^m subsets.
-Whole tables of small ranks are bytes, one per subset, built and capped with
-bytes.translate from the cached table of subset sizes.
+A rank table is bytes, one rank in 0..m <= 16 per subset: tables are capped
+with bytes.translate and add as integers with no byte carry.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import CapExceeded
 from .graphs import EdgeSet, edge_count
@@ -33,11 +33,13 @@ _PLUS_ONE = bytes(range(1, 256)) + b"\x00"
 
 @lru_cache(maxsize=ENUM_CAP + 1)
 def element_bits(m: int) -> tuple[int, ...]:
-    """For each element e of {0..m-1}, the bitset of the subsets containing e:
-    in every run of 2^(e+1) subsets, the upper 2^e."""
-    every = (1 << (1 << m)) - 1  # divided below into one bit per run, then spread
-    return tuple(every // ((1 << (2 << e)) - 1) * ((1 << (1 << e)) - 1) << (1 << e)
-                 for e in range(m))
+    """For each element e of {0..m-1}, the bitset of the subsets containing e,
+    built by doubling: e's subsets are the upper half of the 2^(e+1)."""
+    with_e = []
+    for e in range(m):
+        w = 1 << e
+        with_e = [x | x << w for x in with_e] + [(1 << w) - 1 << w]
+    return tuple(with_e)
 
 
 @lru_cache(maxsize=ENUM_CAP + 1)
@@ -72,6 +74,14 @@ def down_closure(family: int, m: int) -> int:
     return family
 
 
+def family_bits(family: Collection[int]) -> int:
+    """The bitset of a family of subsets."""
+    packed = bytearray((max(family, default=0) >> 3) + 1)
+    for x in family:
+        packed[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(packed, "little")
+
+
 def members(family: int) -> list[int]:
     """The subsets in a family bitset, in increasing order."""
     return [hit.start() for hit in re.finditer("1", format(family, "b")[::-1])]
@@ -84,7 +94,8 @@ def subset_flags(family: int, m: int) -> bytes:
 
 
 class ExplicitMatroid:
-    """A matroid on {0..m-1} given by its full rank table, m <= ENUM_CAP."""
+    """A matroid on {0..m-1} given by its full rank table, m <= ENUM_CAP,
+    kept as bytes (not copied); a rank outside 0..m raises ValueError."""
 
     def __init__(self, table: Sequence[int]):
         m = (len(table) - 1).bit_length()
@@ -92,9 +103,16 @@ class ExplicitMatroid:
             raise ValueError("table length must be a power of two")
         if m > ENUM_CAP:
             raise CapExceeded(f"rank table over {m} elements")
+        try:
+            ranks = bytes(table)
+        except ValueError:  # a rank outside 0..255
+            ranks = None
+        if ranks is None or max(ranks) > m:
+            x = next(x for x, r in enumerate(table) if not 0 <= r <= m)
+            raise ValueError(f"rank {table[x]} of {x:#x} is outside 0..{m}")
         self.m = m
         self.full_mask = (1 << m) - 1
-        self._table = list(table)
+        self._table = ranks
 
     # -- constructors -------------------------------------------------------
 
@@ -117,17 +135,13 @@ class ExplicitMatroid:
             raise ValueError(
                 f"base {min(outside):#x} is not a subset of the {m} ground elements")
         # subsets of bases are the independent sets
-        packed = bytearray((1 << m) + 7 >> 3)
-        for b in base_set:
-            packed[b >> 3] |= 1 << (b & 7)
-        independent = down_closure(int.from_bytes(packed, "little"), m)
+        independent = down_closure(family_bits(base_set), m)
         levels = []
         for size_k in size_bits(m)[:max(sizes) + 1]:
             level = independent & size_k
             for e, with_e in enumerate(element_bits(m)):
                 level |= (level & ~with_e) << (1 << e)
             levels.append(level)
-        # a rank is at most 16, so the byte sums never carry
         table = sum(int.from_bytes(subset_flags(level, m), "little")
                     for level in levels[1:])
         matroid = cls(table.to_bytes(1 << m, "little"))
@@ -139,7 +153,7 @@ class ExplicitMatroid:
     def rank(self, mask: int) -> int:
         return self._table[mask]
 
-    def full_table(self) -> list[int]:
+    def full_table(self) -> bytes:
         return self._table
 
     @property
@@ -147,17 +161,15 @@ class ExplicitMatroid:
         return self._table[self.full_mask]
 
     def truncate(self, k: int) -> "ExplicitMatroid":
-        """The rank-k truncation, k >= 0; a rank outside 0..255 raises
-        ValueError."""
-        return ExplicitMatroid(_capped(bytes(self._table), k))
+        """The rank-k truncation, k >= 0."""
+        return ExplicitMatroid(_capped(self._table, k))
 
     # -- whole-table bitsets (see the module docstring) ------------------------
 
     @cached_property
     def levels(self) -> list[int]:
-        """levels[k] is the bitset of the subsets of rank >= k, for k from 0
-        to the largest rank; a rank outside 0..255 raises ValueError."""
-        ranks = bytes(self._table)[::-1]  # one byte per subset, highest first
+        """levels[k] is the bitset of the subsets of rank >= k, k <= max rank."""
+        ranks = self._table[::-1]  # one byte per subset, highest first
         # translating byte v to the digit of "v >= k" spells levels[k] in binary
         return [int(ranks.translate(b"0" * k + b"1" * (256 - k)), 2)
                 for k in range(max(ranks) + 1)]
@@ -194,6 +206,14 @@ class ExplicitMatroid:
     def cyclic_bits(self) -> int:
         return self._cyclic_and_flat_bits[0]
 
+    @cached_property
+    def circuit_bits(self) -> int:
+        """The circuits: the cyclic sets of rank k with k + 1 elements."""
+        circuits, levels = 0, self.levels
+        for level, higher, size in zip(levels, [*levels[1:], 0], size_bits(self.m)[1:]):
+            circuits |= level & ~higher & size
+        return circuits & self.cyclic_bits
+
     # -- enumeration ---------------------------------------------------------
 
     def flats(self) -> list[int]:
@@ -212,8 +232,7 @@ class ExplicitMatroid:
 
     def circuits(self) -> list[int]:
         """Minimal dependent sets: the cyclic sets of nullity one."""
-        table = self._table
-        return [x for x in self.cyclic_sets() if table[x] == x.bit_count() - 1]
+        return members(self.circuit_bits)
 
     # -- serialization -----------------------------------------------------------
 
@@ -261,26 +280,18 @@ def verify_rank_axioms(M: ExplicitMatroid) -> None:
     """Check the local rank axioms on the whole table; raises AssertionError
     naming the lowest failing subset.
 
-    Checked: r(empty) = 0, every rank in 0..m (M.levels holds no other
-    rank), unit increase, and local submodularity (r(X+e) = r(X+f) = r(X)
-    implies r(X+e+f) = r(X)), which together characterize matroid rank
-    functions.  Unit increase is checked level by level for each element.
-    Once it holds, x + e lies outside raises[e] (M._raises) exactly when
-    r(x + e) = r(x), so local submodularity fails at x+e,f exactly where x
-    lies in neither raises[e] nor raises[f] but x + e lies in raises[f]:
-    three operations per pair of elements, whatever the rank.
+    Checked: r(empty) = 0, unit increase, and local submodularity
+    (r(X+e) = r(X+f) = r(X) implies r(X+e+f) = r(X)), which with ranks in
+    0..m (as ExplicitMatroid keeps them) characterize matroid rank functions.
+    Unit increase is checked level by level for each element.  Once it holds,
+    x + e lies outside raises[e] (M._raises) exactly when r(x + e) = r(x),
+    so local submodularity fails at x+e,f exactly where x lies in neither
+    raises[e] nor raises[f] but x + e lies in raises[f]: three operations
+    per pair of elements, whatever the rank.
     """
-    table, m = M.full_table(), M.m
-    if table[0] != 0:
+    if M.rank(0) != 0:
         raise AssertionError("rank of the empty set is not 0")
-    try:
-        levels = M.levels
-    except ValueError:  # a rank outside 0..255
-        levels = None
-    if levels is None or len(levels) > m + 1:
-        x = next(x for x, r in enumerate(table) if not 0 <= r <= m)
-        raise AssertionError(f"rank {table[x]} of {x:#x} is outside 0..{m}")
-    with_e = element_bits(m)
+    m, levels, with_e = M.m, M.levels, element_bits(M.m)
     failures = []
     for e in range(m):
         step, bad = 1 << e, 0

@@ -206,7 +206,7 @@ def test_criterion_08_dense_k13_subgraphs_stay_rigid():
 
 
 def test_criterion_09_extensions_preserve_independence():
-    result = run_suite("extensions", seed=13, rounds=200)
+    result = run_suite("extensions", seed=13)
     assert result.passed, result.summary()
     counts = {c.name: c.detail for c in result.checks}
     print(f"criterion 9 PASS: 0-/1-extension and X-replacement preserve "

@@ -372,7 +372,7 @@ def test_seed_ranks_match_the_matrix_rank(monkeypatch, s):
             for idx in range(len(oracle.seeds)):
                 rows = [oracle._row(b, idx) for b in bits(mask)]
                 rank = matrix_rank(rows, oracle.modulus)
-                assert oracle._seed_rank(mask, idx) == rank
+                assert oracle._seed_basis(mask, idx).rank == rank
                 assert rank == decided or peel.first < peel.cap
     assert proven and voted
 
@@ -854,7 +854,7 @@ def test_closure_memoizes_the_rank_of_its_flat(monkeypatch):
         raise AssertionError("a seed was asked")
 
     with monkeypatch.context() as m:
-        for name in ("_seed_rank", "_seed_basis", "_coloop_pass"):
+        for name in ("_seed_basis", "_coloop_pass"):
             m.setattr(CofactorOracle, name, refuse)
         assert oracle.rank(closed) == oracle.rank(F) == 18
     decided, real_decide = [], CofactorOracle._decide
@@ -932,7 +932,7 @@ TRACTABLE_TABLES = [(n, s) for n in range(1, 7) for s in range(7)]
 @pytest.mark.parametrize("n, s", REFERENCE_TABLES)
 def test_rank_table_matches_the_per_mask_reference(table6, n, s):
     got = table6 if (n, s) == (6, 2) else CofactorOracle(n, s=s).rank_table()
-    assert got == reference.per_mask_rank_table(CofactorOracle(n, s=s))
+    assert got == bytes(reference.per_mask_rank_table(CofactorOracle(n, s=s)))
 
 
 @pytest.mark.parametrize("n, s", TRACTABLE_TABLES)

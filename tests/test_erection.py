@@ -62,6 +62,8 @@ def test_family_checks():
     # breaks down-closure
     violation = family_violation(M, [0, 0b1111])
     assert violation is not None and "down-closed" in violation
+    # a member outside the ground set is no cyclic set of M
+    assert family_violation(M, [0, 1 << 4]) == "contains a non-cyclic set"
 
 
 def test_cyclic_flat_cover_checks_both_ends():
@@ -77,6 +79,6 @@ def test_erections_follow_the_cyc_definition(n, t):
     # r_N(X) = r_M(X) + [cyc_M(X) not in family], cyc_M from the table alone
     chain = free_elevation(clique_truncation_matroid(n, t))
     for M, N, family in zip(chain.steps, chain.steps[1:], chain.families):
-        expected = [r + (cyc(M.rank, x) not in family)
-                    for x, r in enumerate(M.full_table())]
+        expected = bytes(r + (cyc(M.rank, x) not in family)
+                         for x, r in enumerate(M.full_table()))
         assert N.full_table() == expected

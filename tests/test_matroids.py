@@ -5,12 +5,16 @@ from itertools import combinations
 import pytest
 
 from cofrig.cofactor import CofactorOracle
+from cofrig.erection import free_elevation
 from cofrig.errors import CapExceeded
 from cofrig.graphs import EdgeSet, bits
 from cofrig.matroids import (
     ENUM_CAP,
     ExplicitMatroid,
     clique_truncation_matroid,
+    element_bits,
+    size_bits,
+    subset_sizes,
     uniform_matroid,
     verify_rank_axioms,
 )
@@ -41,18 +45,51 @@ def test_byte_built_tables_match_their_closed_forms():
     for m in range(ENUM_CAP + 1):
         sizes = [x.bit_count() for x in range(1 << m)]
         for r in {0, m // 2, m, m + 1}:
-            closed = [min(size, r) for size in sizes]
+            closed = bytes(min(size, r) for size in sizes)
             assert uniform_matroid(m, r).full_table() == closed
             assert uniform_matroid(m, m).truncate(r).full_table() == closed
     for n in range(3, 7):
         for t in range(3, n + 1):
             cap, copies = t * (t - 1) // 2, [
                 EdgeSet.complete(n, vs).mask for vs in combinations(range(n), t)]
-            closed = [min(x.bit_count(), cap) - (x in copies)
-                      for x in range(1 << n * (n - 1) // 2)]
+            closed = bytes(min(x.bit_count(), cap) - (x in copies)
+                           for x in range(1 << n * (n - 1) // 2))
             assert clique_truncation_matroid(n, t).full_table() == closed
     K6 = ExplicitMatroid(CofactorOracle(6).rank_table())
-    assert K6.truncate(10).full_table() == [min(r, 10) for r in K6.full_table()]
+    assert K6.truncate(10).full_table() == bytes(min(r, 10) for r in K6.full_table())
+
+
+def test_subset_builders_match_their_definitions():
+    for m in range(11):
+        subsets = range(1 << m)
+        assert element_bits(m) == tuple(
+            sum(1 << x for x in subsets if x >> e & 1) for e in range(m))
+        assert size_bits(m) == tuple(
+            sum(1 << x for x in subsets if x.bit_count() == k) for k in range(m + 1))
+        assert subset_sizes(m) == bytes(x.bit_count() for x in subsets)
+
+
+def test_every_rank_table_is_bytes(oracle6, table6):
+    r6 = clique_truncation_matroid(6, 5)
+    built = [uniform_matroid(5, 3), uniform_matroid(5, 5).truncate(2), r6,
+             ExplicitMatroid.from_bases(3, [0b011, 0b101]), *free_elevation(r6).steps]
+    assert all(type(M.full_table()) is bytes for M in built)
+    assert type(table6) is bytes
+    # the oracle's matroid wraps its proven table, and a bytes table is kept
+    assert oracle6.explicit_matroid().full_table() is oracle6.rank_table()
+    ranks = bytes([0, 1, 1, 2])
+    assert ExplicitMatroid(ranks).full_table() is ranks
+
+
+@pytest.mark.parametrize("n, s", [(5, 0), (6, 1), (6, 2)])
+def test_circuit_bits_are_the_minimal_dependent_sets(table6, n, s):
+    table = table6 if (n, s) == (6, 2) else CofactorOracle(n, s=s).rank_table()
+    # x is a circuit when x is dependent and each x - b is independent
+    circuits = [x for x, r in enumerate(table) if r == x.bit_count() - 1
+                and all(table[x & ~(1 << b)] == r for b in bits(x))]
+    M = ExplicitMatroid(table)
+    assert M.circuit_bits == sum(1 << x for x in circuits)
+    assert M.circuits() == circuits and circuits
 
 
 def test_truncation():
@@ -178,15 +215,21 @@ def test_modular_pairs_in_uniform():
 
 
 def test_rank_axioms_catch_violations():
-    bad = ExplicitMatroid([2 * x.bit_count() for x in range(1 << 3)])
-    with pytest.raises(AssertionError):
+    # doubled ranks leave 0..m, which construction refuses; capped at m they
+    # break unit increase
+    with pytest.raises(ValueError, match=r"^rank 4 of 0x3 is outside 0\.\.3$"):
+        ExplicitMatroid([2 * x.bit_count() for x in range(1 << 3)])
+    bad = ExplicitMatroid([min(2 * x.bit_count(), 3) for x in range(1 << 3)])
+    with pytest.raises(AssertionError, match=r"^unit increase fails at 0x0\+0$"):
         verify_rank_axioms(bad)
 
 
 def _verdict(table):
+    """Whether the table is a matroid's: construction refuses a rank outside
+    0..m, and verify_rank_axioms checks the rest."""
     try:
         verify_rank_axioms(ExplicitMatroid(table))
-    except AssertionError:
+    except (ValueError, AssertionError):
         return False
     return True
 
@@ -249,18 +292,23 @@ def test_rank_axioms_name_what_the_per_rank_check_names():
     assert kinds == {"unit increase", "local submodularity", None}
 
 
-@pytest.mark.parametrize("table, message", [
-    ([1, 1], "rank of the empty set is not 0"),
-    ([0, 1, 1, -1], "rank -1 of 0x3 is outside 0..2"),
-    ([0, 1, 1, 3], "rank 3 of 0x3 is outside 0..2"),
-    ([0, 2, 1, 1], "unit increase fails at 0x0+0"),
-    ([0, 1, 1, 3, 1, 2, 2, 3], "unit increase fails at 0x1+1"),
-    ([0, 1, 1, 0], "unit increase fails at 0x1+1"),
-    ([0, 0, 0, 1], "local submodularity fails at 0x0+0,1"),
+@pytest.mark.parametrize("table, error, message", [
+    ([1, 1], AssertionError, "rank of the empty set is not 0"),
+    # construction refuses a rank outside 0..m, with the same message
+    ([0, 1, 1, -1], ValueError, "rank -1 of 0x3 is outside 0..2"),
+    ([0, 1, 1, 3], ValueError, "rank 3 of 0x3 is outside 0..2"),
+    (bytes([0, 1, 1, 3]), ValueError, "rank 3 of 0x3 is outside 0..2"),
+    ([0, 1, 300, -1], ValueError, "rank 300 of 0x2 is outside 0..2"),
+    ([1, 1, 1, 1, 1, 1, 1, 4], ValueError, "rank 4 of 0x7 is outside 0..3"),
+    ([0, 2, 1, 1], AssertionError, "unit increase fails at 0x0+0"),
+    ([0, 1, 1, 3, 1, 2, 2, 3], AssertionError, "unit increase fails at 0x1+1"),
+    ([0, 1, 1, 0], AssertionError, "unit increase fails at 0x1+1"),
+    ([0, 0, 0, 1], AssertionError, "local submodularity fails at 0x0+0,1"),
     # fails at 0x4+0,1 and 0x2+0,2 too
-    ([0, 0, 0, 0, 0, 0, 0, 1], "local submodularity fails at 0x1+1,2"),
-], ids=["empty", "negative", "above-m", "jump", "jump-high", "drop", "square",
-         "lowest-square"])
-def test_rank_axiom_failures_name_the_lowest_subset(table, message):
-    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+    ([0, 0, 0, 0, 0, 0, 0, 1], AssertionError,
+     "local submodularity fails at 0x1+1,2"),
+], ids=["empty", "negative", "above-m", "above-m-bytes", "lowest-of-two",
+         "above-m-first", "jump", "jump-high", "drop", "square", "lowest-square"])
+def test_rank_axiom_failures_name_the_lowest_subset(table, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         verify_rank_axioms(ExplicitMatroid(table))

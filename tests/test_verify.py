@@ -43,8 +43,9 @@ def test_connectivity_suite_passes_and_serializes():
 
 
 def test_extensions_suite_respects_rounds():
-    result = run_suite("extensions", seed=7, rounds=25)
+    result = run_suite("extensions", seed=7)
     assert result.passed
+    assert result.checks[0].detail.startswith("200 random extensions")
 
 
 class _CorruptedK6:
