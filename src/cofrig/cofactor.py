@@ -30,7 +30,7 @@ by hand.  Below the cap the seeds build their bases from the same peel,
 where the 0-extension rows pivot in v's own block and clear only against
 each other, with almost no fill-in.  A column permutation changes the
 rank of no set of rows, so no rank depends on the layout; only the fill-in
-does.  A rank table walks the bases of the rows' matroid or of its dual,
+does.  A rank table sweeps the minors of the rows' matroid or of its dual,
 whichever has the smaller rank (``field.dual_rows``), seed by seed, and
 returns the first seed's table whose circuits each have more edges than
 their count cap, which proves it generic.
@@ -62,8 +62,7 @@ from typing import NamedTuple
 
 from . import matroids
 from .errors import AmbientMismatch, SeedDisagreement
-from .field import (MERSENNE61, EchelonBasis, dual_rows, independent_subsets,
-                    is_prime)
+from .field import MERSENNE61, EchelonBasis, bases_by_minors, dual_rows, is_prime
 from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
 DEFAULT_SEEDS = (101, 202, 303)
@@ -181,6 +180,7 @@ class CofactorOracle:
         self._memo: dict[int, int] = {0: 0}
         self._last_peel: _Peel | None = None
         self._table: bytes | None = None
+        self._matroid: matroids.ExplicitMatroid | None = None
         # masks that closure and cyc returned: flats and cyclic sets
         self._flats: set[int] = set()
         self._cyclic: set[int] = set()
@@ -433,31 +433,37 @@ class CofactorOracle:
         return lambda b: sum(
             c * w[j] for j, c in self._row(b, seed_idx).items()) % p != 0
 
+    def peel_base(self, F: EdgeSet) -> EdgeSet | None:
+        """F's 0-extension rows where they number its count cap, which makes
+        them a base of F with no seed asked; else None."""
+        self._check(F)
+        peel = self._peel(F.mask)
+        return (EdgeSet(self.n, sum(1 << b for b in peel.order[:peel.first]))
+                if peel.first == peel.cap else None)
+
     def seed_closure(self, F: EdgeSet, seed_idx: int) -> tuple[EdgeSet, int, EdgeSet]:
         """One seed's base of F, its rank r of F, and its closure of F.
 
-        Where the peel's 0-extension rows prove the cap of F and every F + e
-        has that cap too, those rows are the base, the cap is r, and every
-        non-edge joins, with no row evaluated.  Otherwise the base is the
-        rows the seed's basis of F took in (``_seed_basis``) and r is that
-        basis's rank, even where the peel proves a higher one: a motion test
-        adds only to its own seed's rank (see the module docstring).  A
-        non-edge e joins untested where the cap of F + e is r, and otherwise
-        unless its row lifts this seed's rank (``_lifts``): a row that fails
-        to annihilate a motion of F lies outside its span for certain, so
-        the seed ranks F + e at r + 1.
+        Where F's peel base (``peel_base``) proves its cap and every F + e
+        has that cap too, it is the base.  Otherwise the base is the rows the
+        seed's basis of F took in (``_seed_basis``), as many as its rank,
+        even where the peel proves a higher one: a motion test adds only to
+        its own seed's rank (see the module docstring).  r is the base's
+        size.  A non-edge e joins untested where the cap of F + e is r, and
+        otherwise unless its row lifts this seed's rank (``_lifts``): a row
+        that fails to annihilate a motion of F lies outside its span for
+        certain, so the seed ranks F + e at r + 1.
         """
-        self._check(F)
-        peel, caps = self._peel(F.mask), self._extension_caps(F)
-        if peel.first == peel.cap and caps.keys() <= {peel.cap}:
-            r, base = peel.cap, sum(1 << b for b in peel.order[:peel.first])
-        else:
-            r, base = self._seed_basis(F.mask, seed_idx).rank, peel.picked[seed_idx]
+        base, caps = self.peel_base(F), self._extension_caps(F)
+        if base is None or caps.keys() - {len(base)}:
+            self._seed_basis(F.mask, seed_idx)
+            base = EdgeSet(self.n, self._peel(F.mask).picked[seed_idx])
+        r = len(base)
         out = F.mask | caps.pop(r, 0)
         if tested := sum(caps.values()):
             lifts = self._lifts(F, seed_idx)
             out |= sum(1 << b for b in bits(tested) if not lifts(b))
-        return EdgeSet(self.n, base), r, EdgeSet(self.n, out)
+        return base, r, EdgeSet(self.n, out)
 
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
@@ -630,10 +636,10 @@ class CofactorOracle:
 
         A seed's table comes from its bases: a linear matroid ranks X as the
         largest |X & B| over its bases B.  One tagged pass over its rows
-        (dual_rows) gives its rank r of E(K_n) and a representation of the
-        dual matroid, of rank m - r, whose bases are the complements of the
-        bases of the rows.  One depth-first walk lists the bases of whichever
-        side has the smaller rank, complemented if it walked the dual.
+        (dual_rows) gives r pivot columns, where the rows keep their
+        matroid, and the dual matroid, of rank m - r, whose bases are the
+        complements of the rows' bases.  A sweep of minors (bases_by_minors)
+        lists the bases of whichever side has the smaller rank.
 
         The seeds are tried in order, and the first whose table its circuits
         prove is returned.  A seed's matroid M has no independent set that
@@ -667,15 +673,17 @@ class CofactorOracle:
         lowest = []
         for idx in range(len(self.seeds)):
             rows = [self._row(b, idx) for b in range(m)]
-            vectors, r = dual_rows(rows, width, p)
+            vectors, pivots = dual_rows(rows, width, p)
+            r = len(pivots)
             if m - r < r:
-                bases = [full & ~x for x in independent_subsets(vectors, m - r, p)]
+                bases = [full & ~x for x in bases_by_minors(vectors, m - r, p)]
             else:
-                bases = independent_subsets(rows, r, p)
+                bases = bases_by_minors([{k: row[c] for k, c in enumerate(pivots)
+                                          if c in row} for row in rows], r, p)
             matroid = matroids.ExplicitMatroid.from_bases(m, bases)
             low = matroid.circuit_bits & within
             if not low:
-                self._table = matroid.full_table()
+                self._matroid, self._table = matroid, matroid.full_table()
                 return self._table
             lowest.append((low & -low).bit_length() - 1)
         raise SeedDisagreement(
@@ -684,4 +692,5 @@ class CofactorOracle:
                     "circuits": lowest, "modulus": self.modulus})
 
     def explicit_matroid(self) -> matroids.ExplicitMatroid:
-        return matroids.ExplicitMatroid(self.rank_table())
+        self.rank_table()  # proves the matroid, once
+        return self._matroid

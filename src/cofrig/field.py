@@ -21,9 +21,9 @@ how many entries clearing adds (the fill-in), though never a rank.
 ``EchelonBasis`` keeps one growing dict and turns its input rows, dense
 sequences or mappings, into the sparse form at the boundary; a caller whose
 rows are already sparse and reduced mod p hands them to ``absorb``.
-``independent_subsets`` walks subsets depth first for the bases of the
-rows' matroid: each prefix keeps one immutable dict, sharing its rows with
-its parent's, and every prefix whose new row falls in its span is cut.
+``bases_by_minors`` lists the bases of vectors in r coordinates as the
+r-subsets of nonzero determinant, from a sweep of minors by Laplace
+expansion, with no reduction and no inverse.
 
 A caller may give its rows tag columns right of the real ones, one unit
 vector per element, and insert only the rows whose pivot falls left of the
@@ -33,7 +33,7 @@ self-stress.  The cofactor oracle reads cyc and fundamental circuits off one
 such row per seed (``_coloop_pass``), through the same ``reduce``.
 ``dual_rows`` tags every row and keeps each relation it finds: read per row,
 their coefficients represent the dual matroid, of rank m - r, whose bases
-are the complements of the rows' bases.  A rank table walks the bases of
+are the complements of the rows' bases.  A rank table sweeps the minors of
 whichever side has the smaller rank.
 
 ``EchelonBasis.motion`` back-substitutes the kernel vector with given values
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import combinations
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -168,9 +169,9 @@ class EchelonBasis:
 
 
 def dual_rows(rows, width: int,
-              p: int = MERSENNE61) -> tuple[list[dict[int, int]], int]:
+              p: int = MERSENNE61) -> tuple[list[dict[int, int]], list[int]]:
     """A representation of the dual of the rows' matroid, one sparse vector
-    per row, and the rows' rank r; every column of the rows is below width.
+    per row, and the rows' r pivot columns; every column is below width.
 
     Row k goes in with a unit tag at column width + k, as in the tagged
     passes: a row whose pivot falls left of the tags grows the basis, and
@@ -180,7 +181,8 @@ def dual_rows(rows, width: int,
     independent and span every relation.  Row e's dual vector holds its
     coefficients across them, {relation: coefficient}, so a set X of rows
     has rank |X| + r*(E - X) - r*(E), r* the rank of dual vectors and
-    r*(E) = m - r (Oxley, Matroid Theory, Thm 2.2.8).
+    r*(E) = m - r (Oxley, Matroid Theory, Thm 2.2.8).  The basis rows are
+    unit upper triangular on the pivots, so the rows keep every rank there.
     """
     basis: dict[int, dict[int, int]] = {}
     vectors: list[dict[int, int]] = [{} for _ in rows]
@@ -196,27 +198,36 @@ def dual_rows(rows, width: int,
         for j, x in cur.items():
             if x := x % p:
                 vectors[j - width][relation] = x
-    return vectors, len(basis)
+    return vectors, sorted(basis)
 
 
-def independent_subsets(rows, r: int, p: int = MERSENNE61) -> list[int]:
-    """The bitmasks of the linearly independent r-subsets of the rows,
-    depth first over the parent chains x -> x minus its lowest bit: a
-    prefix grows only by rows below its lowest row while enough are left to
-    reach r, is cut with its subtree when its new row falls in its span, and
-    its r-th row only asks whether it finds a pivot."""
-    rows = [_sparse_row(row, p) for row in rows]
-    found, stack = ([], [({}, 0, len(rows), r)]) if r else ([0], [])
-    while stack:
-        basis, x, below, need = stack.pop()
-        for i in range(need - 1, below):
-            cur = dict(rows[i])
-            lead = reduce_row(cur, basis, p)
-            if lead is None:
-                continue
-            if need == 1:
-                found.append(x | 1 << i)
-            else:
-                stack.append(({**basis, lead: _normalized(cur, lead, p)},
-                              x | 1 << i, i, need - 1))
+def bases_by_minors(vectors, r: int, p: int = MERSENNE61) -> list[int]:
+    """The r-subsets, as bitmasks, of vectors with keys in range(r) whose
+    determinant is nonzero mod p.  Level j holds the nonzero minors of the
+    j-subsets on coordinates 0..j-1.  By Laplace expansion along j - 1, the
+    minor of S sums x times the minor of S - c over each c in S with entry x
+    there, negated where an odd number of S lies above c.  Each level is
+    pushed into the next and dropped; the last is summed per subset and
+    never stored.  Nothing is reduced or inverted."""
+    if not r:
+        return [0]
+    columns = [[(1 << c, -2 << c, x) for c, v in enumerate(vectors) if (x := v.get(j))]
+               for j in range(r)]
+    level = {0: 1}
+    for column in columns[:-1]:
+        sums: dict[int, int] = {}
+        for t, d in level.items():
+            for b, above, x in column:
+                if not t & b:
+                    y = -x * d if (t & above).bit_count() & 1 else x * d
+                    sums[t | b] = sums.get(t | b, 0) + y
+        level = {t: y for t, x in sums.items() if (y := x % p)}
+    found, get = [], level.get
+    for t in map(sum, combinations([1 << c for c in range(len(vectors))], r)):
+        y = 0
+        for b, above, x in columns[-1]:
+            if t & b and (d := get(t ^ b)):
+                y += -x * d if (t & above).bit_count() & 1 else x * d
+        if y % p:
+            found.append(t)
     return found

@@ -210,13 +210,17 @@ def rank_certificate(F: EdgeSet, oracle) -> RankCertificate:
     member holds and S is proper.  For s = 2 the paper's cover theorem (the
     maximal cliques of a flat are 2-thin and 4-shellable) makes its value
     the rank; for s = 0 and 1 the members are the components and the rigid
-    components.  A base B with |B| = |F| gets the empty sequence.  Once
+    components.  A base B with |B| = |F| gets the empty sequence and reads
+    no closure, so an F that is its own peel base asks no seed.  Once
     value(F, S) = |B| nothing is left to check: an edge of F outside S's
     union is a coloop, since value(F - e, S) = |B| - 1.  If no seed gets
     there, WitnessMismatch carries each seed's base size, value and
     sequence; nothing falls back to a search.
     """
     d = oracle.s + 1
+    if oracle.peel_base(F) == F:
+        empty = CircuitSequence(F.n, (), d)
+        return RankCertificate(F, len(F), F, empty, oracle.s, tuple(oracle.seeds))
 
     def witness(base: EdgeSet, closure: EdgeSet):
         cliques, order = (), ()

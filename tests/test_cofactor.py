@@ -1,10 +1,10 @@
 import random
+from functools import cached_property
 from itertools import combinations
-from math import comb
 
 import pytest
 
-from cofrig import cofactor, field
+from cofrig import cofactor, field, matroids
 from cofrig.cofactor import CofactorOracle
 from cofrig.errors import AmbientMismatch, SeedDisagreement
 from cofrig.field import EchelonBasis
@@ -922,8 +922,8 @@ def test_each_query_peels_its_mask_once(monkeypatch):
     assert peeled == [banana.mask]
 
 
-# K6 with s = 1, 2 and 3 walks the dual, of rank 6, 3 and 1; K5 and K6
-# with s = 0 walk the rows, of rank 4 and 5
+# K6 with s = 1, 2 and 3 sweeps the dual, of rank 6, 3 and 1; K5 and K6
+# with s = 0 sweep the rows on their pivots, of rank 4 and 5
 REFERENCE_TABLES = [(6, 2), (6, 1), (5, 0), (6, 0), (6, 3)]
 # every table with at most 15 edges and s <= 6
 TRACTABLE_TABLES = [(n, s) for n in range(1, 7) for s in range(7)]
@@ -1011,44 +1011,71 @@ def test_rank_table_survives_a_degenerate_seed_0(monkeypatch, later_lose, kind):
         assert got[1] == CofactorOracle(6).rank_table()
 
 
-def test_rank_table_reduces_only_in_its_passes_and_walks(monkeypatch):
+def test_rank_table_reduces_only_in_its_passes_and_sweeps_no_inverse(monkeypatch):
     # On K6 with s = 1 and 2 the dual, of rank m - r = 6 and 3, is the
     # smaller side.  Each seed asked reduces its 15 rows once, with tags, for
-    # its rank and the dual vectors.  Seed 0 walks the (m - r)-subsets of
-    # its dual vectors: at most the C(16, m - r) - 1 nonempty prefixes that
-    # can still grow to m - r vectors, fewer where one falls in the span.
-    # Clean, its table is proven and no later seed is asked.  Where seed 0
-    # loses the row of 45, seed 1 does the same and its table is proven.
-    # No seed builds an echelon basis of its own: every reduction happens
-    # inside those passes and walks.
-    calls = _count_reductions(monkeypatch)
+    # its pivots and the dual vectors, taking one inverse per pivot.  It then
+    # sweeps the minors of its m - r dual vectors with no reduction and no
+    # inverse.  Clean, seed 0's table is proven and no later seed is asked.
+    # Where seed 0 loses the row of 45, seed 1 does the same and its table
+    # is proven.  No seed builds an echelon basis of its own.
+    calls, inverses = _count_reductions(monkeypatch), [0]
+
+    def counting_pow(*args):
+        inverses[0] += args[1:2] == (-1,)
+        return pow(*args)
+
+    monkeypatch.setattr(field, "pow", counting_pow, raising=False)
     handed = []
 
     def recording(name):
         real = getattr(cofactor, name)
 
         def record(rows, *args):
-            before = calls[0]
+            before = calls[0], inverses[0]
             got = real(rows, *args)
-            handed.append((name, args, calls[0] - before))
+            handed.append((name, args, calls[0] - before[0], inverses[0] - before[1]))
             return got
 
         monkeypatch.setattr(cofactor, name, record)
 
     recording("dual_rows")
-    recording("independent_subsets")
+    recording("bases_by_minors")
     for s, rank in [(1, 9), (2, 12)]:
         for lost, asked in [({}, 1), ({0: {edge_index(6, 4, 5)}}, 2)]:
             handed.clear()
-            calls[0] = 0
+            calls[0] = inverses[0] = 0
             _losing(monkeypatch, CofactorOracle(6, s=s), lost).rank_table()
-            assert calls[0] == sum(reduced for *_, reduced in handed)
+            assert calls[0] == 15 * asked and inverses[0] == rank * asked
             assert [name for name, *_ in handed] == [
-                "dual_rows", "independent_subsets"] * asked
-            assert all(reduced == 15 for name, _, reduced in handed
-                       if name == "dual_rows")
-            _, (r, _), walked = handed[-1]
-            assert r == 15 - rank and walked <= comb(16, r) - 1
+                "dual_rows", "bases_by_minors"] * asked
+            for name, args, reduced, inverted in handed:
+                if name == "dual_rows":
+                    assert (reduced, inverted) == (15, rank)
+                else:
+                    assert (args[0], reduced, inverted) == (15 - rank, 0, 0)
+
+
+def test_explicit_matroid_is_the_proven_matroid_with_its_levels(monkeypatch):
+    # rank_table's from_bases matroid is kept: every call returns it, with
+    # the levels from_bases built, so no caller recomputes them
+    recomputed = []
+    real = matroids.ExplicitMatroid.levels
+
+    def levels(self):
+        recomputed.append(self)
+        return real.func(self)
+
+    counting = cached_property(levels)
+    counting.__set_name__(matroids.ExplicitMatroid, "levels")
+    monkeypatch.setattr(matroids.ExplicitMatroid, "levels", counting)
+    oracle = CofactorOracle(6)
+    M = oracle.explicit_matroid()
+    assert oracle.explicit_matroid() is M and M.full_table() is oracle.rank_table()
+    assert M.levels is oracle.explicit_matroid().levels and M.circuit_bits
+    assert recomputed == []
+    assert matroids.ExplicitMatroid(M.full_table()).levels == M.levels
+    assert len(recomputed) == 1
 
 
 def test_motion_closure_matches_the_reduction_closure():

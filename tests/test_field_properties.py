@@ -1,8 +1,8 @@
 """Property tests: the sparse echelon kernel against a dense Gaussian
 elimination written here, on small matrices with zero and repeated rows and
-on rows with tag columns, the depth-first basis walk against the full subset
-table, and the motion back-substitution against the span that ``reduce``
-tests."""
+on rows with tag columns, the minor sweep on both sides of a matroid against
+the full subset table, and the motion back-substitution against the span
+that ``reduce`` tests."""
 
 import pytest
 
@@ -14,8 +14,8 @@ from hypothesis import strategies as st  # noqa: E402
 from cofrig.field import (  # noqa: E402
     MERSENNE61,
     EchelonBasis,
+    bases_by_minors,
     dual_rows,
-    independent_subsets,
     reduce_row,
 )
 
@@ -93,16 +93,37 @@ def test_subset_rank_table_matches_dense_elimination(case):
         assert got == dense_rank(chosen, p)
 
 
+def on_pivots(rows, pivots):
+    """Each row restricted to the pivot columns, as coordinates 0..r-1."""
+    return [{k: row[c] for k, c in enumerate(pivots) if row[c]} for row in rows]
+
+
 @settings(CASES, max_examples=40)
 @given(matrices(max_rows=9))
-def test_independent_subsets_are_the_r_subsets_of_rank_r(case):
+@example((13, []))
+@example((13, [[0, 0, 0]] * 3))
+@example((MERSENNE61, [[0, 0, 0], [1, 0, 0]]))
+@example((13, [[1, 2, 0], [0, 1, 5], [3, 0, 1]]))
+@example((2, [[1, 1], [1, 1], [1, 0], [0, 0]]))
+def test_minor_sweep_lists_the_bases_of_the_rows_and_of_their_dual(case):
+    # rank 0, full rank, and zero and repeated rows among the fixed examples.
+    # The rows on dual_rows' pivots keep their rank table; the sweep lists
+    # the r-subsets of rank r there, and the (m - r)-subsets of rank m - r
+    # of the dual vectors, the complements of the rows' bases.
     p, rows = case
-    table = subset_rank_table(rows, p)
-    for r in range(len(rows) + 2):
-        got = independent_subsets(rows, r, p)
+    m, full = len(rows), (1 << len(rows)) - 1
+    vectors, pivots = dual_rows(rows, len(rows[0]) if rows else 0, p)
+    r, table = len(pivots), subset_rank_table(rows, p)
+    primal = on_pivots(rows, pivots)
+    assert subset_rank_table(primal, p) == table
+    dual = subset_rank_table(vectors, p)
+    for side, k, ranks in [(primal, r, table), (vectors, m - r, dual)]:
+        got = bases_by_minors(side, k, p)
         assert len(got) == len(set(got))
-        assert sorted(got) == [x for x, rank in enumerate(table)
-                               if x.bit_count() == r == rank]
+        assert sorted(got) == [x for x, rank in enumerate(ranks)
+                               if x.bit_count() == k == rank]
+    assert sorted(full & ~x for x in bases_by_minors(vectors, m - r, p)) == sorted(
+        bases_by_minors(primal, r, p))
 
 
 @settings(CASES, max_examples=40)
@@ -116,8 +137,10 @@ def test_dual_rows_rank_every_set_through_its_complement(case):
     # rank 0, full rank, and zero and repeated rows among the fixed examples
     p, rows = case
     m, full = len(rows), (1 << len(rows)) - 1
-    vectors, r = dual_rows(rows, len(rows[0]) if rows else 0, p)
+    vectors, pivots = dual_rows(rows, len(rows[0]) if rows else 0, p)
+    r = len(pivots)
     assert r == dense_rank(rows, p) and len(vectors) == m
+    assert pivots == sorted(set(pivots)) and all(0 <= c < len(rows[0]) for c in pivots)
     dual = subset_rank_table(vectors, p)
     assert dual[full] == m - r
     for x in range(1 << m):

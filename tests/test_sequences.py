@@ -236,6 +236,42 @@ def test_a_degenerate_seed_0_hands_the_certificates_to_seed_1(monkeypatch):
     assert oracle._configs[1] is not None and oracle._configs[2] is None
 
 
+def test_a_peel_proven_independent_set_is_certified_with_no_seed(monkeypatch):
+    # 0-extensions from K4 on 30 vertices, minus one edge: 83 edges, below
+    # the vertex cap 84 and independent by the peel alone.  Seed 0's route
+    # gives F as its base and the empty sequence; the certificate reads no
+    # closure, so with every row evaluation failing it is the same one.
+    rng = random.Random(31)
+    F = complete_edges(30, range(4))
+    for v in range(4, 30):
+        F = apply_extension(F, "0ext", v, rng.sample(range(v), 3))
+    F = F.remove(*rng.choice(F.sorted_edges()))
+    base, r, _ = CofactorOracle(30).seed_closure(F, 0)
+    assert (base, r) == (F, 83)
+    clean = rank_certificate(F, CofactorOracle(30))
+    assert (clean.rank, clean.independent_set, clean.sequence.members) == (83, F, ())
+
+    def no_row(*_):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(CofactorOracle, "_row", no_row)
+    oracle = CofactorOracle(30)
+    assert rank_certificate(F, oracle) == clean
+    assert oracle._configs == [None] * 3
+    # dress reads the closure, so it still asks seed 0
+    with pytest.raises(AssertionError, match="a row was evaluated"):
+        dress_certificate(F, oracle)
+
+
+def test_a_flexible_dependent_set_asks_seed_0_alone():
+    # the double banana is flexible and dependent: rank 17 of its 18 edges,
+    # one below its count cap, so its peel proves nothing and seed 0 does
+    oracle = CofactorOracle(8)
+    cert = rank_certificate(double_banana(), oracle)
+    assert (cert.rank, len(cert.independent_set)) == (17, 17)
+    assert oracle._configs[0] is not None and oracle._configs[1] is None
+
+
 def _henneberg(rng, n):
     """A rigid independent graph on n >= 4 vertices, by 0- and 1-extensions
     from K4."""
