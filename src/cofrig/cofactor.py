@@ -30,10 +30,10 @@ by hand.  Below the cap the seeds build their bases from the same peel,
 where the 0-extension rows pivot in v's own block and clear only against
 each other, with almost no fill-in.  A column permutation changes the
 rank of no set of rows, so no rank depends on the layout; only the fill-in
-does.  A rank table sweeps the minors of the rows' matroid or of its dual,
-whichever has the smaller rank (``field.dual_rows``), seed by seed, and
-returns the first seed's table whose circuits each have more edges than
-their count cap, which proves it generic.
+does.  A rank table sweeps the minors of the rows' dual
+(``field.dual_rows``), seed by seed, and returns the first seed's table
+whose circuits each have more edges than their count cap
+(``generic_rank_upper_bound``), which proves it generic.
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).
@@ -61,7 +61,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import matroids
-from .errors import AmbientMismatch, SeedDisagreement
+from .errors import AmbientMismatch, CapExceeded, SeedDisagreement
 from .field import MERSENNE61, EchelonBasis, bases_by_minors, dual_rows, is_prime
 from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
 
@@ -636,56 +636,40 @@ class CofactorOracle:
 
         A seed's table comes from its bases: a linear matroid ranks X as the
         largest |X & B| over its bases B.  One tagged pass over its rows
-        (dual_rows) gives r pivot columns, where the rows keep their
-        matroid, and the dual matroid, of rank m - r, whose bases are the
-        complements of the rows' bases.  A sweep of minors (bases_by_minors)
-        lists the bases of whichever side has the smaller rank.
+        (dual_rows) gives their rank r and vectors in m - r coordinates that
+        represent the dual matroid, whose bases are the complements of the
+        rows' bases; a sweep of minors (bases_by_minors) lists those.  Past
+        matroids.ENUM_CAP edges, CapExceeded is raised before any row.
 
         The seeds are tried in order, and the first whose table its circuits
         prove is returned.  A seed's matroid M has no independent set that
         is generically dependent (evaluation is one-sided), and a matroid is
         fixed by its circuits (Oxley, Matroid Theory, 1.1).  So if every
         circuit of M, a cyclic set of nullity one on its levels, has more
-        edges than the cap of its vertex count, all of them are generically
-        dependent and M is the generic matroid.  A degenerate seed has some
-        circuit within its cap (a lost row is a loop), so skipping it
-        discards nothing; if every seed has one, SeedDisagreement is raised
-        with each seed's lowest such circuit.  The proven table then serves
-        as the memo.
+        edges than its cap (generic_rank_upper_bound), all of them are
+        generically dependent and M is the generic matroid.  A degenerate
+        seed has some circuit within its cap (a lost row is a loop), so
+        skipping it discards nothing; if every seed has one,
+        SeedDisagreement is raised with each seed's lowest such circuit.
+        The proven table then serves as the memo.
         """
         if self._table is not None:
             return self._table
         m = edge_count(self.n)
-        if m > 16:
-            raise ValueError(f"rank table over {m} edges is not tractable")
+        if m > matroids.ENUM_CAP:
+            raise CapExceeded(f"rank table over {m} edges")
         full, width, p = (1 << m) - 1, self.dim * self.n, self.modulus
-        every, sizes = (1 << (1 << m)) - 1, matroids.size_bits(m)
-        # on[v]: the masks whose edges touch exactly v of the vertices so far
-        on = [every]
-        for u in range(self.n):
-            star = EdgeSet.complete(self.n).star(u).mask
-            at_u = every & ~matroids.down_closure(1 << (full & ~star), m)
-            on = [a & ~at_u | b & at_u for a, b in zip([*on, 0], [0, *on])]
-        # the masks with no more edges than the cap of their vertex count
-        within = 0
-        for v, on_v in enumerate(on):
-            within |= on_v & sum(sizes[:_vertex_cap(v, self.dim) + 1])
         lowest = []
         for idx in range(len(self.seeds)):
-            rows = [self._row(b, idx) for b in range(m)]
-            vectors, pivots = dual_rows(rows, width, p)
-            r = len(pivots)
-            if m - r < r:
-                bases = [full & ~x for x in bases_by_minors(vectors, m - r, p)]
-            else:
-                bases = bases_by_minors([{k: row[c] for k, c in enumerate(pivots)
-                                          if c in row} for row in rows], r, p)
+            vectors, pivots = dual_rows([self._row(b, idx) for b in range(m)], width, p)
+            bases = [full & ~x for x in bases_by_minors(vectors, m - len(pivots), p)]
             matroid = matroids.ExplicitMatroid.from_bases(m, bases)
-            low = matroid.circuit_bits & within
-            if not low:
+            within = [c for c in matroid.circuits() if len(circuit := EdgeSet(self.n, c))
+                      <= generic_rank_upper_bound(circuit, self.s)]
+            if not within:
                 self._matroid, self._table = matroid, matroid.full_table()
                 return self._table
-            lowest.append((low & -low).bit_length() - 1)
+            lowest.append(within[0])
         raise SeedDisagreement(
             "every seed has a circuit within its count cap",
             detail={"n": self.n, "s": self.s, "seeds": self.seeds,

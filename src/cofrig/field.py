@@ -34,7 +34,7 @@ such row per seed (``_coloop_pass``), through the same ``reduce``.
 ``dual_rows`` tags every row and keeps each relation it finds: read per row,
 their coefficients represent the dual matroid, of rank m - r, whose bases
 are the complements of the rows' bases.  A rank table sweeps the minors of
-whichever side has the smaller rank.
+the dual vectors and complements the bases it finds.
 
 ``EchelonBasis.motion`` back-substitutes the kernel vector with given values
 at the free columns.  Independent uniform values make it a uniform kernel
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import combinations
 
 MERSENNE61 = (1 << 61) - 1
 
@@ -203,18 +202,15 @@ def dual_rows(rows, width: int,
 
 def bases_by_minors(vectors, r: int, p: int = MERSENNE61) -> list[int]:
     """The r-subsets, as bitmasks, of vectors with keys in range(r) whose
-    determinant is nonzero mod p.  Level j holds the nonzero minors of the
-    j-subsets on coordinates 0..j-1.  By Laplace expansion along j - 1, the
+    determinant is nonzero mod p.  Level j maps the j-subsets on coordinates
+    0..j-1 to their nonzero minors.  By Laplace expansion along j - 1, the
     minor of S sums x times the minor of S - c over each c in S with entry x
-    there, negated where an odd number of S lies above c.  Each level is
-    pushed into the next and dropped; the last is summed per subset and
-    never stored.  Nothing is reduced or inverted."""
-    if not r:
-        return [0]
-    columns = [[(1 << c, -2 << c, x) for c, v in enumerate(vectors) if (x := v.get(j))]
-               for j in range(r)]
+    there, negated where an odd number of S lies above c.  Every level is
+    pushed into the next alike and dropped; level r's keys are the bases.
+    Nothing is reduced or inverted."""
     level = {0: 1}
-    for column in columns[:-1]:
+    for j in range(r):
+        column = [(1 << c, -2 << c, x) for c, v in enumerate(vectors) if (x := v.get(j))]
         sums: dict[int, int] = {}
         for t, d in level.items():
             for b, above, x in column:
@@ -222,12 +218,4 @@ def bases_by_minors(vectors, r: int, p: int = MERSENNE61) -> list[int]:
                     y = -x * d if (t & above).bit_count() & 1 else x * d
                     sums[t | b] = sums.get(t | b, 0) + y
         level = {t: y for t, x in sums.items() if (y := x % p)}
-    found, get = [], level.get
-    for t in map(sum, combinations([1 << c for c in range(len(vectors))], r)):
-        y = 0
-        for b, above, x in columns[-1]:
-            if t & b and (d := get(t ^ b)):
-                y += -x * d if (t & above).bit_count() & 1 else x * d
-        if y % p:
-            found.append(t)
-    return found
+    return list(level)

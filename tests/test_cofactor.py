@@ -922,8 +922,8 @@ def test_each_query_peels_its_mask_once(monkeypatch):
     assert peeled == [banana.mask]
 
 
-# K6 with s = 1, 2 and 3 sweeps the dual, of rank 6, 3 and 1; K5 and K6
-# with s = 0 sweep the rows on their pivots, of rank 4 and 5
+# every table sweeps the dual: of rank 6, 3 and 1 on K6 with s = 1, 2 and 3,
+# and of rank 6 and 10 on K5 and K6 with s = 0
 REFERENCE_TABLES = [(6, 2), (6, 1), (5, 0), (6, 0), (6, 3)]
 # every table with at most 15 edges and s <= 6
 TRACTABLE_TABLES = [(n, s) for n in range(1, 7) for s in range(7)]
@@ -1012,10 +1012,10 @@ def test_rank_table_survives_a_degenerate_seed_0(monkeypatch, later_lose, kind):
 
 
 def test_rank_table_reduces_only_in_its_passes_and_sweeps_no_inverse(monkeypatch):
-    # On K6 with s = 1 and 2 the dual, of rank m - r = 6 and 3, is the
-    # smaller side.  Each seed asked reduces its 15 rows once, with tags, for
-    # its pivots and the dual vectors, taking one inverse per pivot.  It then
-    # sweeps the minors of its m - r dual vectors with no reduction and no
+    # Whatever the degree, each seed asked reduces its 15 rows of K6 once,
+    # with tags, for its r pivots and the dual vectors, taking one inverse
+    # per pivot.  It then sweeps the minors of the dual, in its m - r = 10,
+    # 6, 3 and 1 coordinates for s = 0 to 3, with no reduction and no
     # inverse.  Clean, seed 0's table is proven and no later seed is asked.
     # Where seed 0 loses the row of 45, seed 1 does the same and its table
     # is proven.  No seed builds an echelon basis of its own.
@@ -1041,7 +1041,7 @@ def test_rank_table_reduces_only_in_its_passes_and_sweeps_no_inverse(monkeypatch
 
     recording("dual_rows")
     recording("bases_by_minors")
-    for s, rank in [(1, 9), (2, 12)]:
+    for s, rank in [(0, 5), (1, 9), (2, 12), (3, 14)]:
         for lost, asked in [({}, 1), ({0: {edge_index(6, 4, 5)}}, 2)]:
             handed.clear()
             calls[0] = inverses[0] = 0

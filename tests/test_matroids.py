@@ -201,6 +201,11 @@ def test_enumeration_cap():
         ExplicitMatroid.from_bases(17, [0])
     with pytest.raises(CapExceeded):
         clique_truncation_matroid(7, 5)
+    # K7's 21 edges are over the cap, which is checked before any row
+    oracle = CofactorOracle(7)
+    with pytest.raises(CapExceeded):
+        oracle.rank_table()
+    assert oracle._configs == [None] * len(oracle.seeds)
 
 
 def test_rank_table_cap_is_checked_on_construction():
