@@ -35,10 +35,19 @@ does.  A rank table sweeps the minors of the rows' dual
 whose circuits each have more edges than their count cap
 (``generic_rank_upper_bound``), which proves it generic.
 
+The same fact settles many closure and cyc questions with no seed: an
+edge at a vertex of degree at most s + 1 is a 0-extension row, so a coloop.
+A non-edge e with an end of F-degree at most s is thus a coloop of F + e
+and never in cl(F), and every edge outside F's (s+2)-core, what is left
+after deleting vertices of degree at most s + 1 until none is left, is a
+coloop of F.  ``closure`` and ``seed_closure`` test only the non-edges
+whose ends both have degree at least s + 1, and ``cyc`` votes only on the
+core's edges.
+
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).
-``seed_closure`` tests each non-edge's row against one random motion of one
-seed, with no vote, and ``closure`` votes on each non-edge with the same
+``seed_closure`` tests each non-edge left open against one random motion
+of one seed, with no vote, and ``closure`` votes on each with the same
 test; the basis build tests its remaining rows the same way once one of
 them falls in the span.  A row outside the span passes with probability
 1/p; the seed then ranks the set one too low, never too high.  So a motion
@@ -409,20 +418,41 @@ class CofactorOracle:
             raise ValueError(f"rigidity needs ambient n >= {d + 2}")
         return self.rank(F) == d * self.n - (d + 1) * d // 2
 
-    def _extension_caps(self, F: EdgeSet) -> dict[int, int]:
-        """The non-edges e of F by the cap of F + e, as {cap: edge mask}: e
-        adds none, one or both of its ends to F's vertex support."""
-        full, support = EdgeSet.complete(self.n), F.vertex_support()
-        once = twice = 0
-        for v in set(range(self.n)) - support:
+    def _extension_caps(self, F: EdgeSet) -> tuple[int, int]:
+        """The cap on the rank of F + e shared by every non-edge e that may
+        lie in cl(F), and those non-edges, as an edge mask: the ones whose
+        ends both have F-degree at least s + 1.  The cap is min(|F| + 1, the
+        vertex cap of F's support), which such an e does not grow.  Any other
+        non-edge has an end of degree at most s + 1 in F + e, so its row is a
+        0-extension row there: e is a coloop of F + e (Whiteley 1996) and
+        never in cl(F)."""
+        full, d, low = EdgeSet.complete(self.n), self.dim, 0
+        for v in range(self.n):
             star = full.star(v).mask
-            once, twice = once | star, twice | once & star
-        caps: dict[int, int] = {}
-        for k, ties in enumerate((full.mask & ~F.mask & ~once, once & ~twice, twice)):
-            if ties:
-                cap = min(len(F) + 1, _vertex_cap(len(support) + k, self.dim))
-                caps[cap] = caps.get(cap, 0) | ties
-        return caps
+            if (F.mask & star).bit_count() < d:
+                low |= star
+        cap = min(len(F) + 1, _vertex_cap(len(F.vertex_support()), d))
+        return cap, full.mask & ~F.mask & ~low
+
+    def _core(self, F: EdgeSet) -> int:
+        """The edges of F's (s+2)-core, as an edge mask: what is left of F
+        after deleting vertices of degree at most s + 1 until none is left.
+        The edges at such a vertex are 0-extension rows, so coloops, and
+        deleting the vertex lowers the rank of F and of every F - e by its
+        degree alike, so it keeps the coloops of what is left."""
+        n, d, core = self.n, self.dim, F.mask
+        stars = [F.star(v).mask for v in range(n)]
+        low = [v for v, star in enumerate(stars) if 0 < star.bit_count() <= d]
+        while low:
+            v = low.pop()
+            star = core & stars[v]
+            core &= ~star
+            for b in bits(star):
+                u = sum(edge_at(n, b)) - v
+                # each vertex is queued once: here its degree falls to d
+                if (core & stars[u]).bit_count() == d:
+                    low.append(u)
+        return core
 
     def _lifts(self, F: EdgeSet, seed_idx: int):
         """Whether the row of a non-edge, by bit, lifts one seed's rank of F:
@@ -444,23 +474,27 @@ class CofactorOracle:
     def seed_closure(self, F: EdgeSet, seed_idx: int) -> tuple[EdgeSet, int, EdgeSet]:
         """One seed's base of F, its rank r of F, and its closure of F.
 
-        Where F's peel base (``peel_base``) proves its cap and every F + e
-        has that cap too, it is the base.  Otherwise the base is the rows the
-        seed's basis of F took in (``_seed_basis``), as many as its rank,
-        even where the peel proves a higher one: a motion test adds only to
-        its own seed's rank (see the module docstring).  r is the base's
-        size.  A non-edge e joins untested where the cap of F + e is r, and
-        otherwise unless its row lifts this seed's rank (``_lifts``): a row
-        that fails to annihilate a motion of F lies outside its span for
-        certain, so the seed ranks F + e at r + 1.
+        Only the non-edges whose ends both have F-degree at least s + 1 may
+        join, under one cap (``_extension_caps``); every other non-edge is
+        a coloop of F + e and stays out, with no seed asked.  Where F's peel
+        base (``peel_base``) proves its cap and there is no non-edge to test
+        or their cap is that rank too, it is the base.  Otherwise the base
+        is the rows the seed's basis of F took in (``_seed_basis``), as many
+        as its rank, even where the peel proves a higher one: a motion test
+        adds only to its own seed's rank (see the module docstring).  r is
+        the base's size.  The non-edges join untested where their cap is r,
+        and otherwise each joins unless its row lifts this seed's rank
+        (``_lifts``): a row that fails to annihilate a motion of F lies
+        outside its span for certain, so the seed ranks F + e at r + 1.
         """
-        base, caps = self.peel_base(F), self._extension_caps(F)
-        if base is None or caps.keys() - {len(base)}:
+        base, (cap, tested) = self.peel_base(F), self._extension_caps(F)
+        if base is None or tested and cap != len(base):
             self._seed_basis(F.mask, seed_idx)
             base = EdgeSet(self.n, self._peel(F.mask).picked[seed_idx])
-        r = len(base)
-        out = F.mask | caps.pop(r, 0)
-        if tested := sum(caps.values()):
+        r, out = len(base), F.mask
+        if cap == r:
+            out |= tested
+        elif tested:
             lifts = self._lifts(F, seed_idx)
             out |= sum(1 << b for b in bits(tested) if not lifts(b))
         return base, r, EdgeSet(self.n, out)
@@ -468,15 +502,17 @@ class CofactorOracle:
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
 
-        F + e is capped by F's vertex support and e's endpoints; where that
-        cap is r = rank(F), e joins the closure with no seed asked, since
+        A non-edge e with an end of F-degree at most s is a coloop of F + e,
+        its row a 0-extension row there, so it stays out with no seed asked.
+        The others share one cap on F + e (``_extension_caps``); where it is
+        r = rank(F), each joins the closure with no seed asked, since
         r <= rank(F + e) <= cap.  Otherwise F + e is voted unless the table
         has it, not memoized: a seed ranks it one above its own rank of F
         where the row of e lifts it (``_lifts``, the test ``seed_closure``
         makes), asked only once the vote on F + e reaches that seed.  The
         motion comes first, so its basis gives that seed's rank of F, never
         the peel-proven r.  So an F whose 0-extension rows reach the cap of
-        every F + e builds no basis.
+        its support builds no basis.
         The closure C has rank r, so it is memoized at r: a later rank of C,
         or cyc's rank decision on it, asks no seed.  C is also remembered as
         a flat, so closing it again, as is_flat does, votes nothing.
@@ -486,11 +522,13 @@ class CofactorOracle:
             return F
         seed_rank = cache(lambda idx: self._seed_basis(F.mask, idx).rank)
         r = self._decide(F.mask, seed_rank)
-        lifts = cache(lambda idx: self._lifts(F, idx))
-        caps = self._extension_caps(F)
-        out = F.mask | caps.pop(r, 0)
-        for cap, ties in caps.items():
-            for b in bits(ties):
+        cap, tested = self._extension_caps(F)
+        out = F.mask
+        if cap == r:
+            out |= tested
+        else:
+            lifts = cache(lambda idx: self._lifts(F, idx))
+            for b in bits(tested):
                 x = F.mask | 1 << b
                 if (self._vote(x, lambda idx: lifts(idx)(b) + seed_rank(idx), cap)
                         if self._table is None else self._table[x]) == r:
@@ -505,31 +543,32 @@ class CofactorOracle:
     def cyc(self, F: EdgeSet) -> EdgeSet:
         """F minus its restriction coloops, i.e. the union of circuits in F.
 
-        One peeled pass per seed gives that seed's rank of F and its coloops:
-        the basis elements outside one random self-stress (_coloop_pass).
-        Dropping e lowers a seed's rank exactly when e is one of its coloops,
-        which gives every rank of F - e without a further elimination.
-        F - e is capped by its vertex support and voted unless the table has
-        it, not memoized.  An F of decided rank |F| is independent, all
-        coloops, and gets the empty set with no pass.  The result is
-        remembered as a cyclic set, so is_cyclic of it votes nothing.
+        Every edge outside F's (s+2)-core (``_core``) is a coloop, so only
+        the core's edges are voted.  One peeled pass of F per seed gives that
+        seed's rank of F and its coloops: the basis elements outside one
+        random self-stress (_coloop_pass).  Dropping e lowers a seed's rank
+        exactly when e is one of its coloops, which gives every rank of F - e
+        without a further elimination.  A core edge's ends have degree at
+        least s + 2, so F - e keeps F's vertex support and its cap; it is
+        voted unless the table has it, not memoized.  An F of decided rank
+        |F| is independent, all coloops, and gets the empty set with no
+        pass.  The result is remembered as a cyclic set, so is_cyclic of it
+        votes nothing.
         """
         self._check(F)
         if F.mask in self._cyclic:
             return F
-        elems = list(bits(F.mask))
         seed_pass = cache(lambda idx: self._coloop_pass(F.mask, idx))
         r = self._decide(F.mask, lambda idx: seed_pass(idx)[0])
-        if r == len(elems):
+        if r == len(F):
             self._cyclic.add(0)
             return EdgeSet(self.n, 0)
-        support, keep = F.vertex_support(), 0
-        for b in elems:
+        cap = min(len(F) - 1, _vertex_cap(len(F.vertex_support()), self.dim))
+        keep = 0
+        for b in bits(self._core(F)):
             def without(idx):
                 r_i, coloops = seed_pass(idx)
                 return r_i - (coloops >> b & 1)
-            v_e = len(support) - sum(F.degree(u) == 1 for u in edge_at(self.n, b))
-            cap = min(len(elems) - 1, _vertex_cap(v_e, self.dim))
             x = F.mask & ~(1 << b)
             if (self._vote(x, without, cap) if self._table is None
                     else self._table[x]) == r:

@@ -100,15 +100,24 @@ def free_erection(M: ExplicitMatroid) -> tuple[ExplicitMatroid, bool, frozenset[
 
     Returns M itself with trivial=True when no nontrivial erection exists,
     i.e. when the closure of the non-spanning cyclic flats already contains
-    every cyclic set.  A nontrivial erection is checked against the rank
-    axioms before it is returned.
+    every cyclic set.  N's table adds 1 on the raised sets R, so its levels
+    follow from M's with no parse of the table: a subset has N-rank >= k
+    where it has M-rank >= k, or M-rank >= k - 1 and lies in R.  A
+    nontrivial erection is checked against the rank axioms before it is
+    returned.
     """
     family = modular_cyclic_closure(M, M.cyclic_flats())
     if M.cyclic_bits.bit_length() - 1 in family:  # cyc(E)
         return M, True, family
-    raised = subset_flags(M.cyclic_bits & ~family_bits(family), M.m)
-    table = int.from_bytes(M.full_table(), "little") + int.from_bytes(raised, "little")
+    raised = M.cyclic_bits & ~family_bits(family)
+    table = (int.from_bytes(M.full_table(), "little")
+             + int.from_bytes(subset_flags(raised, M.m), "little"))
     N = ExplicitMatroid(table.to_bytes(1 << M.m, "little"))
+    levels = M.levels
+    N.levels = [levels[0], *(level | below & raised
+                             for below, level in zip(levels, levels[1:]))]
+    if top := levels[-1] & raised:
+        N.levels.append(top)
     verify_rank_axioms(N)
     return N, False, family
 

@@ -206,8 +206,10 @@ def bases_by_minors(vectors, r: int, p: int = MERSENNE61) -> list[int]:
     0..j-1 to their nonzero minors.  By Laplace expansion along j - 1, the
     minor of S sums x times the minor of S - c over each c in S with entry x
     there, negated where an odd number of S lies above c.  Every level is
-    pushed into the next alike and dropped; level r's keys are the bases.
-    Nothing is reduced or inverted."""
+    pushed into the next alike and dropped; the next is reduced mod p in
+    place, its zero minors deleted, so no third dict is built beside the
+    two.  Level r's keys are the bases.  Nothing is reduced as a row or
+    inverted."""
     level = {0: 1}
     for j in range(r):
         column = [(1 << c, -2 << c, x) for c, v in enumerate(vectors) if (x := v.get(j))]
@@ -217,5 +219,12 @@ def bases_by_minors(vectors, r: int, p: int = MERSENNE61) -> list[int]:
                 if not t & b:
                     y = -x * d if (t & above).bit_count() & 1 else x * d
                     sums[t | b] = sums.get(t | b, 0) + y
-        level = {t: y for t, x in sums.items() if (y := x % p)}
+        level, zeros = sums, []
+        for t, x in level.items():
+            if x := x % p:
+                level[t] = x
+            else:
+                zeros.append(t)
+        for t in zeros:
+            del level[t]
     return list(level)

@@ -107,7 +107,8 @@ class ExplicitMatroid:
             ranks = bytes(table)
         except ValueError:  # a rank outside 0..255
             ranks = None
-        if ranks is None or max(ranks) > m:
+        # deleting every byte in 0..m leaves the ranks outside it
+        if ranks is None or ranks.translate(None, bytes(range(m + 1))):
             x = next(x for x, r in enumerate(table) if not 0 <= r <= m)
             raise ValueError(f"rank {table[x]} of {x:#x} is outside 0..{m}")
         self.m = m
@@ -317,9 +318,22 @@ def verify_rank_axioms(M: ExplicitMatroid) -> None:
         raise AssertionError(f"local submodularity fails at {x:#x}+{e},{f}")
 
 
+def _size_levels(m: int, r: int) -> list[int]:
+    """The levels of U(r, m): levels[k] holds the subsets of at least k
+    elements, for k up to min(r, m)."""
+    levels, at_least = [], 0
+    for size_k in reversed(size_bits(m)):
+        at_least |= size_k
+        levels.append(at_least)
+    return levels[::-1][:min(r, m) + 1]
+
+
 def uniform_matroid(m: int, r: int) -> ExplicitMatroid:
-    """U(r, m): every subset of at most r >= 0 elements is independent."""
-    return ExplicitMatroid(_capped(subset_sizes(m), r))
+    """U(r, m): every subset of at most r >= 0 elements is independent.
+    Its levels come from the subset sizes, not from parsing its table."""
+    matroid = ExplicitMatroid(_capped(subset_sizes(m), r))
+    matroid.levels = _size_levels(m, r)
+    return matroid
 
 
 def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
@@ -330,7 +344,9 @@ def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
     3-rigidity matroid; its free elevation is the object under study here.
     Its rank is min(|X|, C(t,2)) - [X is a K_t copy]: for t >= 3 two K_t
     copies share at most C(t-1,2) < C(t,2) - 1 edges, so a set of more than
-    C(t,2) edges has a C(t,2)-subset that is no copy.
+    C(t,2) edges has a C(t,2)-subset that is no copy.  So its levels are
+    those of U(C(t,2), m) with the copies taken out of level C(t,2), which
+    is dropped if that leaves it empty (n = t).
     """
     t = clique_order
     if t < 3:
@@ -338,7 +354,15 @@ def clique_truncation_matroid(n: int, clique_order: int) -> ExplicitMatroid:
     m = edge_count(n)
     if m > ENUM_CAP:
         raise CapExceeded(f"clique truncation over {m} elements")
-    table = bytearray(_capped(subset_sizes(m), t * (t - 1) // 2))
-    for vs in itertools.combinations(range(n), t):
-        table[EdgeSet.complete(n, vs).mask] -= 1
-    return ExplicitMatroid(table)
+    c = t * (t - 1) // 2
+    copies = [EdgeSet.complete(n, vs).mask for vs in itertools.combinations(range(n), t)]
+    table = bytearray(_capped(subset_sizes(m), c))
+    for x in copies:
+        table[x] -= 1
+    matroid, levels = ExplicitMatroid(table), _size_levels(m, c)
+    if copies:
+        levels[c] &= ~family_bits(copies)
+        if not levels[c]:
+            levels.pop()
+    matroid.levels = levels
+    return matroid

@@ -250,7 +250,8 @@ def dress_certificate(F: EdgeSet, oracle):
     base B: that is the value on C of C's cover sequence (a member X adds
     C(|X|, 2) - C(|X| - 3, 2) = 3|X| - 6, a hinge's edge counts once), so
     rank(F) <= rank(C) <= |B| <= rank(F), and every edge outside C lifted
-    the seed's rank of F + e above |B| (``seed_closure``).
+    the seed's rank of F + e above |B| or is a coloop of F + e
+    (``seed_closure``).
 
     Returns ``(C, value, cover, F0, shelling_order)``.
     """

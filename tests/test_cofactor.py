@@ -166,11 +166,11 @@ def test_modulus_must_be_a_large_prime(modulus):
         CofactorOracle(5, modulus=modulus)
 
 
-def _rigged_oracle9(monkeypatch):
-    """K9 oracle whose seeds 0 and 1 (not 2) lose the row of edge 48."""
-    oracle = CofactorOracle(9)
+def _rigged_oracle(monkeypatch, n=9):
+    """K_n oracle whose seeds 0 and 1 (not 2) lose the row of edge 48."""
+    oracle = CofactorOracle(n)
     real = oracle._row
-    bit = edge_index(9, 4, 8)
+    bit = edge_index(n, 4, 8)
 
     def row(b, idx):
         got = real(b, idx)
@@ -180,14 +180,20 @@ def _rigged_oracle9(monkeypatch):
     return oracle
 
 
+def _banana10():
+    """The double banana in K10 with vertex 8 on 2, 3, 5 and vertex 9 on 6, 7:
+    adding 48, whose ends both have degree at least 3, raises the generic
+    rank from 22 to 23, below the cap of 24, so no seed is trusted alone."""
+    F = double_banana().reindexed(10)
+    return F.add(2, 8).add(3, 8).add(5, 8).add(6, 9).add(7, 9)
+
+
 def test_closure_checks_the_seeds_it_memoizes(monkeypatch):
-    # Double banana plus a vertex 8 on 2 and 3: adding 48 raises the generic
-    # rank from 19 to 20, below the cap of 21, so no seed is trusted alone.
-    F = double_banana().reindexed(9).add(2, 8).add(3, 8)
+    F = _banana10()
     e = (4, 8)
     with pytest.raises(SeedDisagreement):
-        _rigged_oracle9(monkeypatch).rank(F.add(*e))
-    oracle = _rigged_oracle9(monkeypatch)
+        _rigged_oracle(monkeypatch, 10).rank(F.add(*e))
+    oracle = _rigged_oracle(monkeypatch, 10)
     with pytest.raises(SeedDisagreement):
         oracle.closure(F)
     with pytest.raises(SeedDisagreement):
@@ -635,18 +641,18 @@ def test_fundamental_circuit_asks_later_seeds_only_within_the_cap(monkeypatch):
 
 
 def test_one_pass_queries_check_the_seeds(monkeypatch):
-    # The rigged seeds of test_closure_checks_the_seeds_it_memoizes.
+    # Seeds 0 and 1 lose the row of 48 (_rigged_oracle), here in K9.
     F = double_banana().reindexed(9).add(2, 8).add(3, 8).add(4, 8)
     with pytest.raises(SeedDisagreement):
-        _rigged_oracle9(monkeypatch).cyc(F)
+        _rigged_oracle(monkeypatch).cyc(F)
     with pytest.raises(SeedDisagreement):
-        _rigged_oracle9(monkeypatch).basis_of(F)
+        _rigged_oracle(monkeypatch).basis_of(F)
     # B is independent, since seed 2 meets its cap, but B + 67 is not
     # capped, and two of three seeds rank it below the third
     B = CofactorOracle(9).basis_of(F)
     assert (6, 7) not in B
     with pytest.raises(SeedDisagreement):
-        _rigged_oracle9(monkeypatch).fundamental_circuit(B, (6, 7))
+        _rigged_oracle(monkeypatch).fundamental_circuit(B, (6, 7))
 
 
 def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
@@ -1089,19 +1095,75 @@ def test_motion_closure_matches_the_reduction_closure():
 
 def test_motion_closure_matches_the_reduction_closure_on_rigged_seeds(monkeypatch):
     # Losing the row of 48 splits the seeds on the closure of the first two
-    # graphs, but not on K9 - 48, whose seed 0 meets the cap on K9.
-    F = double_banana().reindexed(9).add(2, 8).add(3, 8)
-    graphs = (F, F.remove(2, 8), complete_graph(9).remove(4, 8))
+    # graphs, but not on K10 - 48, whose seed 0 meets the cap on K10.
+    F = _banana10()
+    graphs = (F, F.remove(6, 9), complete_graph(10).remove(4, 8))
 
     def outcome(closure, G):
         try:
-            return "closure", closure(_rigged_oracle9(monkeypatch), G.mask)
+            return "closure", closure(_rigged_oracle(monkeypatch, 10), G.mask)
         except SeedDisagreement as exc:
             return "split at", exc.detail["mask"]
 
     def motion(oracle, mask):
-        return oracle.closure(EdgeSet(9, mask)).mask
+        return oracle.closure(EdgeSet(10, mask)).mask
 
     got = [outcome(motion, G) for G in graphs]
     assert [kind for kind, _ in got] == ["split at", "split at", "closure"]
     assert got == [outcome(reference.reduction_closure, G) for G in graphs]
+
+
+def _low_degree_graph(rng, n, s):
+    """A random graph on a random dense part of K_n, plus each other vertex
+    joined to at most s + 2 random vertices: isolated, pendant and other
+    low-degree vertices, on both sides of degree s + 1."""
+    dense = rng.sample(range(n), rng.randint(2, n))
+    F = EdgeSet(n, sum(1 << edge_index(n, u, v) for u, v in combinations(sorted(dense), 2)
+                       if rng.random() < 0.7))
+    for v in set(range(n)) - set(dense):
+        for u in rng.sample([u for u in range(n) if u != v], rng.randint(0, min(s + 2, n - 1))):
+            F = F.add(u, v)
+    return F
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_low_degree_vertices_keep_closure_and_cyc(s):
+    # closure leaves out every non-edge at a vertex of degree at most s, and
+    # cyc every edge outside the (s+2)-core, with no seed asked: the answers
+    # stay those of the per-edge reference.
+    rng = random.Random(70 + s)
+    for n in range(5, 11):
+        for _ in range(10):
+            F = _low_degree_graph(rng, n, s)
+            assert (CofactorOracle(n, s=s).closure(F).mask
+                    == reference.reduction_closure(CofactorOracle(n, s=s), F.mask))
+            slow = CofactorOracle(n, s=s)
+            assert CofactorOracle(n, s=s).cyc(F).mask == reference.cyc(
+                lambda mask: slow.rank(EdgeSet(n, mask)), F.mask)
+
+
+def test_closure_settles_non_edges_at_low_degree_vertices_with_no_seed(monkeypatch):
+    # Every non-edge of K5 in K8 has an end of degree 0, so it is a coloop of
+    # K5 + e, and the peel proves K5's rank: closure votes on nothing and
+    # draws no motion.
+    calls = []
+    for name in ("_vote", "_lifts"):
+        real = getattr(CofactorOracle, name)
+        monkeypatch.setattr(CofactorOracle, name, lambda self, *args, name=name, real=real:
+                            calls.append(name) or real(self, *args))
+    K5 = complete_edges(8, range(5))
+    assert CofactorOracle(8).closure(K5) == K5
+    assert calls == []
+
+
+def test_cyc_votes_only_on_the_core(monkeypatch):
+    # K6 plus vertex 6 on 0, 1, 2 in K7: the edges at 6 lie outside the
+    # 4-core, so they are coloops with no vote, and dropping any K6 edge
+    # meets the cap at seed 0, so only seed 0 runs a coloop pass.
+    asked = []
+    real = CofactorOracle._coloop_pass
+    monkeypatch.setattr(CofactorOracle, "_coloop_pass", lambda oracle, mask, idx:
+                        asked.append(idx) or real(oracle, mask, idx))
+    K6 = complete_edges(7, range(6))
+    assert CofactorOracle(7).cyc(K6.add(0, 6).add(1, 6).add(2, 6)) == K6
+    assert asked == [0]

@@ -1,5 +1,6 @@
 import random
 import re
+from functools import cached_property
 from itertools import combinations
 
 import pytest
@@ -160,6 +161,27 @@ def test_levels_hold_the_subsets_of_each_rank():
     # bit x of levels[k] is set when rank(x) >= k
     assert M.levels == [0b11111111, 0b11111110, 0b11101000]
     assert ExplicitMatroid([0]).levels == [1]
+
+
+def test_built_levels_match_the_parsed_table(monkeypatch):
+    # uniform matroids and clique truncations build their levels from the
+    # subset sizes, and each erection from the levels before it: none of
+    # them parses its table, and each gets the levels the parse would
+    parsed = []
+    real = ExplicitMatroid.levels
+    counting = cached_property(lambda M: parsed.append(M) or real.func(M))
+    counting.__set_name__(ExplicitMatroid, "levels")
+    monkeypatch.setattr(ExplicitMatroid, "levels", counting)
+    built = [uniform_matroid(m, r) for m in range(16) for r in range(m + 2)]
+    built += [clique_truncation_matroid(n, t) for n in range(3, 7) for t in range(3, n + 1)]
+    for n, t in [(5, 3), (5, 4), (5, 5), (6, 4), (6, 5)]:
+        steps = free_elevation(clique_truncation_matroid(n, t)).steps
+        assert len(steps) > 1
+        built += steps
+    assert parsed == []
+    for M in built:
+        assert M.levels == ExplicitMatroid(M.full_table()).levels
+    assert len(parsed) == len(built)
 
 
 def test_closure_cyc_roundtrip(oracle6, table6):
