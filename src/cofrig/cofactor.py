@@ -35,14 +35,14 @@ does.  A rank table sweeps the minors of the rows' dual
 whose circuits each have more edges than their count cap
 (``generic_rank_upper_bound``), which proves it generic.
 
-The same fact settles many closure and cyc questions with no seed: an
-edge at a vertex of degree at most s + 1 is a 0-extension row, so a coloop.
-A non-edge e with an end of F-degree at most s is thus a coloop of F + e
-and never in cl(F), and every edge outside F's (s+2)-core, what is left
-after deleting vertices of degree at most s + 1 until none is left, is a
-coloop of F.  ``closure`` and ``seed_closure`` test only the non-edges
-whose ends both have degree at least s + 1, and ``cyc`` votes only on the
-core's edges.
+The same fact settles many closure and cyc questions with no seed, read
+off the peel's cores: every edge outside the (s+2)-core of a set, what is
+left after deleting vertices of degree at most s + 1 until none is left, is
+a coloop of it, since the peel makes it a 0-extension row.  So ``cyc`` votes
+only on the edges of F's (s+2)-core.  Adding a non-edge e raises no degree
+by more than one, so the (s+2)-core of F + e lies inside F's (s+1)-core; an
+e with an end outside that is a coloop of F + e and never in cl(F), and
+``closure`` and ``seed_closure`` test only the non-edges inside it.
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).
@@ -72,7 +72,7 @@ from typing import NamedTuple
 from . import matroids
 from .errors import AmbientMismatch, CapExceeded, SeedDisagreement
 from .field import MERSENNE61, EchelonBasis, bases_by_minors, dual_rows, is_prime
-from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index
+from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index, stars
 
 DEFAULT_SEEDS = (101, 202, 303)
 MIN_MODULUS = (1 << 31) - 1
@@ -127,22 +127,20 @@ def generic_rank_upper_bound(F: EdgeSet, s: int) -> int:
     return min(len(F), _vertex_cap(len(F.vertex_support()), s + 1))
 
 
-class _Peel:
+class _Peel(NamedTuple):
     """The peel of the last mask peeled (CofactorOracle._peel), and per seed
     its echelon basis of the mask, None until built, and the edge bits of
     the rows that basis took in."""
 
-    __slots__ = ("mask", "order", "first", "cols", "cap", "bases", "picked")
-
-    def __init__(self, mask: int, order: list[int], first: int, cols: list[int],
-                 cap: int, bases: list[EchelonBasis | None], picked: list[int]):
-        self.mask = mask
-        self.order = order
-        self.first = first
-        self.cols = cols
-        self.cap = cap
-        self.bases = bases
-        self.picked = picked
+    mask: int
+    order: list[int]
+    first: int
+    cols: list[int]
+    shells: list[int]
+    support_cap: int
+    cap: int
+    bases: list[EchelonBasis | None]
+    picked: list[int]
 
 
 class CofactorOracle:
@@ -314,17 +312,21 @@ class CofactorOracle:
 
     def _peel(self, mask: int) -> _Peel:
         """The record of mask's peel: its edge bits in peeling order, how
-        many of them are 0-extension rows, the column map, and the count cap
-        from the degrees.
+        many of them are 0-extension rows, the column map, each vertex's
+        shell, and the count caps of its support and of mask.
 
         Vertices leave by least degree among those left, from a bucket queue.
         The k-th vertex to leave takes the k-th (s+1)-block: cols[c] is the
         column that column c of cofactor_row moves to.  Its first s+1 edges
         to vertices still left, in edge order, are its 0-extension rows;
-        the order puts all of those first, then every other edge.  Only the
-        last mask's record is kept, with the seed bases built on it, so the
-        seeds of a mask, and a seed's rank followed by its basis, peel it
-        once; peeling another mask drops it.
+        the order puts all of those first, then every other edge.  A
+        vertex's shell is the largest least degree met up to its leaving,
+        its core number: the k-core of mask, what is left after deleting
+        vertices of degree below k until none is left, is the vertices of
+        shell at least k (Batagelj and Zaversnik 2003).  Only the last
+        mask's record is kept, with the seed bases built on it, so the seeds
+        of a mask, and a seed's rank followed by its basis, peel it once;
+        peeling another mask drops it.
         """
         peel = self._last_peel
         if peel is not None and peel.mask == mask:
@@ -336,15 +338,19 @@ class CofactorOracle:
             nbrs[i].append((j, b))
             nbrs[j].append((i, b))
         degree = [len(x) for x in nbrs]
-        cap = min(mask.bit_count(), _vertex_cap(n - degree.count(0), w))
+        support_cap = _vertex_cap(n - degree.count(0), w)
         buckets: list[dict[int, None]] = [{} for _ in range(max(degree) + 1)]
         for v, d in enumerate(degree):
             buckets[d][v] = None
-        first, rest, cols, low = [], [], [0] * (w * n), 0
+        first, rest, cols, shells = [], [], [0] * (w * n), [0] * n
+        low = shell = 0
         for k in range(n):
             while not buckets[low]:
                 low += 1
+            if low > shell:
+                shell = low
             v = buckets[low].popitem()[0]
+            shells[v] = shell
             degree[v] = -1
             at = w * (n - 1 - v)
             cols[at:at + w] = range(w * k, w * k + w)
@@ -362,7 +368,8 @@ class CofactorOracle:
                     degree[u] = d - 1
             low = max(low - 1, 0)
         seeds = len(self.seeds)
-        self._last_peel = _Peel(mask, first + rest, len(first), cols, cap,
+        self._last_peel = _Peel(mask, first + rest, len(first), cols, shells, support_cap,
+                                min(mask.bit_count(), support_cap),
                                 [None] * seeds, [0] * seeds)
         return self._last_peel
 
@@ -418,41 +425,26 @@ class CofactorOracle:
             raise ValueError(f"rigidity needs ambient n >= {d + 2}")
         return self.rank(F) == d * self.n - (d + 1) * d // 2
 
+    def _off_core(self, mask: int, k: int) -> int:
+        """The edges of K_n at a vertex outside mask's k-core, as an edge
+        mask: the vertices whose shell in mask's peel is below k."""
+        out = 0
+        for star, shell in zip(stars(self.n), self._peel(mask).shells):
+            if shell < k:
+                out |= star
+        return out
+
     def _extension_caps(self, F: EdgeSet) -> tuple[int, int]:
         """The cap on the rank of F + e shared by every non-edge e that may
         lie in cl(F), and those non-edges, as an edge mask: the ones whose
-        ends both have F-degree at least s + 1.  The cap is min(|F| + 1, the
-        vertex cap of F's support), which such an e does not grow.  Any other
-        non-edge has an end of degree at most s + 1 in F + e, so its row is a
-        0-extension row there: e is a coloop of F + e (Whiteley 1996) and
-        never in cl(F)."""
-        full, d, low = EdgeSet.complete(self.n), self.dim, 0
-        for v in range(self.n):
-            star = full.star(v).mask
-            if (F.mask & star).bit_count() < d:
-                low |= star
-        cap = min(len(F) + 1, _vertex_cap(len(F.vertex_support()), d))
-        return cap, full.mask & ~F.mask & ~low
-
-    def _core(self, F: EdgeSet) -> int:
-        """The edges of F's (s+2)-core, as an edge mask: what is left of F
-        after deleting vertices of degree at most s + 1 until none is left.
-        The edges at such a vertex are 0-extension rows, so coloops, and
-        deleting the vertex lowers the rank of F and of every F - e by its
-        degree alike, so it keeps the coloops of what is left."""
-        n, d, core = self.n, self.dim, F.mask
-        stars = [F.star(v).mask for v in range(n)]
-        low = [v for v, star in enumerate(stars) if 0 < star.bit_count() <= d]
-        while low:
-            v = low.pop()
-            star = core & stars[v]
-            core &= ~star
-            for b in bits(star):
-                u = sum(edge_at(n, b)) - v
-                # each vertex is queued once: here its degree falls to d
-                if (core & stars[u]).bit_count() == d:
-                    low.append(u)
-        return core
+        ends both lie in F's (s+1)-core.  The cap is min(|F| + 1, the vertex
+        cap of F's support), which such an e does not grow.  Adding e raises
+        no degree by more than one, so the (s+2)-core of F + e lies inside
+        F's (s+1)-core; any other non-edge thus lies outside it, a coloop of
+        F + e and never in cl(F) (see the module docstring)."""
+        full = (1 << edge_count(self.n)) - 1
+        cap = min(len(F) + 1, self._peel(F.mask).support_cap)
+        return cap, full & ~F.mask & ~self._off_core(F.mask, self.dim)
 
     def _lifts(self, F: EdgeSet, seed_idx: int):
         """Whether the row of a non-edge, by bit, lifts one seed's rank of F:
@@ -474,9 +466,9 @@ class CofactorOracle:
     def seed_closure(self, F: EdgeSet, seed_idx: int) -> tuple[EdgeSet, int, EdgeSet]:
         """One seed's base of F, its rank r of F, and its closure of F.
 
-        Only the non-edges whose ends both have F-degree at least s + 1 may
-        join, under one cap (``_extension_caps``); every other non-edge is
-        a coloop of F + e and stays out, with no seed asked.  Where F's peel
+        Only the non-edges with both ends in F's (s+1)-core may join, under
+        one cap (``_extension_caps``); every other non-edge is a coloop of
+        F + e and stays out, with no seed asked.  Where F's peel
         base (``peel_base``) proves its cap and there is no non-edge to test
         or their cap is that rank too, it is the base.  Otherwise the base
         is the rows the seed's basis of F took in (``_seed_basis``), as many
@@ -502,9 +494,9 @@ class CofactorOracle:
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
 
-        A non-edge e with an end of F-degree at most s is a coloop of F + e,
-        its row a 0-extension row there, so it stays out with no seed asked.
-        The others share one cap on F + e (``_extension_caps``); where it is
+        A non-edge e with an end outside F's (s+1)-core is a coloop of F + e,
+        so it stays out with no seed asked.  The others share one cap on
+        F + e (``_extension_caps``); where it is
         r = rank(F), each joins the closure with no seed asked, since
         r <= rank(F + e) <= cap.  Otherwise F + e is voted unless the table
         has it, not memoized: a seed ranks it one above its own rank of F
@@ -543,9 +535,9 @@ class CofactorOracle:
     def cyc(self, F: EdgeSet) -> EdgeSet:
         """F minus its restriction coloops, i.e. the union of circuits in F.
 
-        Every edge outside F's (s+2)-core (``_core``) is a coloop, so only
-        the core's edges are voted.  One peeled pass of F per seed gives that
-        seed's rank of F and its coloops: the basis elements outside one
+        Every edge outside F's (s+2)-core (``_off_core``) is a coloop, so
+        only the core's edges are voted.  One peeled pass of F per seed gives
+        that seed's rank of F and its coloops: the basis elements outside one
         random self-stress (_coloop_pass).  Dropping e lowers a seed's rank
         exactly when e is one of its coloops, which gives every rank of F - e
         without a further elimination.  A core edge's ends have degree at
@@ -563,9 +555,9 @@ class CofactorOracle:
         if r == len(F):
             self._cyclic.add(0)
             return EdgeSet(self.n, 0)
-        cap = min(len(F) - 1, _vertex_cap(len(F.vertex_support()), self.dim))
+        cap = min(len(F) - 1, self._peel(F.mask).support_cap)
         keep = 0
-        for b in bits(self._core(F)):
+        for b in bits(F.mask & ~self._off_core(F.mask, self.dim + 1)):
             def without(idx):
                 r_i, coloops = seed_pass(idx)
                 return r_i - (coloops >> b & 1)
@@ -685,7 +677,8 @@ class CofactorOracle:
         is generically dependent (evaluation is one-sided), and a matroid is
         fixed by its circuits (Oxley, Matroid Theory, 1.1).  So if every
         circuit of M, a cyclic set of nullity one on its levels, has more
-        edges than its cap (generic_rank_upper_bound), all of them are
+        edges than its cap (generic_rank_upper_bound, with its vertices
+        counted on the stars of K_n), all of them are
         generically dependent and M is the generic matroid.  A degenerate
         seed has some circuit within its cap (a lost row is a loop), so
         skipping it discards nothing; if every seed has one,
@@ -698,13 +691,13 @@ class CofactorOracle:
         if m > matroids.ENUM_CAP:
             raise CapExceeded(f"rank table over {m} edges")
         full, width, p = (1 << m) - 1, self.dim * self.n, self.modulus
-        lowest = []
+        vstars, lowest = stars(self.n), []
         for idx in range(len(self.seeds)):
             vectors, pivots = dual_rows([self._row(b, idx) for b in range(m)], width, p)
             bases = [full & ~x for x in bases_by_minors(vectors, m - len(pivots), p)]
             matroid = matroids.ExplicitMatroid.from_bases(m, bases)
-            within = [c for c in matroid.circuits() if len(circuit := EdgeSet(self.n, c))
-                      <= generic_rank_upper_bound(circuit, self.s)]
+            within = [c for c in matroid.circuits() if c.bit_count()
+                      <= _vertex_cap(sum(c & x != 0 for x in vstars), self.dim)]
             if not within:
                 self._matroid, self._table = matroid, matroid.full_table()
                 return self._table

@@ -25,13 +25,13 @@ def _edge_table(n: int) -> tuple[tuple[Edge, ...], dict[Edge, int]]:
 
 
 @lru_cache(maxsize=None)
-def _stars(n: int) -> tuple[int, ...]:
+def stars(n: int) -> tuple[int, ...]:
     """Per vertex of K_n, the mask of the edges at it."""
-    stars = [0] * n
+    out = [0] * n
     for i, (u, v) in enumerate(_edge_table(n)[0]):
-        stars[u] |= 1 << i
-        stars[v] |= 1 << i
-    return tuple(stars)
+        out[u] |= 1 << i
+        out[v] |= 1 << i
+    return tuple(out)
 
 
 def edge_count(n: int) -> int:
@@ -220,7 +220,7 @@ class EdgeSet(_Immutable):
     def vertex_support(self) -> frozenset[int]:
         """Vertices incident to at least one edge."""
         mask = self.mask
-        return frozenset(v for v, star in enumerate(_stars(self.n)) if mask & star)
+        return frozenset(v for v, star in enumerate(stars(self.n)) if mask & star)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(u for e in self.star(v).edges() for u in e if u != v)
@@ -230,7 +230,7 @@ class EdgeSet(_Immutable):
 
     def star(self, v: int) -> "EdgeSet":
         """Edges of this set incident to v."""
-        star = _stars(self.n)[v] if 0 <= v < self.n else 0
+        star = stars(self.n)[v] if 0 <= v < self.n else 0
         return EdgeSet(self.n, self.mask & star)
 
     def reindexed(self, new_n: int) -> "EdgeSet":
@@ -251,9 +251,9 @@ def complete_edges(n: int, vertices: Iterable[int]) -> EdgeSet:
     return EdgeSet.complete(n, vertices)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def clique_mask(n: int, verts: tuple[int, ...]) -> int:
-    """Clique mask of a sorted vertex tuple in K_n, cached for clique-family members."""
+    """Clique mask of a sorted vertex tuple in K_n; the last 1024 are cached."""
     return EdgeSet.complete(n, verts).mask
 
 

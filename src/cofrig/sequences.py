@@ -58,14 +58,18 @@ class CircuitSequence(CliqueFamily):
         if len(m) != size or len(set(m)) != size:
             raise ValueError(f"member {i} must have {size} distinct vertices, got {m}")
 
-    def improper_index(self) -> int | None:
-        """Index of the first clique adding no new edge, or None if proper."""
+    def _walk(self) -> tuple[int | None, int]:
+        """improper_index, and the union of the cliques before that index."""
         seen = 0
         for i, mask in enumerate(self.edge_masks()):
             if not mask & ~seen:
-                return i
+                return i, seen
             seen |= mask
-        return None
+        return None, seen
+
+    def improper_index(self) -> int | None:
+        """Index of the first clique adding no new edge, or None if proper."""
+        return self._walk()[0]
 
     @property
     def is_proper(self) -> bool:
@@ -78,12 +82,12 @@ def seq_value(F: EdgeSet, seq: CircuitSequence) -> int:
         raise AmbientMismatch(
             f"edge set lives in K_{F.n} but sequence lives in K_{seq.n}"
         )
-    bad = seq.improper_index()
+    bad, union = seq._walk()
     if bad is not None:
         raise ValueError(
             f"sequence is not proper: member {bad} {seq.members[bad]} adds no new edge"
         )
-    return len(F | seq.union_edges()) - len(seq)
+    return (F.mask | union).bit_count() - len(seq)
 
 
 def covering_sequence(n: int, d: int = 3) -> CircuitSequence:

@@ -162,9 +162,9 @@ def test_elevate_output_is_pinned(capsys, tmp_path, n, t, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the rank and dress stdout, pinned so that a change to closure,
-# to the maximal cliques or to their shelling order cannot alter a
-# certificate unnoticed
+# sha256 of the rank, dress and closure stdout, pinned so that a change to
+# closure, to the maximal cliques or to their shelling order cannot alter a
+# certificate or a closure unnoticed
 @pytest.mark.parametrize("command, graph, digest", [
     ("rank", "k5_file",
      "a560ad3cc52c08e943f98cd33cf57a4c2ecec561ef531572c6e386b0ce95b4ca"),
@@ -178,8 +178,13 @@ def test_elevate_output_is_pinned(capsys, tmp_path, n, t, digest):
      "a3258315469e686e9617497b9d4caf188bac2c679493057ef9edd1f7e312cdce"),
     ("dress", "k5_chain_file",
      "35e31a7113aa7b9957884b0e030e0e9cb81cf55fe221d814824dc55288712fcf"),
+    ("closure", "banana_file",
+     "fd761514037b391b60d53a1f54ff723b91f05f3c9d465e9da853cf19ecba249d"),
+    ("closure", "k5_chain_file",
+     "38be5b273d30d1da0d827371e8fd8b881bb71a291f25f8b300b9d2277aff519b"),
 ], ids=["rank-K5", "rank-banana", "rank-K5-chain",
-        "dress-K5", "dress-banana", "dress-K5-chain"])
+        "dress-K5", "dress-banana", "dress-K5-chain",
+        "closure-banana", "closure-K5-chain"])
 def test_certificate_output_is_pinned(capsys, request, command, graph, digest):
     code, out, _ = _run(capsys, [command, request.getfixturevalue(graph)])
     assert code == 0

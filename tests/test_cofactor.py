@@ -1142,18 +1142,50 @@ def test_low_degree_vertices_keep_closure_and_cyc(s):
                 lambda mask: slow.rank(EdgeSet(n, mask)), F.mask)
 
 
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_peel_shells_give_the_cores(s):
+    # Deleting the vertices of degree below k until none is left leaves the
+    # k-core: it must be the vertices whose shell in the peel is at least k.
+    rng = random.Random(90 + s)
+    for n in range(5, 11):
+        oracle = CofactorOracle(n, s=s)
+        for _ in range(10):
+            for F in (_random_graph(rng, n, rng.randint(0, edge_count(n))),
+                      _low_degree_graph(rng, n, s)):
+                shells = oracle._peel(F.mask).shells
+                for k in range(max(shells) + 2):
+                    left = set(range(n))
+                    while low := [v for v in left if len(F.neighbors(v) & left) < k]:
+                        left -= set(low)
+                    assert left == {v for v in range(n) if shells[v] >= k}
+
+
+def _closure_calls(monkeypatch, F):
+    """The closure of F in a fresh oracle, and its _vote and _lifts calls,
+    each with the mask it was asked about."""
+    calls = []
+    for name in ("_vote", "_lifts"):
+        real = getattr(CofactorOracle, name)
+        monkeypatch.setattr(CofactorOracle, name, lambda self, G, *args, name=name, real=real:
+                            calls.append((name, getattr(G, "mask", G)))
+                            or real(self, G, *args))
+    return CofactorOracle(F.n).closure(F), calls
+
+
 def test_closure_settles_non_edges_at_low_degree_vertices_with_no_seed(monkeypatch):
     # Every non-edge of K5 in K8 has an end of degree 0, so it is a coloop of
     # K5 + e, and the peel proves K5's rank: closure votes on nothing and
     # draws no motion.
-    calls = []
-    for name in ("_vote", "_lifts"):
-        real = getattr(CofactorOracle, name)
-        monkeypatch.setattr(CofactorOracle, name, lambda self, *args, name=name, real=real:
-                            calls.append(name) or real(self, *args))
     K5 = complete_edges(8, range(5))
-    assert CofactorOracle(8).closure(K5) == K5
-    assert calls == []
+    assert _closure_calls(monkeypatch, K5) == (K5, [])
+
+
+def test_closure_settles_non_edges_outside_the_core_with_no_seed(monkeypatch):
+    # K5 + 05 + 56 + 57 in K8: vertex 5 has degree 3 but lies outside the
+    # 3-core, which is the K5, so every non-edge has an end outside it and
+    # is a coloop of F + e.  Closure votes on F alone and draws no motion.
+    F = complete_edges(8, range(5)).add(0, 5).add(5, 6).add(5, 7)
+    assert _closure_calls(monkeypatch, F) == (F, [("_vote", F.mask)])
 
 
 def test_cyc_votes_only_on_the_core(monkeypatch):

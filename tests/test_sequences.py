@@ -7,7 +7,8 @@ import pytest
 from cofrig.cofactor import CofactorOracle
 from cofrig.errors import CapExceeded, WitnessMismatch
 from cofrig.graphs import (
-    EdgeSet, apply_extension, complete_edges, complete_graph, double_banana, edge_index)
+    EdgeSet, apply_extension, clique_mask, complete_edges, complete_graph, double_banana,
+    edge_index)
 from cofrig.matroids import uniform_matroid
 from cofrig.sequences import (
     CircuitSequence,
@@ -62,6 +63,17 @@ def test_covering_sequence_hits_the_generic_bound():
         assert seq_value(EdgeSet.empty(n), seq) == 3 * n - 6
     assert seq_value(EdgeSet.empty(6), covering_sequence(6, d=2)) == 2 * 6 - 3
     assert seq_value(EdgeSet.empty(7), covering_sequence(7, d=1)) == 7 - 1
+
+
+def test_clique_mask_cache_stays_within_its_bound():
+    # The certificate of K49 has C(46, 2) = 1035 K5s, more than the cache
+    # holds; each member's mask is built once, and the cache keeps at most
+    # its bound of them.
+    clique_mask.cache_clear()
+    cert = rank_certificate(complete_graph(49), CofactorOracle(49))
+    info = clique_mask.cache_info()
+    assert len(cert.sequence) == 1035 > info.maxsize == 1024
+    assert (info.misses, info.hits, info.currsize) == (1035, 0, 1024)
 
 
 def test_single_clique_value():
