@@ -389,9 +389,13 @@ class CofactorOracle:
 
     def _vote(self, mask: int, seed_rank, cap: int) -> int:
         """The rank of a mask from its per-seed ranks, asked for lazily in
-        seed order: a seed meeting the proven cap ends the asking, and
-        otherwise the maximum stands unless a strict majority of seeds falls
-        below it."""
+        seed order: a seed meeting cap ends the asking, and otherwise the
+        maximum stands unless a strict majority of seeds falls below it.
+
+        cap must be a proven upper bound on the generic rank of mask: its
+        count cap, or the rank of a superset, as cyc bounds F - e by rank(F).
+        No evaluation rank exceeds the generic rank, so a seed meeting it
+        proves the rank."""
         per_seed = []
         for idx in range(len(self.seeds)):
             r = seed_rank(idx)
@@ -540,12 +544,17 @@ class CofactorOracle:
         that seed's rank of F and its coloops: the basis elements outside one
         random self-stress (_coloop_pass).  Dropping e lowers a seed's rank
         exactly when e is one of its coloops, which gives every rank of F - e
-        without a further elimination.  A core edge's ends have degree at
-        least s + 2, so F - e keeps F's vertex support and its cap; it is
-        voted unless the table has it, not memoized.  An F of decided rank
-        |F| is independent, all coloops, and gets the empty set with no
-        pass.  The result is remembered as a cyclic set, so is_cyclic of it
-        votes nothing.
+        without a further elimination.  F - e is voted under r = rank(F),
+        unless the table has it, not memoized: deleting never raises the
+        rank, so a seed ranking F - e at r proves e in a circuit.  An F of
+        decided rank |F| is independent, all coloops, and gets the empty set
+        with no pass.  Where r = |F| - 1 (nullity one, as for a fundamental
+        circuit), F holds one circuit C, and if seed 0's pass ranks F at r,
+        every generic coloop is among its coloops, so its other elements lie
+        in C; a missed self-stress weight only adds coloops.  If they number
+        more than their count cap, they are dependent, so they are C, and no
+        edge is voted.  The result is remembered as a cyclic set, so
+        is_cyclic of it votes nothing.
         """
         self._check(F)
         if F.mask in self._cyclic:
@@ -555,14 +564,18 @@ class CofactorOracle:
         if r == len(F):
             self._cyclic.add(0)
             return EdgeSet(self.n, 0)
-        cap = min(len(F) - 1, self._peel(F.mask).support_cap)
+        if r == len(F) - 1 and self._table is None and seed_pass(0)[0] == r:
+            circuit = EdgeSet(self.n, F.mask & ~seed_pass(0)[1])
+            if len(circuit) > generic_rank_upper_bound(circuit, self.s):
+                self._cyclic.add(circuit.mask)
+                return circuit
         keep = 0
         for b in bits(F.mask & ~self._off_core(F.mask, self.dim + 1)):
             def without(idx):
                 r_i, coloops = seed_pass(idx)
                 return r_i - (coloops >> b & 1)
             x = F.mask & ~(1 << b)
-            if (self._vote(x, without, cap) if self._table is None
+            if (self._vote(x, without, r) if self._table is None
                     else self._table[x]) == r:
                 keep |= 1 << b
         self._cyclic.add(keep)
@@ -617,47 +630,26 @@ class CofactorOracle:
                     "ranks": ranks, "modulus": self.modulus})
 
     def fundamental_circuit(self, B: EdgeSet, e) -> EdgeSet:
-        """The unique circuit inside B + e, for B independent with e in cl(B).
+        """The unique circuit inside B + e, for B independent with e in cl(B):
+        cyc(B + e) (Oxley, Matroid Theory, 1.2).
 
-        The circuit is B + e minus its coloops.  One pass of B + e per seed
-        asked (_coloop_pass) gives that seed's rank of B + e, its coloops, and
-        its rank of B, one lower exactly when e is one of them, as in cyc.  A
-        seed whose rank of B + e is |B| has exactly one circuit there, B + e
-        minus its coloops, and it lies inside the generic circuit, which is
-        dependent at every seed; it is all of it unless the seed degenerates
-        or a self-stress weight cancels.  So the union over those seeds is
-        returned: the greedy rank-derived answer whenever the seeds agree.
-        A union with more edges than its count cap is generically dependent,
-        so it is the generic circuit itself, and no later seed is asked.
+        B + e has nullity one, so cyc's nullity-one rule reads the circuit
+        off seed 0 where it exceeds its count cap.  The rank of B + e, which
+        cyc leaves in the memo, tells the errors apart: |B| + 1 puts e
+        outside cl(B), and below |B|, or e outside the circuit, makes B
+        dependent.
         """
         self._check(B)
         bit = edge_index(self.n, *e)
         if B.mask >> bit & 1:
             raise ValueError("element is already in the base")
-        mask = B.mask | 1 << bit
-        seed_pass = cache(lambda idx: self._coloop_pass(mask, idx))
-
-        def without_e(idx):
-            r_i, coloops = seed_pass(idx)
-            return r_i - (coloops >> bit & 1)
-
-        # B is voted on the passes of B + e, so that only B + e is peeled
-        r = self._memo.get(B.mask) if self._table is None else self._table[B.mask]
-        if r is None:
-            r = self._memo[B.mask] = self._vote(
-                B.mask, without_e, generic_rank_upper_bound(B, self.s))
-        if r != len(B):
-            raise ValueError("B is not independent")
-        if self._decide(mask, lambda idx: seed_pass(idx)[0]) != len(B):
+        F = EdgeSet(self.n, B.mask | 1 << bit)
+        circuit = self.cyc(F)
+        r = self.rank(F)
+        if r == len(B) + 1:
             raise ValueError("element is not in the closure of the base")
-        circuit = EdgeSet(self.n, 0)
-        for idx in range(len(self.seeds)):
-            r, coloops = seed_pass(idx)
-            if r == len(B):
-                circuit = EdgeSet(self.n, circuit.mask | mask & ~coloops)
-                if len(circuit) > generic_rank_upper_bound(circuit, self.s):
-                    # dependent and inside the generic circuit, so all of it
-                    return circuit
+        if r < len(B) or not circuit.mask >> bit & 1:
+            raise ValueError("B is not independent")
         return circuit
 
     # -- whole-powerset table ---------------------------------------------

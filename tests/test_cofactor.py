@@ -288,6 +288,18 @@ def test_fundamental_circuit_rejects_an_element_of_the_base():
         oracle.fundamental_circuit(B, e)
 
 
+@pytest.mark.parametrize("B, e, message", [
+    (path_graph(5).reindexed(8), (5, 6), "not in the closure of the base"),
+    (complete_edges(8, range(5)), (5, 6), "B is not independent"),
+    (complete_edges(8, range(5)), (0, 5), "B is not independent"),
+])
+def test_fundamental_circuit_rejects_a_bad_base(B, e, message):
+    # B + e independent puts e outside cl(B); a K5 is dependent, and adding
+    # 56 or 05 to it leaves e a coloop, outside the one circuit of B + e
+    with pytest.raises(ValueError, match=message):
+        CofactorOracle(8).fundamental_circuit(B, e)
+
+
 def _random_graph(rng, n, m):
     edges = list(combinations(range(n), 2))
     return EdgeSet.from_edges(n, rng.sample(edges, min(m, len(edges))))
@@ -622,11 +634,12 @@ def test_fundamental_circuit_survives_a_degenerate_seed(monkeypatch):
 
 
 def test_fundamental_circuit_asks_later_seeds_only_within_the_cap(monkeypatch):
-    # A union of seed circuits with more edges than its count cap is
-    # generically dependent, so it is the circuit: the K5 of K5 - 01 + 01,
-    # 10 edges with cap 9, takes seed 0 alone.  The double banana is a
-    # circuit of 18 edges on 8 vertices, with cap 18, so for the banana
-    # minus 23 and the edge 23 every seed is asked.
+    # A fundamental circuit is cyc of B + e, and B + e has nullity one: seed
+    # 0's non-coloops, if more than their count cap, are generically
+    # dependent, so they are the circuit.  The K5 of K5 - 01 + 01, 10 edges
+    # with cap 9, takes seed 0 alone.  The double banana is a circuit of 18
+    # edges on 8 vertices, with cap 18: its rank 17 is below the cap, so
+    # deciding it asks every seed, and each edge is voted.
     asked = []
     real = CofactorOracle._coloop_pass
     monkeypatch.setattr(CofactorOracle, "_coloop_pass", lambda oracle, mask, idx:
@@ -667,7 +680,8 @@ def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
     oracle = CofactorOracle(n)
     B = oracle.basis_of(F)
     assert calls[0] <= 2 * len(F)
-    # one pass of B + e per seed, which decides independent(B) as well
+    # cyc of B + e: one pass of B + e, whose nullity-one rule reads the
+    # circuit off seed 0 and whose rank decides independent(B) as well
     calls[0] = 0
     oracle = CofactorOracle(n)
     oracle.fundamental_circuit(B, next((F - B).edges()))
@@ -1172,6 +1186,21 @@ def _closure_calls(monkeypatch, F):
     return CofactorOracle(F.n).closure(F), calls
 
 
+def _seeds_asked(monkeypatch):
+    """Per _vote call of any oracle, the mask voted on and the seeds it
+    asked, in order; the list fills as the votes run."""
+    votes = []
+    real = CofactorOracle._vote
+
+    def vote(self, mask, seed_rank, cap):
+        asked = []
+        votes.append((mask, asked))
+        return real(self, mask, lambda idx: asked.append(idx) or seed_rank(idx), cap)
+
+    monkeypatch.setattr(CofactorOracle, "_vote", vote)
+    return votes
+
+
 def test_closure_settles_non_edges_at_low_degree_vertices_with_no_seed(monkeypatch):
     # Every non-edge of K5 in K8 has an end of degree 0, so it is a coloop of
     # K5 + e, and the peel proves K5's rank: closure votes on nothing and
@@ -1199,3 +1228,43 @@ def test_cyc_votes_only_on_the_core(monkeypatch):
     K6 = complete_edges(7, range(6))
     assert CofactorOracle(7).cyc(K6.add(0, 6).add(1, 6).add(2, 6)) == K6
     assert asked == [0]
+
+
+def test_cyc_votes_stop_at_the_decided_rank(monkeypatch):
+    # Two disjoint K5s in K10: rank 18 of 20 edges, so dropping an edge
+    # keeps rank 18, below |F| - 1 = 19.  Deleting never raises the rank,
+    # so seed 0 ranking F - e at 18 proves e in a circuit: each per-edge
+    # vote asks seed 0 alone.
+    F = complete_edges(10, range(5)) | complete_edges(10, range(5, 10))
+    slow = CofactorOracle(10)
+    expected = reference.cyc(lambda mask: slow.rank(EdgeSet(10, mask)), F.mask)
+    votes = _seeds_asked(monkeypatch)
+    assert CofactorOracle(10).cyc(F).mask == expected == F.mask
+    per_edge = [asked for mask, asked in votes if (F.mask & ~mask).bit_count() == 1]
+    assert len(per_edge) == 20
+    assert all(asked == [0] for asked in per_edge)
+
+
+def test_cyc_reads_a_nullity_one_circuit_off_seed_0(monkeypatch):
+    # A Henneberg base B on 10 vertices (the bench oracle corpus at seed 22)
+    # and the non-edge 26: B + e has nullity one, and its circuit, 13 edges
+    # on 6 vertices with cap 12, leaves coloops in the 4-core.  Seed 0's
+    # non-coloops exceed their cap, so they are the circuit, and no edge is
+    # voted: only seed 0 runs a coloop pass.
+    B = EdgeSet.from_edges(10, [
+        (0, 3), (0, 5), (0, 6), (0, 9), (1, 3), (1, 4), (1, 5), (1, 6),
+        (1, 7), (1, 8), (2, 4), (2, 7), (2, 8), (2, 9), (3, 5), (3, 9),
+        (4, 6), (4, 7), (4, 8), (5, 6), (5, 7), (6, 8), (7, 8), (8, 9)])
+    F = B.add(2, 6)
+    oracle = CofactorOracle(10)
+    core = F.mask & ~oracle._off_core(F.mask, 4)
+    asked = []
+    real = CofactorOracle._coloop_pass
+    monkeypatch.setattr(CofactorOracle, "_coloop_pass", lambda oracle, mask, idx:
+                        asked.append(idx) or real(oracle, mask, idx))
+    slow = CofactorOracle(10)
+    circuit = oracle.cyc(F)
+    assert circuit.mask == reference.cyc(lambda mask: slow.rank(EdgeSet(10, mask)), F.mask)
+    assert len(circuit) == 13 and core & ~circuit.mask
+    assert asked == [0]
+    assert CofactorOracle(10).fundamental_circuit(B, (2, 6)) == circuit
