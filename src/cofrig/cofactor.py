@@ -28,7 +28,8 @@ rank: ``_decide`` answers such a mask from the peel alone, with no seed
 asked and no row evaluated, and the peel order is a witness one can check
 by hand.  Below the cap the seeds build their bases from the same peel,
 where the 0-extension rows pivot in v's own block and clear only against
-each other, with almost no fill-in.  A column permutation changes the
+each other, with almost no fill-in; the peel lays them out in rounds, each
+vertex's k-th row in the k-th round, and a round's rows share one inverse.  A column permutation changes the
 rank of no set of rows, so no rank depends on the layout; only the fill-in
 does.  A rank table sweeps the minors of the rows' dual
 (``field.dual_rows``), seed by seed, and returns the first seed's table
@@ -72,7 +73,7 @@ from typing import NamedTuple
 from . import matroids
 from .errors import AmbientMismatch, CapExceeded, SeedDisagreement
 from .field import MERSENNE61, EchelonBasis, bases_by_minors, dual_rows, is_prime
-from .graphs import EdgeSet, bits, edge_at, edge_count, edge_index, stars
+from .graphs import EdgeSet, _edge_table, bits, edge_at, edge_count, edge_index, stars
 
 DEFAULT_SEEDS = (101, 202, 303)
 MIN_MODULUS = (1 << 31) - 1
@@ -99,8 +100,11 @@ def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
 
     Vertex v's block starts at column (s+1)(n-1-v).  This is the layout the
     oracle caches; its rank and closure bases move each vertex's block to
-    the column of its mask's peel (see the module docstring)."""
-    i, j = sorted(edge)
+    the column of its mask's peel (see the module docstring).  The powers
+    of dx and dy are running products."""
+    i, j = edge
+    if i > j:
+        i, j = j, i
     p = config.p
     xi, yi = config.points[i]
     xj, yj = config.points[j]
@@ -108,9 +112,13 @@ def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
     dy = (yi - yj) % p
     w = s + 1
     at_i, at_j = w * (config.n - 1 - i), w * (config.n - 1 - j)
+    xs, ys = [1] * w, [1] * w
+    for t in range(1, w):
+        xs[t] = xs[t - 1] * dx % p
+        ys[t] = ys[t - 1] * dy % p
     row = {}
     for t in range(w):
-        b = pow(dx, s - t, p) * pow(dy, t, p) % p
+        b = xs[s - t] * ys[t] % p
         if b:
             row[at_i + t] = b
             row[at_j + t] = p - b
@@ -135,6 +143,7 @@ class _Peel(NamedTuple):
     mask: int
     order: list[int]
     first: int
+    rounds: list[int]
     cols: list[int]
     shells: list[int]
     support_cap: int
@@ -188,9 +197,10 @@ class CofactorOracle:
         self._last_peel: _Peel | None = None
         self._table: bytes | None = None
         self._matroid: matroids.ExplicitMatroid | None = None
-        # masks that closure and cyc returned: flats and cyclic sets
-        self._flats: set[int] = set()
-        self._cyclic: set[int] = set()
+        # closure and cyc per mask asked or returned: a returned flat or
+        # cyclic set maps to itself
+        self._flats: dict[int, int] = {}
+        self._cyclic: dict[int, int] = {}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -217,6 +227,11 @@ class CofactorOracle:
                 edge_at(self.n, edge_bit), config, self.s)
         return row
 
+    def _moved_row(self, peel: _Peel, edge_bit: int, seed_idx: int) -> dict[int, int]:
+        """The evaluated row of an edge in its peel's columns, a fresh dict."""
+        cols = peel.cols
+        return {cols[c]: x for c, x in self._row(edge_bit, seed_idx).items()}
+
     def _motion_values(self, seed_idx: int) -> list[int]:
         """Independent uniform values, one per column, drawn from the seed
         alone, never from the query order: the free values of every random
@@ -232,6 +247,8 @@ class CofactorOracle:
         """One seed's echelon basis of the rows of mask, in its peel's order
         and columns, kept in the peel's record with the rows it took in.
 
+        The 0-extension rows go in a peel round at a time (absorb_round),
+        with one inverse per round, and the later rows one at a time.
         It stops once it reaches the proven cap: no evaluation rank exceeds
         the generic rank, so that prefix already spans every row of mask.
         Once a row after the 0-extension rows falls in the span, each later
@@ -243,16 +260,22 @@ class CofactorOracle:
         """
         peel = self._peel(mask)
         if peel.bases[seed_idx] is None:
-            cols, p = peel.cols, self.modulus
-            basis, motion, picked = EchelonBasis(p), None, 0
-            for k, b in enumerate(peel.order):
+            order, p = peel.order, self.modulus
+            basis, motion, picked, k = EchelonBasis(p), None, 0, 0
+            for size in peel.rounds:
+                batch = order[k:k + size]
+                for i in basis.absorb_round([self._moved_row(peel, b, seed_idx)
+                                             for b in batch]):
+                    picked |= 1 << batch[i]
+                k += size
+            for b in order[peel.first:]:
                 if basis.rank == peel.cap:
                     break
-                row = {cols[c]: x for c, x in self._row(b, seed_idx).items()}
+                row = self._moved_row(peel, b, seed_idx)
                 if motion is None:
                     if basis.absorb(row):
                         picked |= 1 << b
-                    elif k >= peel.first:
+                    else:
                         motion = basis.motion(self._motion_values(seed_idx))
                 elif sum(c * motion[j] for j, c in row.items()) % p:
                     basis.absorb(row)
@@ -266,9 +289,10 @@ class CofactorOracle:
         self-stress of its rows.
 
         The rows go in as in _seed_basis, in the peel's order and columns,
-        but the k-th row carries a unit tag at column width + k, right of the
-        real columns, so every basis row keeps its combination of the rows of
-        mask; the rows left out are in the span.  Their sum with random
+        the 0-extension rows a round at a time, but the k-th row carries a
+        unit tag at column width + k, right of the real columns, so every
+        basis row keeps its combination of the rows of mask; the rows left
+        out are in the span.  Their sum with random
         weights from the seed reduces to zero on the real columns, and the
         tags left are the basis rows' part of a random self-stress.  Every
         row left out is in a circuit, and a basis row is in one exactly when
@@ -278,13 +302,23 @@ class CofactorOracle:
         test misses.
         """
         peel = self._peel(mask)
-        order, cols = peel.order, peel.cols
-        p, width = self.modulus, self.dim * self.n
+        order, p, width = peel.order, self.modulus, self.dim * self.n
         # value 0 at every tag column: a motion sees the real columns alone
         values = [*self._motion_values(seed_idx), *[0] * len(order)]
         basis, motion, base, left = EchelonBasis(p), None, 0, []
-        for k, b in enumerate(order):
-            row = {cols[c]: x for c, x in self._row(b, seed_idx).items()}
+        rows = [self._moved_row(peel, b, seed_idx) for b in order]
+        k = 0
+        for size in peel.rounds:
+            grown = set(basis.absorb_round(
+                [{**rows[j], width + j: 1} for j in range(k, k + size)], width))
+            for i in range(size):
+                if i in grown:
+                    base |= 1 << order[k + i]
+                else:
+                    left.append(rows[k + i])
+            k += size
+        for k in range(peel.first, len(order)):
+            row = rows[k]
             if basis.rank == peel.cap or motion is not None and not sum(
                     c * motion[j] for j, c in row.items()) % p:
                 left.append(row)
@@ -292,11 +326,11 @@ class CofactorOracle:
             got = basis.reduce({**row, width + k: 1})
             if got is not None and got[0] < width:
                 basis.rows[got[0]] = got[1]
-                base |= 1 << b
+                base |= 1 << order[k]
                 motion = None
             else:
                 left.append(row)
-                if motion is None and k >= peel.first:
+                if motion is None:
                     motion = basis.motion(values)
         rng = random.Random(f"stress:{self.seeds[seed_idx]}")
         stress: dict[int, int] = {}
@@ -318,8 +352,12 @@ class CofactorOracle:
         Vertices leave by least degree among those left, from a bucket queue.
         The k-th vertex to leave takes the k-th (s+1)-block: cols[c] is the
         column that column c of cofactor_row moves to.  Its first s+1 edges
-        to vertices still left, in edge order, are its 0-extension rows;
-        the order puts all of those first, then every other edge.  A
+        to vertices still left, in edge order, are its 0-extension rows.
+        The order puts all of those first, round-major: round t holds each
+        vertex's (t+1)-th 0-extension row, in peel order, and rounds counts
+        them per round; every other edge follows.  Each row of a round
+        pivots in its own vertex's block, so a round goes into a basis with
+        one shared inverse (EchelonBasis.absorb_round).  A
         vertex's shell is the largest least degree met up to its leaving,
         its core number: the k-core of mask, what is left after deleting
         vertices of degree below k until none is left, is the vertices of
@@ -333,16 +371,21 @@ class CofactorOracle:
             return peel
         n, w = self.n, self.dim
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for b in bits(mask):
-            i, j = edge_at(n, b)
+        edges, todo = _edge_table(n)[0], mask
+        while todo:
+            low = todo & -todo
+            b = low.bit_length() - 1
+            i, j = edges[b]
             nbrs[i].append((j, b))
             nbrs[j].append((i, b))
+            todo ^= low
         degree = [len(x) for x in nbrs]
         support_cap = _vertex_cap(n - degree.count(0), w)
         buckets: list[dict[int, None]] = [{} for _ in range(max(degree) + 1)]
         for v, d in enumerate(degree):
             buckets[d][v] = None
-        first, rest, cols, shells = [], [], [0] * (w * n), [0] * n
+        rounds, rest = [[] for _ in range(w)], []
+        cols, shells = [0] * (w * n), [0] * n
         low = shell = 0
         for k in range(n):
             while not buckets[low]:
@@ -359,7 +402,7 @@ class CofactorOracle:
                 d = degree[u]
                 if d > 0:
                     if taken < w:
-                        first.append(b)
+                        rounds[taken].append(b)
                     else:
                         rest.append(b)
                     taken += 1
@@ -367,9 +410,9 @@ class CofactorOracle:
                     buckets[d - 1][u] = None
                     degree[u] = d - 1
             low = max(low - 1, 0)
-        seeds = len(self.seeds)
-        self._last_peel = _Peel(mask, first + rest, len(first), cols, shells, support_cap,
-                                min(mask.bit_count(), support_cap),
+        seeds, first = len(self.seeds), [b for batch in rounds for b in batch]
+        self._last_peel = _Peel(mask, first + rest, len(first), [*map(len, rounds)], cols,
+                                shells, support_cap, min(mask.bit_count(), support_cap),
                                 [None] * seeds, [0] * seeds)
         return self._last_peel
 
@@ -510,12 +553,14 @@ class CofactorOracle:
         the peel-proven r.  So an F whose 0-extension rows reach the cap of
         its support builds no basis.
         The closure C has rank r, so it is memoized at r: a later rank of C,
-        or cyc's rank decision on it, asks no seed.  C is also remembered as
-        a flat, so closing it again, as is_flat does, votes nothing.
+        or cyc's rank decision on it, asks no seed.  C is remembered as the
+        closure of F and of itself, so closing either again, as is_flat
+        does, votes nothing.
         """
         self._check(F)
-        if F.mask in self._flats:
-            return F
+        out = self._flats.get(F.mask)
+        if out is not None:
+            return EdgeSet(self.n, out)
         seed_rank = cache(lambda idx: self._seed_basis(F.mask, idx).rank)
         r = self._decide(F.mask, seed_rank)
         cap, tested = self._extension_caps(F)
@@ -530,7 +575,7 @@ class CofactorOracle:
                         if self._table is None else self._table[x]) == r:
                     out |= 1 << b
         self._memo[out] = r
-        self._flats.add(out)
+        self._flats[F.mask] = self._flats[out] = out
         return EdgeSet(self.n, out)
 
     def is_flat(self, F: EdgeSet) -> bool:
@@ -553,32 +598,32 @@ class CofactorOracle:
         every generic coloop is among its coloops, so its other elements lie
         in C; a missed self-stress weight only adds coloops.  If they number
         more than their count cap, they are dependent, so they are C, and no
-        edge is voted.  The result is remembered as a cyclic set, so
-        is_cyclic of it votes nothing.
+        edge is voted.  The result is remembered as cyc of F and of itself,
+        so asking either again, as is_cyclic does, votes nothing.
         """
         self._check(F)
-        if F.mask in self._cyclic:
-            return F
+        keep = self._cyclic.get(F.mask)
+        if keep is not None:
+            return EdgeSet(self.n, keep)
         seed_pass = cache(lambda idx: self._coloop_pass(F.mask, idx))
         r = self._decide(F.mask, lambda idx: seed_pass(idx)[0])
         if r == len(F):
-            self._cyclic.add(0)
-            return EdgeSet(self.n, 0)
-        if r == len(F) - 1 and self._table is None and seed_pass(0)[0] == r:
+            keep = 0
+        elif r == len(F) - 1 and self._table is None and seed_pass(0)[0] == r:
             circuit = EdgeSet(self.n, F.mask & ~seed_pass(0)[1])
             if len(circuit) > generic_rank_upper_bound(circuit, self.s):
-                self._cyclic.add(circuit.mask)
-                return circuit
-        keep = 0
-        for b in bits(F.mask & ~self._off_core(F.mask, self.dim + 1)):
-            def without(idx):
-                r_i, coloops = seed_pass(idx)
-                return r_i - (coloops >> b & 1)
-            x = F.mask & ~(1 << b)
-            if (self._vote(x, without, r) if self._table is None
-                    else self._table[x]) == r:
-                keep |= 1 << b
-        self._cyclic.add(keep)
+                keep = circuit.mask
+        if keep is None:
+            keep = 0
+            for b in bits(F.mask & ~self._off_core(F.mask, self.dim + 1)):
+                def without(idx):
+                    r_i, coloops = seed_pass(idx)
+                    return r_i - (coloops >> b & 1)
+                x = F.mask & ~(1 << b)
+                if (self._vote(x, without, r) if self._table is None
+                        else self._table[x]) == r:
+                    keep |= 1 << b
+        self._cyclic[F.mask] = self._cyclic[keep] = keep
         return EdgeSet(self.n, keep)
 
     def is_cyclic(self, F: EdgeSet) -> bool:

@@ -12,15 +12,19 @@ dict from pivot column to row: each row is 1 at its pivot and has no key
 left of it.  One routine, ``reduce_row``, reduces a row against such a dict:
 it walks the row's own keys in increasing order, clears each key that is a
 pivot, and stops at the first nonzero key that is not one.  That key is the
-row's new pivot, and the row is normalized there with one inverse.  The
-keys right of it are left as they are, so a stored row may still be nonzero
-at later pivots: the basis is in semi-reduced echelon form, not reduced
-form.  Back-substitution and the tag-column self-stresses below need no more.
-Which columns a row meets first is the caller's column order, which decides
-how many entries clearing adds (the fill-in), though never a rank.
-``EchelonBasis`` keeps one growing dict and turns its input rows, dense
-sequences or mappings, into the sparse form at the boundary; a caller whose
-rows are already sparse and reduced mod p hands them to ``absorb``.
+row's new pivot, and the row is normalized there, scaled by the inverse of
+its entry.  The keys right of it are left as they are, so a stored row may
+still be nonzero at later pivots: the basis is in semi-reduced echelon form,
+not reduced form.  Back-substitution and the tag-column self-stresses below
+need no more.  Which columns a row meets first is the caller's column order,
+which decides how many entries clearing adds (the fill-in), though never a
+rank.  ``EchelonBasis`` keeps one growing dict and turns its input rows,
+dense sequences or mappings, into the sparse form at the boundary; a caller
+whose rows are already sparse and reduced mod p hands them to ``absorb``,
+one inverse per row that grows the basis, or a batch of them to
+``absorb_round``, which takes the same rows with one inverse per pass: a
+batch whose pivots all differ, as a peel round's 0-extension rows do, is
+normalized with one inverse in all.
 ``bases_by_minors`` lists the bases of vectors in r coordinates as the
 r-subsets of nonzero determinant, from a sweep of minors by Laplace
 expansion, with no reduction and no inverse.
@@ -116,11 +120,15 @@ def reduce_row(cur: dict[int, int], rows: dict[int, dict[int, int]],
     return None
 
 
+def _scaled(cur: dict[int, int], inv: int, p: int) -> dict[int, int]:
+    """The row times inv, reduced mod p, without zero entries."""
+    return {j: y for j, x in cur.items() if (y := x * inv % p)}
+
+
 def _normalized(cur: dict[int, int], lead: int, p: int) -> dict[int, int]:
     """The row reduce_row left with the given pivot, scaled to 1 there,
     without zero entries."""
-    inv = pow(cur[lead], -1, p)
-    return {j: y for j, x in cur.items() if (y := x * inv % p)}
+    return _scaled(cur, pow(cur[lead], -1, p), p)
 
 
 class EchelonBasis:
@@ -155,6 +163,52 @@ class EchelonBasis:
             return False
         self.rows[lead] = _normalized(cur, lead, self.p)
         return True
+
+    def absorb_round(self, rows: list[dict[int, int]],
+                     width: int | None = None) -> list[int]:
+        """Add sparse rows with entries in [0, p), which the basis consumes,
+        as absorb would one at a time: the indices of those that grew the
+        rank, in increasing order.  A row whose pivot is width or more is a
+        relation and is left out, as at a tag column.
+
+        Each pass reduces the rows still waiting once against the basis as
+        it stands and takes their pivots in order.  A row's walk stops at
+        its first nonzero key that is no pivot, so it passed each pivot
+        taken before it in the pass at a zero entry unless it stopped
+        there: up to the first row whose pivot repeats one taken, each
+        reduction is the one absorb would make.  That row and every row
+        after it wait for the next pass.  The rows taken share one inverse:
+        the product of their pivot entries is inverted once, and a backward
+        walk over the running products peels off each entry's own inverse
+        (Montgomery 1987).  Rows whose pivots fall in distinct blocks, as a
+        peel round's 0-extension rows do, all go in on the first pass.
+        """
+        p, basis, grown, start = self.p, self.rows, [], 0
+        while start < len(rows):
+            taken: dict[int, int] = {}  # pivot -> row index
+            stop = len(rows)
+            for k in range(start, len(rows)):
+                lead = reduce_row(rows[k], basis, p)
+                if lead is None or width is not None and lead >= width:
+                    continue
+                if lead in taken:
+                    stop = k
+                    break
+                taken[lead] = k
+            if taken:
+                before, product = [], 1
+                for lead, k in taken.items():
+                    before.append(product)
+                    product = product * rows[k][lead] % p
+                # inv is the inverse of the product of the entries up to
+                # row k; times the product before k it inverts k's own
+                inv = pow(product, -1, p)
+                for (lead, k), prior in zip(reversed(taken.items()), reversed(before)):
+                    basis[lead] = _scaled(rows[k], inv * prior % p, p)
+                    inv = inv * rows[k][lead] % p
+                grown.extend(taken.values())
+            start = stop
+        return grown
 
     def motion(self, values) -> list[int]:
         """The vector that every row annihilates and that keeps the given

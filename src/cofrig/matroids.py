@@ -220,10 +220,6 @@ class ExplicitMatroid:
     def flats(self) -> list[int]:
         return members(self._cyclic_and_flat_bits[1])
 
-    def cyclic_sets(self) -> list[int]:
-        """All unions of circuits, the empty set included."""
-        return members(self.cyclic_bits)
-
     def cyclic_flats(self, include_spanning: bool = False) -> list[int]:
         """Non-spanning cyclic flats (the erection seed family) by default."""
         cyclic, flats = self._cyclic_and_flat_bits

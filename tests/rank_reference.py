@@ -4,19 +4,21 @@ clique-sequence value.  The library answers these questions on whole
 bitsets of subsets or from clique covers; the tests check it against these
 loops.  The G(n, p) sampler, the named graphs and the dense matrix rank
 that the tests share live here too, with the small helpers that only the
-tests call: row insertion, per-mask independence and modular pairs,
-induced subgraphs, the checked cover bound and the erection test."""
+tests call: row insertion, an inverse counter, per-mask independence and
+modular pairs, induced subgraphs, the checked cover bound, the erection
+test and the cyclic sets of an explicit matroid."""
 
 import random
 from itertools import combinations
 
+from cofrig import field
 from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
 from cofrig.covers import is_M_degenerate, val_D
 from cofrig.erection import family_violation, free_erection
 from cofrig.errors import WitnessMismatch
 from cofrig.field import MERSENNE61, EchelonBasis, _normalized, _sparse_row, reduce_row
 from cofrig.graphs import EdgeSet, bits, clique_mask, edge_count, peel_order, union_of
-from cofrig.matroids import ExplicitMatroid, element_bits
+from cofrig.matroids import ExplicitMatroid, element_bits, members
 from cofrig.sequences import CircuitSequence
 
 
@@ -28,6 +30,12 @@ def closure(rank, mask, ground):
         if rank(mask | 1 << b) == r:
             out |= 1 << b
     return out
+
+
+def cyclic_sets(M):
+    """All unions of circuits of an explicit matroid, the empty set
+    included."""
+    return members(M.cyclic_bits)
 
 
 def reduction_closure(oracle, mask):
@@ -381,6 +389,19 @@ def matrix_rank(rows, p: int = MERSENNE61) -> int:
     for row in rows:
         insert(basis, row)
     return basis.rank
+
+
+def counting_inverses(monkeypatch):
+    """Count the modular inverses the field module takes from here on, in a
+    one-item list."""
+    inverses = [0]
+
+    def counting_pow(*args):
+        inverses[0] += args[1:2] == (-1,)
+        return pow(*args)
+
+    monkeypatch.setattr(field, "pow", counting_pow, raising=False)
+    return inverses
 
 
 def insert(basis: EchelonBasis, row) -> bool:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -402,3 +406,11 @@ def test_flags_a_command_ignores_are_input_errors(capsys, k5_file, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+def test_the_package_runs_as_a_module_without_an_install():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "cofrig", "--help"], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.startswith("usage: cofrig")

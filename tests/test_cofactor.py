@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from cofrig import cofactor, field, matroids
-from cofrig.cofactor import CofactorOracle
+from cofrig.cofactor import CofactorOracle, GenericConfiguration, cofactor_row
 from cofrig.errors import AmbientMismatch, SeedDisagreement
 from cofrig.field import EchelonBasis
 from cofrig.graphs import (
@@ -346,6 +346,69 @@ def _count_reductions(monkeypatch, zeros=None):
 
     monkeypatch.setattr(field, "reduce_row", counting)
     return calls
+
+
+def test_cofactor_row_matches_the_power_formula():
+    # the running products give the dict the pow formula gives, key order
+    # included, whichever end comes first; points sharing a coordinate
+    # make dx or dy zero, and those entries are left out
+    p = field.MERSENNE61
+    rng = random.Random(5)
+    for s in range(7):
+        for _ in range(20):
+            n = rng.randrange(2, 9)
+            points = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)]
+            points[-1] = (points[0][0], rng.choice([points[0][1], rng.randrange(p)]))
+            config = GenericConfiguration(n, 0, p, tuple(points))
+            i, j = rng.sample(range(n), 2)
+            lo, hi = min(i, j), max(i, j)
+            dx = (points[lo][0] - points[hi][0]) % p
+            dy = (points[lo][1] - points[hi][1]) % p
+            w = s + 1
+            expected = {}
+            for t in range(w):
+                if b := pow(dx, s - t, p) * pow(dy, t, p) % p:
+                    expected[w * (n - 1 - lo) + t] = b
+                    expected[w * (n - 1 - hi) + t] = p - b
+            row = cofactor_row((i, j), config, s)
+            assert row == expected and list(row) == list(expected)
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_a_peel_proven_basis_takes_one_inverse_per_round(monkeypatch, s):
+    # The peel lays the 0-extension rows out round-major, one round per row
+    # of a vertex, and each round's rows pivot in their own vertices'
+    # blocks, so a round goes in with one inverse: s + 1 in all, where one
+    # row at a time would take one per row.
+    inverses = reference.counting_inverses(monkeypatch)
+    for n in (20, 60):
+        F = _rigid_dense(n)
+        oracle = CofactorOracle(n, s=s)
+        peel = oracle._peel(F.mask)
+        assert len(peel.rounds) == s + 1 and sum(peel.rounds) == peel.first
+        assert peel.first == peel.cap
+        inverses[0] = 0
+        assert oracle._seed_basis(F.mask, 0).rank == peel.cap
+        assert inverses[0] == s + 1
+
+
+def test_peel_rounds_hold_each_vertex_row_in_peel_order():
+    # round t holds the (t+1)-th 0-extension row of each vertex that has
+    # one, in the order the vertices leave, and no vertex's later round
+    # comes before its earlier one
+    for n in (12, 30):
+        F = _rigid_dense(n)
+        oracle = CofactorOracle(n)
+        peel = oracle._peel(F.mask)
+        block = {v: peel.cols[3 * (n - 1 - v)] // 3 for v in range(n)}
+        leaver = [min(edge_at(n, b), key=block.get) for b in peel.order[:peel.first]]
+        assert peel.rounds == sorted(peel.rounds, reverse=True)
+        k = 0
+        for t, size in enumerate(peel.rounds):
+            batch = leaver[k:k + size]
+            assert [block[v] for v in batch] == sorted({block[v] for v in batch})
+            assert all(leaver[:k].count(v) == t for v in batch)
+            k += size
 
 
 def test_rigid_rank_reduces_no_row_to_zero(monkeypatch):
@@ -813,6 +876,26 @@ def test_flexible_closure_reduces_no_non_edge(monkeypatch):
     assert calls[0] <= len(oracle.seeds) * len(F)
     assert 0 < len(drawn) == len(set(map(id, drawn))) <= len(oracle.seeds)
     assert set(oracle._memo) == {0, F.mask, closed.mask}
+
+
+def test_second_closure_and_cyc_of_a_set_ask_nothing(monkeypatch):
+    # closure and cyc remember their answer for the set asked, not only for
+    # the set returned: asking about a non-closed F again builds no row,
+    # peels nothing and asks no seed
+    n = 24
+    F = _flexible(n)
+    oracle = CofactorOracle(n)
+    closed, cyclic = oracle.closure(F), oracle.cyc(F)
+    assert closed != F and cyclic != F
+
+    def refuse(*args):
+        raise AssertionError("a row was built or a seed asked")
+
+    monkeypatch.setattr(oracle, "_row", refuse)
+    for name in ("_peel", "_seed_basis", "_coloop_pass", "_vote", "_decide"):
+        monkeypatch.setattr(CofactorOracle, name, refuse)
+    assert oracle.closure(F) == closed and oracle.cyc(F) == cyclic
+    assert oracle.is_flat(closed) and oracle.is_cyclic(cyclic)
 
 
 def test_cyc_memoizes_no_deletion():

@@ -9,7 +9,7 @@ from cofrig.erection import (
 )
 from cofrig.matroids import clique_truncation_matroid, uniform_matroid
 
-from rank_reference import cyc, has_nontrivial_erection, is_modular_cyclic_family
+from rank_reference import cyc, cyclic_sets, has_nontrivial_erection, is_modular_cyclic_family
 
 
 def test_u24_elevation_reaches_the_free_matroid():
@@ -55,7 +55,7 @@ def test_erection_truncates_back():
 
 def test_family_checks():
     M = uniform_matroid(4, 2)
-    cyclic = M.cyclic_sets()
+    cyclic = cyclic_sets(M)
     assert is_modular_cyclic_family(M, [0])
     assert is_modular_cyclic_family(M, cyclic)
     # including the full set but not the three-element cyclic sets below it

@@ -1,8 +1,9 @@
 """Property tests: the sparse echelon kernel against a dense Gaussian
 elimination written here, on small matrices with zero and repeated rows and
-on rows with tag columns, the minor sweep on both sides of a matroid against
-the full subset table, and the motion back-substitution against the span
-that ``reduce`` tests."""
+on rows with tag columns, round absorption against absorbing the same rows
+one at a time, the minor sweep on both sides of a matroid against the full
+subset table, and the motion back-substitution against the span that
+``reduce`` tests."""
 
 import pytest
 
@@ -19,7 +20,7 @@ from cofrig.field import (  # noqa: E402
     reduce_row,
 )
 
-from rank_reference import insert, subset_rank_table  # noqa: E402
+from rank_reference import counting_inverses, insert, subset_rank_table  # noqa: E402
 
 # Fixed examples and no example database: the same cases on every run.
 CASES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -200,6 +201,82 @@ def test_reduce_row_matches_dense_elimination_on_tagged_rows(case):
         assert (lead is None or lead >= width) == in_span
 
 
+
+
+@st.composite
+def rounds(draw):
+    """(p, width, before, rows, tagged, values): rows to absorb into a basis
+    that already holds the rows before, as sparse rows over few columns, so
+    that leads collide often, with zero rows and sums of two drawn rows
+    among them, whether row k carries the unit tag width + k, and free
+    values for a motion, one per column."""
+    p = draw(st.sampled_from([13, MERSENNE61]))
+    width = draw(st.integers(1, 5))
+    row = st.dictionaries(st.integers(0, width - 1), st.integers(1, p - 1),
+                          max_size=3)
+    before = draw(st.lists(row, max_size=3))
+    rows = draw(st.lists(row, max_size=8))
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(rows), st.sampled_from(rows)),
+                              max_size=3) if rows else st.just([])):
+        rows.append({j: x for j in {*a, *b} if (x := (a.get(j, 0) + b.get(j, 0)) % p)})
+    rows.append({})
+    rows = draw(st.permutations(rows))
+    tagged = draw(st.booleans())
+    columns = width + len(rows) if tagged else width
+    values = draw(st.lists(st.integers(0, p - 1), min_size=columns, max_size=columns))
+    return p, width, before, rows, tagged, values
+
+
+def one_at_a_time(basis, rows, width):
+    """absorb_round's reference: reduce each row in turn against the basis
+    and insert it where it pivots left of width."""
+    grown = []
+    for k, row in enumerate(rows):
+        got = basis.reduce(row)
+        if got is not None and (width is None or got[0] < width):
+            basis.rows[got[0]] = got[1]
+            grown.append(k)
+    return grown
+
+
+@CASES
+@given(rounds())
+@example((13, 2, [], [{0: 1, 1: 2}, {0: 3}, {1: 1}, {}], False, [3, 5]))
+@example((13, 2, [{0: 1}], [{0: 2, 1: 1}, {1: 5}, {0: 1}], True, [1, 2, 3, 4, 5]))
+def test_absorb_round_matches_absorbing_one_row_at_a_time(case):
+    # A lead that repeats one taken in its pass, a zero row and a relation
+    # at a tag column change nothing: the pivots, the stored rows, the
+    # indices that grew and the motions are those of one row at a time.
+    p, width, before, rows, tagged, values = case
+    limit = width if tagged else None
+    if tagged:
+        rows = [{**row, width + k: 1} for k, row in enumerate(rows)]
+    batched, single = EchelonBasis(p), EchelonBasis(p)
+    for row in before:
+        batched.absorb(dict(row))
+        single.absorb(dict(row))
+    grown = batched.absorb_round([dict(row) for row in rows], limit)
+    assert grown == one_at_a_time(single, rows, limit)
+    assert batched.rows == single.rows
+    check_rows(batched)
+    assert batched.motion(values) == single.motion(values)
+
+
+def test_absorb_round_takes_one_inverse_per_pass(monkeypatch):
+    # Distinct leads go in on one pass with one inverse.  A lead that
+    # repeats one taken in its pass sends its row and the rows after it to
+    # a second pass, with a second inverse; a round that grows nothing
+    # takes none.
+    p, inverses = 13, counting_inverses(monkeypatch)
+    basis = EchelonBasis(p)
+    assert basis.absorb_round([{0: 2, 3: 1}, {1: 5}, {2: 7, 3: 4}]) == [0, 1, 2]
+    assert inverses[0] == 1
+    basis, inverses[0] = EchelonBasis(p), 0
+    assert basis.absorb_round([{0: 2}, {1: 3}, {0: 4, 2: 1}, {3: 1}]) == [0, 1, 2, 3]
+    assert inverses[0] == 2 and sorted(basis.rows) == [0, 1, 2, 3]
+    inverses[0] = 0
+    assert basis.absorb_round([{0: 1}, {}, {1: 2, 3: 5}]) == []
+    assert inverses[0] == 0
 
 
 def annihilates(m, row, p):

@@ -24,6 +24,7 @@ from rank_reference import (
     clique_truncation_independent,
     closure,
     cyc,
+    cyclic_sets,
     from_independence,
     is_independent,
     is_modular_pair,
@@ -145,13 +146,13 @@ def test_flats_and_cyclic_sets(build, request):
                 and all(is_independent(M, x & ~(1 << b)) for b in bits(x))]
     assert M.cyclic_bits.bit_length() - 1 == cyc(rank, M.full_mask)
     assert M.flats() == flats
-    assert M.cyclic_sets() == cyclic
+    assert cyclic_sets(M) == cyclic
     assert M.cyclic_flats(include_spanning=True) == cyclic_flats
     assert M.cyclic_flats() == [x for x in cyclic_flats if rank(x) < M.rank_total]
     assert M.circuits() == circuits
     if build == "U24":
         assert M.flats() == [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b1111]
-        assert 0 in M.cyclic_sets()
+        assert 0 in cyclic_sets(M)
         assert M.cyclic_flats(include_spanning=True) == [0, 0b1111]
         assert M.cyclic_flats() == [0]
 
