@@ -14,26 +14,27 @@ above the generic rank (a nonzero minor mod p lifts to a nonzero generic
 minor), so the maximum over several seeds is a sound lower bound, and it is
 exact whenever it meets the combinatorial upper bound d*|V| - C(d+1,2).
 
-cofactor_row lays the columns out over the vertices in reverse, vertex v's
-block at columns (s+1)(n-1-v) .. (s+1)(n-1-v) + s, and the rank tables and
-greedy bases keep that layout and their row order.  The bases behind rank,
-closure, cyc and fundamental circuits set their columns per mask, by a
-least-degree peel: the k-th peeled vertex v takes the k-th block, and up to
-s+1 of its edges to vertices not yet peeled go in first, ahead of all other
-rows.  Read backwards, the peel adds each vertex to the later ones with at
-most s+1 edges, a 0-extension, which keeps a set generically independent
-for every s (Whiteley 1996).  So a mask's rank is at least the number of
-its 0-extension rows, and where they number its count cap, that is its
-rank: ``_decide`` answers such a mask from the peel alone, with no seed
-asked and no row evaluated, and the peel order is a witness one can check
-by hand.  Below the cap the seeds build their bases from the same peel,
-where the 0-extension rows pivot in v's own block and clear only against
-each other, with almost no fill-in; the peel lays them out in rounds, each
-vertex's k-th row in the k-th round, and a round's rows share one inverse.  A column permutation changes the
-rank of no set of rows, so no rank depends on the layout; only the fill-in
-does.  A rank table sweeps the minors of the rows' dual
-(``field.dual_rows``), seed by seed, and returns the first seed's table
-whose circuits each have more edges than their count cap
+cofactor_row puts vertex v's block at the column a layout gives it, and
+the oracle lays every row out by a least-degree peel of a mask: the k-th
+peeled vertex v takes the k-th block, columns (s+1)k .. (s+1)k + s.  The
+bases behind rank, closure, cyc and fundamental circuits take their mask's
+peel, where up to s+1 of v's edges to vertices not yet peeled go in first,
+ahead of all other rows; a greedy base takes the peel of the set it spans
+and a rank table that of E(K_n), each keeping its own row order.  Read
+backwards, the peel adds each vertex to the later ones with at most s+1
+edges, a 0-extension, which keeps a set generically independent for every
+s (Whiteley 1996).  So a mask's rank is at least the number of its
+0-extension rows, and where they number its count cap, that is its rank:
+``_decide`` answers such a mask from the peel alone, with no seed asked and
+no row evaluated, and the peel order is a witness one can check by hand.
+Below the cap the seeds build their bases from the same peel, where the
+0-extension rows pivot in v's own block and clear only against each other,
+with almost no fill-in; the peel lays them out in rounds, each vertex's
+k-th row in the k-th round, and a round's rows share one inverse.  A column
+permutation changes the rank of no set of rows, so no rank depends on the
+layout; only the fill-in does.  A rank table sweeps the minors of the
+rows' dual (``field.dual_rows``), seed by seed, and returns the first
+seed's table whose circuits each have more edges than their count cap
 (``generic_rank_upper_bound``), which proves it generic.
 
 The same fact settles many closure and cyc questions with no seed, read
@@ -94,14 +95,13 @@ class GenericConfiguration(NamedTuple):
         return cls(n, seed, p, points)
 
 
-def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
+def cofactor_row(edge, config: GenericConfiguration, s: int, at) -> dict[int, int]:
     """Evaluated cofactor row of an edge, as a sparse {column: entry} dict:
     the (s+1)-block D_ij at vertex i and its negation at vertex j.
 
-    Vertex v's block starts at column (s+1)(n-1-v).  This is the layout the
-    oracle caches; its rank and closure bases move each vertex's block to
-    the column of its mask's peel (see the module docstring).  The powers
-    of dx and dy are running products."""
+    Vertex v's block starts at column at[v]; the oracle lays every row out
+    by a mask's peel (see the module docstring).  The powers of dx and dy
+    are running products."""
     i, j = edge
     if i > j:
         i, j = j, i
@@ -111,7 +111,7 @@ def cofactor_row(edge, config: GenericConfiguration, s: int) -> dict[int, int]:
     dx = (xi - xj) % p
     dy = (yi - yj) % p
     w = s + 1
-    at_i, at_j = w * (config.n - 1 - i), w * (config.n - 1 - j)
+    at_i, at_j = at[i], at[j]
     xs, ys = [1] * w, [1] * w
     for t in range(1, w):
         xs[t] = xs[t - 1] * dx % p
@@ -144,7 +144,7 @@ class _Peel(NamedTuple):
     order: list[int]
     first: int
     rounds: list[int]
-    cols: list[int]
+    at: list[int]
     shells: list[int]
     support_cap: int
     cap: int
@@ -163,7 +163,8 @@ class CofactorOracle:
     below it, and then the oracle aborts with a diagnostic instead of
     guessing.  Results are memoized per edge bitmask.
     Per-seed bases outlive a query only in the record of the last mask
-    peeled (_peel), where the next query on that mask reads them.
+    peeled (_peel), where the next query on that mask reads them; every
+    row is evaluated afresh where a basis or test needs it, and none is kept.
     The one exception is the rank table, which the first seed whose
     circuits all exceed their caps proves whole (rank_table): it answers
     every mask with no vote.
@@ -192,7 +193,6 @@ class CofactorOracle:
         # built on a seed's first row: later seeds are seldom asked
         self._configs: list[GenericConfiguration | None] = [None] * len(seeds)
         self._values: list[list[int] | None] = [None] * len(seeds)
-        self._row_cache: list[dict[int, dict[int, int]]] = [{} for _ in seeds]
         self._memo: dict[int, int] = {0: 0}
         self._last_peel: _Peel | None = None
         self._table: bytes | None = None
@@ -214,23 +214,14 @@ class CofactorOracle:
                 f"edge set lives in K_{F.n}, oracle in K_{self.n}"
             )
 
-    def _row(self, edge_bit: int, seed_idx: int) -> dict[int, int]:
-        """The evaluated row of an edge as a sparse {column: entry} dict."""
-        cache = self._row_cache[seed_idx]
-        row = cache.get(edge_bit)
-        if row is None:
-            config = self._configs[seed_idx]
-            if config is None:
-                config = self._configs[seed_idx] = GenericConfiguration.generate(
-                    self.n, self.seeds[seed_idx], self.modulus)
-            row = cache[edge_bit] = cofactor_row(
-                edge_at(self.n, edge_bit), config, self.s)
-        return row
-
-    def _moved_row(self, peel: _Peel, edge_bit: int, seed_idx: int) -> dict[int, int]:
-        """The evaluated row of an edge in its peel's columns, a fresh dict."""
-        cols = peel.cols
-        return {cols[c]: x for c, x in self._row(edge_bit, seed_idx).items()}
+    def _row(self, edge_bit: int, seed_idx: int, at) -> dict[int, int]:
+        """The evaluated row of an edge as a fresh sparse {column: entry}
+        dict, vertex v's block at column at[v]: a peel's layout."""
+        config = self._configs[seed_idx]
+        if config is None:
+            config = self._configs[seed_idx] = GenericConfiguration.generate(
+                self.n, self.seeds[seed_idx], self.modulus)
+        return cofactor_row(edge_at(self.n, edge_bit), config, self.s, at)
 
     def _motion_values(self, seed_idx: int) -> list[int]:
         """Independent uniform values, one per column, drawn from the seed
@@ -245,7 +236,7 @@ class CofactorOracle:
 
     def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
         """One seed's echelon basis of the rows of mask, in its peel's order
-        and columns, kept in the peel's record with the rows it took in.
+        and layout, kept in the peel's record with the rows it took in.
 
         The 0-extension rows go in a peel round at a time (absorb_round),
         with one inverse per round, and the later rows one at a time.
@@ -260,18 +251,17 @@ class CofactorOracle:
         """
         peel = self._peel(mask)
         if peel.bases[seed_idx] is None:
-            order, p = peel.order, self.modulus
+            order, at, p = peel.order, peel.at, self.modulus
             basis, motion, picked, k = EchelonBasis(p), None, 0, 0
             for size in peel.rounds:
                 batch = order[k:k + size]
-                for i in basis.absorb_round([self._moved_row(peel, b, seed_idx)
-                                             for b in batch]):
+                for i in basis.absorb_round([self._row(b, seed_idx, at) for b in batch]):
                     picked |= 1 << batch[i]
                 k += size
             for b in order[peel.first:]:
                 if basis.rank == peel.cap:
                     break
-                row = self._moved_row(peel, b, seed_idx)
+                row = self._row(b, seed_idx, at)
                 if motion is None:
                     if basis.absorb(row):
                         picked |= 1 << b
@@ -288,7 +278,7 @@ class CofactorOracle:
         """One seed's rank of mask and its coloops, from one random
         self-stress of its rows.
 
-        The rows go in as in _seed_basis, in the peel's order and columns,
+        The rows go in as in _seed_basis, in the peel's order and layout,
         the 0-extension rows a round at a time, but the k-th row carries a
         unit tag at column width + k, right of the real columns, so every
         basis row keeps its combination of the rows of mask; the rows left
@@ -306,7 +296,7 @@ class CofactorOracle:
         # value 0 at every tag column: a motion sees the real columns alone
         values = [*self._motion_values(seed_idx), *[0] * len(order)]
         basis, motion, base, left = EchelonBasis(p), None, 0, []
-        rows = [self._moved_row(peel, b, seed_idx) for b in order]
+        rows = [self._row(b, seed_idx, peel.at) for b in order]
         k = 0
         for size in peel.rounds:
             grown = set(basis.absorb_round(
@@ -346,25 +336,25 @@ class CofactorOracle:
 
     def _peel(self, mask: int) -> _Peel:
         """The record of mask's peel: its edge bits in peeling order, how
-        many of them are 0-extension rows, the column map, each vertex's
+        many of them are 0-extension rows, the block layout, each vertex's
         shell, and the count caps of its support and of mask.
 
         Vertices leave by least degree among those left, from a bucket queue.
-        The k-th vertex to leave takes the k-th (s+1)-block: cols[c] is the
-        column that column c of cofactor_row moves to.  Its first s+1 edges
-        to vertices still left, in edge order, are its 0-extension rows.
-        The order puts all of those first, round-major: round t holds each
-        vertex's (t+1)-th 0-extension row, in peel order, and rounds counts
-        them per round; every other edge follows.  Each row of a round
-        pivots in its own vertex's block, so a round goes into a basis with
-        one shared inverse (EchelonBasis.absorb_round).  A
-        vertex's shell is the largest least degree met up to its leaving,
-        its core number: the k-core of mask, what is left after deleting
-        vertices of degree below k until none is left, is the vertices of
-        shell at least k (Batagelj and Zaversnik 2003).  Only the last
-        mask's record is kept, with the seed bases built on it, so the seeds
-        of a mask, and a seed's rank followed by its basis, peel it once;
-        peeling another mask drops it.
+        The k-th vertex v to leave takes the k-th (s+1)-block: at[v] = (s+1)k
+        is the column its block starts at in every row laid out by this peel
+        (cofactor_row).  Its first s+1 edges to vertices still left, in edge
+        order, are its 0-extension rows.  The order puts all of those first,
+        round-major: round t holds each vertex's (t+1)-th 0-extension row, in
+        peel order, and rounds counts them per round; every other edge
+        follows.  Each row of a round pivots in its own vertex's block, so a
+        round goes into a basis with one shared inverse
+        (EchelonBasis.absorb_round).  A vertex's shell is the largest least
+        degree met up to its leaving, its core number: the k-core of mask,
+        what is left after deleting vertices of degree below k until none is
+        left, is the vertices of shell at least k (Batagelj and Zaversnik
+        2003).  Only the last mask's record is kept, with the seed bases
+        built on it, so the seeds of a mask, and a seed's rank followed by
+        its basis, peel it once; peeling another mask drops it.
         """
         peel = self._last_peel
         if peel is not None and peel.mask == mask:
@@ -385,7 +375,7 @@ class CofactorOracle:
         for v, d in enumerate(degree):
             buckets[d][v] = None
         rounds, rest = [[] for _ in range(w)], []
-        cols, shells = [0] * (w * n), [0] * n
+        at, shells = [0] * n, [0] * n
         low = shell = 0
         for k in range(n):
             while not buckets[low]:
@@ -395,8 +385,7 @@ class CofactorOracle:
             v = buckets[low].popitem()[0]
             shells[v] = shell
             degree[v] = -1
-            at = w * (n - 1 - v)
-            cols[at:at + w] = range(w * k, w * k + w)
+            at[v] = w * k
             taken = 0
             for u, b in nbrs[v]:
                 d = degree[u]
@@ -411,7 +400,7 @@ class CofactorOracle:
                     degree[u] = d - 1
             low = max(low - 1, 0)
         seeds, first = len(self.seeds), [b for batch in rounds for b in batch]
-        self._last_peel = _Peel(mask, first + rest, len(first), [*map(len, rounds)], cols,
+        self._last_peel = _Peel(mask, first + rest, len(first), [*map(len, rounds)], at,
                                 shells, support_cap, min(mask.bit_count(), support_cap),
                                 [None] * seeds, [0] * seeds)
         return self._last_peel
@@ -434,11 +423,14 @@ class CofactorOracle:
         """The rank of a mask from its per-seed ranks, asked for lazily in
         seed order: a seed meeting cap ends the asking, and otherwise the
         maximum stands unless a strict majority of seeds falls below it.
+        A proven table answers in their place, with no seed asked.
 
         cap must be a proven upper bound on the generic rank of mask: its
         count cap, or the rank of a superset, as cyc bounds F - e by rank(F).
         No evaluation rank exceeds the generic rank, so a seed meeting it
         proves the rank."""
+        if self._table is not None:
+            return self._table[mask]
         per_seed = []
         for idx in range(len(self.seeds)):
             r = seed_rank(idx)
@@ -498,9 +490,9 @@ class CofactorOracle:
         whether it fails to annihilate one random motion of the seed's basis
         of F, 2(s+1) products and no reduction."""
         v = self._seed_basis(F.mask, seed_idx).motion(self._motion_values(seed_idx))
-        w, p = [v[c] for c in self._peel(F.mask).cols], self.modulus
+        at, p = self._peel(F.mask).at, self.modulus
         return lambda b: sum(
-            c * w[j] for j, c in self._row(b, seed_idx).items()) % p != 0
+            c * v[j] for j, c in self._row(b, seed_idx, at).items()) % p != 0
 
     def peel_base(self, F: EdgeSet) -> EdgeSet | None:
         """F's 0-extension rows where they number its count cap, which makes
@@ -543,15 +535,14 @@ class CofactorOracle:
 
         A non-edge e with an end outside F's (s+1)-core is a coloop of F + e,
         so it stays out with no seed asked.  The others share one cap on
-        F + e (``_extension_caps``); where it is
-        r = rank(F), each joins the closure with no seed asked, since
-        r <= rank(F + e) <= cap.  Otherwise F + e is voted unless the table
-        has it, not memoized: a seed ranks it one above its own rank of F
-        where the row of e lifts it (``_lifts``, the test ``seed_closure``
-        makes), asked only once the vote on F + e reaches that seed.  The
-        motion comes first, so its basis gives that seed's rank of F, never
-        the peel-proven r.  So an F whose 0-extension rows reach the cap of
-        its support builds no basis.
+        F + e (``_extension_caps``); where it is r = rank(F), each joins the
+        closure with no seed asked, since r <= rank(F + e) <= cap.  Otherwise
+        F + e is voted, not memoized, and a proven table answers the vote: a
+        seed ranks it one above its own rank of F where the row of e lifts
+        it (``_lifts``, the test ``seed_closure`` makes), asked only once the
+        vote on F + e reaches that seed.  The motion comes first, so its
+        basis gives that seed's rank of F, never the peel-proven r.  So an F
+        whose 0-extension rows reach the cap of its support builds no basis.
         The closure C has rank r, so it is memoized at r: a later rank of C,
         or cyc's rank decision on it, asks no seed.  C is remembered as the
         closure of F and of itself, so closing either again, as is_flat
@@ -571,8 +562,7 @@ class CofactorOracle:
             lifts = cache(lambda idx: self._lifts(F, idx))
             for b in bits(tested):
                 x = F.mask | 1 << b
-                if (self._vote(x, lambda idx: lifts(idx)(b) + seed_rank(idx), cap)
-                        if self._table is None else self._table[x]) == r:
+                if self._vote(x, lambda idx: lifts(idx)(b) + seed_rank(idx), cap) == r:
                     out |= 1 << b
         self._memo[out] = r
         self._flats[F.mask] = self._flats[out] = out
@@ -589,9 +579,9 @@ class CofactorOracle:
         that seed's rank of F and its coloops: the basis elements outside one
         random self-stress (_coloop_pass).  Dropping e lowers a seed's rank
         exactly when e is one of its coloops, which gives every rank of F - e
-        without a further elimination.  F - e is voted under r = rank(F),
-        unless the table has it, not memoized: deleting never raises the
-        rank, so a seed ranking F - e at r proves e in a circuit.  An F of
+        without a further elimination.  F - e is voted under r = rank(F), not
+        memoized, and a proven table answers the vote: deleting never raises
+        the rank, so a seed ranking F - e at r proves e in a circuit.  An F of
         decided rank |F| is independent, all coloops, and gets the empty set
         with no pass.  Where r = |F| - 1 (nullity one, as for a fundamental
         circuit), F holds one circuit C, and if seed 0's pass ranks F at r,
@@ -620,8 +610,7 @@ class CofactorOracle:
                     r_i, coloops = seed_pass(idx)
                     return r_i - (coloops >> b & 1)
                 x = F.mask & ~(1 << b)
-                if (self._vote(x, without, r) if self._table is None
-                        else self._table[x]) == r:
+                if self._vote(x, without, r) == r:
                     keep |= 1 << b
         self._cyclic[F.mask] = self._cyclic[keep] = keep
         return EdgeSet(self.n, keep)
@@ -638,12 +627,12 @@ class CofactorOracle:
         """Greedily extend an independent subset of F to a base of F.
 
         Each seed in turn inserts the rows of the starting set and then those
-        of the rest of F, in increasing order, until its rank reaches
-        rank(F).  A set independent at one evaluation is generically
-        independent, so the first seed whose base reaches rank(F) and keeps
-        the starting set gives a base of F.  It is the lexicographically
-        greedy base unless that seed is degenerate on some prefix of F, where
-        it may skip an element the generic greedy takes.  If no seed gets
+        of the rest of F, in increasing order and laid out by F's peel, until
+        its rank reaches rank(F).  A set independent at one evaluation is
+        generically independent, so the first seed whose base reaches rank(F)
+        and keeps the starting set gives a base of F.  It is the
+        lexicographically greedy base unless that seed is degenerate on some
+        prefix of F, where it may skip an element the generic greedy takes.  If no seed gets
         there, the seeds disagree and SeedDisagreement is raised.  An
         independent F is its own base, so no seed builds one.
         """
@@ -656,14 +645,14 @@ class CofactorOracle:
         target = self.rank(F)
         if target == len(F):
             return F
-        elems = [*bits(start), *bits(F.mask & ~start)]
+        elems, at = [*bits(start), *bits(F.mask & ~start)], self._peel(F.mask).at
         ranks = []
         for idx in range(len(self.seeds)):
             basis, base = EchelonBasis(self.modulus), 0
             for b in elems:
                 if basis.rank == target:
                     break
-                if basis.absorb(dict(self._row(b, idx))):
+                if basis.absorb(self._row(b, idx, at)):
                     base |= 1 << b
             if basis.rank == target and base & start == start:
                 return EdgeSet(self.n, base)
@@ -703,11 +692,12 @@ class CofactorOracle:
         """Rank of every subset of E(K_n), indexed by bitmask (n small).
 
         A seed's table comes from its bases: a linear matroid ranks X as the
-        largest |X & B| over its bases B.  One tagged pass over its rows
-        (dual_rows) gives their rank r and vectors in m - r coordinates that
-        represent the dual matroid, whose bases are the complements of the
-        rows' bases; a sweep of minors (bases_by_minors) lists those.  Past
-        matroids.ENUM_CAP edges, CapExceeded is raised before any row.
+        largest |X & B| over its bases B.  One tagged pass over its rows, in
+        edge order and laid out by the peel of E(K_n) (dual_rows), gives
+        their rank r and vectors in m - r coordinates that represent the dual
+        matroid, whose bases are the complements of the rows' bases; a sweep
+        of minors (bases_by_minors) lists those.  Past matroids.ENUM_CAP
+        edges, CapExceeded is raised before any row.
 
         The seeds are tried in order, and the first whose table its circuits
         prove is returned.  A seed's matroid M has no independent set that
@@ -728,9 +718,9 @@ class CofactorOracle:
         if m > matroids.ENUM_CAP:
             raise CapExceeded(f"rank table over {m} edges")
         full, width, p = (1 << m) - 1, self.dim * self.n, self.modulus
-        vstars, lowest = stars(self.n), []
+        vstars, lowest, at = stars(self.n), [], self._peel(full).at
         for idx in range(len(self.seeds)):
-            vectors, pivots = dual_rows([self._row(b, idx) for b in range(m)], width, p)
+            vectors, pivots = dual_rows([self._row(b, idx, at) for b in range(m)], width, p)
             bases = [full & ~x for x in bases_by_minors(vectors, m - len(pivots), p)]
             matroid = matroids.ExplicitMatroid.from_bases(m, bases)
             within = [c for c in matroid.circuits() if c.bit_count()

@@ -38,18 +38,24 @@ def cyclic_sets(M):
     return members(M.cyclic_bits)
 
 
+def layout(oracle):
+    """Vertex v's block at columns (s+1)v: a layout of the oracle's rows
+    fixed by n and s alone, for the rows the tests evaluate themselves."""
+    return range(0, oracle.dim * oracle.n, oracle.dim)
+
+
 def reduction_closure(oracle, mask):
     """The cofactor oracle's closure by reduction: each seed keeps one echelon
     basis of the rows of mask, and its rank of mask + e is that rank plus
     whether the row of e reduces to nonzero against it.  Every rank goes
     through the oracle's own seed rule."""
-    bases = {}
+    bases, at = {}, layout(oracle)
 
     def basis(idx):
         if idx not in bases:
             bases[idx] = EchelonBasis(oracle.modulus)
             for b in bits(mask):
-                insert(bases[idx], oracle._row(b, idx))
+                insert(bases[idx], oracle._row(b, idx, at))
         return bases[idx]
 
     r = oracle._decide(mask, lambda idx: basis(idx).rank)
@@ -57,7 +63,7 @@ def reduction_closure(oracle, mask):
     for bit in bits(((1 << edge_count(oracle.n)) - 1) & ~mask):
         def with_e(idx):
             return basis(idx).rank + (
-                basis(idx).reduce(oracle._row(bit, idx)) is not None)
+                basis(idx).reduce(oracle._row(bit, idx, at)) is not None)
         if oracle._decide(mask | 1 << bit, with_e) == r:
             out |= 1 << bit
     return out
@@ -110,7 +116,7 @@ def per_mask_rank_table(oracle):
     m = edge_count(oracle.n)
 
     def rows(idx):
-        return [oracle._row(b, idx) for b in range(m)]
+        return [oracle._row(b, idx, layout(oracle)) for b in range(m)]
 
     tables = [subset_rank_table(rows(0), oracle.modulus)]
 

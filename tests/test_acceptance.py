@@ -213,26 +213,6 @@ def test_criterion_09_extensions_preserve_independence():
           f"independence over 200 rounds ({counts})")
 
 
-def _graphic_rank(F):
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rank = 0
-    for u, v in F.edges():
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
-    return rank
-
-
 def test_criterion_10_low_degree_oracles_match_classics():
     corpus = [
         *(complete_graph(n) for n in range(4, 11)),
@@ -252,7 +232,7 @@ def test_criterion_10_low_degree_oracles_match_classics():
     ]
     for F in corpus:
         assert F.n <= 10
-        assert CofactorOracle(F.n, s=0).rank(F) == _graphic_rank(F), F
+        assert CofactorOracle(F.n, s=0).rank(F) == reference.graphic_rank(F), F
     rng = random.Random(101)
     compared = 0
     for n in (4, 5, 6, 7):

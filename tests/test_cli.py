@@ -246,7 +246,7 @@ def test_verify_reports_a_rank_table_no_seed_proves(capsys, monkeypatch):
     # seed proves the K6 table that the elevation suite compares against
     real = CofactorOracle._row
     monkeypatch.setattr(CofactorOracle, "_row",
-                        lambda self, b, idx: {} if b == 0 else real(self, b, idx))
+                        lambda self, b, idx, at: {} if b == 0 else real(self, b, idx, at))
     verify._oracle.cache_clear()
     try:
         code, out, err = _run(capsys, ["verify", "elevation"])

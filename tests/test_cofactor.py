@@ -25,27 +25,6 @@ from rank_reference import (complete_bipartite_graph, cycle_graph, matrix_rank,
                             path_graph)
 
 
-def _graphic_rank(F):
-    """|support| - components(support), via union-find on the edges."""
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rank = 0
-    for u, v in F.edges():
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            rank += 1
-    return rank
-
-
 def _laman_independent(F):
     """2D rigidity independence: |F'| <= 2|V(F')| - 3 for all sub-supports."""
     if not F.mask:
@@ -172,8 +151,8 @@ def _rigged_oracle(monkeypatch, n=9):
     real = oracle._row
     bit = edge_index(n, 4, 8)
 
-    def row(b, idx):
-        got = real(b, idx)
+    def row(b, idx, at):
+        got = real(b, idx, at)
         return {} if b == bit and idx < 2 else got
 
     monkeypatch.setattr(oracle, "_row", row)
@@ -205,7 +184,7 @@ def test_degree_zero_matches_graphic_rank():
     oracle = CofactorOracle(7, s=0)
     for _ in range(150):
         F = EdgeSet(7, rng.getrandbits(21))
-        assert oracle.rank(F) == _graphic_rank(F)
+        assert oracle.rank(F) == reference.graphic_rank(F)
 
 
 def test_degree_one_matches_sparsity_rank():
@@ -226,8 +205,9 @@ def test_degree_one_matches_rigidity_rows():
 
 @pytest.mark.parametrize("s", [0, 1, 2])
 def test_seed_ranks_do_not_depend_on_the_column_layout(s):
-    # Vertex v's block sits at columns (s+1)(n-1-v); mapped back to the
-    # low-vertex-first layout (s+1)v, the same rows keep every seed's rank.
+    # Each seed's basis lays the rows out by the mask's peel; laid out
+    # low-vertex-first instead, vertex v's block at columns (s+1)v, the same
+    # rows keep every seed's rank.
     rng = random.Random(40 + s)
     w = s + 1
     for n in range(8, 13):
@@ -240,8 +220,7 @@ def test_seed_ranks_do_not_depend_on_the_column_layout(s):
             for idx in range(len(oracle.seeds)):
                 rows = []
                 for b in bits(mask):
-                    row = {w * (n - 1 - c // w) + c % w: x
-                           for c, x in oracle._row(b, idx).items()}
+                    row = oracle._row(b, idx, range(0, w * n, w))
                     i, j = edge_at(n, b)
                     assert set(row) <= {w * v + t for v in (i, j) for t in range(w)}
                     rows.append(row)
@@ -350,10 +329,11 @@ def _count_reductions(monkeypatch, zeros=None):
 
 def test_cofactor_row_matches_the_power_formula():
     # the running products give the dict the pow formula gives, key order
-    # included, whichever end comes first; points sharing a coordinate
-    # make dx or dy zero, and those entries are left out
+    # included, whichever end comes first, with each vertex's block where a
+    # random layout puts it; points sharing a coordinate make dx or dy zero,
+    # and those entries are left out
     p = field.MERSENNE61
-    rng = random.Random(5)
+    rng, layouts = random.Random(5), random.Random(6)
     for s in range(7):
         for _ in range(20):
             n = rng.randrange(2, 9)
@@ -365,12 +345,14 @@ def test_cofactor_row_matches_the_power_formula():
             dx = (points[lo][0] - points[hi][0]) % p
             dy = (points[lo][1] - points[hi][1]) % p
             w = s + 1
+            at = list(range(0, w * n, w))
+            layouts.shuffle(at)
             expected = {}
             for t in range(w):
                 if b := pow(dx, s - t, p) * pow(dy, t, p) % p:
-                    expected[w * (n - 1 - lo) + t] = b
-                    expected[w * (n - 1 - hi) + t] = p - b
-            row = cofactor_row((i, j), config, s)
+                    expected[at[lo] + t] = b
+                    expected[at[hi] + t] = p - b
+            row = cofactor_row((i, j), config, s, at)
             assert row == expected and list(row) == list(expected)
 
 
@@ -400,7 +382,7 @@ def test_peel_rounds_hold_each_vertex_row_in_peel_order():
         F = _rigid_dense(n)
         oracle = CofactorOracle(n)
         peel = oracle._peel(F.mask)
-        block = {v: peel.cols[3 * (n - 1 - v)] // 3 for v in range(n)}
+        block = {v: peel.at[v] // 3 for v in range(n)}
         leaver = [min(edge_at(n, b), key=block.get) for b in peel.order[:peel.first]]
         assert peel.rounds == sorted(peel.rounds, reverse=True)
         k = 0
@@ -450,8 +432,9 @@ def test_seed_ranks_match_the_matrix_rank(monkeypatch, s):
             else:
                 assert calls[0] > before
                 voted += 1
+            at = reference.layout(oracle)
             for idx in range(len(oracle.seeds)):
-                rows = [oracle._row(b, idx) for b in bits(mask)]
+                rows = [oracle._row(b, idx, at) for b in bits(mask)]
                 rank = matrix_rank(rows, oracle.modulus)
                 assert oracle._seed_basis(mask, idx).rank == rank
                 assert rank == decided or peel.first < peel.cap
@@ -504,7 +487,7 @@ def test_a_lost_row_below_the_peel_falls_back_to_the_basis(monkeypatch):
     basis = oracle._peel(F.mask).bases[0]
     assert basis is not None and calls[0] > 0
     assert oracle._configs[1:] == [None, None]
-    rows = [oracle._row(b, 0) for b in bits(F.mask)]
+    rows = [oracle._row(b, 0, reference.layout(oracle)) for b in bits(F.mask)]
     assert basis.rank == matrix_rank(rows, oracle.modulus) == 3 * n - 6
 
 
@@ -543,10 +526,11 @@ def test_an_independent_set_has_no_circuit(monkeypatch):
 
 
 def test_edge_order_basis_stays_sparse(monkeypatch):
-    # basis_of inserts K13's rows in edge order, by lower endpoint, in
-    # cofactor_row's columns, where each row pivots in the block of its
-    # higher endpoint, so each star fills in little: seed 0's basis stores
-    # 260 entries, against 344 with vertex v's block at columns (s+1)v.
+    # basis_of inserts K13's rows in edge order, by lower endpoint, laid out
+    # by K13's peel, which takes the vertices from 12 down, so each row
+    # pivots in the block of its higher endpoint and each star fills in
+    # little: seed 0's basis stores 260 entries, against 344 with vertex v's
+    # block at columns (s+1)v.
     stored = [0]
     real = field._normalized
 
@@ -594,9 +578,10 @@ def test_sketched_seed_ranks_match_the_matrix_rank(monkeypatch, s):
     masks += [(2 * s + 8 + m, _clique_and_bipartite(s, m).mask) for m in (6, 10)]
     for n, mask in masks:
         oracle = CofactorOracle(n, s=s)
+        at = reference.layout(oracle)
         for idx in range(len(oracle.seeds)):
             drawn.clear()
-            rows = [oracle._row(b, idx) for b in bits(mask)]
+            rows = [oracle._row(b, idx, at) for b in bits(mask)]
             rank = oracle._seed_basis(mask, idx).rank
             assert rank == matrix_rank(rows, oracle.modulus)
             # below the cap some row after the 0-extension rows is dependent
@@ -622,9 +607,10 @@ def test_seed_coloops_match_the_matrix_rank(monkeypatch, s):
     masks.append((2 * s + 14, _clique_and_bipartite(s, 6).mask))
     for n, mask in masks:
         oracle = CofactorOracle(n, s=s)
+        at = reference.layout(oracle)
         for idx in range(len(oracle.seeds)):
             drawn.clear()
-            rows = {b: oracle._row(b, idx) for b in bits(mask)}
+            rows = {b: oracle._row(b, idx, at) for b in bits(mask)}
             rank = matrix_rank(rows.values(), oracle.modulus)
             coloops = sum(1 << b for b in rows if matrix_rank(
                 [row for c, row in rows.items() if c != b], oracle.modulus) < rank)
@@ -754,8 +740,8 @@ def test_one_pass_queries_bound_their_row_reductions(monkeypatch):
 def _losing(monkeypatch, oracle, lost):
     """Make seed idx of the oracle lose the rows of the edge bits lost[idx]."""
     real = oracle._row
-    monkeypatch.setattr(oracle, "_row", lambda b, idx: {} if b in lost.get(idx, ())
-                        else real(b, idx))
+    monkeypatch.setattr(oracle, "_row", lambda b, idx, at: {} if b in lost.get(idx, ())
+                        else real(b, idx, at))
     return oracle
 
 
@@ -809,8 +795,8 @@ def _rigged_oracle6(monkeypatch):
     oracle = CofactorOracle(6)
     real = oracle._row
 
-    def row(b, idx):
-        got = real(b, idx)
+    def row(b, idx, at):
+        got = real(b, idx, at)
         return {} if b == 0 and idx > 0 else got
 
     monkeypatch.setattr(oracle, "_row", row)
@@ -949,7 +935,7 @@ def test_closure_memoizes_the_rank_of_its_flat(monkeypatch):
     oracle = CofactorOracle(9)
     real, bit = oracle._row, edge_index(9, 0, 8)
     monkeypatch.setattr(oracle, "_row",
-                        lambda b, idx: {} if b == bit and idx == 2 else real(b, idx))
+                        lambda b, idx, at: {} if b == bit and idx == 2 else real(b, idx, at))
     closed = oracle.closure(F)
     assert closed == F.add(0, 1)
 
@@ -975,23 +961,28 @@ def _counting_peels(monkeypatch):
     return peeled
 
 
-def _bases_in(value):
-    """The echelon bases held in value, through lists, tuples and dicts."""
-    if isinstance(value, EchelonBasis):
-        return [value]
+def _held_in(value):
+    """value and every object held in it, through lists, tuples, sets and
+    dict values."""
     if isinstance(value, dict):
-        value = value.values()
-    elif not isinstance(value, (list, tuple, set)):
-        return []
-    return [basis for x in value for basis in _bases_in(x)]
+        inner = value.values()
+    elif isinstance(value, (list, tuple, set)):
+        inner = value
+    else:
+        inner = ()
+    return [value, *(x for item in inner for x in _held_in(item))]
 
 
 def test_the_oracle_keeps_one_peel(monkeypatch):
     # every flexible rank or closure query builds the seed bases of its
-    # mask; only the last mask peeled keeps them, in its record
+    # mask; only the last mask peeled keeps them, in its record, and no
+    # evaluated row outlives the query that built it
     n = 24
     F = _flexible(n)
     peeled = _counting_peels(monkeypatch)
+    built, real = [], cofactor.cofactor_row
+    monkeypatch.setattr(cofactor, "cofactor_row",
+                        lambda *args: built.append(real(*args)) or built[-1])
     oracle = CofactorOracle(n)
     for k, e in enumerate(F.sorted_edges()[:6]):
         G = F.remove(*e)
@@ -1000,9 +991,11 @@ def test_the_oracle_keeps_one_peel(monkeypatch):
             oracle.closure(G)
         assert oracle._last_peel.mask == peeled[-1] == G.mask
         assert None not in oracle._last_peel.bases
-        others = {name: value for name, value in vars(oracle).items()
-                  if name != "_last_peel"}
-        assert _bases_in(others) == []
+        others = _held_in([value for name, value in vars(oracle).items()
+                           if name != "_last_peel"])
+        assert not [x for x in others if isinstance(x, EchelonBasis)]
+        rows = {id(row) for row in built}
+        assert built and not [x for x in others if id(x) in rows]
 
 
 def test_each_query_peels_its_mask_once(monkeypatch):
@@ -1045,7 +1038,7 @@ def test_proven_rank_tables_evaluate_seed_0_alone(monkeypatch, n, s):
     oracle = CofactorOracle(n, s=s)
     asked = set()
     real = oracle._row
-    monkeypatch.setattr(oracle, "_row", lambda b, idx: asked.add(idx) or real(b, idx))
+    monkeypatch.setattr(oracle, "_row", lambda b, idx, at: asked.add(idx) or real(b, idx, at))
     oracle.rank_table()
     assert asked == ({0} if n > 1 else set())
 
@@ -1081,7 +1074,7 @@ def test_a_degenerate_seed_0_asks_only_seed_1(monkeypatch):
     oracle = _losing(monkeypatch, CofactorOracle(6), {0: {edge_index(6, 4, 5)}})
     asked = set()
     real = oracle._row
-    monkeypatch.setattr(oracle, "_row", lambda b, idx: asked.add(idx) or real(b, idx))
+    monkeypatch.setattr(oracle, "_row", lambda b, idx, at: asked.add(idx) or real(b, idx, at))
     assert oracle.rank_table() == CofactorOracle(6).rank_table()
     assert asked == {0, 1}
 
@@ -1101,8 +1094,9 @@ def test_rank_table_survives_a_degenerate_seed_0(monkeypatch, later_lose, kind):
         oracle = CofactorOracle(6)
         real = oracle._row
         monkeypatch.setattr(oracle, "_row",
-                            lambda b, idx: {} if b in lost[idx] else real(b, idx))
-        assert matrix_rank([oracle._row(b, 0) for b in range(15)]) == 10
+                            lambda b, idx, at: {} if b in lost[idx] else real(b, idx, at))
+        assert matrix_rank([oracle._row(b, 0, reference.layout(oracle))
+                            for b in range(15)]) == 10
         try:
             return "table", build(oracle)
         except SeedDisagreement as exc:

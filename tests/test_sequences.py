@@ -233,8 +233,8 @@ def test_a_degenerate_seed_0_hands_the_certificates_to_seed_1(monkeypatch):
     clean = rank_certificate(F, CofactorOracle(6))
     clean_dress = dress_certificate(F, CofactorOracle(6))
     lost, real = edge_index(6, 4, 5), CofactorOracle._row
-    monkeypatch.setattr(CofactorOracle, "_row", lambda self, b, idx:
-                        {} if (b, idx) == (lost, 0) else real(self, b, idx))
+    monkeypatch.setattr(CofactorOracle, "_row", lambda self, b, idx, at:
+                        {} if (b, idx) == (lost, 0) else real(self, b, idx, at))
     oracle = CofactorOracle(6)
     cert = rank_certificate(F, oracle)
     assert (cert.rank, cert.sequence) == (clean.rank, clean.sequence)

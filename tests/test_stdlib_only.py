@@ -2,7 +2,8 @@
 nor the slow-to-import dataclasses and inspect, its modules import one
 another without a cycle, every function reads the
 parameters it takes, every private function, method and class is used,
-and every name a module exports exists, once."""
+every name a module imports is read or exported, and every name a module
+exports exists, once."""
 
 import ast
 import importlib
@@ -162,3 +163,34 @@ def test_every_exported_name_resolves_once():
         assert len(set(names)) == len(names), module.__name__
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def _unread_imports(path):
+    """(line, name) for every name a top-level import in path binds that the
+    module never reads nor lists in its __all__, unless the line that binds
+    it carries ``# noqa: F401``.  Imports from __future__ bind nothing."""
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                yield alias.lineno, name
+
+
+def test_every_imported_name_is_read():
+    unread = [(path.name, line, name)
+              for path in sorted(SRC.glob("*.py"))
+              for line, name in _unread_imports(path)]
+    assert not unread, unread
