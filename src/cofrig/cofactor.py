@@ -30,10 +30,12 @@ no row evaluated, and the peel order is a witness one can check by hand.
 Below the cap the seeds build their bases from the same peel, where the
 0-extension rows pivot in v's own block and clear only against each other,
 with almost no fill-in; the peel lays them out in rounds, each vertex's
-k-th row in the k-th round, and a round's rows share one inverse.  A column
-permutation changes the rank of no set of rows, so no rank depends on the
-layout; only the fill-in does.  A rank table sweeps the minors of the
-rows' dual (``field.dual_rows``), seed by seed, and returns the first
+k-th row in the k-th round, and a round's rows share one inverse.  One walk
+(``_walk``) builds every seed basis: ``_seed_basis`` and ``_coloop_pass``
+walk the peel, rounds first, and ``extend_basis`` walks F in edge order.  A
+column permutation changes the rank of no set of rows, so no rank depends
+on the layout; only the fill-in does.  A rank table sweeps the minors of
+the rows' dual (``field.dual_rows``), seed by seed, and returns the first
 seed's table whose circuits each have more edges than their count cap
 (``generic_rank_upper_bound``), which proves it generic.
 
@@ -48,21 +50,20 @@ e with an end outside that is a coloop of F + e and never in cl(F), and
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).
-``seed_closure`` tests each non-edge left open against one random motion
-of one seed, with no vote, and ``closure`` votes on each with the same
-test; the basis build tests its remaining rows the same way once one of
-them falls in the span.  A row outside the span passes with probability
-1/p; the seed then ranks the set one too low, never too high.  So a motion
-test is only ever added to its own seed's rank of the set, never to a
-peel-proven rank: a degenerate seed ranks the set below it, and the sum
-could rank some F + e above its generic rank.  A certificate
-(``sequences``) is proven by the first seed whose base meets its clique
-sequence, and its ``independent_set`` is the peel's 0-extension rows where
-they prove the cap, else that seed's peel-order base; neither need be
-lexicographically greedy.  A seed's
-*self-stresses* are the linear relations among its rows: ``cyc`` reads its
-coloops, the rows in no circuit, as the rows where one random self-stress
-vanishes, which errs the same way.
+``seed_closure`` tests each non-edge left open against one random motion of
+one seed, with no vote, and ``closure`` votes on each with the same test;
+the walk tests its later rows the same way once one of them falls in the
+span.  A row outside the span passes with probability 1/p; the seed then
+ranks the set one too low, never too high.  So a motion test is only ever
+added to its own seed's rank of the set, never to a peel-proven rank: a
+degenerate seed ranks the set below it, and the sum could rank some F + e
+above its generic rank.  A certificate (``sequences``) is proven by the
+first seed whose base meets its clique sequence, and its
+``independent_set`` is the peel's 0-extension rows where they prove the
+cap, else that seed's peel-order base; neither need be lexicographically
+greedy.  A seed's *self-stresses* are the linear relations among its rows:
+``cyc`` reads its coloops, the rows in no circuit, as the rows where one
+random self-stress vanishes, which errs the same way.
 """
 
 from __future__ import annotations
@@ -234,100 +235,91 @@ class CofactorOracle:
                 rng.randrange(self.modulus) for _ in range(self.dim * self.n)]
         return values
 
-    def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
-        """One seed's echelon basis of the rows of mask, in its peel's order
-        and layout, kept in the peel's record with the rows it took in.
+    def _walk(self, order, rounds, at, seed_idx: int, stop: int,
+              width: int | None = None) -> tuple[EchelonBasis, int]:
+        """One seed's echelon basis of the rows of the edge bits in order,
+        laid out by at, and the edge bits of the rows it took in.
 
-        The 0-extension rows go in a peel round at a time (absorb_round),
-        with one inverse per round, and the later rows one at a time.
-        It stops once it reaches the proven cap: no evaluation rank exceeds
-        the generic rank, so that prefix already spans every row of mask.
-        Once a row after the 0-extension rows falls in the span, each later
-        row is tested against one random motion of the basis so far and
-        reduced only if it passes, which proves it independent; a row that
-        goes in drops the motion, and the next row to fall in the span draws
-        it again.  A row outside the span fails with probability 1/p, which
-        lowers this seed's rank and never raises it.
+        The first rows go in a round at a time (absorb_round), rounds[t] of
+        them in round t, with one inverse per round, and the later rows one
+        at a time, until the rank reaches stop.  Once one of the later rows
+        falls in the span, each row after it is tested against one random
+        motion of the basis so far and reduced only if it passes, which
+        proves it independent; a row that goes in drops the motion, and the
+        next row to fall in the span draws it again.  A row outside the span
+        fails with probability 1/p, which lowers this seed's rank and never
+        raises it.  With width, the k-th row carries a unit tag at column
+        width + k, right of the real columns, so every basis row keeps its
+        combination of the rows, and a row pivoting at a tag is left out;
+        the motion is 0 at every tag, so it sees the real columns alone.
+        """
+        p, picked, k = self.modulus, 0, 0
+        basis = EchelonBasis(p)
+
+        def row(i):
+            got = self._row(order[i], seed_idx, at)
+            if width is not None:
+                got[width + i] = 1
+            return got
+
+        for size in rounds:
+            for i in basis.absorb_round([row(j) for j in range(k, k + size)], width):
+                picked |= 1 << order[k + i]
+            k += size
+        motion = None
+        for k in range(k, len(order)):
+            if basis.rank == stop:
+                break
+            cur = row(k)
+            if motion is not None and not sum(c * motion[j] for j, c in cur.items()) % p:
+                continue
+            if basis.absorb(cur, width):
+                picked |= 1 << order[k]
+                motion = None
+            elif motion is None:
+                values = self._motion_values(seed_idx)
+                motion = basis.motion(values if width is None
+                                      else [*values, *[0] * len(order)])
+        return basis, picked
+
+    def _seed_basis(self, mask: int, seed_idx: int) -> EchelonBasis:
+        """One seed's echelon basis of the rows of mask, the walk (_walk)
+        over its peel's order, rounds and layout, kept in the peel's record
+        with the rows it took in.  It stops once it reaches the proven cap:
+        no evaluation rank exceeds the generic rank, so that prefix already
+        spans every row of mask.
         """
         peel = self._peel(mask)
         if peel.bases[seed_idx] is None:
-            order, at, p = peel.order, peel.at, self.modulus
-            basis, motion, picked, k = EchelonBasis(p), None, 0, 0
-            for size in peel.rounds:
-                batch = order[k:k + size]
-                for i in basis.absorb_round([self._row(b, seed_idx, at) for b in batch]):
-                    picked |= 1 << batch[i]
-                k += size
-            for b in order[peel.first:]:
-                if basis.rank == peel.cap:
-                    break
-                row = self._row(b, seed_idx, at)
-                if motion is None:
-                    if basis.absorb(row):
-                        picked |= 1 << b
-                    else:
-                        motion = basis.motion(self._motion_values(seed_idx))
-                elif sum(c * motion[j] for j, c in row.items()) % p:
-                    basis.absorb(row)
-                    picked |= 1 << b
-                    motion = None
-            peel.bases[seed_idx], peel.picked[seed_idx] = basis, picked
+            peel.bases[seed_idx], peel.picked[seed_idx] = self._walk(
+                peel.order, peel.rounds, peel.at, seed_idx, peel.cap)
         return peel.bases[seed_idx]
 
     def _coloop_pass(self, mask: int, seed_idx: int) -> tuple[int, int]:
         """One seed's rank of mask and its coloops, from one random
         self-stress of its rows.
 
-        The rows go in as in _seed_basis, in the peel's order and layout,
-        the 0-extension rows a round at a time, but the k-th row carries a
-        unit tag at column width + k, right of the real columns, so every
-        basis row keeps its combination of the rows of mask; the rows left
-        out are in the span.  Their sum with random
-        weights from the seed reduces to zero on the real columns, and the
-        tags left are the basis rows' part of a random self-stress.  Every
-        row left out is in a circuit, and a basis row is in one exactly when
-        that part is nonzero at its tag, unless its weights cancel, with
+        The tagged walk (_walk with width) takes the rows in the peel's
+        order and layout, as _seed_basis does; the rows it leaves out are in
+        the span.  Their sum with random weights from the seed, in the
+        peel's order, reduces to zero on the real columns, and the tags left
+        are the basis rows' part of a random self-stress.  Every row left
+        out is in a circuit, and a basis row is in one exactly when that
+        part is nonzero at its tag, unless its weights cancel, with
         probability 1/p; it is taken for a coloop then.  Each rank this gives
         for mask minus one element is at most the seed's, also when a motion
         test misses.
         """
         peel = self._peel(mask)
         order, p, width = peel.order, self.modulus, self.dim * self.n
-        # value 0 at every tag column: a motion sees the real columns alone
-        values = [*self._motion_values(seed_idx), *[0] * len(order)]
-        basis, motion, base, left = EchelonBasis(p), None, 0, []
-        rows = [self._row(b, seed_idx, peel.at) for b in order]
-        k = 0
-        for size in peel.rounds:
-            grown = set(basis.absorb_round(
-                [{**rows[j], width + j: 1} for j in range(k, k + size)], width))
-            for i in range(size):
-                if i in grown:
-                    base |= 1 << order[k + i]
-                else:
-                    left.append(rows[k + i])
-            k += size
-        for k in range(peel.first, len(order)):
-            row = rows[k]
-            if basis.rank == peel.cap or motion is not None and not sum(
-                    c * motion[j] for j, c in row.items()) % p:
-                left.append(row)
-                continue
-            got = basis.reduce({**row, width + k: 1})
-            if got is not None and got[0] < width:
-                basis.rows[got[0]] = got[1]
-                base |= 1 << order[k]
-                motion = None
-            else:
-                left.append(row)
-                if motion is None:
-                    motion = basis.motion(values)
+        basis, base = self._walk(order, peel.rounds, peel.at, seed_idx, peel.cap, width)
         rng = random.Random(f"stress:{self.seeds[seed_idx]}")
         stress: dict[int, int] = {}
-        for row in left:
-            weight = rng.randrange(p)
-            for j, x in row.items():
-                stress[j] = stress.get(j, 0) + weight * x
+        for b in order:
+            if not base >> b & 1:
+                weight = rng.randrange(p)
+                for j, x in self._row(b, seed_idx, peel.at).items():
+                    stress[j] = stress.get(j, 0) + weight * x
         got = basis.reduce(stress)
         if got is not None and got[0] >= width:
             for j in got[1]:
@@ -619,22 +611,27 @@ class CofactorOracle:
         return self.cyc(F).mask == F.mask
 
     def basis_of(self, F: EdgeSet) -> EdgeSet:
-        """Lexicographically greedy base of F, as extend_basis qualifies it."""
+        """Lexicographically greedy base of F, as extend_basis qualifies it:
+        one seed's walk over F's rows in edge order, costing the rows it
+        takes plus the motions it draws."""
         self._check(F)
         return self.extend_basis(EdgeSet.empty(self.n), F)
 
     def extend_basis(self, independent: EdgeSet, F: EdgeSet) -> EdgeSet:
         """Greedily extend an independent subset of F to a base of F.
 
-        Each seed in turn inserts the rows of the starting set and then those
-        of the rest of F, in increasing order and laid out by F's peel, until
-        its rank reaches rank(F).  A set independent at one evaluation is
+        Each seed in turn walks (_walk) the rows of the starting set and then
+        those of the rest of F, in increasing order and laid out by F's peel,
+        until its rank reaches rank(F); it reduces the rows it takes and one
+        per motion it draws.  A set independent at one evaluation is
         generically independent, so the first seed whose base reaches rank(F)
         and keeps the starting set gives a base of F.  It is the
         lexicographically greedy base unless that seed is degenerate on some
-        prefix of F, where it may skip an element the generic greedy takes.  If no seed gets
-        there, the seeds disagree and SeedDisagreement is raised.  An
-        independent F is its own base, so no seed builds one.
+        prefix of F, or a motion test misses a row outside the span, with
+        probability 1/p per row; either may skip an element the generic
+        greedy takes.  If no seed gets there, the seeds disagree and
+        SeedDisagreement is raised.  An independent F is its own base, so no
+        seed builds one.
         """
         self._check(F)
         start = independent.mask
@@ -648,12 +645,7 @@ class CofactorOracle:
         elems, at = [*bits(start), *bits(F.mask & ~start)], self._peel(F.mask).at
         ranks = []
         for idx in range(len(self.seeds)):
-            basis, base = EchelonBasis(self.modulus), 0
-            for b in elems:
-                if basis.rank == target:
-                    break
-                if basis.absorb(self._row(b, idx, at)):
-                    base |= 1 << b
+            basis, base = self._walk(elems, (), at, idx, target)
             if basis.rank == target and base & start == start:
                 return EdgeSet(self.n, base)
             ranks.append(basis.rank)

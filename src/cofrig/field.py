@@ -30,15 +30,17 @@ r-subsets of nonzero determinant, from a sweep of minors by Laplace
 expansion, with no reduction and no inverse.
 
 A caller may give its rows tag columns right of the real ones, one unit
-vector per element, and insert only the rows whose pivot falls left of the
-tags.  A row whose pivot falls inside the tags is zero on the real columns,
-and its tag part is the combination of inserted rows it equals, a
-self-stress.  The cofactor oracle reads cyc and fundamental circuits off one
-such row per seed (``_coloop_pass``), through the same ``reduce``.
-``dual_rows`` tags every row and keeps each relation it finds: read per row,
-their coefficients represent the dual matroid, of rank m - r, whose bases
-are the complements of the rows' bases.  A rank table sweeps the minors of
-the dual vectors and complements the bases it finds.
+vector per element, and hand ``absorb`` or ``absorb_round`` the first tag
+column as width, so that only rows pivoting left of it go in.  A row
+pivoting inside the tags is zero on the real columns, and its tag part,
+left in the row ``absorb`` reduced, is the combination of inserted rows it
+equals, a self-stress.  No other module writes a basis's rows.  The
+cofactor oracle's tagged walk reads cyc and fundamental circuits off one
+random self-stress per seed (``_coloop_pass``).  ``dual_rows`` absorbs
+every row tagged and keeps each relation it finds: read per row, their
+coefficients represent the dual matroid, of rank m - r, whose bases are the
+complements of the rows' bases.  A rank table sweeps the minors of the dual
+vectors and complements the bases it finds.
 
 ``EchelonBasis.motion`` back-substitutes the kernel vector with given values
 at the free columns.  Independent uniform values make it a uniform kernel
@@ -155,11 +157,12 @@ class EchelonBasis:
         lead = reduce_row(cur, self.rows, self.p)
         return None if lead is None else (lead, _normalized(cur, lead, self.p))
 
-    def absorb(self, cur: dict[int, int]) -> bool:
+    def absorb(self, cur: dict[int, int], width: int | None = None) -> bool:
         """Add a sparse row with entries in [0, p), which the basis consumes,
-        to the span; True if the rank grew."""
+        to the span; True if the rank grew.  A row pivoting at width or
+        more is a relation, left out and reduced in cur."""
         lead = reduce_row(cur, self.rows, self.p)
-        if lead is None:
+        if lead is None or width is not None and lead >= width:
             return False
         self.rows[lead] = _normalized(cur, lead, self.p)
         return True
@@ -226,32 +229,29 @@ def dual_rows(rows, width: int,
     """A representation of the dual of the rows' matroid, one sparse vector
     per row, and the rows' r pivot columns; every column is below width.
 
-    Row k goes in with a unit tag at column width + k, as in the tagged
-    passes: a row whose pivot falls left of the tags grows the basis, and
-    any other row reduces to zero on the real columns, leaving a relation
-    among the rows, its tag part.  The relation of row k has tag k and
-    otherwise only tags of basis rows, so the m - r relations are
-    independent and span every relation.  Row e's dual vector holds its
-    coefficients across them, {relation: coefficient}, so a set X of rows
-    has rank |X| + r*(E - X) - r*(E), r* the rank of dual vectors and
-    r*(E) = m - r (Oxley, Matroid Theory, Thm 2.2.8).  The basis rows are
-    unit upper triangular on the pivots, so the rows keep every rank there.
+    Row k is absorbed up to width with a unit tag at column width + k: a
+    row whose pivot falls left of the tags grows the basis, and any other
+    row reduces to zero on the real columns, leaving a relation among the
+    rows, its tag part.  The relation of row k has tag k and otherwise only
+    tags of basis rows, so the m - r relations are independent and span
+    every relation.  Row e's dual vector holds its coefficients across them,
+    {relation: coefficient}, so a set X of rows has rank
+    |X| + r*(E - X) - r*(E), r* the rank of dual vectors and r*(E) = m - r
+    (Oxley, Matroid Theory, Thm 2.2.8).  The basis rows are unit upper
+    triangular on the pivots, so the rows keep every rank there.
     """
-    basis: dict[int, dict[int, int]] = {}
-    vectors: list[dict[int, int]] = [{} for _ in rows]
+    basis, vectors = EchelonBasis(p), [{} for _ in rows]
     for k, row in enumerate(rows):
         cur = _sparse_row(row, p)
         cur[width + k] = 1
-        lead = reduce_row(cur, basis, p)
-        if lead < width:
-            basis[lead] = _normalized(cur, lead, p)
+        if basis.absorb(cur, width):
             continue
         # the relations found before this one: one per row left out so far
-        relation = k - len(basis)
+        relation = k - basis.rank
         for j, x in cur.items():
             if x := x % p:
                 vectors[j - width][relation] = x
-    return vectors, sorted(basis)
+    return vectors, sorted(basis.rows)
 
 
 def bases_by_minors(vectors, r: int, p: int = MERSENNE61) -> list[int]:

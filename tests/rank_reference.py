@@ -6,7 +6,8 @@ loops.  The G(n, p) sampler, the named graphs and the dense matrix rank
 that the tests share live here too, with the small helpers that only the
 tests call: row insertion, an inverse counter, per-mask independence and
 modular pairs, induced subgraphs, the checked cover bound, the erection
-test and the cyclic sets of an explicit matroid."""
+test and the cyclic sets of an explicit matroid.  The (k, l)-pebble game is
+the exact, seed-free rank of the s <= 1 cofactor matroids."""
 
 import random
 from itertools import combinations
@@ -189,6 +190,64 @@ def graphic_rank(F):
     for u, v in F.edges():
         parent[root(u)] = root(v)
     return len(parent) - sum(parent[v] == v for v in parent)
+
+
+def pebble_base(F, k, l):
+    """The edges of F that the (k, l)-pebble game accepts, taken in edge
+    order, as an edge mask (Jacobs and Hendrickson 1997; Lee and Streinu
+    2008): for 0 <= l < 2k, the greedy base of F in the matroid of
+    (k, l)-sparse graphs, where no j vertices span more than kj - l edges.
+    (2, 3) is the generic plane rigidity matroid (Laman 1970), the s = 1
+    cofactor matroid (Whiteley 1996); (1, 1) is the graphic one, s = 0.
+
+    Every vertex starts with k pebbles, and every accepted edge is directed
+    away from the vertex whose pebble covers it.  An edge uv is accepted
+    once u and v hold l + 1 pebbles between them, and uses one of them.
+    Until then a free pebble is fetched to u along a directed path that
+    avoids v, or to v along one that avoids u, and the path is reversed;
+    if no path reaches one, uv spans a set that is already tight, and it
+    is rejected.  No arithmetic is done, and no seed is drawn."""
+    pebbles, heads, base = [k] * F.n, [[] for _ in range(F.n)], 0
+
+    def fetch(root, other):
+        parent, todo = {root: None, other: None}, [root]
+        while todo:
+            x = todo.pop()
+            for y in heads[x]:
+                if y in parent:
+                    continue
+                parent[y] = x
+                if pebbles[y]:
+                    pebbles[y] -= 1
+                    pebbles[root] += 1
+                    while y != root:
+                        x = parent[y]
+                        heads[x].remove(y)
+                        heads[y].append(x)
+                        y = x
+                    return True
+                todo.append(y)
+        return False
+
+    for b, (u, v) in zip(bits(F.mask), F.edges()):
+        while pebbles[u] + pebbles[v] <= l and (fetch(u, v) or fetch(v, u)):
+            pass
+        if pebbles[u] + pebbles[v] > l:
+            tail, head = (u, v) if pebbles[u] else (v, u)
+            pebbles[tail] -= 1
+            heads[tail].append(head)
+            base |= 1 << b
+    return base
+
+
+# the pebble game's (k, l) for each smoothness order it decides exactly
+PEBBLE_KL = {0: (1, 1), 1: (2, 3)}
+
+
+def pebble_rank(F, s):
+    """Rank of F in the order-s cofactor matroid, s <= 1, by the pebble
+    game: exact, with no seed."""
+    return pebble_base(F, *PEBBLE_KL[s]).bit_count()
 
 
 def _proper_order_masks(masks):

@@ -1,9 +1,9 @@
 """Property tests: the sparse echelon kernel against a dense Gaussian
 elimination written here, on small matrices with zero and repeated rows and
-on rows with tag columns, round absorption against absorbing the same rows
-one at a time, the minor sweep on both sides of a matroid against the full
-subset table, and the motion back-substitution against the span that
-``reduce`` tests."""
+on rows with tag columns, round absorption and absorption up to a tag width
+against absorbing the same rows one at a time, the minor sweep on both
+sides of a matroid against the full subset table, and the motion
+back-substitution against the span that ``reduce`` tests."""
 
 import pytest
 
@@ -246,20 +246,23 @@ def one_at_a_time(basis, rows, width):
 def test_absorb_round_matches_absorbing_one_row_at_a_time(case):
     # A lead that repeats one taken in its pass, a zero row and a relation
     # at a tag column change nothing: the pivots, the stored rows, the
-    # indices that grew and the motions are those of one row at a time.
+    # indices that grew and the motions are those of one row at a time,
+    # whether the rows go in a round or through absorb with the same width.
     p, width, before, rows, tagged, values = case
     limit = width if tagged else None
     if tagged:
         rows = [{**row, width + k: 1} for k, row in enumerate(rows)]
-    batched, single = EchelonBasis(p), EchelonBasis(p)
+    batched, single, absorbed = EchelonBasis(p), EchelonBasis(p), EchelonBasis(p)
     for row in before:
-        batched.absorb(dict(row))
-        single.absorb(dict(row))
-    grown = batched.absorb_round([dict(row) for row in rows], limit)
-    assert grown == one_at_a_time(single, rows, limit)
-    assert batched.rows == single.rows
-    check_rows(batched)
-    assert batched.motion(values) == single.motion(values)
+        for basis in (batched, single, absorbed):
+            basis.absorb(dict(row))
+    grown = one_at_a_time(single, rows, limit)
+    assert batched.absorb_round([dict(row) for row in rows], limit) == grown
+    assert [k for k, row in enumerate(rows) if absorbed.absorb(dict(row), limit)] == grown
+    for basis in (batched, absorbed):
+        assert basis.rows == single.rows
+        check_rows(basis)
+        assert basis.motion(values) == single.motion(values)
 
 
 def test_absorb_round_takes_one_inverse_per_pass(monkeypatch):

@@ -2,8 +2,9 @@
 nor the slow-to-import dataclasses and inspect, its modules import one
 another without a cycle, every function reads the
 parameters it takes, every private function, method and class is used,
-every name a module imports is read or exported, and every name a module
-exports exists, once."""
+every name a module imports is read or exported, every name a module
+exports exists, once, and only the field module writes an echelon basis's
+rows."""
 
 import ast
 import importlib
@@ -194,3 +195,23 @@ def test_every_imported_name_is_read():
               for path in sorted(SRC.glob("*.py"))
               for line, name in _unread_imports(path)]
     assert not unread, unread
+
+
+def _row_writes(path):
+    """(line, source) of every assignment or deletion at a subscript of a
+    ``.rows`` attribute in path, augmented assignments included."""
+    source = path.read_text()
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "rows"):
+            yield node.lineno, ast.get_source_segment(source, node)
+
+
+def test_only_the_field_module_writes_basis_rows():
+    # how a row enters an echelon basis, and which rows are relations left
+    # out, is decided in one place: EchelonBasis.absorb and absorb_round
+    writes = [(path.name, line, text)
+              for path in sorted(SRC.glob("*.py")) if path.name != "field.py"
+              for line, text in _row_writes(path)]
+    assert not writes, writes
+    assert list(_row_writes(SRC / "field.py"))
