@@ -46,7 +46,9 @@ a coloop of it, since the peel makes it a 0-extension row.  So ``cyc`` votes
 only on the edges of F's (s+2)-core.  Adding a non-edge e raises no degree
 by more than one, so the (s+2)-core of F + e lies inside F's (s+1)-core; an
 e with an end outside that is a coloop of F + e and never in cl(F), and
-``closure`` and ``seed_closure`` test only the non-edges inside it.
+``closure`` and ``seed_closure`` test only the non-edges inside it.  Both
+vote on each element left in one routine (``_vote_each``), under
+rank(F) + 1 for F + e and rank(F) for F - e.
 
 A seed's *motions* are the kernel of its evaluated rows (for s = 1, the
 infinitesimal motions of a plane framework; Whiteley 1996).
@@ -240,7 +242,7 @@ class CofactorOracle:
         """One seed's echelon basis of the rows of the edge bits in order,
         laid out by at, and the edge bits of the rows it took in.
 
-        The first rows go in a round at a time (absorb_round), rounds[t] of
+        The first rows go in a round at a time (absorb), rounds[t] of
         them in round t, with one inverse per round, and the later rows one
         at a time, until the rank reaches stop.  Once one of the later rows
         falls in the span, each row after it is tested against one random
@@ -263,7 +265,7 @@ class CofactorOracle:
             return got
 
         for size in rounds:
-            for i in basis.absorb_round([row(j) for j in range(k, k + size)], width):
+            for i in basis.absorb([row(j) for j in range(k, k + size)], width):
                 picked |= 1 << order[k + i]
             k += size
         motion = None
@@ -273,7 +275,7 @@ class CofactorOracle:
             cur = row(k)
             if motion is not None and not sum(c * motion[j] for j, c in cur.items()) % p:
                 continue
-            if basis.absorb(cur, width):
+            if basis.absorb([cur], width):
                 picked |= 1 << order[k]
                 motion = None
             elif motion is None:
@@ -340,7 +342,7 @@ class CofactorOracle:
         peel order, and rounds counts them per round; every other edge
         follows.  Each row of a round pivots in its own vertex's block, so a
         round goes into a basis with one shared inverse
-        (EchelonBasis.absorb_round).  A vertex's shell is the largest least
+        (EchelonBasis.absorb).  A vertex's shell is the largest least
         degree met up to its leaving, its core number: the k-core of mask,
         what is left after deleting vertices of degree below k until none is
         left, is the vertices of shell at least k (Batagelj and Zaversnik
@@ -418,7 +420,7 @@ class CofactorOracle:
         A proven table answers in their place, with no seed asked.
 
         cap must be a proven upper bound on the generic rank of mask: its
-        count cap, or the rank of a superset, as cyc bounds F - e by rank(F).
+        count cap, rank(F) for F - e, or rank(F) + 1 for F + e (_vote_each).
         No evaluation rank exceeds the generic rank, so a seed meeting it
         proves the rank."""
         if self._table is not None:
@@ -465,26 +467,11 @@ class CofactorOracle:
                 out |= star
         return out
 
-    def _extension_caps(self, F: EdgeSet) -> tuple[int, int]:
-        """The cap on the rank of F + e shared by every non-edge e that may
-        lie in cl(F), and those non-edges, as an edge mask: the ones whose
-        ends both lie in F's (s+1)-core.  The cap is min(|F| + 1, the vertex
-        cap of F's support), which such an e does not grow.  Adding e raises
-        no degree by more than one, so the (s+2)-core of F + e lies inside
-        F's (s+1)-core; any other non-edge thus lies outside it, a coloop of
-        F + e and never in cl(F) (see the module docstring)."""
+    def _open(self, F: EdgeSet) -> int:
+        """The non-edges with both ends in F's (s+1)-core, as an edge mask:
+        any other is a coloop of F + e, never in cl(F) (module docstring)."""
         full = (1 << edge_count(self.n)) - 1
-        cap = min(len(F) + 1, self._peel(F.mask).support_cap)
-        return cap, full & ~F.mask & ~self._off_core(F.mask, self.dim)
-
-    def _lifts(self, F: EdgeSet, seed_idx: int):
-        """Whether the row of a non-edge, by bit, lifts one seed's rank of F:
-        whether it fails to annihilate one random motion of the seed's basis
-        of F, 2(s+1) products and no reduction."""
-        v = self._seed_basis(F.mask, seed_idx).motion(self._motion_values(seed_idx))
-        at, p = self._peel(F.mask).at, self.modulus
-        return lambda b: sum(
-            c * v[j] for j, c in self._row(b, seed_idx, at).items()) % p != 0
+        return full & ~F.mask & ~self._off_core(F.mask, self.dim)
 
     def peel_base(self, F: EdgeSet) -> EdgeSet | None:
         """F's 0-extension rows where they number its count cap, which makes
@@ -497,65 +484,85 @@ class CofactorOracle:
     def seed_closure(self, F: EdgeSet, seed_idx: int) -> tuple[EdgeSet, int, EdgeSet]:
         """One seed's base of F, its rank r of F, and its closure of F.
 
-        Only the non-edges with both ends in F's (s+1)-core may join, under
-        one cap (``_extension_caps``); every other non-edge is a coloop of
-        F + e and stays out, with no seed asked.  Where F's peel
-        base (``peel_base``) proves its cap and there is no non-edge to test
-        or their cap is that rank too, it is the base.  Otherwise the base
-        is the rows the seed's basis of F took in (``_seed_basis``), as many
-        as its rank, even where the peel proves a higher one: a motion test
-        adds only to its own seed's rank (see the module docstring).  r is
-        the base's size.  The non-edges join untested where their cap is r,
-        and otherwise each joins unless its row lifts this seed's rank
-        (``_lifts``): a row that fails to annihilate a motion of F lies
-        outside its span for certain, so the seed ranks F + e at r + 1.
+        Only the non-edges in ``_open`` may join, with no seed asked for the
+        others.  Where F's peel base (``peel_base``) proves its cap and no
+        non-edge is open or the cap of F's support is that rank too, it is
+        the base.  Otherwise the base is the rows the seed's basis of F took
+        in (``_seed_basis``), even where the peel proves a higher rank: a
+        motion test adds only to its own seed's rank (see the module
+        docstring).  r is the base's size.  The open non-edges join untested
+        where the support cap is r, since r <= rank(F + e) <= that cap, and
+        otherwise each joins unless its row fails to annihilate one random
+        motion of the seed's basis, 2(s+1) products and no reduction: such
+        a row lies outside the span, so the seed ranks F + e at r + 1.
         """
-        base, (cap, tested) = self.peel_base(F), self._extension_caps(F)
-        if base is None or tested and cap != len(base):
+        base, tested = self.peel_base(F), self._open(F)
+        peel = self._peel(F.mask)
+        if base is None or tested and peel.support_cap != len(base):
             self._seed_basis(F.mask, seed_idx)
-            base = EdgeSet(self.n, self._peel(F.mask).picked[seed_idx])
+            base = EdgeSet(self.n, peel.picked[seed_idx])
         r, out = len(base), F.mask
-        if cap == r:
+        if peel.support_cap == r:
             out |= tested
         elif tested:
-            lifts = self._lifts(F, seed_idx)
-            out |= sum(1 << b for b in bits(tested) if not lifts(b))
+            v = self._seed_basis(F.mask, seed_idx).motion(self._motion_values(seed_idx))
+            out |= tested & ~sum(1 << b for b in bits(tested) if sum(
+                c * v[j] for j, c in self._row(b, seed_idx, peel.at).items()) % self.modulus)
         return base, r, EdgeSet(self.n, out)
+
+    def _vote_each(self, mask: int, elems: int, seed_pass, r: int) -> int:
+        """The elements e of elems whose toggle keeps mask's rank r, each by
+        its own vote on mask ^ e (_vote), not memoized.  seed_pass(idx) gives
+        one seed's rank r_i of mask and the elements whose toggle moves it by
+        one: the seed ranks mask + e at r_i + 1 and mask - e at r_i - 1 where
+        e moved it, else at r_i.  Adding an element raises the rank by at
+        most one and deleting one never raises it, so mask + e is voted under
+        r + 1 and mask - e under r: a seed meeting the bound proves the rank
+        and ends that vote."""
+        changed = 0
+        for b in bits(elems):
+            sign = -1 if mask >> b & 1 else 1
+
+            def seed_rank(idx):
+                r_i, moved = seed_pass(idx)
+                return r_i + sign * (moved >> b & 1)
+
+            if self._vote(mask ^ 1 << b, seed_rank, r + (sign > 0)) != r:
+                changed |= 1 << b
+        return elems & ~changed
 
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
 
         A non-edge e with an end outside F's (s+1)-core is a coloop of F + e,
-        so it stays out with no seed asked.  The others share one cap on
-        F + e (``_extension_caps``); where it is r = rank(F), each joins the
-        closure with no seed asked, since r <= rank(F + e) <= cap.  Otherwise
-        F + e is voted, not memoized, and a proven table answers the vote: a
-        seed ranks it one above its own rank of F where the row of e lifts
-        it (``_lifts``, the test ``seed_closure`` makes), asked only once the
-        vote on F + e reaches that seed.  The motion comes first, so its
-        basis gives that seed's rank of F, never the peel-proven r.  So an F
-        whose 0-extension rows reach the cap of its support builds no basis.
-        The closure C has rank r, so it is memoized at r: a later rank of C,
-        or cyc's rank decision on it, asks no seed.  C is remembered as the
-        closure of F and of itself, so closing either again, as is_flat
-        does, votes nothing.
+        so it stays out with no seed asked.  Where the cap of F's support is
+        r = rank(F), every other one joins with no seed asked, since
+        r <= rank(F + e) <= that cap.  Otherwise each F + e is voted under
+        r + 1 (_vote_each), and a proven table answers the vote.  A seed
+        asked gives its closure of F (``seed_closure``) once per call: its
+        own rank r_i of F, never the peel-proven r, and r_i + 1 for F + e
+        where the row of e fails to annihilate its motion, which proves
+        rank(F + e) = r + 1 where r_i = r.  An F whose 0-extension rows
+        reach the cap of its support builds no basis.  The closure C has
+        rank r, so it is memoized at r: a later rank of C, or cyc's rank
+        decision on it, asks no seed.  C is remembered as the closure of F
+        and of itself, so closing either again, as is_flat does, votes
+        nothing.
         """
         self._check(F)
         out = self._flats.get(F.mask)
         if out is not None:
             return EdgeSet(self.n, out)
-        seed_rank = cache(lambda idx: self._seed_basis(F.mask, idx).rank)
-        r = self._decide(F.mask, seed_rank)
-        cap, tested = self._extension_caps(F)
-        out = F.mask
-        if cap == r:
+        r = self._decide(F.mask, lambda idx: self._seed_basis(F.mask, idx).rank)
+        tested, out = self._open(F), F.mask
+        if self._peel(F.mask).support_cap == r:
             out |= tested
         else:
-            lifts = cache(lambda idx: self._lifts(F, idx))
-            for b in bits(tested):
-                x = F.mask | 1 << b
-                if self._vote(x, lambda idx: lifts(idx)(b) + seed_rank(idx), cap) == r:
-                    out |= 1 << b
+            def seed_pass(idx):
+                _, r_i, closed = self.seed_closure(F, idx)
+                return r_i, tested & ~closed.mask
+
+            out |= self._vote_each(F.mask, tested, cache(seed_pass), r)
         self._memo[out] = r
         self._flats[F.mask] = self._flats[out] = out
         return EdgeSet(self.n, out)
@@ -571,17 +578,17 @@ class CofactorOracle:
         that seed's rank of F and its coloops: the basis elements outside one
         random self-stress (_coloop_pass).  Dropping e lowers a seed's rank
         exactly when e is one of its coloops, which gives every rank of F - e
-        without a further elimination.  F - e is voted under r = rank(F), not
-        memoized, and a proven table answers the vote: deleting never raises
-        the rank, so a seed ranking F - e at r proves e in a circuit.  An F of
-        decided rank |F| is independent, all coloops, and gets the empty set
-        with no pass.  Where r = |F| - 1 (nullity one, as for a fundamental
-        circuit), F holds one circuit C, and if seed 0's pass ranks F at r,
-        every generic coloop is among its coloops, so its other elements lie
-        in C; a missed self-stress weight only adds coloops.  If they number
-        more than their count cap, they are dependent, so they are C, and no
-        edge is voted.  The result is remembered as cyc of F and of itself,
-        so asking either again, as is_cyclic does, votes nothing.
+        without a further elimination.  F - e is voted under r = rank(F)
+        (_vote_each), and a proven table answers the vote: a seed ranking
+        F - e at r proves e in a circuit.  An F of decided rank |F| is
+        independent, all coloops, and gets the empty set with no pass.
+        Where r = |F| - 1 (nullity one, as for a fundamental circuit), F
+        holds one circuit C, and if seed 0's pass ranks F at r, every generic
+        coloop is among its coloops, so its other elements lie in C; a
+        missed self-stress weight only adds coloops.  If they number more
+        than their count cap, they are dependent, so they are C, and no edge
+        is voted.  The result is remembered as cyc of F and of itself, so
+        asking either again, as is_cyclic does, votes nothing.
         """
         self._check(F)
         keep = self._cyclic.get(F.mask)
@@ -596,14 +603,8 @@ class CofactorOracle:
             if len(circuit) > generic_rank_upper_bound(circuit, self.s):
                 keep = circuit.mask
         if keep is None:
-            keep = 0
-            for b in bits(F.mask & ~self._off_core(F.mask, self.dim + 1)):
-                def without(idx):
-                    r_i, coloops = seed_pass(idx)
-                    return r_i - (coloops >> b & 1)
-                x = F.mask & ~(1 << b)
-                if self._vote(x, without, r) == r:
-                    keep |= 1 << b
+            core = F.mask & ~self._off_core(F.mask, self.dim + 1)
+            keep = self._vote_each(F.mask, core, seed_pass, r)
         self._cyclic[F.mask] = self._cyclic[keep] = keep
         return EdgeSet(self.n, keep)
 

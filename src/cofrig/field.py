@@ -20,27 +20,25 @@ need no more.  Which columns a row meets first is the caller's column order,
 which decides how many entries clearing adds (the fill-in), though never a
 rank.  ``EchelonBasis`` keeps one growing dict and turns its input rows,
 dense sequences or mappings, into the sparse form at the boundary; a caller
-whose rows are already sparse and reduced mod p hands them to ``absorb``,
-one inverse per row that grows the basis, or a batch of them to
-``absorb_round``, which takes the same rows with one inverse per pass: a
-batch whose pivots all differ, as a peel round's 0-extension rows do, is
-normalized with one inverse in all.
+whose rows are already sparse and reduced mod p hands a list of them to
+``absorb``, the one routine that inserts rows, with one inverse per pass
+over them: a peel round's 0-extension rows take one in all.
 ``bases_by_minors`` lists the bases of vectors in r coordinates as the
 r-subsets of nonzero determinant, from a sweep of minors by Laplace
 expansion, with no reduction and no inverse.
 
 A caller may give its rows tag columns right of the real ones, one unit
-vector per element, and hand ``absorb`` or ``absorb_round`` the first tag
-column as width, so that only rows pivoting left of it go in.  A row
-pivoting inside the tags is zero on the real columns, and its tag part,
-left in the row ``absorb`` reduced, is the combination of inserted rows it
-equals, a self-stress.  No other module writes a basis's rows.  The
-cofactor oracle's tagged walk reads cyc and fundamental circuits off one
-random self-stress per seed (``_coloop_pass``).  ``dual_rows`` absorbs
-every row tagged and keeps each relation it finds: read per row, their
-coefficients represent the dual matroid, of rank m - r, whose bases are the
-complements of the rows' bases.  A rank table sweeps the minors of the dual
-vectors and complements the bases it finds.
+vector per element, and hand ``absorb`` the first tag column as width, so
+that only rows pivoting left of it go in.  A row pivoting inside the tags
+is zero on the real columns, and its tag part, left in the row ``absorb``
+reduced, is the combination of inserted rows it equals, a self-stress.  No
+other module writes a basis's rows.  The cofactor oracle's tagged walk
+reads cyc and fundamental circuits off one random self-stress per seed
+(``_coloop_pass``).  ``dual_rows`` absorbs every row tagged and keeps each
+relation it finds: read per row, their coefficients represent the dual
+matroid, of rank m - r, whose bases are the complements of the rows' bases.
+A rank table sweeps the minors of the dual vectors and complements the
+bases it finds.
 
 ``EchelonBasis.motion`` back-substitutes the kernel vector with given values
 at the free columns.  Independent uniform values make it a uniform kernel
@@ -157,41 +155,32 @@ class EchelonBasis:
         lead = reduce_row(cur, self.rows, self.p)
         return None if lead is None else (lead, _normalized(cur, lead, self.p))
 
-    def absorb(self, cur: dict[int, int], width: int | None = None) -> bool:
-        """Add a sparse row with entries in [0, p), which the basis consumes,
-        to the span; True if the rank grew.  A row pivoting at width or
-        more is a relation, left out and reduced in cur."""
-        lead = reduce_row(cur, self.rows, self.p)
-        if lead is None or width is not None and lead >= width:
-            return False
-        self.rows[lead] = _normalized(cur, lead, self.p)
-        return True
-
-    def absorb_round(self, rows: list[dict[int, int]],
-                     width: int | None = None) -> list[int]:
+    def absorb(self, rows: list[dict[int, int]],
+               width: int | None = None) -> list[int]:
         """Add sparse rows with entries in [0, p), which the basis consumes,
-        as absorb would one at a time: the indices of those that grew the
-        rank, in increasing order.  A row whose pivot is width or more is a
-        relation and is left out, as at a tag column.
+        to the span: the indices of those that grew the rank, in increasing
+        order.  A row whose pivot is width or more is a relation and is left
+        out, reduced in place, as at a tag column.
 
         Each pass reduces the rows still waiting once against the basis as
         it stands and takes their pivots in order.  A row's walk stops at
         its first nonzero key that is no pivot, so it passed each pivot
         taken before it in the pass at a zero entry unless it stopped
-        there: up to the first row whose pivot repeats one taken, each
-        reduction is the one absorb would make.  That row and every row
-        after it wait for the next pass.  The rows taken share one inverse:
-        the product of their pivot entries is inverted once, and a backward
-        walk over the running products peels off each entry's own inverse
-        (Montgomery 1987).  Rows whose pivots fall in distinct blocks, as a
-        peel round's 0-extension rows do, all go in on the first pass.
+        there: up to the first row whose pivot repeats one taken, each row
+        is reduced as if the rows before it had gone in one at a time.  That
+        row and every row after it wait for the next pass.  The rows taken
+        share one inverse: the product of their pivot entries is inverted
+        once, and a backward walk over the running products peels off each
+        entry's own inverse (Montgomery 1987).  Rows whose pivots fall in
+        distinct blocks, as a peel round's 0-extension rows do, all go in on
+        the first pass; a single row takes one inverse if it grows the basis.
         """
-        p, basis, grown, start = self.p, self.rows, [], 0
+        p, grown, start = self.p, [], 0
         while start < len(rows):
             taken: dict[int, int] = {}  # pivot -> row index
             stop = len(rows)
             for k in range(start, len(rows)):
-                lead = reduce_row(rows[k], basis, p)
+                lead = reduce_row(rows[k], self.rows, p)
                 if lead is None or width is not None and lead >= width:
                     continue
                 if lead in taken:
@@ -207,7 +196,7 @@ class EchelonBasis:
                 # row k; times the product before k it inverts k's own
                 inv = pow(product, -1, p)
                 for (lead, k), prior in zip(reversed(taken.items()), reversed(before)):
-                    basis[lead] = _scaled(rows[k], inv * prior % p, p)
+                    self.rows[lead] = _scaled(rows[k], inv * prior % p, p)
                     inv = inv * rows[k][lead] % p
                 grown.extend(taken.values())
             start = stop
@@ -244,7 +233,7 @@ def dual_rows(rows, width: int,
     for k, row in enumerate(rows):
         cur = _sparse_row(row, p)
         cur[width + k] = 1
-        if basis.absorb(cur, width):
+        if basis.absorb([cur], width):
             continue
         # the relations found before this one: one per row left out so far
         relation = k - basis.rank

@@ -49,7 +49,8 @@ def reduction_closure(oracle, mask):
     """The cofactor oracle's closure by reduction: each seed keeps one echelon
     basis of the rows of mask, and its rank of mask + e is that rank plus
     whether the row of e reduces to nonzero against it.  Every rank goes
-    through the oracle's own seed rule."""
+    through the oracle's own seed rule, mask + e voted under rank(mask) + 1
+    and not memoized, as the oracle's closure votes it."""
     bases, at = {}, layout(oracle)
 
     def basis(idx):
@@ -65,7 +66,7 @@ def reduction_closure(oracle, mask):
         def with_e(idx):
             return basis(idx).rank + (
                 basis(idx).reduce(oracle._row(bit, idx, at)) is not None)
-        if oracle._decide(mask | 1 << bit, with_e) == r:
+        if oracle._vote(mask | 1 << bit, with_e, r + 1) == r:
             out |= 1 << bit
     return out
 
@@ -472,7 +473,7 @@ def counting_inverses(monkeypatch):
 def insert(basis: EchelonBasis, row) -> bool:
     """Add a row, dense or a mapping, to the basis's span; True if the rank
     grew."""
-    return basis.absorb(_sparse_row(row, basis.p))
+    return bool(basis.absorb([_sparse_row(row, basis.p)]))
 
 
 def is_independent(M: ExplicitMatroid, mask: int) -> bool:

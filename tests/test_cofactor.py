@@ -145,11 +145,12 @@ def test_modulus_must_be_a_large_prime(modulus):
         CofactorOracle(5, modulus=modulus)
 
 
-def _rigged_oracle(monkeypatch, n=9):
-    """K_n oracle whose seeds 0 and 1 (not 2) lose the row of edge 48."""
+def _rigged_oracle(monkeypatch, n=9, lost=(4, 8)):
+    """K_n oracle whose seeds 0 and 1 (not 2) lose the row of the edge lost,
+    48 unless given."""
     oracle = CofactorOracle(n)
     real = oracle._row
-    bit = edge_index(n, 4, 8)
+    bit = edge_index(n, *lost)
 
     def row(b, idx, at):
         got = real(b, idx, at)
@@ -168,13 +169,18 @@ def _banana10():
 
 
 def test_closure_checks_the_seeds_it_memoizes(monkeypatch):
+    # Seeds 0 and 1 lose the row of 48, so they rank F + 48 at 22, below
+    # seed 2's 23 and the cap of 24: its rank splits.  Closure votes F + 48
+    # under rank(F) + 1 = 23, which seed 2's lift meets, proving 48 out; the
+    # closure is the generic one, and it memoizes no F + e, so the rank of
+    # F + 48 still splits afterwards.
     F = _banana10()
     e = (4, 8)
     with pytest.raises(SeedDisagreement):
         _rigged_oracle(monkeypatch, 10).rank(F.add(*e))
     oracle = _rigged_oracle(monkeypatch, 10)
-    with pytest.raises(SeedDisagreement):
-        oracle.closure(F)
+    assert oracle.closure(F) == CofactorOracle(10).closure(F)
+    assert not oracle.closure(F).mask >> edge_index(10, *e) & 1
     with pytest.raises(SeedDisagreement):
         oracle.rank(F.add(*e))
 
@@ -1217,23 +1223,30 @@ def test_motion_closure_matches_the_reduction_closure():
 
 
 def test_motion_closure_matches_the_reduction_closure_on_rigged_seeds(monkeypatch):
-    # Losing the row of 48 splits the seeds on the closure of the first two
-    # graphs, but not on K10 - 48, whose seed 0 meets the cap on K10.
+    # Losing the row of 48 at seeds 0 and 1 leaves the generic closure of
+    # the first two graphs, where seed 2's lift proves rank(F + 48) =
+    # rank(F) + 1, and of K10 - 48, whose seed 0 meets the cap on K10.  In
+    # K8, F = K5 - 01 + 05 + 15 has rank 11, which its peel proves; where
+    # seeds 0 and 1 lose the row of 05, they rank F + 01 at 10, below seed
+    # 2's 11 and the bound 12, and both closures split there.
     F = _banana10()
-    graphs = (F, F.remove(6, 9), complete_graph(10).remove(4, 8))
+    K8 = complete_edges(8, range(5)).remove(0, 1).add(0, 5).add(1, 5)
+    cases = [(F, (4, 8)), (F.remove(6, 9), (4, 8)),
+             (complete_graph(10).remove(4, 8), (4, 8)), (K8, (0, 5))]
 
-    def outcome(closure, G):
+    def outcome(closure, G, lost):
         try:
-            return "closure", closure(_rigged_oracle(monkeypatch, 10), G.mask)
+            return "closure", closure(_rigged_oracle(monkeypatch, G.n, lost), G.mask)
         except SeedDisagreement as exc:
             return "split at", exc.detail["mask"]
 
     def motion(oracle, mask):
-        return oracle.closure(EdgeSet(10, mask)).mask
+        return oracle.closure(EdgeSet(oracle.n, mask)).mask
 
-    got = [outcome(motion, G) for G in graphs]
-    assert [kind for kind, _ in got] == ["split at", "split at", "closure"]
-    assert got == [outcome(reference.reduction_closure, G) for G in graphs]
+    got = [outcome(motion, G, lost) for G, lost in cases]
+    assert got == [*[("closure", CofactorOracle(10).closure(G).mask) for G, _ in cases[:3]],
+                   ("split at", K8.add(0, 1).mask)]
+    assert got == [outcome(reference.reduction_closure, G, lost) for G, lost in cases]
 
 
 def _low_degree_graph(rng, n, s):
@@ -1284,10 +1297,10 @@ def test_peel_shells_give_the_cores(s):
 
 
 def _closure_calls(monkeypatch, F):
-    """The closure of F in a fresh oracle, and its _vote and _lifts calls,
-    each with the mask it was asked about."""
+    """The closure of F in a fresh oracle, and its _vote and seed_closure
+    calls, each with the mask it was asked about."""
     calls = []
-    for name in ("_vote", "_lifts"):
+    for name in ("_vote", "seed_closure"):
         real = getattr(CofactorOracle, name)
         monkeypatch.setattr(CofactorOracle, name, lambda self, G, *args, name=name, real=real:
                             calls.append((name, getattr(G, "mask", G)))
@@ -1324,6 +1337,20 @@ def test_closure_settles_non_edges_outside_the_core_with_no_seed(monkeypatch):
     # is a coloop of F + e.  Closure votes on F alone and draws no motion.
     F = complete_edges(8, range(5)).add(0, 5).add(5, 6).add(5, 7)
     assert _closure_calls(monkeypatch, F) == (F, [("_vote", F.mask)])
+
+
+def test_closure_ends_a_vote_at_a_seed_that_lifts_the_rank(monkeypatch):
+    # _banana10 has rank 22, below the cap of 24 on its support, so each of
+    # its 15 non-edges in the 3-core is voted.  The 14 that lift rank(F)
+    # stop at seed 0: its motion test ranks F + e at 23 = rank(F) + 1, the
+    # bound, which proves it.  Only 48, which joins, asks all three seeds.
+    F = _banana10()
+    votes = _seeds_asked(monkeypatch)
+    closed = CofactorOracle(10).closure(F)
+    per_edge = [(mask & ~F.mask, asked) for mask, asked in votes if mask != F.mask]
+    assert len(per_edge) == 15
+    assert [e for e, asked in per_edge if asked == [0, 1, 2]] == [closed.mask & ~F.mask]
+    assert [asked for e, asked in per_edge if e & closed.mask == 0] == [[0]] * 14
 
 
 def test_cyc_votes_only_on_the_core(monkeypatch):

@@ -1,6 +1,6 @@
 """Property tests: the sparse echelon kernel against a dense Gaussian
 elimination written here, on small matrices with zero and repeated rows and
-on rows with tag columns, round absorption and absorption up to a tag width
+on rows with tag columns, batch absorption and absorption up to a tag width
 against absorbing the same rows one at a time, the minor sweep on both
 sides of a matroid against the full subset table, and the motion
 back-substitution against the span that ``reduce`` tests."""
@@ -228,7 +228,7 @@ def rounds(draw):
 
 
 def one_at_a_time(basis, rows, width):
-    """absorb_round's reference: reduce each row in turn against the basis
+    """absorb's reference: reduce each row in turn against the basis
     and insert it where it pivots left of width."""
     grown = []
     for k, row in enumerate(rows):
@@ -243,11 +243,12 @@ def one_at_a_time(basis, rows, width):
 @given(rounds())
 @example((13, 2, [], [{0: 1, 1: 2}, {0: 3}, {1: 1}, {}], False, [3, 5]))
 @example((13, 2, [{0: 1}], [{0: 2, 1: 1}, {1: 5}, {0: 1}], True, [1, 2, 3, 4, 5]))
-def test_absorb_round_matches_absorbing_one_row_at_a_time(case):
+def test_absorb_matches_absorbing_one_row_at_a_time(case):
     # A lead that repeats one taken in its pass, a zero row and a relation
     # at a tag column change nothing: the pivots, the stored rows, the
     # indices that grew and the motions are those of one row at a time,
-    # whether the rows go in a round or through absorb with the same width.
+    # whether the rows go in as one batch or as one-row batches with the
+    # same width.
     p, width, before, rows, tagged, values = case
     limit = width if tagged else None
     if tagged:
@@ -255,30 +256,30 @@ def test_absorb_round_matches_absorbing_one_row_at_a_time(case):
     batched, single, absorbed = EchelonBasis(p), EchelonBasis(p), EchelonBasis(p)
     for row in before:
         for basis in (batched, single, absorbed):
-            basis.absorb(dict(row))
+            basis.absorb([dict(row)])
     grown = one_at_a_time(single, rows, limit)
-    assert batched.absorb_round([dict(row) for row in rows], limit) == grown
-    assert [k for k, row in enumerate(rows) if absorbed.absorb(dict(row), limit)] == grown
+    assert batched.absorb([dict(row) for row in rows], limit) == grown
+    assert [k for k, row in enumerate(rows) if absorbed.absorb([dict(row)], limit)] == grown
     for basis in (batched, absorbed):
         assert basis.rows == single.rows
         check_rows(basis)
         assert basis.motion(values) == single.motion(values)
 
 
-def test_absorb_round_takes_one_inverse_per_pass(monkeypatch):
+def test_absorb_takes_one_inverse_per_pass(monkeypatch):
     # Distinct leads go in on one pass with one inverse.  A lead that
     # repeats one taken in its pass sends its row and the rows after it to
-    # a second pass, with a second inverse; a round that grows nothing
+    # a second pass, with a second inverse; a batch that grows nothing
     # takes none.
     p, inverses = 13, counting_inverses(monkeypatch)
     basis = EchelonBasis(p)
-    assert basis.absorb_round([{0: 2, 3: 1}, {1: 5}, {2: 7, 3: 4}]) == [0, 1, 2]
+    assert basis.absorb([{0: 2, 3: 1}, {1: 5}, {2: 7, 3: 4}]) == [0, 1, 2]
     assert inverses[0] == 1
     basis, inverses[0] = EchelonBasis(p), 0
-    assert basis.absorb_round([{0: 2}, {1: 3}, {0: 4, 2: 1}, {3: 1}]) == [0, 1, 2, 3]
+    assert basis.absorb([{0: 2}, {1: 3}, {0: 4, 2: 1}, {3: 1}]) == [0, 1, 2, 3]
     assert inverses[0] == 2 and sorted(basis.rows) == [0, 1, 2, 3]
     inverses[0] = 0
-    assert basis.absorb_round([{0: 1}, {}, {1: 2, 3: 5}]) == []
+    assert basis.absorb([{0: 1}, {}, {1: 2, 3: 5}]) == []
     assert inverses[0] == 0
 
 

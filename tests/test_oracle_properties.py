@@ -1,7 +1,8 @@
-"""Property tests: the seed walks behind the oracle's rank, greedy base and
-cyc against the pebble game, an exact, seed-free reference for the s = 0
-(graphic) and s = 1 (plane rigidity) cofactor matroids, on G(n, p) draws
-from sparse forests to dense rigid graphs."""
+"""Property tests: the seed walks behind the oracle's rank, greedy base,
+cyc, closure and fundamental circuits against the pebble game, an exact,
+seed-free reference for the s = 0 (graphic) and s = 1 (plane rigidity)
+cofactor matroids, on G(n, p) draws from sparse forests to dense rigid
+graphs."""
 
 import pytest
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cofrig.cofactor import CofactorOracle  # noqa: E402
-from cofrig.graphs import EdgeSet  # noqa: E402
+from cofrig.graphs import EdgeSet, bits, edge_at, edge_count  # noqa: E402
 
 import rank_reference as reference  # noqa: E402
 
@@ -61,3 +62,36 @@ def test_cyc_is_the_pebble_games_cyc(case):
     F = graph(n, degree, seed)
     assert CofactorOracle(n, s=s).cyc(F).mask == reference.cyc(
         lambda mask: reference.pebble_rank(EdgeSet(n, mask), s), F.mask)
+
+
+def pebble_rank(n, s):
+    return lambda mask: reference.pebble_rank(EdgeSet(n, mask), s)
+
+
+@CASES
+@given(draws(30))
+@example((1, 30, 5, 3))
+def test_closure_is_the_pebble_games_closure(case):
+    # a non-edge e joins cl(F) exactly when adding it keeps the rank; F and
+    # its pebble base B have one closure, so the reference adds e to B
+    s, n, degree, seed = case
+    F = graph(n, degree, seed)
+    B = reference.pebble_base(F, *reference.PEBBLE_KL[s])
+    assert CofactorOracle(n, s=s).closure(F).mask == reference.closure(
+        pebble_rank(n, s), B, (1 << edge_count(n)) - 1)
+
+
+@CASES
+@given(draws(30), st.integers(0, 1 << 16))
+@example((1, 30, 5, 4), 0)
+def test_fundamental_circuit_is_the_pebble_games_circuit(case, pick):
+    # B, the pebble game's base of F, spans every other edge of F; the
+    # circuit in B + e is what greedy removal from B + e leaves dependent
+    s, n, degree, seed = case
+    F = graph(n, degree, seed)
+    B = reference.pebble_base(F, *reference.PEBBLE_KL[s])
+    rest = [*bits(F.mask & ~B)]
+    if rest:
+        b = rest[pick % len(rest)]
+        assert (CofactorOracle(n, s=s).fundamental_circuit(EdgeSet(n, B), edge_at(n, b)).mask
+                == reference.fundamental_circuit(pebble_rank(n, s), B, b))

@@ -209,7 +209,7 @@ def _row_writes(path):
 
 def test_only_the_field_module_writes_basis_rows():
     # how a row enters an echelon basis, and which rows are relations left
-    # out, is decided in one place: EchelonBasis.absorb and absorb_round
+    # out, is decided in one place: EchelonBasis.absorb
     writes = [(path.name, line, text)
               for path in sorted(SRC.glob("*.py")) if path.name != "field.py"
               for line, text in _row_writes(path)]
