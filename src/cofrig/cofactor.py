@@ -473,6 +473,16 @@ class CofactorOracle:
         full = (1 << edge_count(self.n)) - 1
         return full & ~F.mask & ~self._off_core(F.mask, self.dim)
 
+    def _lifts(self, F: EdgeSet, seed_idx: int):
+        """Whether the row of a non-edge, by bit, lifts one seed's rank of F:
+        whether it fails to annihilate one random motion of the seed's basis
+        of F, 2(s+1) products and no reduction.  Such a row lies outside the
+        span, so the seed ranks F + e one above its own rank of F."""
+        v = self._seed_basis(F.mask, seed_idx).motion(self._motion_values(seed_idx))
+        at, p = self._peel(F.mask).at, self.modulus
+        return lambda b: sum(
+            c * v[j] for j, c in self._row(b, seed_idx, at).items()) % p != 0
+
     def peel_base(self, F: EdgeSet) -> EdgeSet | None:
         """F's 0-extension rows where they number its count cap, which makes
         them a base of F with no seed asked; else None."""
@@ -493,8 +503,7 @@ class CofactorOracle:
         docstring).  r is the base's size.  The open non-edges join untested
         where the support cap is r, since r <= rank(F + e) <= that cap, and
         otherwise each joins unless its row fails to annihilate one random
-        motion of the seed's basis, 2(s+1) products and no reduction: such
-        a row lies outside the span, so the seed ranks F + e at r + 1.
+        motion of the seed's basis of F (``_lifts``).
         """
         base, tested = self.peel_base(F), self._open(F)
         peel = self._peel(F.mask)
@@ -505,31 +514,27 @@ class CofactorOracle:
         if peel.support_cap == r:
             out |= tested
         elif tested:
-            v = self._seed_basis(F.mask, seed_idx).motion(self._motion_values(seed_idx))
-            out |= tested & ~sum(1 << b for b in bits(tested) if sum(
-                c * v[j] for j, c in self._row(b, seed_idx, peel.at).items()) % self.modulus)
+            lifts = self._lifts(F, seed_idx)
+            out |= sum(1 << b for b in bits(tested) if not lifts(b))
         return base, r, EdgeSet(self.n, out)
 
-    def _vote_each(self, mask: int, elems: int, seed_pass, r: int) -> int:
-        """The elements e of elems whose toggle keeps mask's rank r, each by
-        its own vote on mask ^ e (_vote), not memoized.  seed_pass(idx) gives
-        one seed's rank r_i of mask and the elements whose toggle moves it by
-        one: the seed ranks mask + e at r_i + 1 and mask - e at r_i - 1 where
-        e moved it, else at r_i.  Adding an element raises the rank by at
-        most one and deleting one never raises it, so mask + e is voted under
-        r + 1 and mask - e under r: a seed meeting the bound proves the rank
-        and ends that vote."""
-        changed = 0
+    def _vote_each(self, mask: int, elems: int, r: int, seed_rank, moves) -> int:
+        """The elements b of elems whose toggle keeps mask's rank r, each by
+        its own vote on mask ^ b (_vote), not memoized.  seed_rank(idx) is
+        one seed's rank r_i of mask and moves(idx, b) whether toggling b
+        moves it by one, asked only once the vote on mask ^ b reaches that
+        seed: the seed ranks mask + b at r_i + 1 and mask - b at r_i - 1
+        where it does, else at r_i.  Adding an element raises the rank by at
+        most one and deleting one never raises it, so mask + b is voted
+        under r + 1 and mask - b under r: a seed meeting the bound proves
+        the rank and ends that vote."""
+        keep = 0
         for b in bits(elems):
             sign = -1 if mask >> b & 1 else 1
-
-            def seed_rank(idx):
-                r_i, moved = seed_pass(idx)
-                return r_i + sign * (moved >> b & 1)
-
-            if self._vote(mask ^ 1 << b, seed_rank, r + (sign > 0)) != r:
-                changed |= 1 << b
-        return elems & ~changed
+            if self._vote(mask ^ 1 << b, lambda idx: seed_rank(idx) + sign * moves(idx, b),
+                          r + (sign > 0)) == r:
+                keep |= 1 << b
+        return keep
 
     def closure(self, F: EdgeSet) -> EdgeSet:
         """All edges of K_n whose addition leaves the rank unchanged.
@@ -539,11 +544,13 @@ class CofactorOracle:
         r = rank(F), every other one joins with no seed asked, since
         r <= rank(F + e) <= that cap.  Otherwise each F + e is voted under
         r + 1 (_vote_each), and a proven table answers the vote.  A seed
-        asked gives its closure of F (``seed_closure``) once per call: its
-        own rank r_i of F, never the peel-proven r, and r_i + 1 for F + e
-        where the row of e fails to annihilate its motion, which proves
-        rank(F + e) = r + 1 where r_i = r.  An F whose 0-extension rows
-        reach the cap of its support builds no basis.  The closure C has
+        asked ranks F + e at its own rank r_i of F, never the peel-proven r,
+        plus one where the row of e lifts it (``_lifts``, the test
+        ``seed_closure`` makes), which proves rank(F + e) = r + 1 where
+        r_i = r.  Each seed draws its motion once per call, when a vote
+        first reaches it, and tests the row of e only when the vote on F + e
+        does.  An F whose 0-extension rows reach the cap of its support
+        builds no basis.  The closure C has
         rank r, so it is memoized at r: a later rank of C, or cyc's rank
         decision on it, asks no seed.  C is remembered as the closure of F
         and of itself, so closing either again, as is_flat does, votes
@@ -553,16 +560,14 @@ class CofactorOracle:
         out = self._flats.get(F.mask)
         if out is not None:
             return EdgeSet(self.n, out)
-        r = self._decide(F.mask, lambda idx: self._seed_basis(F.mask, idx).rank)
+        seed_rank = cache(lambda idx: self._seed_basis(F.mask, idx).rank)
+        r = self._decide(F.mask, seed_rank)
         tested, out = self._open(F), F.mask
         if self._peel(F.mask).support_cap == r:
             out |= tested
         else:
-            def seed_pass(idx):
-                _, r_i, closed = self.seed_closure(F, idx)
-                return r_i, tested & ~closed.mask
-
-            out |= self._vote_each(F.mask, tested, cache(seed_pass), r)
+            lifts = cache(lambda idx: self._lifts(F, idx))
+            out |= self._vote_each(F.mask, tested, r, seed_rank, lambda idx, b: lifts(idx)(b))
         self._memo[out] = r
         self._flats[F.mask] = self._flats[out] = out
         return EdgeSet(self.n, out)
@@ -604,7 +609,8 @@ class CofactorOracle:
                 keep = circuit.mask
         if keep is None:
             core = F.mask & ~self._off_core(F.mask, self.dim + 1)
-            keep = self._vote_each(F.mask, core, seed_pass, r)
+            keep = self._vote_each(F.mask, core, r, lambda idx: seed_pass(idx)[0],
+                                   lambda idx, b: seed_pass(idx)[1] >> b & 1)
         self._cyclic[F.mask] = self._cyclic[keep] = keep
         return EdgeSet(self.n, keep)
 

@@ -59,16 +59,7 @@ def edge_at(n: int, i: int) -> Edge:
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, lowest first.  Each step of the
-    lowest-bit loop copies the mask, so one past 1024 bits (an edge mask of
-    K_n from n = 46 on) is read off its binary digits instead."""
-    if mask.bit_length() > 1024:
-        digits = bin(mask)[:1:-1]
-        b = digits.find("1")
-        while b >= 0:
-            yield b
-            b = digits.find("1", b + 1)
-        return
+    """Positions of the set bits of mask, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -1297,10 +1297,10 @@ def test_peel_shells_give_the_cores(s):
 
 
 def _closure_calls(monkeypatch, F):
-    """The closure of F in a fresh oracle, and its _vote and seed_closure
-    calls, each with the mask it was asked about."""
+    """The closure of F in a fresh oracle, and its _vote and _lifts calls,
+    each with the mask it was asked about."""
     calls = []
-    for name in ("_vote", "seed_closure"):
+    for name in ("_vote", "_lifts"):
         real = getattr(CofactorOracle, name)
         monkeypatch.setattr(CofactorOracle, name, lambda self, G, *args, name=name, real=real:
                             calls.append((name, getattr(G, "mask", G)))

@@ -8,7 +8,6 @@ from cofrig.errors import AmbientMismatch
 from cofrig.graphs import (
     EdgeSet,
     apply_extension,
-    bits,
     complete_edges,
     complete_graph,
     double_banana,
@@ -29,16 +28,6 @@ from rank_reference import (
     star_graph,
     wheel_graph,
 )
-
-
-@pytest.mark.parametrize("length", [0, 1, 64, 1024, 1025, 4096])
-def test_bits_lists_the_set_bits_lowest_first(length):
-    # masks past 1024 bits are read off their binary digits, shorter ones
-    # by the lowest-bit loop: both list the same positions
-    rng = random.Random(length)
-    for density in (0.01, 0.5, 1.0):
-        want = [b for b in range(length) if rng.random() < density]
-        assert list(bits(sum(1 << b for b in want))) == want
 
 
 def test_edge_indexing_round_trips():
