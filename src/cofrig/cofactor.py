@@ -550,11 +550,10 @@ class CofactorOracle:
         r_i = r.  Each seed draws its motion once per call, when a vote
         first reaches it, and tests the row of e only when the vote on F + e
         does.  An F whose 0-extension rows reach the cap of its support
-        builds no basis.  The closure C has
-        rank r, so it is memoized at r: a later rank of C, or cyc's rank
-        decision on it, asks no seed.  C is remembered as the closure of F
-        and of itself, so closing either again, as is_flat does, votes
-        nothing.
+        builds no basis.  The closure C has rank r, so it is memoized at r:
+        a later rank of C, or cyc's rank decision on it, asks no seed.  C is
+        remembered as the closure of F and of itself, so closing either
+        again, as is_flat does, votes nothing.
         """
         self._check(F)
         out = self._flats.get(F.mask)
