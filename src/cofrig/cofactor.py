@@ -83,24 +83,10 @@ DEFAULT_SEEDS = (101, 202, 303)
 MIN_MODULUS = (1 << 31) - 1
 
 
-class GenericConfiguration(NamedTuple):
-    """Random plane positions in GF(p)^2 for n vertices."""
-
-    n: int
-    seed: int
-    p: int
-    points: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def generate(cls, n: int, seed: int, p: int = MERSENNE61) -> "GenericConfiguration":
-        rng = random.Random(seed)
-        points = tuple((rng.randrange(p), rng.randrange(p)) for _ in range(n))
-        return cls(n, seed, p, points)
-
-
-def cofactor_row(edge, config: GenericConfiguration, s: int, at) -> dict[int, int]:
-    """Evaluated cofactor row of an edge, as a sparse {column: entry} dict:
-    the (s+1)-block D_ij at vertex i and its negation at vertex j.
+def cofactor_row(edge, points, p: int, s: int, at) -> dict[int, int]:
+    """Evaluated cofactor row of an edge at the plane points, one per
+    vertex in GF(p)^2, as a sparse {column: entry} dict: the (s+1)-block
+    D_ij at vertex i and its negation at vertex j.
 
     Vertex v's block starts at column at[v]; the oracle lays every row out
     by a mask's peel (see the module docstring).  The powers of dx and dy
@@ -108,9 +94,8 @@ def cofactor_row(edge, config: GenericConfiguration, s: int, at) -> dict[int, in
     i, j = edge
     if i > j:
         i, j = j, i
-    p = config.p
-    xi, yi = config.points[i]
-    xj, yj = config.points[j]
+    xi, yi = points[i]
+    xj, yj = points[j]
     dx = (xi - xj) % p
     dy = (yi - yj) % p
     w = s + 1
@@ -193,8 +178,8 @@ class CofactorOracle:
         self.s = s
         self.seeds = seeds
         self.modulus = modulus
-        # built on a seed's first row: later seeds are seldom asked
-        self._configs: list[GenericConfiguration | None] = [None] * len(seeds)
+        # a seed's points, drawn on its first row: later seeds are seldom asked
+        self._configs: list[list[tuple[int, int]] | None] = [None] * len(seeds)
         self._values: list[list[int] | None] = [None] * len(seeds)
         self._memo: dict[int, int] = {0: 0}
         self._last_peel: _Peel | None = None
@@ -219,12 +204,15 @@ class CofactorOracle:
 
     def _row(self, edge_bit: int, seed_idx: int, at) -> dict[int, int]:
         """The evaluated row of an edge as a fresh sparse {column: entry}
-        dict, vertex v's block at column at[v]: a peel's layout."""
-        config = self._configs[seed_idx]
-        if config is None:
-            config = self._configs[seed_idx] = GenericConfiguration.generate(
-                self.n, self.seeds[seed_idx], self.modulus)
-        return cofactor_row(edge_at(self.n, edge_bit), config, self.s, at)
+        dict, vertex v's block at column at[v]: a peel's layout.  The seed's
+        points are drawn on its first row, x then y for each vertex in turn,
+        from random.Random(seed), and kept."""
+        points, p = self._configs[seed_idx], self.modulus
+        if points is None:
+            rng = random.Random(self.seeds[seed_idx])
+            points = self._configs[seed_idx] = [
+                (rng.randrange(p), rng.randrange(p)) for _ in range(self.n)]
+        return cofactor_row(edge_at(self.n, edge_bit), points, p, self.s, at)
 
     def _motion_values(self, seed_idx: int) -> list[int]:
         """Independent uniform values, one per column, drawn from the seed
@@ -304,29 +292,32 @@ class CofactorOracle:
         The tagged walk (_walk with width) takes the rows in the peel's
         order and layout, as _seed_basis does; the rows it leaves out are in
         the span.  Their sum with random weights from the seed, in the
-        peel's order, reduces to zero on the real columns, and the tags left
-        are the basis rows' part of a random self-stress.  Every row left
-        out is in a circuit, and a basis row is in one exactly when that
-        part is nonzero at its tag, unless its weights cancel, with
-        probability 1/p; it is taken for a coloop then.  Each rank this gives
-        for mask minus one element is at most the seed's, also when a motion
-        test misses.
+        peel's order, is absorbed up to width, as dual_rows absorbs a row:
+        it reduces to zero on the real columns and is left out, and the tags
+        left in it are the basis rows' part of a random self-stress.  Every
+        row left out is in a circuit, and a basis row is in one exactly when
+        that part is nonzero at its tag, unless its weights cancel, with
+        probability 1/p; it is taken for a coloop then.  A sum that a missed
+        motion test leaves outside the span grows the basis instead and
+        clears no coloop; the rank is the walk's, taken before.  Each rank
+        this gives for mask minus one element is at most the seed's, also
+        when a motion test misses.
         """
         peel = self._peel(mask)
         order, p, width = peel.order, self.modulus, self.dim * self.n
         basis, base = self._walk(order, peel.rounds, peel.at, seed_idx, peel.cap, width)
-        rng = random.Random(f"stress:{self.seeds[seed_idx]}")
+        rank, rng = basis.rank, random.Random(f"stress:{self.seeds[seed_idx]}")
         stress: dict[int, int] = {}
         for b in order:
             if not base >> b & 1:
                 weight = rng.randrange(p)
                 for j, x in self._row(b, seed_idx, peel.at).items():
                     stress[j] = stress.get(j, 0) + weight * x
-        got = basis.reduce(stress)
-        if got is not None and got[0] >= width:
-            for j in got[1]:
-                base &= ~(1 << order[j - width])
-        return basis.rank, base
+        if not basis.absorb([stress], width):
+            for j, x in stress.items():
+                if x % p:
+                    base &= ~(1 << order[j - width])
+        return rank, base
 
     def _peel(self, mask: int) -> _Peel:
         """The record of mask's peel: its edge bits in peeling order, how
@@ -491,8 +482,9 @@ class CofactorOracle:
         return (EdgeSet(self.n, sum(1 << b for b in peel.order[:peel.first]))
                 if peel.first == peel.cap else None)
 
-    def seed_closure(self, F: EdgeSet, seed_idx: int) -> tuple[EdgeSet, int, EdgeSet]:
-        """One seed's base of F, its rank r of F, and its closure of F.
+    def seed_closure(self, F: EdgeSet, seed_idx: int) -> tuple[EdgeSet, EdgeSet]:
+        """One seed's base of F and its closure of F; the seed ranks F at
+        the base's size r.
 
         Only the non-edges in ``_open`` may join, with no seed asked for the
         others.  Where F's peel base (``peel_base``) proves its cap and no
@@ -500,23 +492,23 @@ class CofactorOracle:
         the base.  Otherwise the base is the rows the seed's basis of F took
         in (``_seed_basis``), even where the peel proves a higher rank: a
         motion test adds only to its own seed's rank (see the module
-        docstring).  r is the base's size.  The open non-edges join untested
-        where the support cap is r, since r <= rank(F + e) <= that cap, and
-        otherwise each joins unless its row fails to annihilate one random
-        motion of the seed's basis of F (``_lifts``).
+        docstring).  The open non-edges join untested where the support cap
+        is r, since r <= rank(F + e) <= that cap, and otherwise each joins
+        unless its row fails to annihilate one random motion of the seed's
+        basis of F (``_lifts``).
         """
         base, tested = self.peel_base(F), self._open(F)
         peel = self._peel(F.mask)
         if base is None or tested and peel.support_cap != len(base):
             self._seed_basis(F.mask, seed_idx)
             base = EdgeSet(self.n, peel.picked[seed_idx])
-        r, out = len(base), F.mask
-        if peel.support_cap == r:
+        out = F.mask
+        if peel.support_cap == len(base):
             out |= tested
         elif tested:
             lifts = self._lifts(F, seed_idx)
             out |= sum(1 << b for b in bits(tested) if not lifts(b))
-        return base, r, EdgeSet(self.n, out)
+        return base, EdgeSet(self.n, out)
 
     def _vote_each(self, mask: int, elems: int, r: int, seed_rank, moves) -> int:
         """The elements b of elems whose toggle keeps mask's rank r, each by

@@ -5,24 +5,24 @@ overflow and no floating point.  The default modulus is the Mersenne prime
 2^61 - 1, large enough that a random evaluation of a generic matrix keeps
 full rank except with vanishing probability.
 
-Rows are sparse: a dict from column to nonzero entry in [0, p).  A cofactor
-row has 2(s+1) nonzeros among (s+1)n columns, so elimination touches only
-the columns a row and its reducers actually use.  An echelon basis is a
-dict from pivot column to row: each row is 1 at its pivot and has no key
-left of it.  One routine, ``reduce_row``, reduces a row against such a dict:
-it walks the row's own keys in increasing order, clears each key that is a
-pivot, and stops at the first nonzero key that is not one.  That key is the
-row's new pivot, and the row is normalized there, scaled by the inverse of
-its entry.  The keys right of it are left as they are, so a stored row may
-still be nonzero at later pivots: the basis is in semi-reduced echelon form,
-not reduced form.  Back-substitution and the tag-column self-stresses below
-need no more.  Which columns a row meets first is the caller's column order,
-which decides how many entries clearing adds (the fill-in), though never a
-rank.  ``EchelonBasis`` keeps one growing dict and turns its input rows,
-dense sequences or mappings, into the sparse form at the boundary; a caller
-whose rows are already sparse and reduced mod p hands a list of them to
-``absorb``, the one routine that inserts rows, with one inverse per pass
-over them: a peel round's 0-extension rows take one in all.
+Rows are sparse: a dict from column to entry, and a stored row's entries
+are nonzero and in [0, p).  A cofactor row has 2(s+1) nonzeros among (s+1)n
+columns, so elimination touches only the columns a row and its reducers
+actually use.  An echelon basis is a dict from pivot column to row: each
+row is 1 at its pivot and has no key left of it.  One routine,
+``reduce_row``, reduces a row against such a dict: it walks the row's own
+keys in increasing order, clears each key that is a pivot, and stops at the
+first nonzero key that is not one.  That key is the row's new pivot, and
+the row is normalized there, scaled by the inverse of its entry.  The keys
+right of it are left as they are, so a stored row may still be nonzero at
+later pivots: the basis is in semi-reduced echelon form, not reduced form.
+Back-substitution and the tag-column self-stresses below need no more.
+Which columns a row meets first is the caller's column order, which decides
+how many entries clearing adds (the fill-in), though never a rank.
+``EchelonBasis`` keeps one growing dict, and ``absorb`` is the one way in:
+it consumes a list of sparse rows, inserts those that grow the rank with
+one inverse per pass over them (a peel round's 0-extension rows take one in
+all), and leaves every other row reduced in place, the relation it is.
 ``bases_by_minors`` lists the bases of vectors in r coordinates as the
 r-subsets of nonzero determinant, from a sweep of minors by Laplace
 expansion, with no reduction and no inverse.
@@ -33,12 +33,12 @@ that only rows pivoting left of it go in.  A row pivoting inside the tags
 is zero on the real columns, and its tag part, left in the row ``absorb``
 reduced, is the combination of inserted rows it equals, a self-stress.  No
 other module writes a basis's rows.  The cofactor oracle's tagged walk
-reads cyc and fundamental circuits off one random self-stress per seed
-(``_coloop_pass``).  ``dual_rows`` absorbs every row tagged and keeps each
-relation it finds: read per row, their coefficients represent the dual
-matroid, of rank m - r, whose bases are the complements of the rows' bases.
-A rank table sweeps the minors of the dual vectors and complements the
-bases it finds.
+reads cyc and fundamental circuits off one random self-stress per seed,
+which it absorbs as one more row (``_coloop_pass``).  ``dual_rows``
+absorbs every row tagged and keeps each relation it finds: read per row,
+their coefficients represent the dual matroid, of rank m - r, whose bases
+are the complements of the rows' bases.  A rank table sweeps the minors of
+the dual vectors and complements the bases it finds.
 
 ``EchelonBasis.motion`` back-substitutes the kernel vector with given values
 at the free columns.  Independent uniform values make it a uniform kernel
@@ -47,7 +47,6 @@ vector, which a row outside the span annihilates with probability 1/p.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import lru_cache
 
 MERSENNE61 = (1 << 61) - 1
@@ -84,13 +83,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _sparse_row(row, p: int) -> dict[int, int]:
-    """A fresh {column: entry mod p} dict of a dense sequence or a mapping,
-    without zero entries."""
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    return {j: y for j, x in items if (y := x % p)}
-
-
 def reduce_row(cur: dict[int, int], rows: dict[int, dict[int, int]],
                p: int) -> int | None:
     """Reduce a sparse row, in place, against an echelon basis indexed by
@@ -125,12 +117,6 @@ def _scaled(cur: dict[int, int], inv: int, p: int) -> dict[int, int]:
     return {j: y for j, x in cur.items() if (y := x * inv % p)}
 
 
-def _normalized(cur: dict[int, int], lead: int, p: int) -> dict[int, int]:
-    """The row reduce_row left with the given pivot, scaled to 1 there,
-    without zero entries."""
-    return _scaled(cur, pow(cur[lead], -1, p), p)
-
-
 class EchelonBasis:
     """Incremental row echelon form over GF(p), as one dict from pivot to
     row.  Rows are never modified after insertion.
@@ -146,21 +132,13 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row) -> tuple[int, dict[int, int]] | None:
-        """Reduce a row, dense or a mapping, against the basis: its new
-        (pivot, sparse normalized row) pair, or None if it reduces to zero.
-        The row does not alias the input.
-        """
-        cur = _sparse_row(row, self.p)
-        lead = reduce_row(cur, self.rows, self.p)
-        return None if lead is None else (lead, _normalized(cur, lead, self.p))
-
     def absorb(self, rows: list[dict[int, int]],
                width: int | None = None) -> list[int]:
-        """Add sparse rows with entries in [0, p), which the basis consumes,
-        to the span: the indices of those that grew the rank, in increasing
-        order.  A row whose pivot is width or more is a relation and is left
-        out, reduced in place, as at a tag column.
+        """Add sparse rows, which the basis consumes, to the span: the
+        indices of those that grew the rank, in increasing order.  A row
+        whose pivot is width or more is a relation and is left out, reduced
+        in place, as at a tag column.  Entries may be any integers:
+        reduce_row reads each one mod p, and a stored row is reduced mod p.
 
         Each pass reduces the rows still waiting once against the basis as
         it stands and takes their pivots in order.  A row's walk stops at
@@ -213,10 +191,11 @@ class EchelonBasis:
         return m
 
 
-def dual_rows(rows, width: int,
+def dual_rows(rows: list[dict[int, int]], width: int,
               p: int = MERSENNE61) -> tuple[list[dict[int, int]], list[int]]:
-    """A representation of the dual of the rows' matroid, one sparse vector
-    per row, and the rows' r pivot columns; every column is below width.
+    """A representation of the dual of the sparse rows' matroid, which it
+    consumes, one sparse vector per row, and the rows' r pivot columns;
+    every column is below width.
 
     Row k is absorbed up to width with a unit tag at column width + k: a
     row whose pivot falls left of the tags grows the basis, and any other
@@ -230,8 +209,7 @@ def dual_rows(rows, width: int,
     triangular on the pivots, so the rows keep every rank there.
     """
     basis, vectors = EchelonBasis(p), [{} for _ in rows]
-    for k, row in enumerate(rows):
-        cur = _sparse_row(row, p)
+    for k, cur in enumerate(rows):
         cur[width + k] = 1
         if basis.absorb([cur], width):
             continue

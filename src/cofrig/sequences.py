@@ -190,7 +190,7 @@ def _first_proving_seed(F: EdgeSet, oracle, witness):
     """
     tried = []
     for idx, seed in enumerate(oracle.seeds):
-        base, _, closure = oracle.seed_closure(F, idx)
+        base, closure = oracle.seed_closure(F, idx)
         value, cliques, proof = witness(base, closure)
         if value == len(base):
             return base, closure, proof

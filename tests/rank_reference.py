@@ -4,20 +4,20 @@ clique-sequence value.  The library answers these questions on whole
 bitsets of subsets or from clique covers; the tests check it against these
 loops.  The G(n, p) sampler, the named graphs and the dense matrix rank
 that the tests share live here too, with the small helpers that only the
-tests call: row insertion, an inverse counter, per-mask independence and
-modular pairs, induced subgraphs, the checked cover bound, the erection
-test and the cyclic sets of an explicit matroid.  The (k, l)-pebble game is
-the exact, seed-free rank of the s <= 1 cofactor matroids."""
+tests call: dense rows made sparse, row insertion and a span test, an
+inverse counter, per-mask independence and modular pairs, induced
+subgraphs, the checked cover bound, the erection test and the cyclic sets
+of an explicit matroid.  The (k, l)-pebble game is the exact, seed-free
+rank of the s <= 1 cofactor matroids."""
 
 import random
 from itertools import combinations
 
 from cofrig import field
-from cofrig.cofactor import DEFAULT_SEEDS, GenericConfiguration
 from cofrig.covers import is_M_degenerate, val_D
 from cofrig.erection import family_violation, free_erection
 from cofrig.errors import WitnessMismatch
-from cofrig.field import MERSENNE61, EchelonBasis, _normalized, _sparse_row, reduce_row
+from cofrig.field import MERSENNE61, EchelonBasis, reduce_row
 from cofrig.graphs import EdgeSet, bits, clique_mask, edge_count, peel_order, union_of
 from cofrig.matroids import ExplicitMatroid, element_bits, members
 from cofrig.sequences import CircuitSequence
@@ -65,7 +65,7 @@ def reduction_closure(oracle, mask):
     for bit in bits(((1 << edge_count(oracle.n)) - 1) & ~mask):
         def with_e(idx):
             return basis(idx).rank + (
-                basis(idx).reduce(oracle._row(bit, idx, at)) is not None)
+                not in_span(basis(idx), oracle._row(bit, idx, at)))
         if oracle._vote(mask | 1 << bit, with_e, r + 1) == r:
             out |= 1 << bit
     return out
@@ -84,7 +84,7 @@ def subset_rank_table(rows, p):
     m = len(rows)
     if m > 16:
         raise ValueError(f"subset table over {m} rows is too large")
-    rows = [_sparse_row(r, p) for r in rows]
+    rows = [sparse(r, p) for r in rows]
     size = 1 << m
     kids = bytearray(size)
     for x in range(1, size):
@@ -99,7 +99,10 @@ def subset_rank_table(rows, p):
         lead = reduce_row(cur, b, p)
         rank[x] = rank[y] + (lead is not None)
         if kids[x]:
-            basis[x] = b if lead is None else {**b, lead: _normalized(cur, lead, p)}
+            if lead is not None:
+                inv = pow(cur[lead], -1, p)
+                b = {**b, lead: {j: z for j, c in cur.items() if (z := c * inv % p)}}
+            basis[x] = b
     return rank
 
 
@@ -162,20 +165,6 @@ def from_independence(m, independent):
         table[x] = (x.bit_count() if independent(x)
                     else max(table[x & ~(1 << b)] for b in bits(x)))
     return ExplicitMatroid(table)
-
-
-def plane_rigidity_rank(F):
-    """Rank of F in the generic plane rigidity matroid: the largest rank,
-    over the oracle's default seeds, of the bar-framework rows holding
-    p_i - p_j at vertex i and p_j - p_i at vertex j."""
-    best = 0
-    for seed in DEFAULT_SEEDS:
-        points = GenericConfiguration.generate(F.n, seed).points
-        rows = [{2 * v + t: sign * (points[i][t] - points[j][t])
-                 for v, sign in ((i, 1), (j, -1)) for t in range(2)}
-                for i, j in F.edges()]
-        best = max(best, matrix_rank(rows))
-    return best
 
 
 def graphic_rank(F):
@@ -470,10 +459,23 @@ def counting_inverses(monkeypatch):
     return inverses
 
 
+def sparse(row, p: int) -> dict[int, int]:
+    """A fresh {column: entry mod p} dict of a dense row or a mapping,
+    without zero entries: the sparse form the field module takes."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {j: y for j, x in items if (y := x % p)}
+
+
 def insert(basis: EchelonBasis, row) -> bool:
     """Add a row, dense or a mapping, to the basis's span; True if the rank
     grew."""
-    return bool(basis.absorb([_sparse_row(row, basis.p)]))
+    return bool(basis.absorb([sparse(row, basis.p)]))
+
+
+def in_span(basis: EchelonBasis, row) -> bool:
+    """Whether a row, dense or a mapping, reduces to zero against the
+    basis, which it leaves as it is."""
+    return reduce_row(sparse(row, basis.p), basis.rows, basis.p) is None
 
 
 def is_independent(M: ExplicitMatroid, mask: int) -> bool:

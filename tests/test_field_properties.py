@@ -3,7 +3,7 @@ elimination written here, on small matrices with zero and repeated rows and
 on rows with tag columns, batch absorption and absorption up to a tag width
 against absorbing the same rows one at a time, the minor sweep on both
 sides of a matroid against the full subset table, and the motion
-back-substitution against the span that ``reduce`` tests."""
+back-substitution against the span that ``reduce_row`` tests."""
 
 import pytest
 
@@ -20,7 +20,8 @@ from cofrig.field import (  # noqa: E402
     reduce_row,
 )
 
-from rank_reference import counting_inverses, insert, subset_rank_table  # noqa: E402
+from rank_reference import (  # noqa: E402
+    counting_inverses, in_span, insert, sparse, subset_rank_table)
 
 # Fixed examples and no example database: the same cases on every run.
 CASES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -80,7 +81,7 @@ def test_echelon_ranks_match_dense_elimination(case, as_mapping):
         assert basis.rank == dense_rank(rows[:i], p)
         check_rows(basis)
     for row in rows:
-        assert basis.reduce(row) is None
+        assert in_span(basis, row)
 
 
 @settings(CASES, max_examples=25)
@@ -113,7 +114,8 @@ def test_minor_sweep_lists_the_bases_of_the_rows_and_of_their_dual(case):
     # of the dual vectors, the complements of the rows' bases.
     p, rows = case
     m, full = len(rows), (1 << len(rows)) - 1
-    vectors, pivots = dual_rows(rows, len(rows[0]) if rows else 0, p)
+    width = len(rows[0]) if rows else 0
+    vectors, pivots = dual_rows([sparse(row, p) for row in rows], width, p)
     r, table = len(pivots), subset_rank_table(rows, p)
     primal = on_pivots(rows, pivots)
     assert subset_rank_table(primal, p) == table
@@ -138,10 +140,11 @@ def test_dual_rows_rank_every_set_through_its_complement(case):
     # rank 0, full rank, and zero and repeated rows among the fixed examples
     p, rows = case
     m, full = len(rows), (1 << len(rows)) - 1
-    vectors, pivots = dual_rows(rows, len(rows[0]) if rows else 0, p)
+    width = len(rows[0]) if rows else 0
+    vectors, pivots = dual_rows([sparse(row, p) for row in rows], width, p)
     r = len(pivots)
     assert r == dense_rank(rows, p) and len(vectors) == m
-    assert pivots == sorted(set(pivots)) and all(0 <= c < len(rows[0]) for c in pivots)
+    assert pivots == sorted(set(pivots)) and all(0 <= c < width for c in pivots)
     dual = subset_rank_table(vectors, p)
     assert dual[full] == m - r
     for x in range(1 << m):
@@ -181,13 +184,12 @@ def test_reduce_row_matches_dense_elimination_on_tagged_rows(case):
     basis, kept = EchelonBasis(p), []
     for t, row in enumerate(rows):
         cur = {**row, width + t: 1}
-        pair = basis.reduce(cur)
         lead = reduce_row(cur, basis.rows, p)
-        assert lead == pair[0] and min(cur) == lead and 0 < cur[lead] < p
+        assert min(cur) == lead and 0 < cur[lead] < p
         grew = dense_rank([dense(r, width) for r in [*kept, row]], p) > len(kept)
         assert (lead < width) == grew
         if grew:
-            basis.rows[lead] = pair[1]
+            assert basis.absorb([{**row, width + t: 1}], width) == [0]
             kept.append(row)
             continue
         coef = {j - width: x % p for j, x in cur.items() if x % p}
@@ -228,13 +230,16 @@ def rounds(draw):
 
 
 def one_at_a_time(basis, rows, width):
-    """absorb's reference: reduce each row in turn against the basis
-    and insert it where it pivots left of width."""
-    grown = []
+    """absorb's reference: reduce a copy of each row in turn against the
+    basis and insert it, scaled to 1 at its pivot, where it pivots left of
+    width."""
+    grown, p = [], basis.p
     for k, row in enumerate(rows):
-        got = basis.reduce(row)
-        if got is not None and (width is None or got[0] < width):
-            basis.rows[got[0]] = got[1]
+        cur = dict(row)
+        lead = reduce_row(cur, basis.rows, p)
+        if lead is not None and (width is None or lead < width):
+            inv = pow(cur[lead], -1, p)
+            basis.rows[lead] = {j: y for j, x in cur.items() if (y := x * inv % p)}
             grown.append(k)
     return grown
 
@@ -309,8 +314,7 @@ def check_kernel(basis, width, rows, probes):
     for row in rows:
         assert all(annihilates(m, row, p) for m in motions)
     for row in probes:
-        assert all(annihilates(m, row, p) for m in motions) == (
-            basis.reduce(row) is None)
+        assert all(annihilates(m, row, p) for m in motions) == in_span(basis, row)
 
 
 @CASES

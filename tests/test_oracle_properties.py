@@ -1,8 +1,8 @@
 """Property tests: the seed walks behind the oracle's rank, greedy base,
-cyc, closure and fundamental circuits against the pebble game, an exact,
-seed-free reference for the s = 0 (graphic) and s = 1 (plane rigidity)
-cofactor matroids, on G(n, p) draws from sparse forests to dense rigid
-graphs."""
+cyc, closure and fundamental circuits, and the rank certificate, against
+the pebble game, an exact, seed-free reference for the s = 0 (graphic) and
+s = 1 (plane rigidity) cofactor matroids, on G(n, p) draws from sparse
+forests to dense rigid graphs."""
 
 import pytest
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from cofrig.cofactor import CofactorOracle  # noqa: E402
 from cofrig.graphs import EdgeSet, bits, edge_at, edge_count  # noqa: E402
+from cofrig.sequences import rank_certificate, seq_value  # noqa: E402
 
 import rank_reference as reference  # noqa: E402
 
@@ -95,3 +96,16 @@ def test_fundamental_circuit_is_the_pebble_games_circuit(case, pick):
         b = rest[pick % len(rest)]
         assert (CofactorOracle(n, s=s).fundamental_circuit(EdgeSet(n, B), edge_at(n, b)).mask
                 == reference.fundamental_circuit(pebble_rank(n, s), B, b))
+
+
+@CASES
+@given(draws(30))
+@example((1, 30, 5, 5))
+@example((0, 30, 3, 5))
+def test_certificate_rank_is_the_pebble_rank(case):
+    # the certified rank is exact, and the certificate's sequence values F
+    # at it: the upper bound meets the seed's base
+    s, n, degree, seed = case
+    F = graph(n, degree, seed)
+    cert = rank_certificate(F, CofactorOracle(n, s=s))
+    assert cert.rank == seq_value(F, cert.sequence) == reference.pebble_rank(F, s)

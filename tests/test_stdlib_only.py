@@ -2,6 +2,7 @@
 nor the slow-to-import dataclasses and inspect, its modules import one
 another without a cycle, every function reads the
 parameters it takes, every private function, method and class is used,
+every entry point of the linear-algebra engine is used by the library,
 every name a module imports is read or exported, every name a module
 exports exists, once, and only the field module writes an echelon basis's
 rows."""
@@ -148,6 +149,24 @@ def test_every_private_name_is_used():
     assert defs
     unused = [(fname, name) for fname, name, first, last in defs
               if not any(ref == name and not (rfile == fname and first <= line <= last)
+                         for rfile, line, ref in refs)]
+    assert not unused, unused
+
+
+def test_every_engine_entry_point_is_used_by_the_library():
+    # a public function of the field module, or a public method or property
+    # of EchelonBasis, that only the tests call is a second way into the
+    # engine; a use inside its own body (recursion) does not count
+    tree = ast.parse((SRC / "field.py").read_text())
+    basis = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "EchelonBasis")
+    entries = [node for node in (*tree.body, *basis.body)
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert {"absorb", "motion", "rank", "reduce_row"} <= {node.name for node in entries}
+    _, refs = _private_definitions_and_references()
+    unused = [node.name for node in entries
+              if not any(ref == node.name and not (rfile == "field.py"
+                                                    and node.lineno <= line <= node.end_lineno)
                          for rfile, line, ref in refs)]
     assert not unused, unused
 
